@@ -712,7 +712,7 @@ fn quick_redesign() -> RedesignReport {
 /// Leg 4 — repair-as-a-service throughput: a live `otrepaird` on a
 /// loopback socket, a registered plan, and concurrent clients repairing
 /// the same archive, wall-clocked end to end (framing, socket copies,
-/// sharded repair, index-ordered reassembly). One served response is
+/// decode, in-place sharded repair, encode). One served response is
 /// asserted byte-identical to the offline columnar path first — the
 /// serving determinism contract is part of the gate, not just the docs.
 fn quick_serve() -> ServeReport {

@@ -110,8 +110,8 @@ pub fn dataset_damage(original: &Dataset, repaired: &Dataset) -> Result<DamageRe
 }
 
 /// [`dataset_damage`] over columnar data sets, computed straight from
-/// the column slices (full-column RMSE sweeps, group gathers through
-/// the precomputed index lists). Produces bitwise the same report as
+/// the column slices (full-column RMSE sweeps, group gathers from one
+/// partition of the shared labels). Produces bitwise the same report as
 /// [`dataset_damage`] on the row-major images: the per-feature RMSE
 /// accumulates in ascending row order either way, and the group columns
 /// gather in the same insertion order.
@@ -151,20 +151,20 @@ pub fn dataset_damage_columnar(
         rmse.push((acc / n).sqrt());
     }
 
+    // Both data sets carry the same labels: partition the rows into the
+    // four (u, s) groups once, in ascending order, and gather from it.
+    let mut groups: [Vec<usize>; 4] = Default::default();
+    for (i, (&s, &u)) in original.s().iter().zip(original.u()).enumerate() {
+        groups[usize::from(u) * 2 + usize::from(s)].push(i);
+    }
     let mut w2_gf = vec![vec![vec![0.0f64; d]; 2]; 2];
-    for u in 0..2u8 {
-        for s in 0..2u8 {
-            let key = GroupKey { u, s };
-            for k in 0..d {
-                let before = original.group_feature_column(key, k)?;
-                let after = repaired.group_feature_column(key, k)?;
-                if before.is_empty() {
-                    continue; // a group may legitimately be absent
-                }
-                let mu = DiscreteDistribution::empirical(&before)?;
-                let nu = DiscreteDistribution::empirical(&after)?;
-                w2_gf[u as usize][s as usize][k] = w2(&mu, &nu)?;
-            }
+    // A group may legitimately be absent.
+    for (slot, rows) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+        let gather = |col: &[f64]| rows.iter().map(|&i| col[i]).collect::<Vec<_>>();
+        for k in 0..d {
+            let mu = DiscreteDistribution::empirical(&gather(original.feature_column(k)?))?;
+            let nu = DiscreteDistribution::empirical(&gather(repaired.feature_column(k)?))?;
+            w2_gf[slot / 2][slot % 2][k] = w2(&mu, &nu)?;
         }
     }
 
@@ -251,5 +251,18 @@ mod tests {
             );
             assert!(report.rmse_per_feature[k] > 0.05);
         }
+        // The columnar report is bitwise the row report.
+        let columnar = dataset_damage_columnar(
+            &ColumnarDataset::from_dataset(&data),
+            &ColumnarDataset::from_dataset(&repaired),
+        )
+        .unwrap();
+        let bits = |r: &DamageReport| {
+            let w2 = r.w2_group_feature.iter().flatten().flatten();
+            (r.rmse_per_feature.iter().chain(w2))
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&columnar), bits(&report));
     }
 }

@@ -190,10 +190,11 @@ impl JointStratum {
                 self.axes.len()
             )));
         }
-        if let Some((k, g)) = self.axes.iter().enumerate().find(|(_, g)| g.len() < 2) {
+        // Repaired points are axis states: finite axes, finite output.
+        let bad_axis = |g: &Vec<f64>| g.len() < 2 || g.iter().any(|v| !v.is_finite());
+        if let Some((k, g)) = self.axes.iter().enumerate().find(|(_, g)| bad_axis(g)) {
             return Err(RepairError::PlanMismatch(format!(
-                "joint stratum u={u}: axis {k} needs at least 2 states, got {}",
-                g.len()
+                "joint stratum u={u}: axis {k} needs at least 2 finite states, got {g:?}"
             )));
         }
         let n: usize = self.axes.iter().map(Vec::len).product();

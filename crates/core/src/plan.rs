@@ -85,9 +85,18 @@ impl FeaturePlan {
     /// `RepairPlan::from_json` do it automatically.
     ///
     /// # Errors
-    /// Fails only if a plan row carries zero mass, which would mean the
-    /// marginal itself had a zero state (excluded by KDE positivity).
+    /// Fails on an empty or non-finite support (JSON `1e999` parses to
+    /// `+inf`; randomized repair outputs support states, so those stay
+    /// finite), on plans that are not `n_q × n_q`, and on a plan row with
+    /// zero mass (a zero marginal state, excluded by KDE positivity).
     pub fn compile(&mut self) -> Result<()> {
+        let n = self.support.len();
+        let ragged = self.plans.iter().any(|p| p.rows() != n || p.cols() != n);
+        if n == 0 || ragged || self.support.iter().any(|v| !v.is_finite()) {
+            let (u, k) = (self.u, self.k);
+            let msg = format!("feature plan (u={u}, k={k}) is mis-shaped or not finite");
+            return Err(RepairError::PlanMismatch(msg));
+        }
         for s in 0..2 {
             let plan = &self.plans[s];
             let mut rows = Vec::with_capacity(plan.rows());
@@ -538,25 +547,12 @@ impl RepairPlan {
         data: &ColumnarDataset,
         seed: u64,
     ) -> Result<ColumnarDataset> {
-        Ok(self.repair_columnar_counted(data, seed)?.0)
+        Ok(self.repair_columnar_shard(data, seed, 0)?.0)
     }
 
-    /// [`Self::repair_columnar_par`] plus the out-of-range feature count
-    /// (same strict `x < lo || x > hi` test as the streaming counters) —
-    /// the form [`crate::StreamingRepairer::repair_batch_columnar`]
-    /// needs to keep its stats without a second pass.
-    pub(crate) fn repair_columnar_counted(
-        &self,
-        data: &ColumnarDataset,
-        seed: u64,
-    ) -> Result<(ColumnarDataset, u64)> {
-        self.repair_columnar_shard(data, seed, 0)
-    }
-
-    /// Chunk-addressable columnar repair — the sharding primitive of the
-    /// repair service (`otr-serve`). Repairs `data` **as if** its rows
-    /// occupied absolute indices `row_offset .. row_offset + data.len()`
-    /// of a larger archive: row `i` of `data` draws from
+    /// Chunk-addressable columnar repair. Repairs `data` **as if** its
+    /// rows occupied absolute indices `row_offset .. row_offset +
+    /// data.len()` of a larger archive: row `i` of `data` draws from
     /// `StdRng::seed_from_u64(splitmix_seed(seed, row_offset + i))`,
     /// exactly the stream that row would own in a whole-archive
     /// [`Self::repair_columnar_par`] call. Consequently, splitting an
@@ -565,7 +561,8 @@ impl RepairPlan {
     /// order is **byte-identical** to repairing the whole archive in one
     /// call — for any shard layout, thread count, or batch size.
     /// `row_offset = 0` *is* [`Self::repair_columnar_par`]. Returns the
-    /// repaired shard plus its out-of-range feature count.
+    /// repaired shard plus its out-of-range feature count (same strict
+    /// `x < lo || x > hi` test as the streaming counters).
     ///
     /// # Errors
     /// Rejects dimension mismatches and uncompiled plans.
@@ -575,11 +572,45 @@ impl RepairPlan {
         seed: u64,
         row_offset: u64,
     ) -> Result<(ColumnarDataset, u64)> {
+        let mut out: Vec<Vec<f64>> = (0..data.dim()).map(|_| vec![0.0; data.len()]).collect();
+        let oob = self.repair_columnar_into(data, 0..data.len(), seed, row_offset, &mut out)?;
+        Ok((data.with_feature_columns(out)?, oob))
+    }
+
+    /// The in-place kernel under every columnar entry point: repairs rows
+    /// `rows` of `data`, read in place, straight into `out` (one slice
+    /// per feature, `rows.len()` long — e.g. one shard's range of a
+    /// response buffer), row `i` drawing `splitmix_seed(seed,
+    /// row_offset + i)` as in [`Self::repair_columnar_shard`]. Chunked
+    /// over `config.threads`; returns the out-of-range count. Outputs
+    /// are support states or their projections, which
+    /// [`Self::from_json`] proves finite, so nothing rescans them.
+    ///
+    /// # Errors
+    /// Rejects dimension, row-range and `out` shape mismatches, and
+    /// uncompiled plans.
+    pub fn repair_columnar_into<C: AsMut<[f64]>>(
+        &self,
+        data: &ColumnarDataset,
+        rows: std::ops::Range<usize>,
+        seed: u64,
+        row_offset: u64,
+        out: &mut [C],
+    ) -> Result<u64> {
         if data.dim() != self.dim {
             return Err(RepairError::PlanMismatch(format!(
                 "dataset dimension {} vs plan dimension {}",
                 data.dim(),
                 self.dim
+            )));
+        }
+        let n = rows.len();
+        if rows.end > data.len()
+            || out.len() != self.dim
+            || out.iter_mut().any(|c| c.as_mut().len() != n)
+        {
+            return Err(RepairError::PlanMismatch(format!(
+                "out does not fit rows {rows:?}"
             )));
         }
         // Mode-specific precomputation, and all fallibility, up front:
@@ -603,13 +634,12 @@ impl RepairPlan {
                     .collect(),
             ),
         };
-        let mut out: Vec<Vec<f64>> = vec![vec![0.0; data.len()]; self.dim];
-        let oob = par_cols_mut(&mut out, self.config.threads, |row0, chunks| {
-            self.repair_columnar_chunk(data, seed, row_offset, row0, chunks, proj.as_deref())
+        let (row0, proj) = (rows.start, proj.as_deref());
+        Ok(par_cols_mut(out, self.config.threads, |start, chunks| {
+            self.repair_columnar_chunk(data, seed, row_offset, row0 + start, chunks, proj)
         })
         .into_iter()
-        .sum();
-        Ok((data.with_feature_columns(out)?, oob))
+        .sum())
     }
 
     /// Repair one contiguous row chunk (`row0 ..`) of the columnar data
@@ -751,12 +781,21 @@ impl RepairPlan {
     /// Load a plan from JSON and recompile its samplers.
     ///
     /// # Errors
-    /// Propagates deserialization and recompilation failures.
+    /// Propagates deserialization and recompilation failures, and
+    /// rejects deterministic plans whose barycentric projections (their
+    /// outputs) are not all finite.
     pub fn from_json(json: &str) -> Result<Self> {
         let mut plan: RepairPlan =
             serde_json::from_str(json).map_err(|e| RepairError::Persistence(e.to_string()))?;
         for fp in &mut plan.features {
             fp.compile()?;
+            let finite = |s| fp.projection_table(s).iter().all(|v: &f64| v.is_finite());
+            if plan.config.mass_split == MassSplit::Deterministic && !(finite(0) && finite(1)) {
+                return Err(RepairError::PlanMismatch(format!(
+                    "feature plan (u={}, k={}) has non-finite projections",
+                    fp.u, fp.k
+                )));
+            }
         }
         Ok(plan)
     }

@@ -145,7 +145,7 @@ impl StreamingRepairer {
             ));
         }
         let batch_seed = self.rng.next_u64();
-        let (repaired, oob) = self.plan.repair_columnar_counted(batch, batch_seed)?;
+        let (repaired, oob) = self.plan.repair_columnar_shard(batch, batch_seed, 0)?;
         self.stats.repaired += batch.len() as u64;
         self.stats.out_of_range += oob;
         Ok(repaired)

@@ -7,17 +7,19 @@
 //! so the memory system (not compute) sets the throughput ceiling.
 //!
 //! [`ColumnarDataset`] flips the layout: one contiguous `Vec<f64>` per
-//! feature, packed `s`/`u` byte columns, and precomputed per-[`GroupKey`]
-//! row-index lists. A repair kernel then reads one cache-line-friendly
-//! column slice at a time and the compiler can autovectorize the pure
-//! arithmetic passes (see `docs/performance.md`, "Columnar layout").
+//! feature and packed `s`/`u` byte columns — nothing else, so building,
+//! slicing or decoding one writes each value once. A repair kernel then
+//! reads one cache-line-friendly column slice at a time (partitioning
+//! each batch by [`crate::GroupKey`] itself) and the compiler can autovectorize
+//! the pure arithmetic passes (see `docs/performance.md`, "Columnar
+//! layout").
 //!
 //! Conversions to and from [`Dataset`] are lossless: both directions
 //! preserve row order, labels, and exact `f64` bits, so the two layouts
 //! are interchangeable representations of the same data set — the
 //! byte-identity contract of the columnar repair kernels rests on it.
 
-use crate::dataset::{Dataset, GroupKey, LabelledPoint};
+use crate::dataset::{Dataset, LabelledPoint};
 use crate::error::{DataError, Result};
 
 /// A labelled data set in column-major (struct-of-arrays) layout.
@@ -25,8 +27,7 @@ use crate::error::{DataError, Result};
 /// Invariants (enforced by every constructor):
 /// * exactly `dim ≥ 1` feature columns, all of equal length;
 /// * every feature value is finite;
-/// * `s`/`u` labels are binary;
-/// * the four group-index lists partition `0..len` in ascending order.
+/// * `s`/`u` labels are binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarDataset {
     dim: usize,
@@ -36,9 +37,36 @@ pub struct ColumnarDataset {
     s: Vec<u8>,
     /// Unprotected attribute per row.
     u: Vec<u8>,
-    /// Row indices per `(u, s)` group, slot-indexed `u * 2 + s`, each
-    /// ascending (insertion order).
-    groups: [Vec<usize>; 4],
+}
+
+/// The error for the first row whose labels leave `{0, 1}`.
+fn label_error(s: &[u8], u: &[u8]) -> DataError {
+    let i = s.iter().zip(u).position(|(&s, &u)| s > 1 || u > 1);
+    let i = i.expect("called only when some label is outside {0,1}");
+    DataError::Shape(format!(
+        "row {i} has labels (s={}, u={}) outside {{0,1}}",
+        s[i], u[i]
+    ))
+}
+
+fn non_finite_error(k: usize) -> DataError {
+    DataError::Shape(format!("feature column {k} has non-finite values"))
+}
+
+/// Every column must hold `len` finite values.
+fn check_columns(features: &[Vec<f64>], len: usize) -> Result<()> {
+    for (k, col) in features.iter().enumerate() {
+        if col.len() != len {
+            return Err(DataError::Shape(format!(
+                "feature column {k} has {} rows (expected {len})",
+                col.len()
+            )));
+        }
+        if col.iter().any(|v| !v.is_finite()) {
+            return Err(non_finite_error(k));
+        }
+    }
+    Ok(())
 }
 
 impl ColumnarDataset {
@@ -55,7 +83,6 @@ impl ColumnarDataset {
             features: vec![Vec::new(); dim],
             s: Vec::new(),
             u: Vec::new(),
-            groups: Default::default(),
         })
     }
 
@@ -75,65 +102,79 @@ impl ColumnarDataset {
                 u.len()
             )));
         }
-        for (k, col) in features.iter().enumerate() {
-            if col.len() != len {
-                return Err(DataError::Shape(format!(
-                    "feature column {k} has {} rows (expected {len})",
-                    col.len()
-                )));
-            }
-            if col.iter().any(|v| !v.is_finite()) {
-                return Err(DataError::Shape(format!(
-                    "feature column {k} has non-finite values"
-                )));
-            }
-        }
-        let mut groups: [Vec<usize>; 4] = Default::default();
-        for i in 0..len {
-            match (GroupKey { u: u[i], s: s[i] }).slot() {
-                Some(slot) => groups[slot].push(i),
-                None => {
-                    return Err(DataError::Shape(format!(
-                        "row {i} has labels (s={}, u={}) outside {{0,1}}",
-                        s[i], u[i]
-                    )))
-                }
-            }
+        check_columns(&features, len)?;
+        if s.iter().chain(&u).any(|&b| b > 1) {
+            return Err(label_error(&s, &u));
         }
         Ok(Self {
             dim: features.len(),
             features,
             s,
             u,
-            groups,
+        })
+    }
+
+    /// Decode packed columns: the `s` and `u` label bytes plus `dim`
+    /// feature columns of `s.len()` big-endian IEEE-754 bit patterns
+    /// each, column after column (the repair service's wire layout).
+    /// Each column is decoded in one bulk pass that also validates it,
+    /// so no value is read twice.
+    ///
+    /// # Errors
+    /// As [`Self::from_columns`], plus a `features` length that is not
+    /// `8 · dim · s.len()` bytes.
+    pub fn from_be_bytes(dim: usize, s: &[u8], u: &[u8], features: &[u8]) -> Result<Self> {
+        let len = s.len();
+        let want = len.checked_mul(8).and_then(|b| b.checked_mul(dim));
+        if dim == 0 || u.len() != len || want != Some(features.len()) {
+            return Err(DataError::Shape(format!(
+                "{} feature bytes and {} u labels do not fit {dim} columns of {len} rows",
+                features.len(),
+                u.len()
+            )));
+        }
+        // OR-folding the copied labels flags any byte above 1, branch-free.
+        let mut labels_or = 0u8;
+        let mut copy =
+            |col: &[u8]| -> Vec<u8> { col.iter().inspect(|&&b| labels_or |= b).copied().collect() };
+        let (s_col, u_col) = (copy(s), copy(u));
+        if labels_or > 1 {
+            return Err(label_error(s, u));
+        }
+        let decode = |k: usize| {
+            let mut finite = true;
+            let col: Vec<f64> = (features[8 * len * k..8 * len * (k + 1)].chunks_exact(8))
+                .map(|b| {
+                    let v = f64::from_bits(u64::from_be_bytes(b.try_into().expect("8-byte chunk")));
+                    finite &= v.is_finite();
+                    v
+                })
+                .collect();
+            finite.then_some(col).ok_or_else(|| non_finite_error(k))
+        };
+        Ok(Self {
+            dim,
+            features: (0..dim).map(decode).collect::<Result<_>>()?,
+            s: s_col,
+            u: u_col,
         })
     }
 
     /// Transpose a row-major [`Dataset`] into columnar layout. Lossless:
     /// row order, labels, and exact `f64` bits are preserved.
     pub fn from_dataset(data: &Dataset) -> Self {
-        let dim = data.dim();
         let n = data.len();
-        let mut features = vec![Vec::with_capacity(n); dim];
-        let mut s = Vec::with_capacity(n);
-        let mut u = Vec::with_capacity(n);
-        let mut groups: [Vec<usize>; 4] = Default::default();
-        for (i, p) in data.points().iter().enumerate() {
+        let mut features: Vec<Vec<f64>> = (0..data.dim()).map(|_| Vec::with_capacity(n)).collect();
+        for p in data.points() {
             for (col, &v) in features.iter_mut().zip(&p.x) {
                 col.push(v);
             }
-            s.push(p.s);
-            u.push(p.u);
-            if let Some(slot) = (GroupKey { u: p.u, s: p.s }).slot() {
-                groups[slot].push(i);
-            }
         }
         Self {
-            dim,
+            dim: data.dim(),
             features,
-            s,
-            u,
-            groups,
+            s: data.points().iter().map(|p| p.s).collect(),
+            u: data.points().iter().map(|p| p.u).collect(),
         }
     }
 
@@ -191,32 +232,6 @@ impl ColumnarDataset {
         &self.u
     }
 
-    /// Row indices of the `(u, s)` group, ascending. Labels outside
-    /// `{0, 1}` name no group and yield an empty slice.
-    #[inline]
-    pub fn group_indices(&self, key: GroupKey) -> &[usize] {
-        match key.slot() {
-            Some(slot) => &self.groups[slot],
-            None => &[],
-        }
-    }
-
-    /// Number of rows in the `(u, s)` group — O(1).
-    pub fn group_len(&self, key: GroupKey) -> usize {
-        self.group_indices(key).len()
-    }
-
-    /// Feature-`k` values of the `(u, s)` group, gathered through the
-    /// precomputed index list (row-layout parity with
-    /// [`Dataset::feature_column`]).
-    ///
-    /// # Errors
-    /// Rejects `k >= dim`.
-    pub fn group_feature_column(&self, key: GroupKey, k: usize) -> Result<Vec<f64>> {
-        let col = self.feature_column(k)?;
-        Ok(self.group_indices(key).iter().map(|&i| col[i]).collect())
-    }
-
     /// Materialize row `i` as a [`LabelledPoint`] (allocates; meant for
     /// interop and tests, not hot loops).
     ///
@@ -247,23 +262,20 @@ impl ColumnarDataset {
         if x.iter().any(|v| !v.is_finite()) {
             return Err(DataError::Shape("row has non-finite features".into()));
         }
-        let Some(slot) = (GroupKey { u, s }).slot() else {
+        if s > 1 || u > 1 {
             return Err(DataError::Shape("labels must be in {0,1}".into()));
-        };
-        let i = self.len();
+        }
         for (col, &v) in self.features.iter_mut().zip(x) {
             col.push(v);
         }
         self.s.push(s);
         self.u.push(u);
-        self.groups[slot].push(i);
         Ok(())
     }
 
-    /// A new data set with the same rows, labels, and group structure
-    /// but replacement feature columns — how the columnar repair kernels
-    /// assemble their output without re-deriving the (unchanged) label
-    /// bookkeeping.
+    /// A new data set with the same rows and labels but replacement
+    /// feature columns — how the columnar repair kernels assemble their
+    /// output without re-validating the (unchanged) labels.
     ///
     /// # Errors
     /// Rejects a wrong column count, length mismatches against `len()`,
@@ -276,36 +288,18 @@ impl ColumnarDataset {
                 features.len()
             )));
         }
-        for (k, col) in features.iter().enumerate() {
-            if col.len() != self.len() {
-                return Err(DataError::Shape(format!(
-                    "feature column {k} has {} rows (expected {})",
-                    col.len(),
-                    self.len()
-                )));
-            }
-            if col.iter().any(|v| !v.is_finite()) {
-                return Err(DataError::Shape(format!(
-                    "feature column {k} has non-finite values"
-                )));
-            }
-        }
+        check_columns(&features, self.len())?;
         Ok(Self {
             dim: self.dim,
             features,
             s: self.s.clone(),
             u: self.u.clone(),
-            groups: self.groups.clone(),
         })
     }
 
-    /// Copy out the contiguous row range `range` as its own data set —
-    /// the sharding primitive of the repair service: a server splits an
-    /// incoming archive into contiguous row shards with this, repairs
-    /// each shard keyed by its absolute start row, and reassembles in
-    /// index order. Row order, labels, and exact `f64` bits are
-    /// preserved; group-index lists are rebuilt shard-local (indices
-    /// relative to `range.start`).
+    /// Copy out the contiguous row range `range` as its own data set
+    /// (batching a stream, or a joint-plan shard in the repair service).
+    /// Row order, labels, and exact `f64` bits are preserved.
     ///
     /// # Errors
     /// Rejects ranges that are descending or extend past `len()`.
@@ -318,31 +312,15 @@ impl ColumnarDataset {
                 self.len()
             )));
         }
-        let features = self
-            .features
-            .iter()
-            .map(|col| col[range.clone()].to_vec())
-            .collect();
-        let s = self.s[range.clone()].to_vec();
-        let u = self.u[range.clone()].to_vec();
-        let mut groups: [Vec<usize>; 4] = Default::default();
-        for (local, i) in range.enumerate() {
-            // Invariant: every stored row has binary labels.
-            if let Some(slot) = (GroupKey {
-                u: self.u[i],
-                s: self.s[i],
-            })
-            .slot()
-            {
-                groups[slot].push(local);
-            }
-        }
         Ok(Self {
             dim: self.dim,
-            features,
-            s,
-            u,
-            groups,
+            features: self
+                .features
+                .iter()
+                .map(|col| col[range.clone()].to_vec())
+                .collect(),
+            s: self.s[range.clone()].to_vec(),
+            u: self.u[range].to_vec(),
         })
     }
 }
@@ -386,21 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn group_indices_agree_with_dataset() {
-        let d = small();
-        let c = ColumnarDataset::from_dataset(&d);
-        for key in GroupKey::all() {
-            assert_eq!(c.group_indices(key), d.group_indices(key));
-            assert_eq!(c.group_len(key), d.group_len(key));
-            assert_eq!(
-                c.group_feature_column(key, 0).unwrap(),
-                d.feature_column(key, 0).unwrap()
-            );
-        }
-        assert!(c.group_indices(GroupKey { u: 3, s: 0 }).is_empty());
-    }
-
-    #[test]
     fn push_row_matches_dataset_push() {
         let mut c = ColumnarDataset::new(2).unwrap();
         let mut d = Dataset::new(2).unwrap();
@@ -432,8 +395,48 @@ mod tests {
         assert!(ColumnarDataset::from_columns(vec![vec![1.0]], vec![2], vec![0]).is_err());
         let ok =
             ColumnarDataset::from_columns(vec![vec![1.0, 2.0]], vec![0, 1], vec![1, 0]).unwrap();
-        assert_eq!(ok.group_indices(GroupKey { u: 1, s: 0 }), &[0]);
-        assert_eq!(ok.group_indices(GroupKey { u: 0, s: 1 }), &[1]);
+        assert_eq!((ok.s(), ok.u()), (&[0, 1][..], &[1, 0][..]));
+    }
+
+    /// Big-endian bytes of `cols`, column after column.
+    fn be_bytes(cols: &[Vec<f64>]) -> Vec<u8> {
+        cols.iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_be_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn from_be_bytes_decodes_bits_and_validates() {
+        let c = ColumnarDataset::from_dataset(&small());
+        let bytes = be_bytes(c.feature_columns());
+        assert_eq!(
+            ColumnarDataset::from_be_bytes(2, c.s(), c.u(), &bytes).unwrap(),
+            c
+        );
+        // -0.0 and subnormals keep their exact bits.
+        let odd = vec![vec![-0.0, f64::MIN_POSITIVE / 4.0]];
+        let back = ColumnarDataset::from_be_bytes(1, &[0, 1], &[1, 0], &be_bytes(&odd)).unwrap();
+        assert_eq!(
+            back.feature_column(0).unwrap()[0].to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(back.feature_column(0).unwrap()[1], odd[0][1]);
+        // Zero rows decode to an empty data set of the stated dimension.
+        let empty = ColumnarDataset::from_be_bytes(3, &[], &[], &[]).unwrap();
+        assert_eq!((empty.dim(), empty.len()), (3, 0));
+        // Wrong shapes, bad labels and non-finite values are rejected.
+        assert!(ColumnarDataset::from_be_bytes(0, &[], &[], &[]).is_err());
+        assert!(ColumnarDataset::from_be_bytes(3, c.s(), c.u(), &bytes).is_err());
+        assert!(ColumnarDataset::from_be_bytes(2, c.s(), &c.u()[1..], &bytes).is_err());
+        let mut bad_u = c.u().to_vec();
+        bad_u[3] = 2;
+        assert!(ColumnarDataset::from_be_bytes(2, c.s(), &bad_u, &bytes).is_err());
+        let nan = be_bytes(&[
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+            vec![0.0, 0.0, f64::NAN, 0.0, 0.0],
+        ]);
+        assert!(ColumnarDataset::from_be_bytes(2, c.s(), c.u(), &nan).is_err());
     }
 
     #[test]
@@ -444,9 +447,6 @@ mod tests {
             .unwrap();
         assert_eq!(swapped.s(), c.s());
         assert_eq!(swapped.u(), c.u());
-        for key in GroupKey::all() {
-            assert_eq!(swapped.group_indices(key), c.group_indices(key));
-        }
         assert_eq!(swapped.feature_column(0).unwrap(), &[9.0; 5]);
         assert!(c.with_feature_columns(vec![vec![0.0; 5]]).is_err());
         assert!(c
@@ -458,17 +458,13 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_preserves_bits_and_rebuilds_groups() {
+    fn slice_rows_preserves_bits_and_labels() {
         let c = ColumnarDataset::from_dataset(&small());
         let mid = c.slice_rows(1..4).unwrap();
         assert_eq!(mid.len(), 3);
         assert_eq!(mid.feature_column(0).unwrap(), &[1.0, 2.0, 3.0]);
         assert_eq!(mid.s(), &[1, 0, 1]);
         assert_eq!(mid.u(), &[0, 1, 1]);
-        // Group lists are shard-local (relative to the slice start).
-        assert_eq!(mid.group_indices(GroupKey { u: 0, s: 1 }), &[0]);
-        assert_eq!(mid.group_indices(GroupKey { u: 1, s: 0 }), &[1]);
-        assert_eq!(mid.group_indices(GroupKey { u: 1, s: 1 }), &[2]);
         // A slice is a self-consistent data set (round trips).
         assert_eq!(ColumnarDataset::from_dataset(&mid.to_dataset()), mid);
         // Whole-range and empty slices are fine; overruns are not.

@@ -280,8 +280,9 @@ where
 }
 
 /// Parallel in-place map over a **set of equal-length columns**, split
-/// at the same row boundaries: each of the `cols` column vectors is cut
-/// into at most `threads` near-equal contiguous row chunks, and
+/// at the same row boundaries: each of the `cols` columns (owned
+/// vectors or borrowed slices of a larger buffer) is cut into at most
+/// `threads` near-equal contiguous row chunks, and
 /// `f(row_start, column_chunks)` runs once per chunk on its own scoped
 /// thread, receiving the aligned mutable chunk of *every* column.
 /// Per-chunk results come back **in chunk order** (so fold-style
@@ -296,30 +297,25 @@ where
 ///
 /// # Panics
 /// All columns must have the same length.
-pub fn par_cols_mut<T, R, F>(cols: &mut [Vec<T>], threads: usize, f: F) -> Vec<R>
+pub fn par_cols_mut<T, C, R, F>(cols: &mut [C], threads: usize, f: F) -> Vec<R>
 where
     T: Send,
+    C: AsMut<[T]>,
     R: Send,
     F: Fn(usize, &mut [&mut [T]]) -> R + Sync,
 {
-    let rows = cols.first().map_or(0, Vec::len);
-    for (k, col) in cols.iter().enumerate() {
+    let mut rests: Vec<&mut [T]> = cols.iter_mut().map(AsMut::as_mut).collect();
+    let rows = rests.first().map_or(0, |c| c.len());
+    for (k, col) in rests.iter().enumerate() {
         assert_eq!(col.len(), rows, "par_cols_mut: column {k} length");
     }
     let bounds = chunk_bounds(rows, thread_count(threads));
     if bounds.len() <= 1 {
-        return bounds
-            .into_iter()
-            .map(|range| {
-                let mut chunks: Vec<&mut [T]> =
-                    cols.iter_mut().map(|c| &mut c[range.clone()]).collect();
-                f(range.start, &mut chunks)
-            })
-            .collect();
+        // Zero rows (no chunk) or one chunk spanning every row.
+        return bounds.iter().map(|_| f(0, &mut rests)).collect();
     }
     // Pre-split every column at the shared chunk boundaries, so each
     // scoped thread owns one disjoint row range across all columns.
-    let mut rests: Vec<&mut [T]> = cols.iter_mut().map(Vec::as_mut_slice).collect();
     let mut jobs: Vec<(usize, Vec<&mut [T]>)> = Vec::with_capacity(bounds.len());
     for range in bounds {
         let mut chunk_cols = Vec::with_capacity(rests.len());
@@ -641,7 +637,7 @@ mod tests {
             }
         }
         // No columns at all is a no-op, not a panic.
-        assert!(par_cols_mut::<u8, (), _>(&mut [], 4, |_, _| ()).is_empty());
+        assert!(par_cols_mut::<u8, Vec<u8>, (), _>(&mut [], 4, |_, _| ()).is_empty());
     }
 
     #[test]

@@ -20,8 +20,8 @@ use otr_data::ColumnarDataset;
 use otr_par::splitmix_seed;
 
 use crate::protocol::{
-    decode_header, write_frame, AuditRecord, DriftReport, ErrorCode, PlanInfo, PlanKind,
-    ProtoError, Request, Response, ServerInfo, HEADER_LEN,
+    decode_header, encode_repair, write_frame, AuditRecord, DriftReport, ErrorCode, PlanInfo,
+    PlanKind, ProtoError, Request, Response, ServerInfo, HEADER_LEN,
 };
 
 use otr_core::DriftConfig;
@@ -137,22 +137,17 @@ impl Client {
         Ok(())
     }
 
-    /// Send one request and read the matching response frame.
-    fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let (t, p) = req.encode();
-        write_frame(&mut self.stream, t, &p)?;
+    /// Send one encoded request `(message type, payload)` and read the
+    /// matching response frame; error frames become
+    /// [`ClientError::Server`].
+    fn expect(&mut self, (msg_type, payload): (u8, Vec<u8>)) -> Result<Response, ClientError> {
+        write_frame(&mut self.stream, msg_type, &payload)?;
         let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
         let (msg_type, payload_len) = decode_header(&header)?;
         let mut payload = vec![0u8; payload_len];
         self.stream.read_exact(&mut payload)?;
-        Ok(Response::decode(msg_type, &payload)?)
-    }
-
-    /// Like [`Self::round_trip`], but error frames become
-    /// [`ClientError::Server`].
-    fn expect(&mut self, req: &Request) -> Result<Response, ClientError> {
-        match self.round_trip(req)? {
+        match Response::decode(msg_type, &payload)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             resp => Ok(resp),
         }
@@ -163,7 +158,7 @@ impl Client {
     /// # Errors
     /// Transport, protocol, or server errors.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.expect(&Request::Ping)? {
+        match self.expect(Request::Ping.encode())? {
             Response::Pong => Ok(()),
             other => Err(ClientError::Unexpected(format!("{other:?} to Ping"))),
         }
@@ -188,7 +183,7 @@ impl Client {
             version,
             json: json.into(),
         };
-        match self.expect(&req)? {
+        match self.expect(req.encode())? {
             Response::PlanLoaded => Ok(()),
             other => Err(ClientError::Unexpected(format!("{other:?} to LoadPlan"))),
         }
@@ -199,7 +194,7 @@ impl Client {
     /// # Errors
     /// Transport, protocol, or server errors.
     pub fn list_plans(&mut self) -> Result<Vec<PlanInfo>, ClientError> {
-        match self.expect(&Request::ListPlans)? {
+        match self.expect(Request::ListPlans.encode())? {
             Response::PlanList(entries) => Ok(entries),
             other => Err(ClientError::Unexpected(format!("{other:?} to ListPlans"))),
         }
@@ -215,7 +210,7 @@ impl Client {
             name: name.into(),
             version,
         };
-        match self.expect(&req)? {
+        match self.expect(req.encode())? {
             Response::PlanEvicted => Ok(()),
             other => Err(ClientError::Unexpected(format!("{other:?} to EvictPlan"))),
         }
@@ -236,13 +231,7 @@ impl Client {
         seed: u64,
         archive: &ColumnarDataset,
     ) -> Result<Repaired, ClientError> {
-        let req = Request::Repair {
-            name: name.into(),
-            version,
-            seed,
-            archive: archive.clone(),
-        };
-        match self.expect(&req)? {
+        match self.expect(encode_repair(name, version, seed, archive))? {
             Response::Repaired {
                 out_of_range,
                 columns,
@@ -286,7 +275,7 @@ impl Client {
     /// # Errors
     /// Transport, protocol, or server errors.
     pub fn info(&mut self) -> Result<ServerInfo, ClientError> {
-        match self.expect(&Request::Info)? {
+        match self.expect(Request::Info.encode())? {
             Response::Info(info) => Ok(info),
             other => Err(ClientError::Unexpected(format!("{other:?} to Info"))),
         }
@@ -306,7 +295,7 @@ impl Client {
             check_every: config.check_every,
             min_rows: config.min_rows,
         };
-        match self.expect(&req)? {
+        match self.expect(req.encode())? {
             Response::Watching { version } => Ok(version),
             other => Err(ClientError::Unexpected(format!("{other:?} to Watch"))),
         }
@@ -319,7 +308,7 @@ impl Client {
     /// when no watch is armed on `name`).
     pub fn drift_status(&mut self, name: &str) -> Result<DriftReport, ClientError> {
         let req = Request::DriftStatus { name: name.into() };
-        match self.expect(&req)? {
+        match self.expect(req.encode())? {
             Response::DriftReport(report) => Ok(report),
             other => Err(ClientError::Unexpected(format!("{other:?} to DriftStatus"))),
         }
@@ -332,7 +321,7 @@ impl Client {
     /// when no watch is armed on `name`).
     pub fn audit(&mut self, name: &str) -> Result<Vec<AuditRecord>, ClientError> {
         let req = Request::Audit { name: name.into() };
-        match self.expect(&req)? {
+        match self.expect(req.encode())? {
             Response::AuditRecords(records) => Ok(records),
             other => Err(ClientError::Unexpected(format!("{other:?} to Audit"))),
         }

@@ -14,12 +14,15 @@
 //! shards every archive into contiguous row chunks for its worker
 //! pool, but because row `i` always draws from its own SplitMix64
 //! stream keyed by the *absolute* row index
-//! ([`otr_core::RepairPlan::repair_columnar_shard`]) and shards are
-//! reassembled in index order, the response bytes are a pure function
-//! of `(plan, seed, archive)`. Same seed + same plan ⇒ same bytes,
-//! whatever the shard layout, thread count, or client interleaving —
-//! and byte-identical to an offline `otrepair apply`. The derivation
-//! lives in `docs/determinism.md`; `tests/serve.rs` pins it.
+//! ([`otr_core::RepairPlan::repair_columnar_into`]) and each shard
+//! writes only its own row range of the one response buffer, the
+//! response bytes are a pure function of `(plan, seed, archive)`. Same
+//! seed + same plan ⇒ same bytes, whatever the shard layout, thread
+//! count, or client interleaving — and byte-identical to an offline
+//! `otrepair apply`. The derivation lives in `docs/determinism.md`;
+//! `tests/serve.rs` pins it. A served scalar repair writes each
+//! feature value three times: decode (fused with validation), the
+//! in-place kernel, and the response encode.
 //!
 //! Everything here is plain `std` (`TcpListener` + threads): the
 //! workspace vendors its few dependencies, and a repair server has no

@@ -135,7 +135,7 @@ impl ErrorCode {
 pub enum PlanKind {
     /// A per-feature [`otr_core::RepairPlan`] (any dimension).
     Scalar,
-    /// A bivariate [`otr_core::JointRepairPlan`] (dimension 2).
+    /// A [`otr_core::JointRepairPlan`] over all `d ≥ 2` features at once.
     Joint,
 }
 
@@ -545,30 +545,38 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_be_bytes());
 }
 
-fn f64_columns_put(out: &mut Vec<u8>, columns: &[Vec<f64>]) {
+/// Append `columns` as big-endian `f64` bit patterns, one bulk pass per
+/// column.
+fn put_f64_columns(out: &mut Vec<u8>, columns: &[Vec<f64>]) {
     for col in columns {
-        for &v in col {
-            out.extend_from_slice(&v.to_bits().to_be_bytes());
+        let start = out.len();
+        out.resize(start + 8 * col.len(), 0);
+        for (dst, v) in out[start..].chunks_exact_mut(8).zip(col) {
+            dst.copy_from_slice(&v.to_bits().to_be_bytes());
         }
     }
 }
 
-fn f64_column_get(r: &mut Reader<'_>, rows: usize, what: &str) -> Result<Vec<f64>, ProtoError> {
-    let mut col = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        col.push(f64::from_bits(r.u64(what)?));
-    }
-    Ok(col)
-}
-
-/// Encode an archive block: `dim u32 | rows u32 | s bytes | u bytes |
-/// dim × (rows × f64-bits u64)`.
-fn archive_put(out: &mut Vec<u8>, archive: &ColumnarDataset) {
-    out.extend_from_slice(&(archive.dim() as u32).to_be_bytes());
-    out.extend_from_slice(&(archive.len() as u32).to_be_bytes());
-    out.extend_from_slice(archive.s());
-    out.extend_from_slice(archive.u());
-    f64_columns_put(out, archive.feature_columns());
+/// Encode a `Repair` request straight from a borrowed archive — the one
+/// encoder [`Request::encode`] and [`crate::Client::repair`] share.
+/// Archive block: `dim u32 | rows u32 | s bytes | u bytes | dim × (rows
+/// × f64-bits u64)`.
+pub(crate) fn encode_repair(
+    name: &str,
+    version: u32,
+    seed: u64,
+    archive: &ColumnarDataset,
+) -> (u8, Vec<u8>) {
+    let mut p = Vec::with_capacity(24 + name.len() + archive.len() * (2 + 8 * archive.dim()));
+    put_str16(&mut p, name);
+    p.extend_from_slice(&version.to_be_bytes());
+    p.extend_from_slice(&seed.to_be_bytes());
+    p.extend_from_slice(&(archive.dim() as u32).to_be_bytes());
+    p.extend_from_slice(&(archive.len() as u32).to_be_bytes());
+    p.extend_from_slice(archive.s());
+    p.extend_from_slice(archive.u());
+    put_f64_columns(&mut p, archive.feature_columns());
+    (request_type::REPAIR, p)
 }
 
 fn archive_get(r: &mut Reader<'_>) -> Result<ColumnarDataset, ProtoError> {
@@ -588,13 +596,11 @@ fn archive_get(r: &mut Reader<'_>) -> Result<ColumnarDataset, ProtoError> {
     if r.buf.len() - r.pos < need {
         return Err(Reader::bad("archive body"));
     }
-    let s = r.bytes(rows, "archive s column")?.to_vec();
-    let u = r.bytes(rows, "archive u column")?.to_vec();
-    let mut features = Vec::with_capacity(dim);
-    for k in 0..dim {
-        features.push(f64_column_get(r, rows, &format!("feature column {k}"))?);
-    }
-    ColumnarDataset::from_columns(features, s, u)
+    let s = r.bytes(rows, "archive s column")?;
+    let u = r.bytes(rows, "archive u column")?;
+    let features = r.bytes(8 * rows * dim, "archive feature columns")?;
+    // Decoding and validation share one pass per column.
+    ColumnarDataset::from_be_bytes(dim, s, u, features)
         .map_err(|e| ProtoError::Payload(ErrorCode::BadPayload, format!("invalid archive: {e}")))
 }
 
@@ -632,15 +638,7 @@ impl Request {
                 version,
                 seed,
                 archive,
-            } => {
-                let mut p =
-                    Vec::with_capacity(16 + name.len() + archive.len() * (2 + 8 * archive.dim()));
-                put_str16(&mut p, name);
-                p.extend_from_slice(&version.to_be_bytes());
-                p.extend_from_slice(&seed.to_be_bytes());
-                archive_put(&mut p, archive);
-                (request_type::REPAIR, p)
-            }
+            } => encode_repair(name, *version, *seed, archive),
             Self::Info => (request_type::INFO, Vec::new()),
             Self::Watch {
                 name,
@@ -770,7 +768,7 @@ impl Response {
                 p.extend_from_slice(&out_of_range.to_be_bytes());
                 p.extend_from_slice(&(columns.len() as u32).to_be_bytes());
                 p.extend_from_slice(&(rows as u32).to_be_bytes());
-                f64_columns_put(&mut p, columns);
+                put_f64_columns(&mut p, columns);
                 (response_type::REPAIRED, p)
             }
             Self::Info(info) => {
@@ -879,17 +877,12 @@ impl Response {
                 let need = rows
                     .checked_mul(8 * dim)
                     .ok_or_else(|| Reader::bad("repaired size"))?;
-                if r.buf.len() - r.pos < need {
-                    return Err(Reader::bad("repaired body"));
-                }
-                let mut columns = Vec::with_capacity(dim);
-                for k in 0..dim {
-                    columns.push(f64_column_get(
-                        &mut r,
-                        rows,
-                        &format!("repaired column {k}"),
-                    )?);
-                }
+                let body = r.bytes(need, "repaired body")?;
+                let be_f64 = |b: &[u8]| {
+                    f64::from_bits(u64::from_be_bytes(b.try_into().expect("8-byte chunk")))
+                };
+                let column = |k| body[8 * rows * k..][..8 * rows].chunks_exact(8).map(be_f64);
+                let columns = (0..dim).map(|k| column(k).collect()).collect();
                 Self::Repaired {
                     out_of_range,
                     columns,

@@ -14,12 +14,13 @@
 //! they become visible to any client.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::sync::Mutex;
 
 use otr_core::{JointRepairPlan, RepairPlan};
-use otr_data::{ColumnarDataset, Dataset};
+use otr_data::ColumnarDataset;
 
 use crate::protocol::{ErrorCode, PlanInfo, PlanKind};
 
@@ -127,53 +128,48 @@ impl RegisteredPlan {
         seed: u64,
         row_offset: u64,
     ) -> Result<(Vec<Vec<f64>>, u64), String> {
-        match self {
-            Self::Scalar(plan) => {
-                let (repaired, oob) = plan
-                    .repair_columnar_shard(shard, seed, row_offset)
-                    .map_err(|e| e.to_string())?;
-                Ok((repaired.feature_columns().to_vec(), oob))
-            }
-            Self::Joint(plan) => {
-                let repaired = plan
-                    .repair_dataset_shard(&shard.to_dataset(), seed, row_offset)
-                    .map_err(|e| e.to_string())?;
-                Ok((
-                    ColumnarDataset::from_dataset(&repaired)
-                        .feature_columns()
-                        .to_vec(),
-                    0,
-                ))
-            }
-        }
+        let mut columns: Vec<Vec<f64>> = (0..shard.dim()).map(|_| vec![0.0; shard.len()]).collect();
+        let oob = self.repair_into(shard, 0..shard.len(), seed, row_offset, &mut columns)?;
+        Ok((columns, oob))
     }
 
-    /// Repair a whole archive offline-style (`row_offset = 0`, no
-    /// sharding) — the reference the sharded path must match.
+    /// Repair rows `rows` of `archive` straight into `out` (one slice
+    /// per feature, each `rows.len()` long), row `i` of `archive` drawing
+    /// the stream of absolute row `row_offset + i` — what the server runs
+    /// per shard, writing into disjoint row ranges of one response
+    /// buffer. Scalar plans read `archive` in place through
+    /// [`RepairPlan::repair_columnar_into`]; joint plans round-trip the
+    /// rows through the row-layout kernel and copy the result in.
+    /// Returns the out-of-range count (0 for joint plans). `out` must
+    /// hold `archive.dim()` columns of `rows.len()` values.
     ///
     /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_whole(
+    /// Rejects dimension mismatches and row ranges past the archive.
+    pub fn repair_into<C: AsMut<[f64]>>(
         &self,
         archive: &ColumnarDataset,
+        rows: Range<usize>,
         seed: u64,
-    ) -> Result<(Vec<Vec<f64>>, u64), String> {
-        self.repair_shard(archive, seed, 0)
-    }
-
-    /// Offline repair of a row-major dataset — what `otrepair apply`
-    /// runs, exposed so tests can pin served-vs-offline byte-identity.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset(&self, data: &Dataset, seed: u64) -> Result<Dataset, String> {
+        row_offset: u64,
+        out: &mut [C],
+    ) -> Result<u64, String> {
         match self {
             Self::Scalar(plan) => plan
-                .repair_dataset_par(data, seed)
+                .repair_columnar_into(archive, rows, seed, row_offset, out)
                 .map_err(|e| e.to_string()),
-            Self::Joint(plan) => plan
-                .repair_dataset_par(data, seed)
-                .map_err(|e| e.to_string()),
+            Self::Joint(plan) => {
+                let offset = row_offset + rows.start as u64;
+                let shard = archive.slice_rows(rows).map_err(|e| e.to_string())?;
+                let repaired = plan
+                    .repair_dataset_shard(&shard.to_dataset(), seed, offset)
+                    .map_err(|e| e.to_string())?;
+                for (i, point) in repaired.points().iter().enumerate() {
+                    for (col, &v) in out.iter_mut().zip(&point.x) {
+                        col.as_mut()[i] = v;
+                    }
+                }
+                Ok(0)
+            }
         }
     }
 

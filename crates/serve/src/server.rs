@@ -1,19 +1,20 @@
 //! The `otrepaird` server: a TCP accept loop, a shared
 //! [`PlanRegistry`], and the sharded repair executor.
 //!
-//! # Determinism under sharding
+//! # Determinism under sharding, and the copy budget
 //!
 //! Every `Repair` request is split into `shards` contiguous row chunks
 //! (the same `base + (c < rem)` bounds `otr-par` uses for its own
-//! chunking), each repaired through
-//! [`RegisteredPlan::repair_shard`](crate::registry::RegisteredPlan::repair_shard)
-//! with its **start row as the RNG offset**, and reassembled in
-//! shard-index order. Because row `i`
-//! always draws from `splitmix_seed(seed, i)` no matter which shard it
-//! lands in, the response bytes are a pure function of
-//! `(plan, seed, archive)` — shard count, worker threads, and client
-//! interleaving are unobservable. `docs/determinism.md` derives this
-//! contract; `tests/serve.rs` pins it.
+//! chunking). The response columns are allocated once and cut at the
+//! same bounds; each shard's
+//! [`RegisteredPlan::repair_into`](crate::registry::RegisteredPlan::repair_into)
+//! reads its rows of the decoded archive in place and writes straight
+//! into its own row range — no shard copies, no reassembly. Because row
+//! `i` always draws from `splitmix_seed(seed, i)` whichever shard holds
+//! it, the response bytes are a pure function of `(plan, seed,
+//! archive)` — shard count, worker threads, and client interleaving
+//! are unobservable. `docs/determinism.md` derives this contract;
+//! `tests/serve.rs` pins it.
 //!
 //! # Connection model and hardening
 //!
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use otr_core::{plan_group_divergences, DriftConfig, DriftMonitor, RepairPlanner};
 use otr_data::{ColumnarDataset, Dataset, LabelledPoint};
-use otr_par::{thread_count, try_par_map_indexed};
+use otr_par::{par_chunks_mut, thread_count};
 
 use crate::protocol::{
     decode_header, write_frame, AuditRecord, AuditStratum, DriftReport, DriftStratum, ErrorCode,
@@ -989,35 +990,39 @@ fn shard_start(n: usize, chunks: usize, c: usize) -> usize {
     c * base + c.min(rem)
 }
 
-/// Shard the archive, repair every shard at its absolute row offset,
-/// and reassemble in index order.
+/// Allocate the response columns once, cut them at the shard bounds,
+/// and repair every shard in place into its own row range.
 fn repair_sharded(
-    plan: &crate::registry::RegisteredPlan,
+    plan: &RegisteredPlan,
     archive: &ColumnarDataset,
     seed: u64,
     ctx: &ConnCtx,
 ) -> Result<(u64, Vec<Vec<f64>>), String> {
     let n = archive.len();
     let shards = ctx.shards.clamp(1, n.max(1));
-    let parts = try_par_map_indexed(shards, ctx.threads, |c| {
-        let (start, end) = (shard_start(n, shards, c), shard_start(n, shards, c + 1));
-        let shard = archive.slice_rows(start..end).map_err(|e| e.to_string())?;
-        // `start` is the shard's absolute row offset: row i of this
-        // shard draws the stream of archive row start + i, which is
-        // what makes the shard layout unobservable in the output.
-        plan.repair_shard(&shard, seed, start as u64)
-    })
-    .map_err(|e| e.to_string())?;
-
-    // Index-ordered reassembly: parts[c] holds rows start(c)..start(c+1),
-    // so straight concatenation restores archive row order exactly.
-    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n); archive.dim()];
-    let mut out_of_range = 0u64;
-    for (part_cols, oob) in parts {
-        out_of_range += oob;
-        for (col, part) in columns.iter_mut().zip(part_cols) {
-            col.extend_from_slice(&part);
+    let mut columns: Vec<Vec<f64>> = (0..archive.dim()).map(|_| vec![0.0; n]).collect();
+    // One job per shard: its rows and their slice of every column.
+    let mut rest: Vec<&mut [f64]> = columns.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut jobs = Vec::with_capacity(shards);
+    for c in 0..shards {
+        let rows = shard_start(n, shards, c)..shard_start(n, shards, c + 1);
+        let (out, tail): (Vec<_>, Vec<_>) = rest
+            .into_iter()
+            .map(|col| col.split_at_mut(rows.len()))
+            .unzip();
+        rest = tail;
+        jobs.push((rows, out, Ok(0)));
+    }
+    par_chunks_mut(&mut jobs, ctx.threads, |_, jobs| {
+        for (rows, out, result) in jobs {
+            // Row i of the archive draws the stream of row i whichever
+            // shard holds it: the shard layout is unobservable.
+            *result = plan.repair_into(archive, rows.clone(), seed, 0, out);
         }
+    });
+    let mut out_of_range = 0u64;
+    for (_, _, result) in jobs {
+        out_of_range += result?;
     }
     Ok((out_of_range, columns))
 }

@@ -52,8 +52,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The columnar (SoA) transpose is lossless: `Dataset ⇄
-    /// ColumnarDataset` round-trips to a bit-equal dataset, and the
-    /// per-group index lists agree between the two layouts.
+    /// ColumnarDataset` round-trips to a bit-equal dataset, and the label
+    /// columns carry every row's `(s, u)`.
     #[test]
     fn columnar_round_trip_is_lossless(data in arb_dataset()) {
         let cols = ColumnarDataset::from_dataset(&data);
@@ -69,8 +69,8 @@ proptest! {
                 );
             }
         }
-        for key in GroupKey::all() {
-            prop_assert_eq!(cols.group_indices(key), data.group_indices(key));
+        for (i, p) in data.points().iter().enumerate() {
+            prop_assert_eq!((cols.s()[i], cols.u()[i]), (p.s, p.u));
         }
     }
 

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use ot_fair_repair::data::{ColumnarDataset, Dataset, SimulationSpec};
 use ot_fair_repair::prelude::EpsSchedule;
 use ot_fair_repair::repair::{
-    JointRepairConfig, JointRepairPlan, RepairConfig, RepairPlan, RepairPlanner,
+    JointRepairConfig, JointRepairPlan, MassSplit, RepairConfig, RepairPlan, RepairPlanner,
 };
 use ot_fair_repair::serve::protocol::{self, request_type};
 use ot_fair_repair::serve::{
@@ -445,37 +445,108 @@ fn plans_dir_preloads_named_versions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Shards repair in place into disjoint row ranges of one response
+/// buffer; the knob grid pins that split at its edges too: both kernels
+/// (the randomized draw and the deterministic projection table), an
+/// archive with no rows, and one with fewer rows than shards.
 #[test]
 fn execution_knobs_never_change_served_bytes() {
     let (research, archive) = split_data(17, 400, 700);
-    let plan = scalar_plan(&research, 20);
-    let json = plan.to_json().unwrap();
-    let offline = bits(
-        plan.repair_columnar_par(&archive, 42)
-            .unwrap()
-            .feature_columns(),
-    );
+    let randomized = scalar_plan(&research, 20);
+    let mut config = RepairConfig::with_n_q(20);
+    config.mass_split = MassSplit::Deterministic;
+    let deterministic = RepairPlanner::new(config).design(&research).unwrap();
+    let archives = [
+        archive.clone(),
+        archive.slice_rows(0..0).unwrap(),
+        archive.slice_rows(0..3).unwrap(),
+    ];
 
-    for (threads, shards, batch_rows) in [
-        (1, 1, None),
-        (2, 7, Some(64)),
-        (4, 3, Some(1)),
-        (0, 0, None),
-    ] {
-        let server = TestServer::start(ServeConfig {
-            threads,
-            shards,
-            batch_rows,
-            ..ServeConfig::default()
-        });
-        let mut client = server.client();
-        client.load_plan(PlanKind::Scalar, "p", 1, &json).unwrap();
-        let served = client.repair("p", 1, 42, &archive).unwrap();
+    for plan in [&randomized, &deterministic] {
+        let json = plan.to_json().unwrap();
+        for (threads, shards, batch_rows) in [
+            (1, 1, None),
+            (2, 7, Some(64)),
+            (4, 3, Some(1)),
+            (0, 0, None),
+        ] {
+            let server = TestServer::start(ServeConfig {
+                threads,
+                shards,
+                batch_rows,
+                ..ServeConfig::default()
+            });
+            let mut client = server.client();
+            client.load_plan(PlanKind::Scalar, "p", 1, &json).unwrap();
+            for input in &archives {
+                let offline = bits(
+                    plan.repair_columnar_par(input, 42)
+                        .unwrap()
+                        .feature_columns(),
+                );
+                let served = client.repair("p", 1, 42, input).unwrap();
+                assert_eq!(
+                    bits(&served.columns),
+                    offline,
+                    "{:?} plan, {} rows: threads={threads} shards={shards} \
+                     batch_rows={batch_rows:?} changed bytes",
+                    plan.config.mass_split,
+                    input.len()
+                );
+            }
+        }
+    }
+}
+
+/// Replace the first number after `"key":[` (at any nesting depth) in a
+/// plan artifact with `1e999`, which the JSON parser reads as `+inf`.
+fn poison_first(json: &str, key: &str) -> String {
+    let at = json.find(&format!("\"{key}\":[")).unwrap() + key.len() + 3;
+    let at = at
+        + json[at..]
+            .find(|c: char| c == '-' || c.is_ascii_digit())
+            .unwrap();
+    let end = at + json[at..].find([',', ']']).unwrap();
+    format!("{}1e999{}", &json[..at], &json[end..])
+}
+
+/// A non-finite support (scalar) or axis (joint) is rejected once, at
+/// load, as `PlanInvalid` — over the wire and from a `plans_dir` — so no
+/// request can ever be served from it.
+#[test]
+fn non_finite_plan_supports_are_rejected_at_load() {
+    let (research, _) = split_data(18, 400, 10);
+    let scalar = poison_first(&scalar_plan(&research, 12).to_json().unwrap(), "support");
+    let joint = poison_first(&joint_plan(&research).to_json().unwrap(), "axes");
+    assert!(scalar.contains("1e999") && joint.contains("1e999"));
+
+    let server = TestServer::start(ServeConfig::default());
+    let mut client = server.client();
+    for (kind, json) in [(PlanKind::Scalar, &scalar), (PlanKind::Joint, &joint)] {
+        let err = client.load_plan(kind, "inf", 1, json).unwrap_err();
         assert_eq!(
-            bits(&served.columns),
-            offline,
-            "threads={threads} shards={shards} batch_rows={batch_rows:?} changed bytes"
+            err.server_code(),
+            Some(ErrorCode::PlanInvalid),
+            "{kind}: {err}"
         );
+        assert!(err.to_string().contains("finite"), "{kind}: {err}");
+    }
+    assert!(client.list_plans().unwrap().is_empty());
+
+    for (name, json) in [("scalar", &scalar), ("joint", &joint)] {
+        let dir = std::env::temp_dir().join(format!("otrepaird-inf-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("{name}.json")), json).unwrap();
+        let err = Server::bind(&ServeConfig {
+            bind: "127.0.0.1:0".into(),
+            plans_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        assert!(err.to_string().contains(&format!("{name}.json")), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
