@@ -5,24 +5,21 @@
 //! After plan design, repairing one point is O(1) per feature (direct
 //! grid indexing + one Bernoulli + one O(1) alias draw), independent of
 //! `nR`, `nA`, and — thanks to the alias tables — of `nQ`; and the rows
-//! are independent, so dataset repair parallelizes linearly while the
-//! per-row SplitMix64 streams keep the output bit-identical to the
-//! sequential path.
+//! are independent, so the columnar kernel parallelizes over row chunks
+//! while the per-row SplitMix64 streams keep the output bit-identical
+//! for any thread count.
 //!
 //! Two modes:
 //!
 //! * default (`cargo bench --bench repair_throughput`) — criterion
-//!   groups: throughput vs `nQ`, plan-design cost vs `nQ`, and
-//!   sequential-vs-parallel dataset repair on a 100k-row archive;
+//!   groups: throughput vs `nQ`, plan-design cost vs `nQ`, and the
+//!   columnar kernel per thread count on a 100k-row archive;
 //! * `--quick` — the CI perf-smoke gate, six legs written to JSON
 //!   and (when `OTR_BENCH_BASELINE` names the committed baseline)
 //!   gated at a 25% regression margin:
-//!   1. **archival throughput** (`BENCH_throughput.json`): sequential
-//!      vs parallel vs columnar repair of a ≥100k-row synthetic
-//!      archive, bit-identity asserted between all three; the columnar
-//!      sub-leg records `columnar_rows_per_sec` and `layout_speedup`
-//!      (columnar vs the parallel row path at the same thread count,
-//!      self-contained gate at ≥1.5x);
+//!   1. **archival throughput** (`BENCH_throughput.json`): the columnar
+//!      kernel over a ≥100k-row synthetic archive at auto threads,
+//!      its bytes asserted equal to a one-thread run;
 //!   2. **plan design** (`BENCH_plan_design.json`): Algorithm-1 design
 //!      rate at `nQ = 50`;
 //!   3. **joint repair** (`BENCH_joint.json`): `nQ = 24` joint
@@ -106,24 +103,18 @@ fn bench_parallel(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("parallel_repair_100k");
     group.throughput(Throughput::Elements(archive.len() as u64));
-    group.bench_function("sequential", |b| {
-        b.iter(|| plan.repair_dataset_seeded(&archive, 7).unwrap())
-    });
-    let columnar_archive = ColumnarDataset::from_dataset(&archive);
-    group.bench_function("columnar", |b| {
-        b.iter(|| plan.repair_columnar_par(&columnar_archive, 7).unwrap())
-    });
-    let mut thread_counts = vec![2usize, 4, otr_par::thread_count(0)];
+    let archive = ColumnarDataset::from_dataset(&archive);
+    let mut thread_counts = vec![1usize, 2, 4, otr_par::thread_count(0)];
     thread_counts.sort_unstable();
-    thread_counts.dedup(); // auto may equal 2 or 4 — don't bench twice
+    thread_counts.dedup(); // auto may equal 1, 2 or 4 — don't bench twice
     for threads in thread_counts {
         let mut plan = plan.clone();
         plan.config.threads = threads;
         let archive = &archive;
         group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
+            BenchmarkId::new("columnar", threads),
             &threads,
-            move |b, _| b.iter(|| plan.repair_dataset_par(archive, 7).unwrap()),
+            move |b, _| b.iter(|| plan.repair_columnar_par(archive, 7).unwrap()),
         );
     }
     group.finish();
@@ -141,22 +132,9 @@ struct ThroughputReport {
     rows: usize,
     dim: usize,
     threads: usize,
-    seq_secs: f64,
-    par_secs: f64,
-    seq_rows_per_sec: f64,
-    par_rows_per_sec: f64,
-    speedup: f64,
-    /// Columnar (struct-of-arrays) kernel wall time, same rows and
-    /// auto threads as the parallel row leg (`serde(default)`s keep
-    /// pre-columnar baselines readable; 0 disarms the columnar gates).
-    #[serde(default)]
+    /// Columnar kernel wall time at `threads` (auto) worker threads.
     columnar_secs: f64,
-    #[serde(default)]
     columnar_rows_per_sec: f64,
-    /// `par_secs / columnar_secs` — the layout's win over the row path
-    /// at identical thread count, gated ≥ 1.5x.
-    #[serde(default)]
-    layout_speedup: f64,
 }
 
 /// The plan-design leg: Algorithm-1 strata design rate.
@@ -333,7 +311,7 @@ fn byte_image(data: &Dataset) -> Vec<u64> {
         .collect()
 }
 
-/// Leg 1 — archival repair throughput (Algorithm 2 row-parallelism).
+/// Leg 1 — archival repair throughput (the Algorithm-2 columnar kernel).
 fn quick_throughput() -> ThroughputReport {
     // Default sized so one measurement takes ~0.1 s even sequentially:
     // long enough that the 25% gate margin dwarfs timer noise, short
@@ -348,57 +326,33 @@ fn quick_throughput() -> ThroughputReport {
     let spec = SimulationSpec::paper_defaults();
     let mut rng = StdRng::seed_from_u64(1);
     let research = spec.sample_dataset(500, &mut rng).unwrap();
-    let archive = spec.sample_dataset(rows, &mut rng).unwrap();
-    let plan: RepairPlan = RepairPlanner::new(RepairConfig::with_n_q(50))
+    let archive = ColumnarDataset::from_dataset(&spec.sample_dataset(rows, &mut rng).unwrap());
+    let mut plan: RepairPlan = RepairPlanner::new(RepairConfig::with_n_q(50))
         .design(&research)
         .unwrap();
 
-    // The determinism contract is part of the gate: parallel output must
-    // be bit-identical to the sequential per-row-stream reference, and
-    // the columnar kernels bit-identical to both.
-    let seq_out = plan.repair_dataset_seeded(&archive, 7).unwrap();
-    let par_out = plan.repair_dataset_par(&archive, 7).unwrap();
+    // The determinism contract is part of the gate: the auto-thread
+    // output must be bit-identical to a one-thread run.
+    let out = plan.repair_columnar_par(&archive, 7).unwrap();
+    plan.config.threads = 1;
+    let one_thread = plan.repair_columnar_par(&archive, 7).unwrap();
     assert!(
-        seq_out.points() == par_out.points(),
-        "parallel repair diverged from the sequential reference"
+        byte_image(&out.to_dataset()) == byte_image(&one_thread.to_dataset()),
+        "columnar repair output depends on the thread count"
     );
-    let columnar_archive = ColumnarDataset::from_dataset(&archive);
-    let col_out = plan.repair_columnar_par(&columnar_archive, 7).unwrap();
-    assert!(
-        byte_image(&col_out.to_dataset()) == byte_image(&par_out),
-        "columnar repair diverged from the row path"
-    );
+    plan.config.threads = 0;
 
-    let seq_secs = best_of(5, || plan.repair_dataset_seeded(&archive, 7).unwrap());
-    let par_secs = best_of(5, || plan.repair_dataset_par(&archive, 7).unwrap());
-    let columnar_secs = best_of(5, || {
-        plan.repair_columnar_par(&columnar_archive, 7).unwrap()
-    });
+    let columnar_secs = best_of(5, || plan.repair_columnar_par(&archive, 7).unwrap());
     let report = ThroughputReport {
         rows,
         dim: archive.dim(),
         threads,
-        seq_secs,
-        par_secs,
-        seq_rows_per_sec: rows as f64 / seq_secs,
-        par_rows_per_sec: rows as f64 / par_secs,
-        speedup: seq_secs / par_secs,
         columnar_secs,
         columnar_rows_per_sec: rows as f64 / columnar_secs,
-        layout_speedup: par_secs / columnar_secs,
     };
     println!(
-        "sequential: {:.3} s ({:.0} rows/s)\nparallel:   {:.3} s ({:.0} rows/s)\nspeedup:    {:.2}x at {} threads",
-        report.seq_secs,
-        report.seq_rows_per_sec,
-        report.par_secs,
-        report.par_rows_per_sec,
-        report.speedup,
-        report.threads
-    );
-    println!(
-        "columnar:   {:.3} s ({:.0} rows/s) — {:.2}x over the row path (byte-identical)",
-        report.columnar_secs, report.columnar_rows_per_sec, report.layout_speedup
+        "columnar:   {:.3} s ({:.0} rows/s at {} threads; byte-identical to 1 thread)",
+        report.columnar_secs, report.columnar_rows_per_sec, report.threads
     );
     report
 }
@@ -885,27 +839,11 @@ fn quick_gate() {
         }
     };
     gate_rate(
-        "sequential repair",
-        throughput.seq_rows_per_sec,
-        baseline.throughput.seq_rows_per_sec,
+        "columnar repair",
+        throughput.columnar_rows_per_sec,
+        baseline.throughput.columnar_rows_per_sec,
         "rows/s",
     );
-    gate_rate(
-        "parallel repair",
-        throughput.par_rows_per_sec,
-        baseline.throughput.par_rows_per_sec,
-        "rows/s",
-    );
-    // The columnar rate floor arms once the baseline records one
-    // (pre-columnar baselines deserialize it as 0).
-    if baseline.throughput.columnar_rows_per_sec > 0.0 {
-        gate_rate(
-            "columnar repair",
-            throughput.columnar_rows_per_sec,
-            baseline.throughput.columnar_rows_per_sec,
-            "rows/s",
-        );
-    }
     gate_rate(
         "plan design",
         plan_design.designs_per_sec,
@@ -948,40 +886,23 @@ fn quick_gate() {
             "designs/s",
         );
     }
-    // Speedup legs only arm when the baseline recorded a genuine
-    // parallel win AND this runner has the threads to reproduce one
-    // (a single-core runner can never show a speedup).
-    let mut gate_speedup = |name: &str, got: f64, base: f64, cores_ok: bool| {
-        if !(base > 1.0 && cores_ok) {
-            return;
-        }
-        let floor = base * 0.75;
-        if got < floor {
-            eprintln!(
-                "perf regression: {name} speedup {got:.2}x is below 75% of baseline \
-                 {base:.2}x — the parallel path may have serialized"
-            );
-            failed = true;
-        } else {
-            eprintln!("perf gate: {name} speedup {got:.2}x >= floor {floor:.2}x — ok");
-        }
-    };
-    gate_speedup(
-        "archival repair",
-        throughput.speedup,
-        baseline.throughput.speedup,
-        throughput.threads > 1,
-    );
-    // The joint leg's speedup is absent on single-core runners (see
-    // `quick_joint`); the gate arms only when both this run and the
-    // baseline actually measured one.
+    // The joint 1-vs-4 speedup floor arms only when the baseline
+    // recorded a genuine parallel win, this run measured one (it is
+    // absent on single-core runners, see `quick_joint`), and this runner
+    // has the cores to reproduce it.
     if let (Some(got), Some(base)) = (joint_repair.speedup, baseline.joint_repair.speedup) {
-        gate_speedup(
-            "joint repair",
-            got,
-            base,
-            joint_repair.threads_available > 1,
-        );
+        if base > 1.0 && joint_repair.threads_available > 1 {
+            let floor = base * 0.75;
+            if got < floor {
+                eprintln!(
+                    "perf regression: joint repair speedup {got:.2}x is below 75% of baseline \
+                     {base:.2}x — the parallel path may have serialized"
+                );
+                failed = true;
+            } else {
+                eprintln!("perf gate: joint repair speedup {got:.2}x >= floor {floor:.2}x — ok");
+            }
+        }
     }
     // Arm-the-baseline nudge (ROADMAP): a multicore runner that measures
     // a real joint speedup while the committed baseline has none is the
@@ -1009,27 +930,9 @@ fn quick_gate() {
             eprintln!("perf gate: separable-vs-dense kernel speedup {ratio:.2}x >= 2.0x — ok");
         }
     }
-    // The columnar-layout floor: the struct-of-arrays kernels must stay
-    // ≥1.5x faster than the row path at the same thread count. Like the
-    // kernel floor above, this is a within-run ratio — self-contained,
-    // so it holds on any runner regardless of absolute speed.
-    if throughput.layout_speedup < 1.5 {
-        eprintln!(
-            "perf regression: columnar repair is only {:.2}x faster than the row path \
-             (floor 1.5x) — the column-slice kernels may have degraded",
-            throughput.layout_speedup
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "perf gate: columnar-vs-row layout speedup {:.2}x >= 1.5x — ok",
-            throughput.layout_speedup
-        );
-    }
     // The warm re-design floor: seeding from banked duals must keep a
     // drift-trip re-design ≥2x faster than solving cold. A within-run
-    // ratio like the kernel and layout floors — self-contained on any
-    // runner.
+    // ratio like the kernel floor — self-contained on any runner.
     if redesign.warm_speedup < 2.0 {
         eprintln!(
             "perf regression: warm re-design is only {:.2}x faster than cold (floor 2.0x) \

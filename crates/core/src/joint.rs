@@ -697,22 +697,19 @@ impl JointRepairPlan {
         })
     }
 
-    /// Repair an entire data set jointly.
+    /// Repair an entire data set jointly: draws **one** `u64` seed from
+    /// `rng` and runs [`Self::repair_dataset_par`] under it, the same
+    /// contract as [`crate::RepairPlan::repair_dataset`].
     ///
     /// # Errors
     /// Rejects dimension mismatches.
     pub fn repair_dataset<R: Rng + ?Sized>(&self, data: &Dataset, rng: &mut R) -> Result<Dataset> {
-        let points = data
-            .points()
-            .iter()
-            .map(|p| self.repair_point(p, rng))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Dataset::from_points(points)?)
+        self.repair_dataset_par(data, rng.next_u64())
     }
 
     /// Repair an entire data set jointly, in parallel, with per-row
     /// SplitMix64 RNG streams derived from `seed` — the joint analogue
-    /// of [`crate::RepairPlan::repair_dataset_par`], bit-identical for
+    /// of [`crate::RepairPlan::repair_columnar_par`], bit-identical for
     /// any `config.threads` setting.
     ///
     /// # Errors
@@ -756,7 +753,7 @@ mod tests {
     use otr_fairness::JointDependence;
     use otr_stats::linalg::Matrix;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn correlation_spec() -> SimulationSpec {
         let cov = |rho: f64| Matrix::from_rows(2, 2, vec![1.0, rho, rho, 1.0]).unwrap();
@@ -1086,6 +1083,16 @@ mod tests {
                 Some(r) => assert_eq!(out.points(), r.points(), "threads = {threads}"),
             }
         }
+        // The `&mut rng` entry point is the seeded path under one draw.
+        let start = StdRng::seed_from_u64(11);
+        let mut advanced = start.clone();
+        let seeded = plan
+            .repair_dataset_par(&split.archive, advanced.next_u64())
+            .unwrap();
+        let mut rng = start;
+        let out = plan.repair_dataset(&split.archive, &mut rng).unwrap();
+        assert_eq!(out.points(), seeded.points());
+        assert_eq!(rng, advanced, "repair_dataset must draw exactly one u64");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * [`repair`] — **Algorithm 2**: randomized off-sample repair of
 //!   labelled archival points through the plan (grid-cell Bernoulli of
 //!   Equation 14 plus the multinomial row draw of Equation 15), exposed
-//!   point-wise ([`RepairPlan::repair_value`]), dataset-wise
-//!   ([`RepairPlan::repair_dataset`]), and as a streaming
-//!   [`repair::StreamingRepairer`].
+//!   point-wise ([`RepairPlan::repair_value`]), dataset-wise through one
+//!   columnar kernel ([`RepairPlan::repair_columnar_par`]), and as a
+//!   streaming [`repair::StreamingRepairer`].
 //! * [`geometric`] — the on-sample **geometric repair** baseline of
 //!   Del Barrio et al. (reference \[10\]; Equations 8–9), against which
 //!   Tables I and II compare.
@@ -39,9 +39,10 @@
 //! * [`joint`] — the 2-D joint repair for correlation-borne dependence
 //!   (Section VI's intra-feature-correlation caveat).
 //!
-//! Every dataset-scale entry point has a row-parallel variant with
-//! per-row SplitMix64 RNG streams, **bit-identical for any thread
-//! count** (see `docs/determinism.md` at the workspace root).
+//! Every seeded dataset-scale entry point gives row `i` its own
+//! SplitMix64 RNG stream, so its output is **bit-identical for any
+//! thread count**; the `&mut rng` entry points draw one seed from the
+//! caller's RNG (see `docs/determinism.md` at the workspace root).
 //!
 //! ## Example
 //!
@@ -50,7 +51,7 @@
 //!
 //! ```
 //! use otr_core::{RepairConfig, RepairPlanner};
-//! use otr_data::SimulationSpec;
+//! use otr_data::{ColumnarDataset, SimulationSpec};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
@@ -61,7 +62,8 @@
 //!     .design(&split.research)
 //!     .unwrap();
 //! // Seeded + parallel: the same bytes at every thread count.
-//! let repaired = plan.repair_dataset_par(&split.archive, 7).unwrap();
+//! let archive = ColumnarDataset::from_dataset(&split.archive);
+//! let repaired = plan.repair_columnar_par(&archive, 7).unwrap();
 //! assert_eq!(repaired.len(), split.archive.len());
 //! ```
 

@@ -22,7 +22,6 @@ use serde::{Deserialize, Serialize};
 
 use otr_data::{Dataset, LabelledPoint};
 use otr_ot::MidpointCdf;
-use otr_par::try_par_map_indexed;
 
 use crate::error::{RepairError, Result};
 use crate::plan::RepairPlan;
@@ -122,26 +121,6 @@ impl MongeRepair {
             .iter()
             .map(|p| self.repair_point(p))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Dataset::from_points(points)?)
-    }
-
-    /// Row-parallel [`Self::repair_dataset`] (`threads`: `0` = auto /
-    /// `OTR_THREADS`). The Monge map is a deterministic function of each
-    /// point — no RNG streams are needed — so the output is trivially
-    /// **bit-identical** to the sequential path for any thread count.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches (lowest failing row reported first).
-    pub fn repair_dataset_par(&self, data: &Dataset, threads: usize) -> Result<Dataset> {
-        if data.dim() != self.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "dataset dimension {} vs design dimension {}",
-                data.dim(),
-                self.dim
-            )));
-        }
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), threads, |i| self.repair_point(&pts[i]))?;
         Ok(Dataset::from_points(points)?)
     }
 }
@@ -257,24 +236,6 @@ mod tests {
         let x = back.repair_value(0, 0, 0, 0.5).unwrap();
         let y = monge.repair_value(0, 0, 0, 0.5).unwrap();
         assert!((x - y).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_monge_identical_across_thread_counts() {
-        let (plan, _, archive) = setup(8, 30);
-        let monge = MongeRepair::from_plan(&plan);
-        let seq = monge.repair_dataset(&archive).unwrap();
-        for threads in [1usize, 2, 7] {
-            let par = monge.repair_dataset_par(&archive, threads).unwrap();
-            assert_eq!(par.points(), seq.points(), "threads = {threads}");
-        }
-        let bad = Dataset::from_points(vec![LabelledPoint {
-            x: vec![0.0],
-            s: 0,
-            u: 0,
-        }])
-        .unwrap();
-        assert!(monge.repair_dataset_par(&bad, 2).is_err());
     }
 
     #[test]

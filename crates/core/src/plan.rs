@@ -255,7 +255,7 @@ impl FeaturePlan {
             } else {
                 // Same arithmetic as `repair_value`: divide by `step`
                 // (a reciprocal-multiply rounds differently and would
-                // break byte-identity with the row path).
+                // break byte-identity with it).
                 let pos = (x - lo) / step;
                 let b = pos.floor();
                 base.push(b as u32);
@@ -375,30 +375,9 @@ impl RepairPlan {
         }
     }
 
-    /// Check that a point is repairable by this plan (dimension and
-    /// binary labels) without repairing it — the cheap pre-validation
-    /// batch entry points run before consuming any randomness.
-    ///
-    /// # Errors
-    /// Rejects dimension/label mismatches.
-    pub fn repair_point_domain(&self, point: &LabelledPoint) -> Result<()> {
-        if point.x.len() != self.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "point dimension {} vs plan dimension {}",
-                point.x.len(),
-                self.dim
-            )));
-        }
-        if point.u > 1 || point.s > 1 {
-            return Err(RepairError::PlanMismatch(format!(
-                "labels (s={}, u={}) outside {{0,1}}",
-                point.s, point.u
-            )));
-        }
-        Ok(())
-    }
-
-    /// Repair a full labelled point (all features).
+    /// Repair a full labelled point (all features) — Algorithm 2 for one
+    /// row, drawing from `rng` in feature order. The reference the
+    /// columnar kernel is tested against.
     ///
     /// # Errors
     /// Rejects dimension/label mismatches.
@@ -426,23 +405,25 @@ impl RepairPlan {
     }
 
     /// Repair an entire labelled data set (Algorithm 2), preserving
-    /// cardinality and labels.
+    /// cardinality and labels: draws **one** `u64` seed from `rng` and
+    /// runs [`Self::repair_columnar_par`] under it, so `rng` advances by
+    /// exactly one `u64` per call.
     ///
     /// # Errors
     /// Rejects dimension mismatches.
     pub fn repair_dataset<R: Rng + ?Sized>(&self, data: &Dataset, rng: &mut R) -> Result<Dataset> {
-        self.check_dim(data)?;
-        let mut points = Vec::with_capacity(data.len());
-        for p in data.points() {
-            points.push(self.repair_point(p, rng)?);
-        }
-        Ok(Dataset::from_points(points)?)
+        let cols = ColumnarDataset::from_dataset(data);
+        Ok(self
+            .repair_columnar_par(&cols, rng.next_u64())?
+            .to_dataset())
     }
 
     /// Partial repair: geodesic interpolation **in feature space** between
     /// the original and its repaired value, `x' = (1−λ)x + λ·repair(x)`.
     /// `λ = 1` is the full Algorithm 2 repair; smaller `λ` trades residual
-    /// unfairness for reduced data damage (Section VI).
+    /// unfairness for reduced data damage (Section VI). One seed from
+    /// `rng`, as in [`Self::repair_dataset`], then
+    /// [`Self::repair_columnar_partial`].
     ///
     /// # Errors
     /// Requires `λ ∈ [0,1]`.
@@ -452,77 +433,10 @@ impl RepairPlan {
         lambda: f64,
         rng: &mut R,
     ) -> Result<Dataset> {
-        if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
-            return Err(RepairError::InvalidParameter {
-                name: "lambda",
-                reason: format!("must be in [0,1], got {lambda}"),
-            });
-        }
-        let repaired = self.repair_dataset(data, rng)?;
-        let mut points = Vec::with_capacity(data.len());
-        for (orig, rep) in data.points().iter().zip(repaired.points()) {
-            let x = orig
-                .x
-                .iter()
-                .zip(&rep.x)
-                .map(|(o, r)| (1.0 - lambda) * o + lambda * r)
-                .collect();
-            points.push(LabelledPoint {
-                x,
-                s: orig.s,
-                u: orig.u,
-            });
-        }
-        Ok(Dataset::from_points(points)?)
-    }
-
-    /// Repair row `i` of a dataset under the per-row RNG stream
-    /// contract: row `i` always draws from
-    /// `StdRng::seed_from_u64(splitmix_seed(seed, i))`, whatever thread
-    /// executes it. This is the unit of work shared by the sequential
-    /// and parallel dataset entry points, which is what makes their
-    /// outputs bit-identical.
-    fn repair_point_stream(
-        &self,
-        seed: u64,
-        i: usize,
-        point: &LabelledPoint,
-    ) -> Result<LabelledPoint> {
-        let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, i as u64));
-        self.repair_point(point, &mut rng)
-    }
-
-    /// Repair an entire data set in parallel with per-row SplitMix64 RNG
-    /// streams derived from `seed`. Output is **bit-identical for any
-    /// thread count** (including 1) and equal to
-    /// [`Self::repair_dataset_seeded`]; threads come from
-    /// `config.threads` (`0` = auto / `OTR_THREADS`).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_par(&self, data: &Dataset, seed: u64) -> Result<Dataset> {
-        self.check_dim(data)?;
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), self.config.threads, |i| {
-            self.repair_point_stream(seed, i, &pts[i])
-        })?;
-        Ok(Dataset::from_points(points)?)
-    }
-
-    /// Sequential reference implementation of the per-row-stream repair
-    /// contract: exactly [`Self::repair_dataset_par`] on one thread.
-    /// Exposed so tests and benches can prove bit-identity and measure
-    /// speedup against a genuinely single-threaded baseline.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_seeded(&self, data: &Dataset, seed: u64) -> Result<Dataset> {
-        self.check_dim(data)?;
-        let mut points = Vec::with_capacity(data.len());
-        for (i, p) in data.points().iter().enumerate() {
-            points.push(self.repair_point_stream(seed, i, p)?);
-        }
-        Ok(Dataset::from_points(points)?)
+        let cols = ColumnarDataset::from_dataset(data);
+        Ok(self
+            .repair_columnar_partial(&cols, lambda, rng.next_u64())?
+            .to_dataset())
     }
 
     /// Columnar batch repair: Algorithm 2 over column slices instead of
@@ -533,12 +447,10 @@ impl RepairPlan {
     /// `config.threads` threads with `config.batch_rows`-row batches
     /// (`None` = auto / `OTR_BATCH_ROWS`).
     ///
-    /// Output is **byte-identical to the row path**: row `i` draws from
-    /// `StdRng::seed_from_u64(splitmix_seed(seed, i))` in feature order,
-    /// exactly like [`Self::repair_dataset_par`], so
-    /// `repair_columnar_par(x, seed).to_dataset() ==
-    /// repair_dataset_seeded(x.to_dataset(), seed)` for any thread count
-    /// and any batch size.
+    /// Row `i` draws from `StdRng::seed_from_u64(splitmix_seed(seed, i))`
+    /// in feature order, exactly as [`Self::repair_point`] would under
+    /// that stream, so the output is **byte-identical for any thread
+    /// count and any batch size**.
     ///
     /// # Errors
     /// Rejects dimension mismatches and uncompiled plans.
@@ -720,54 +632,35 @@ impl RepairPlan {
         oob
     }
 
-    /// Parallel partial repair: per-row streams as in
-    /// [`Self::repair_dataset_par`], then the feature-space geodesic
-    /// interpolation of [`Self::repair_dataset_partial`], fused into one
-    /// pass over the data.
+    /// Seeded partial repair: the kernel of [`Self::repair_columnar_par`],
+    /// then one columnwise pass moving each repaired value back along the
+    /// feature-space geodesic, `x' = (1−λ)x + λ·r` (see
+    /// [`Self::repair_dataset_partial`]). Byte-identical for any thread
+    /// count and batch size, like the kernel.
     ///
     /// # Errors
-    /// Requires `λ ∈ [0,1]`; rejects dimension mismatches.
-    pub fn repair_dataset_partial_par(
+    /// Requires `λ ∈ [0,1]`; rejects dimension mismatches and uncompiled
+    /// plans.
+    pub fn repair_columnar_partial(
         &self,
-        data: &Dataset,
+        data: &ColumnarDataset,
         lambda: f64,
         seed: u64,
-    ) -> Result<Dataset> {
+    ) -> Result<ColumnarDataset> {
         if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
             return Err(RepairError::InvalidParameter {
                 name: "lambda",
                 reason: format!("must be in [0,1], got {lambda}"),
             });
         }
-        self.check_dim(data)?;
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), self.config.threads, |i| {
-            let orig = &pts[i];
-            let rep = self.repair_point_stream(seed, i, orig)?;
-            let x = orig
-                .x
-                .iter()
-                .zip(&rep.x)
-                .map(|(o, r)| (1.0 - lambda) * o + lambda * r)
-                .collect();
-            Ok::<_, RepairError>(LabelledPoint {
-                x,
-                s: orig.s,
-                u: orig.u,
-            })
-        })?;
-        Ok(Dataset::from_points(points)?)
-    }
-
-    fn check_dim(&self, data: &Dataset) -> Result<()> {
-        if data.dim() != self.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "dataset dimension {} vs plan dimension {}",
-                data.dim(),
-                self.dim
-            )));
+        let mut out: Vec<Vec<f64>> = (0..data.dim()).map(|_| vec![0.0; data.len()]).collect();
+        self.repair_columnar_into(data, 0..data.len(), seed, 0, &mut out)?;
+        for (col, orig) in out.iter_mut().zip(data.feature_columns()) {
+            for (r, &x) in col.iter_mut().zip(orig) {
+                *r = (1.0 - lambda) * x + lambda * *r;
+            }
         }
-        Ok(())
+        Ok(data.with_feature_columns(out)?)
     }
 
     /// Serialize the plan to JSON (the deployable artifact).
@@ -1022,7 +915,7 @@ mod tests {
     use crate::config::SolverBackend;
     use otr_data::SimulationSpec;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn research(seed: u64, n: usize) -> Dataset {
         let spec = SimulationSpec::paper_defaults();
@@ -1228,49 +1121,71 @@ mod tests {
         }
     }
 
+    /// Algorithm 2 row by row through [`RepairPlan::repair_point`], row
+    /// `i` drawing from `splitmix_seed(seed, i)`: the reference the
+    /// columnar kernel must reproduce.
+    fn per_row_reference(plan: &RepairPlan, data: &Dataset, seed: u64) -> Vec<LabelledPoint> {
+        let rng = |i: usize| StdRng::seed_from_u64(splitmix_seed(seed, i as u64));
+        let rows = data.points().iter().enumerate();
+        rows.map(|(i, p)| plan.repair_point(p, &mut rng(i)).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn parallel_repair_bit_identical_across_thread_counts() {
-        let data = research(20, 400);
-        let archive = research(21, 1_000);
-        let mut reference: Option<Dataset> = None;
-        for threads in [1usize, 2, 7] {
+    fn columnar_repair_matches_per_row_reference() {
+        let data = research(30, 400);
+        let archive = research(31, 1_500);
+        let cols = ColumnarDataset::from_dataset(&archive);
+        for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
             let mut cfg = RepairConfig::with_n_q(30);
-            cfg.threads = threads;
-            let plan = RepairPlanner::new(cfg).design(&data).unwrap();
-            let par = plan.repair_dataset_par(&archive, 99).unwrap();
-            // Parallel equals the sequential per-row-stream reference...
-            let seq = plan.repair_dataset_seeded(&archive, 99).unwrap();
-            assert_eq!(par.points(), seq.points(), "threads = {threads}");
-            // ...and every thread count produces the same bytes.
-            match &reference {
-                None => reference = Some(par),
-                Some(r) => assert_eq!(par.points(), r.points(), "threads = {threads}"),
+            cfg.mass_split = mass_split;
+            let mut plan = RepairPlanner::new(cfg).design(&data).unwrap();
+            let reference = per_row_reference(&plan, &archive, 99);
+            for threads in [1usize, 2, 7] {
+                // Batch boundaries are pure blocking policy: tiny, prime,
+                // and bigger-than-the-data batches all give the same bytes.
+                for batch_rows in [None, Some(1), Some(37), Some(100_000)] {
+                    plan.config.threads = threads;
+                    plan.config.batch_rows = batch_rows;
+                    let col = plan.repair_columnar_par(&cols, 99).unwrap();
+                    assert_eq!(
+                        col.to_dataset().points(),
+                        &reference[..],
+                        "{mass_split:?}, threads = {threads}, batch_rows = {batch_rows:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn columnar_repair_byte_identical_to_row_path() {
-        let data = research(30, 400);
-        let archive = research(31, 1_500);
+    fn rng_entry_points_draw_one_seed_from_the_callers_rng() {
+        let data = research(38, 400);
+        let plan = RepairPlanner::new(RepairConfig::with_n_q(30))
+            .design(&data)
+            .unwrap();
+        let archive = research(39, 500);
         let cols = ColumnarDataset::from_dataset(&archive);
-        for threads in [1usize, 2, 7] {
-            // Batch boundaries are pure blocking policy: tiny, prime,
-            // and bigger-than-the-data batches all give the same bytes.
-            for batch_rows in [None, Some(1), Some(37), Some(100_000)] {
-                let mut cfg = RepairConfig::with_n_q(30);
-                cfg.threads = threads;
-                cfg.batch_rows = batch_rows;
-                let plan = RepairPlanner::new(cfg).design(&data).unwrap();
-                let seq = plan.repair_dataset_seeded(&archive, 99).unwrap();
-                let col = plan.repair_columnar_par(&cols, 99).unwrap();
-                assert_eq!(
-                    col.to_dataset().points(),
-                    seq.points(),
-                    "threads = {threads}, batch_rows = {batch_rows:?}"
-                );
-            }
-        }
+        let start = StdRng::seed_from_u64(77);
+        let mut advanced = start.clone();
+        let seed = advanced.next_u64();
+
+        let mut rng = start.clone();
+        let full = plan.repair_dataset(&archive, &mut rng).unwrap();
+        let kernel = plan.repair_columnar_par(&cols, seed).unwrap();
+        assert_eq!(full.points(), kernel.to_dataset().points());
+        assert_eq!(rng, advanced, "repair_dataset must draw exactly one u64");
+
+        let mut rng = start;
+        let partial = plan
+            .repair_dataset_partial(&archive, 0.4, &mut rng)
+            .unwrap();
+        let kernel = plan.repair_columnar_partial(&cols, 0.4, seed).unwrap();
+        assert_eq!(partial.points(), kernel.to_dataset().points());
+        assert_eq!(
+            rng, advanced,
+            "repair_dataset_partial must draw exactly one u64"
+        );
     }
 
     #[test]
@@ -1310,22 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_repair_deterministic_mode_matches_row_path() {
-        let data = research(32, 400);
-        let mut cfg = RepairConfig::with_n_q(30);
-        cfg.mass_split = MassSplit::Deterministic;
-        cfg.threads = 3;
-        cfg.batch_rows = Some(101);
-        let plan = RepairPlanner::new(cfg).design(&data).unwrap();
-        let archive = research(33, 800);
-        let row = plan.repair_dataset_par(&archive, 5).unwrap();
-        let col = plan
-            .repair_columnar_par(&ColumnarDataset::from_dataset(&archive), 5)
-            .unwrap();
-        assert_eq!(col.to_dataset().points(), row.points());
-    }
-
-    #[test]
     fn columnar_repair_rejects_mismatch_and_uncompiled() {
         let plan = RepairPlanner::new(RepairConfig::with_n_q(10))
             .design(&research(34, 300))
@@ -1334,7 +1233,7 @@ mod tests {
             ColumnarDataset::from_columns(vec![vec![0.0, 1.0]], vec![0, 1], vec![0, 1]).unwrap();
         assert!(plan.repair_columnar_par(&wrong_dim, 1).is_err());
         // A freshly deserialized (uncompiled) plan is rejected, same as
-        // the row path's repair_value.
+        // repair_value.
         let raw: RepairPlan = serde_json::from_str(&plan.to_json().unwrap()).unwrap();
         let cols = ColumnarDataset::from_dataset(&research(35, 50));
         assert!(raw.repair_columnar_par(&cols, 1).is_err());
@@ -1368,9 +1267,10 @@ mod tests {
             .repair_dataset(&archive, &mut StdRng::seed_from_u64(2))
             .unwrap();
         assert_eq!(a.points(), b.points(), "deterministic split used the RNG");
-        // The parallel path agrees whatever the seed.
-        let par = plan.repair_dataset_par(&archive, 7).unwrap();
-        assert_eq!(par.points(), a.points());
+        // The seeded kernel agrees whatever the seed.
+        let cols = ColumnarDataset::from_dataset(&archive);
+        let seeded = plan.repair_columnar_par(&cols, 7).unwrap();
+        assert_eq!(seeded.to_dataset().points(), a.points());
         // Equal inputs repair equally (individual-fairness property).
         let mut rng = StdRng::seed_from_u64(3);
         let x = plan.repair_value(0, 1, 0, 0.25, &mut rng).unwrap();
@@ -1379,20 +1279,29 @@ mod tests {
     }
 
     #[test]
-    fn partial_par_interpolates_and_matches_full_repair() {
+    fn columnar_partial_is_the_geodesic_of_the_per_row_reference() {
         let data = research(25, 400);
-        let plan = RepairPlanner::new(RepairConfig::with_n_q(30))
-            .design(&data)
-            .unwrap();
         let archive = research(26, 300);
-        let zero = plan.repair_dataset_partial_par(&archive, 0.0, 9).unwrap();
-        for (a, b) in zero.points().iter().zip(archive.points()) {
-            assert_eq!(a.x, b.x);
+        let cols = ColumnarDataset::from_dataset(&archive);
+        for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
+            let mut cfg = RepairConfig::with_n_q(30);
+            cfg.mass_split = mass_split;
+            cfg.threads = 3;
+            cfg.batch_rows = Some(101);
+            let plan = RepairPlanner::new(cfg).design(&data).unwrap();
+            let reference = per_row_reference(&plan, &archive, 9);
+            for lambda in [0.0, 0.4, 0.73, 1.0] {
+                let got = plan.repair_columnar_partial(&cols, lambda, 9).unwrap();
+                for (i, (o, r)) in archive.points().iter().zip(&reference).enumerate() {
+                    let want: Vec<u64> = (o.x.iter().zip(&r.x))
+                        .map(|(x, r)| ((1.0 - lambda) * x + lambda * r).to_bits())
+                        .collect();
+                    let row: Vec<u64> = got.row(i).x.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(row, want, "{mass_split:?}, lambda = {lambda}, row {i}");
+                }
+            }
+            assert!(plan.repair_columnar_partial(&cols, -0.1, 9).is_err());
         }
-        let one = plan.repair_dataset_partial_par(&archive, 1.0, 9).unwrap();
-        let full = plan.repair_dataset_par(&archive, 9).unwrap();
-        assert_eq!(one.points(), full.points());
-        assert!(plan.repair_dataset_partial_par(&archive, -0.1, 9).is_err());
     }
 
     #[test]

@@ -65,9 +65,8 @@ pub mod solvers;
 pub mod wasserstein;
 
 pub use barycentre::{
-    entropic_barycentre, entropic_barycentre_grid2d, entropic_barycentre_grid_nd,
-    entropic_barycentre_points2d, entropic_barycentre_with, quantile_barycentre, BarycentreConfig,
-    BarycentreDiagnostics,
+    entropic_barycentre, entropic_barycentre_grid_nd, entropic_barycentre_points2d,
+    entropic_barycentre_with, quantile_barycentre, BarycentreConfig, BarycentreDiagnostics,
 };
 pub use cost::CostMatrix;
 pub use coupling::OtPlan;

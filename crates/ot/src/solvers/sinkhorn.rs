@@ -1540,7 +1540,7 @@ mod tests {
         let n = gx.len() * gy.len();
         let a: Vec<f64> = (0..n).map(|i| 0.2 + ((i * 7) % 5) as f64).collect();
         let b: Vec<f64> = (0..n).map(|i| 0.3 + ((i * 3) % 4) as f64).collect();
-        let cost = CostMatrix::squared_euclidean_grid2d(&gx, &gy).unwrap();
+        let cost = CostMatrix::squared_euclidean_grid_nd(&[&gx, &gy]).unwrap();
         (gx, gy, a, b, cost)
     }
 

@@ -4,7 +4,7 @@
 //!
 //! Demonstrates:
 //! * plan persistence (design on one machine, repair on another);
-//! * `StreamingRepairer` with O(1) per-point cost;
+//! * `StreamingRepairer` with O(1) per-value cost, fed columnar batches;
 //! * the out-of-range monitor flagging stationarity violations when the
 //!   stream drifts (Section V-A2a / VI discussion).
 //!
@@ -39,9 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 1: a stationary torrent in 5 batches of 2000 points.
     println!("\nphase 1 — stationary stream:");
     for batch_no in 0..5 {
-        let batch = spec.sample_dataset(2_000, &mut rng)?;
-        let repaired_points = repairer.repair_batch(batch.points())?;
-        let repaired = Dataset::from_points(repaired_points)?;
+        let batch = ColumnarDataset::from_dataset(&spec.sample_dataset(2_000, &mut rng)?);
+        let repaired = repairer.repair_batch(&batch)?.to_dataset();
         let e = cd.evaluate(&repaired)?.aggregate();
         println!(
             "  batch {batch_no}: repaired E = {e:.4}, out-of-range rate = {:.4}",
@@ -53,9 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nphase 2 — drifting stream (mean shift +1.5 per feature):");
     let drift = Drift::MeanShift(vec![1.5, 1.5]);
     for batch_no in 0..3 {
-        let batch = drift.apply(&spec.sample_dataset(2_000, &mut rng)?)?;
-        let repaired_points = repairer.repair_batch(batch.points())?;
-        let repaired = Dataset::from_points(repaired_points)?;
+        let batch =
+            ColumnarDataset::from_dataset(&drift.apply(&spec.sample_dataset(2_000, &mut rng)?)?);
+        let repaired = repairer.repair_batch(&batch)?.to_dataset();
         let e = cd.evaluate(&repaired)?.aggregate();
         println!(
             "  batch {batch_no}: repaired E = {e:.4}, out-of-range rate = {:.4}  <- rising",

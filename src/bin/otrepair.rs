@@ -61,7 +61,7 @@ fn print_usage() {
                              [--solver …] [--min-group N] [--threads N] [--verbose]\n\
            otrepair apply    --plan <plan.json> --data <csv> --out <csv>\n\
                              [--seed N] [--partial LAMBDA] [--monge] [--threads N]\n\
-                             [--layout row|columnar] [--batch-rows N]\n\
+                             [--batch-rows N]\n\
            otrepair apply    --joint --plan <plan.json> --data <csv> --out <csv>\n\
                              [--seed N] [--threads N]\n\
            otrepair evaluate --data <csv> [--grid N] [--joint]\n\
@@ -102,16 +102,15 @@ fn print_usage() {
            Repair output is bit-identical for any thread count and any\n\
            threshold at a given --seed — see docs/determinism.md.\n\
          \n\
-         LAYOUT:\n\
-           apply repairs through the columnar (struct-of-arrays) kernels by\n\
-           default: CSV parses straight into per-feature columns and whole\n\
-           column slices are quantized/gathered in vectorizable loops.\n\
-           --layout row forces the per-point path (required by --partial and\n\
-           --monge, which imply it when --layout is omitted). Both layouts\n\
-           produce byte-identical output at a given --seed. --batch-rows\n\
-           sets the columnar row-batch size (default: the OTR_BATCH_ROWS\n\
-           environment variable if set, else 8192); batch size is pure\n\
-           blocking policy and never changes the output.\n\
+         COLUMNAR KERNEL:\n\
+           apply (with or without --partial) repairs through one columnar\n\
+           (struct-of-arrays) kernel: CSV parses straight into per-feature\n\
+           columns and whole column slices are quantized/gathered in\n\
+           vectorizable loops; --partial then moves each value back along\n\
+           the geodesic. --batch-rows sets the kernel's row-batch size\n\
+           (default: the OTR_BATCH_ROWS environment variable if set, else\n\
+           8192); batch size is pure blocking policy and never changes the\n\
+           output.\n\
          \n\
          SERVING:\n\
            `otrepair serve` runs the otrepaird daemon in-process (same flags;\n\
@@ -358,25 +357,16 @@ fn cmd_apply(args: &[String]) -> CliResult {
     let seed: u64 = opt(args, "--seed").map_or(Ok(0), str::parse)?;
     let partial: Option<f64> = opt(args, "--partial").map(str::parse).transpose()?;
     let use_monge = has_flag(args, "--monge");
-    // `--layout`: columnar (default for the standard repair) runs the
-    // column-slice kernels; `row` is the escape hatch. Byte-identical
-    // output either way.
-    let layout: Option<bool> = match opt(args, "--layout") {
-        None => None,
-        Some("columnar") => Some(true),
-        Some("row") => Some(false),
-        Some(other) => {
-            return Err(format!("unknown --layout `{other}` (expected `row` or `columnar`)").into())
-        }
-    };
+    let joint = has_flag(args, "--joint");
+    // Mode conflicts are usage errors: reject them before any file I/O.
+    if joint && (partial.is_some() || use_monge) {
+        return Err("--joint supports neither --partial nor --monge".into());
+    }
+    if use_monge && partial.is_some() {
+        return Err("--partial and --monge are mutually exclusive".into());
+    }
 
-    if has_flag(args, "--joint") {
-        if layout == Some(true) {
-            return Err("--joint supports only --layout row".into());
-        }
-        if partial.is_some() || use_monge {
-            return Err("--joint supports neither --partial nor --monge".into());
-        }
+    if joint {
         let blob = std::fs::read_to_string(plan_path)
             .map_err(|e| format!("cannot read {plan_path}: {e}"))?;
         let mut plan = JointRepairPlan::from_json(&blob)?;
@@ -415,27 +405,16 @@ fn cmd_apply(args: &[String]) -> CliResult {
         plan.config.batch_rows = Some(batch.parse()?);
     }
 
-    // The columnar fast path: ingest straight into columns, repair with
-    // the batch kernels, stream back out. The default unless --monge /
-    // --partial (row-only modes) or an explicit --layout row.
-    let use_columnar = layout.unwrap_or(!use_monge && partial.is_none());
-    if use_columnar {
-        if use_monge || partial.is_some() {
-            return Err(
-                "--layout columnar supports neither --partial nor --monge (use --layout row)"
-                    .into(),
-            );
-        }
-        let file = File::open(data_path).map_err(|e| format!("cannot open {data_path}: {e}"))?;
-        let data = ot_fair_repair::data::read_labelled_csv_columnar(BufReader::new(file))?;
+    if use_monge {
+        let data = load_dataset(data_path)?;
         eprintln!(
-            "repairing {} points through {plan_path} (randomized mode, columnar layout)",
+            "repairing {} points through {plan_path} (Monge mode)",
             data.len()
         );
-        let repaired = plan.repair_columnar_par(&data, seed)?;
+        let repaired = MongeRepair::from_plan(&plan).repair_dataset(&data)?;
         let out = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
-        ot_fair_repair::data::write_labelled_csv_columnar(BufWriter::new(out), &repaired)?;
-        let damage = dataset_damage_columnar(&data, &repaired)?;
+        ot_fair_repair::data::write_labelled_csv(BufWriter::new(out), &repaired)?;
+        let damage = dataset_damage(&data, &repaired)?;
         eprintln!(
             "wrote {out_path}; mean RMSE displacement {:.4}",
             damage.mean_rmse()
@@ -443,31 +422,27 @@ fn cmd_apply(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let data = load_dataset(data_path)?;
-    eprintln!(
-        "repairing {} points through {} ({} mode)",
-        data.len(),
-        plan_path,
-        if use_monge { "Monge" } else { "randomized" }
-    );
-
-    let repaired = if use_monge {
-        if partial.is_some() {
-            return Err("--partial and --monge are mutually exclusive".into());
-        }
-        MongeRepair::from_plan(&plan).repair_dataset(&data)?
-    } else {
-        // Per-row SplitMix64 streams: parallel, and bit-identical for
-        // any thread count at a given seed.
-        match partial {
-            Some(lambda) => plan.repair_dataset_partial_par(&data, lambda, seed)?,
-            None => plan.repair_dataset_par(&data, seed)?,
-        }
+    // Algorithm 2: ingest straight into columns, repair with the
+    // columnar kernel (then the partial-repair geodesic, if asked),
+    // stream back out.
+    let file = File::open(data_path).map_err(|e| format!("cannot open {data_path}: {e}"))?;
+    let data = ot_fair_repair::data::read_labelled_csv_columnar(BufReader::new(file))?;
+    let split = match plan.config.mass_split {
+        MassSplit::Randomized => "randomized",
+        MassSplit::Deterministic => "deterministic",
     };
-
+    let lambda = partial.map_or(String::new(), |l| format!(", partial λ = {l}"));
+    eprintln!(
+        "repairing {} points through {plan_path} ({split} mode{lambda})",
+        data.len()
+    );
+    let repaired = match partial {
+        Some(lambda) => plan.repair_columnar_partial(&data, lambda, seed)?,
+        None => plan.repair_columnar_par(&data, seed)?,
+    };
     let out = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
-    ot_fair_repair::data::write_labelled_csv(BufWriter::new(out), &repaired)?;
-    let damage = dataset_damage(&data, &repaired)?;
+    ot_fair_repair::data::write_labelled_csv_columnar(BufWriter::new(out), &repaired)?;
+    let damage = dataset_damage_columnar(&data, &repaired)?;
     eprintln!(
         "wrote {out_path}; mean RMSE displacement {:.4}",
         damage.mean_rmse()

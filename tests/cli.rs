@@ -132,7 +132,10 @@ fn apply_monge_mode_and_partial_conflict() {
         .output()
         .unwrap();
     assert!(!conflicted.status.success());
-    assert!(String::from_utf8_lossy(&conflicted.stderr).contains("mutually exclusive"));
+    let stderr = String::from_utf8_lossy(&conflicted.stderr);
+    assert!(stderr.contains("mutually exclusive"), "stderr: {stderr}");
+    // The conflict is a usage error, caught before the archive is read.
+    assert!(!stderr.contains("repairing"), "stderr: {stderr}");
 }
 
 #[test]
@@ -155,118 +158,37 @@ fn apply_output_identical_for_any_thread_count() {
         .unwrap()
         .success());
 
-    let mut outputs = Vec::new();
-    for threads in ["1", "2", "7"] {
-        let out = dir
-            .join(format!("repaired-t{threads}.csv"))
-            .to_string_lossy()
-            .into_owned();
-        assert!(Command::new(bin())
-            .args([
-                "apply",
-                "--plan",
-                &plan,
-                "--data",
-                &archive,
-                "--out",
-                &out,
-                "--seed",
-                "11",
-                "--threads",
-                threads,
-            ])
-            .status()
-            .unwrap()
-            .success());
-        outputs.push(std::fs::read(&out).unwrap());
-    }
-    assert_eq!(outputs[0], outputs[1], "1 vs 2 threads");
-    assert_eq!(outputs[0], outputs[2], "1 vs 7 threads");
-}
-
-/// `apply` runs once per `--layout` value (plus the default, which is
-/// columnar) and every run writes the identical output file — the
-/// columnar data path is byte-compatible with the row path end to end,
-/// CSV in to CSV out.
-#[test]
-fn apply_layouts_produce_identical_output() {
-    let dir = tmp_dir("layout");
-    let (research, archive) = write_csvs(&dir, 5);
-    let plan = dir.join("plan.json").to_string_lossy().into_owned();
-
-    assert!(Command::new(bin())
-        .args([
-            "design",
-            "--research",
-            &research,
-            "--out",
-            &plan,
-            "--nq",
-            "30"
-        ])
-        .status()
-        .unwrap()
-        .success());
-
-    let mut outputs = Vec::new();
-    for layout in [None, Some("row"), Some("columnar")] {
-        let tag = layout.unwrap_or("default");
-        let out = dir
-            .join(format!("repaired-{tag}.csv"))
-            .to_string_lossy()
-            .into_owned();
-        let mut args = vec![
-            "apply", "--plan", &plan, "--data", &archive, "--out", &out, "--seed", "11",
-        ];
-        if let Some(layout) = layout {
-            args.extend(["--layout", layout]);
+    // Full repair and partial repair (the kernel plus the geodesic pass).
+    for mode in [&[][..], &["--partial", "0.4"][..]] {
+        let mut outputs = Vec::new();
+        for threads in ["1", "2", "7"] {
+            let out = dir
+                .join(format!("repaired-t{threads}.csv"))
+                .to_string_lossy()
+                .into_owned();
+            assert!(Command::new(bin())
+                .args([
+                    "apply",
+                    "--plan",
+                    &plan,
+                    "--data",
+                    &archive,
+                    "--out",
+                    &out,
+                    "--seed",
+                    "11",
+                    "--threads",
+                    threads,
+                ])
+                .args(mode)
+                .status()
+                .unwrap()
+                .success());
+            outputs.push(std::fs::read(&out).unwrap());
         }
-        assert!(
-            Command::new(bin()).args(&args).status().unwrap().success(),
-            "apply --layout {tag} failed"
-        );
-        outputs.push(std::fs::read(&out).unwrap());
+        assert_eq!(outputs[0], outputs[1], "{mode:?}: 1 vs 2 threads");
+        assert_eq!(outputs[0], outputs[2], "{mode:?}: 1 vs 7 threads");
     }
-    assert_eq!(outputs[0], outputs[1], "default vs --layout row");
-    assert_eq!(outputs[0], outputs[2], "default vs --layout columnar");
-
-    // An unknown layout is a usage error, not a silent default.
-    let bad = Command::new(bin())
-        .args([
-            "apply",
-            "--plan",
-            &plan,
-            "--data",
-            &archive,
-            "--out",
-            "/dev/null",
-            "--layout",
-            "diagonal",
-        ])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--layout"));
-
-    // The columnar path has no Monge/partial variants: asking for both
-    // is rejected up front.
-    let conflicted = Command::new(bin())
-        .args([
-            "apply",
-            "--plan",
-            &plan,
-            "--data",
-            &archive,
-            "--out",
-            "/dev/null",
-            "--layout",
-            "columnar",
-            "--monge",
-        ])
-        .output()
-        .unwrap();
-    assert!(!conflicted.status.success());
-    assert!(String::from_utf8_lossy(&conflicted.stderr).contains("--layout columnar"));
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //!    separable self byte-identity across thread counts, and bitwise
 //!    agreement of the `d = 2` `SeparableNd` path with the legacy
 //!    `Separable` path.
-//! 2. **Barycentre level**: `entropic_barycentre_grid2d` under
-//!    `dense` vs `separable` agrees within `1e-9` (L1 over the whole
-//!    pmf, which sums to 1).
+//! 2. **Barycentre level**: `entropic_barycentre_grid_nd` on a 2-axis
+//!    grid under `dense` vs `separable` agrees within `1e-9` (L1 over
+//!    the whole pmf, which sums to 1).
 //! 3. **End to end**: an `nQ = 24` joint design + repair with the
 //!    separable kernel forced on is byte-identical across
 //!    `OTR_THREADS ∈ {1, 2, 7}`, and so is a 3-feature `nQ = 12`
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ot_fair_repair::ot::{entropic_barycentre_grid2d, BarycentreConfig, KernelRep};
+use ot_fair_repair::ot::{entropic_barycentre_grid_nd, BarycentreConfig, KernelRep};
 use ot_fair_repair::prelude::*;
 
 /// Serializes the tests that mutate the shared `OTR_THREADS` process
@@ -264,22 +264,20 @@ fn separable_vs_dense_barycentre_within_1e9() {
         tol: 1e-12,
         ..BarycentreConfig::new(0.12, 50_000)
     };
-    let (dense, _) = entropic_barycentre_grid2d(
+    let (dense, _) = entropic_barycentre_grid_nd(
         &[&a, &b],
         &[0.5, 0.5],
-        &gx,
-        &gy,
+        &[&gx, &gy],
         &BarycentreConfig {
             kernel: KernelChoice::Dense,
             ..base
         },
     )
     .unwrap();
-    let (sep, _) = entropic_barycentre_grid2d(
+    let (sep, _) = entropic_barycentre_grid_nd(
         &[&a, &b],
         &[0.5, 0.5],
-        &gx,
-        &gy,
+        &[&gx, &gy],
         &BarycentreConfig {
             kernel: KernelChoice::Separable,
             ..base

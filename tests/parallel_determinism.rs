@@ -1,14 +1,14 @@
 //! The parallel-execution determinism contract, end to end through the
-//! facade: `repair_dataset` output is **byte-identical** (compared at
-//! the f64 bit level) across `OTR_THREADS` ∈ {1, 2, 7} and equal to the
-//! sequential path, for both the randomized and the deterministic
-//! mass-split configurations.
+//! facade: seeded repair output is **byte-identical** (compared at the
+//! f64 bit level) across `OTR_THREADS` ∈ {1, 2, 7} and explicit thread
+//! counts — the scalar columnar kernel (full and partial repair, both
+//! mass-split configurations) and the joint plans.
 
 use std::sync::Mutex;
 
 use ot_fair_repair::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Serializes the tests that mutate the shared `OTR_THREADS` process
 /// environment, so each one observes exactly the thread counts it set
@@ -31,65 +31,6 @@ fn byte_image(data: &Dataset) -> Vec<u64> {
         .iter()
         .flat_map(|p| p.x.iter().map(|v| v.to_bits()))
         .collect()
-}
-
-/// The satellite contract, verbatim: vary the `OTR_THREADS` environment
-/// variable (auto mode), byte-compare against the sequential reference.
-/// Env-mutating tests serialize on [`OTR_THREADS_ENV_LOCK`]; the other
-/// siblings use explicit thread counts, so they cannot race.
-#[test]
-fn byte_identical_across_otr_threads_env_for_both_mass_splits() {
-    let _env = OTR_THREADS_ENV_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let (research, archive) = setup();
-    for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
-        let mut cfg = RepairConfig::with_n_q(40);
-        cfg.mass_split = mass_split;
-        cfg.threads = 0; // auto: defer to OTR_THREADS
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in ["1", "2", "7"] {
-            std::env::set_var("OTR_THREADS", threads);
-            let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-            let par = plan.repair_dataset_par(&archive, 42).unwrap();
-            let seq = plan.repair_dataset_seeded(&archive, 42).unwrap();
-            let par_bytes = byte_image(&par);
-            assert_eq!(
-                par_bytes,
-                byte_image(&seq),
-                "parallel != sequential ({mass_split:?}, OTR_THREADS={threads})"
-            );
-            match &reference {
-                None => reference = Some(par_bytes),
-                Some(r) => assert_eq!(
-                    &par_bytes, r,
-                    "thread-count-dependent output ({mass_split:?}, OTR_THREADS={threads})"
-                ),
-            }
-        }
-        std::env::remove_var("OTR_THREADS");
-    }
-}
-
-/// Same contract driven through `RepairConfig::threads` (the CLI's
-/// `--threads` path) instead of the environment.
-#[test]
-fn byte_identical_across_explicit_thread_counts() {
-    let (research, archive) = setup();
-    for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in [1usize, 2, 7] {
-            let mut cfg = RepairConfig::with_n_q(40);
-            cfg.mass_split = mass_split;
-            cfg.threads = threads;
-            let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-            let out = byte_image(&plan.repair_dataset_par(&archive, 7).unwrap());
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "({mass_split:?}, threads={threads})"),
-            }
-        }
-    }
 }
 
 /// In-kernel determinism at joint scale: an `nQ = 24` joint design
@@ -180,11 +121,74 @@ fn joint_3feature_repair_byte_identical_across_otr_threads_env() {
     std::env::remove_var("OTR_THREADS");
 }
 
-/// The columnar (SoA) kernel satisfies the same contract: for every
-/// `OTR_THREADS` setting, `repair_columnar_par` is **byte-identical**
-/// to the sequential row-path reference `repair_dataset_seeded`, for
-/// both mass-split configurations. Env-mutating, so serialized on
-/// [`OTR_THREADS_ENV_LOCK`].
+/// The scalar contract through the `Dataset` entry point: for every
+/// `OTR_THREADS` setting (auto mode), `repair_dataset(&mut rng)` is
+/// byte-identical to the columnar kernel under the one seed it draws,
+/// and to every other setting, for both mass-split configurations.
+/// Env-mutating tests serialize on [`OTR_THREADS_ENV_LOCK`]; the
+/// explicit-thread siblings cannot race.
+#[test]
+fn byte_identical_across_otr_threads_env_for_both_mass_splits() {
+    let _env = OTR_THREADS_ENV_LOCK
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let (research, archive) = setup();
+    let columnar = ColumnarDataset::from_dataset(&archive);
+    for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
+        let mut cfg = RepairConfig::with_n_q(40);
+        cfg.mass_split = mass_split;
+        cfg.threads = 0; // auto: defer to OTR_THREADS
+        let mut reference: Option<Vec<u64>> = None;
+        for threads in ["1", "2", "7"] {
+            std::env::set_var("OTR_THREADS", threads);
+            let plan = RepairPlanner::new(cfg).design(&research).unwrap();
+            let mut rng = StdRng::seed_from_u64(42);
+            let seed = rng.clone().next_u64();
+            let out = byte_image(&plan.repair_dataset(&archive, &mut rng).unwrap());
+            let kernel = plan.repair_columnar_par(&columnar, seed).unwrap();
+            assert_eq!(
+                out,
+                byte_image(&kernel.to_dataset()),
+                "repair_dataset != kernel ({mass_split:?}, OTR_THREADS={threads})"
+            );
+            match &reference {
+                None => reference = Some(out),
+                Some(r) => assert_eq!(
+                    &out, r,
+                    "thread-count-dependent output ({mass_split:?}, OTR_THREADS={threads})"
+                ),
+            }
+        }
+        std::env::remove_var("OTR_THREADS");
+    }
+}
+
+/// Same contract driven through `RepairConfig::threads` (the CLI's
+/// `--threads` path) instead of the environment.
+#[test]
+fn byte_identical_across_explicit_thread_counts() {
+    let (research, archive) = setup();
+    let columnar = ColumnarDataset::from_dataset(&archive);
+    for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
+        let mut reference: Option<Vec<u64>> = None;
+        for threads in [1usize, 2, 7] {
+            let mut cfg = RepairConfig::with_n_q(40);
+            cfg.mass_split = mass_split;
+            cfg.threads = threads;
+            let plan = RepairPlanner::new(cfg).design(&research).unwrap();
+            let out = byte_image(&plan.repair_columnar_par(&columnar, 7).unwrap().to_dataset());
+            match &reference {
+                None => reference = Some(out),
+                Some(r) => assert_eq!(&out, r, "({mass_split:?}, threads={threads})"),
+            }
+        }
+    }
+}
+
+/// The columnar kernel under every `OTR_THREADS` setting (auto mode):
+/// full repair and the partial repair built on it produce the same
+/// bytes and keep the labels, for both mass-split configurations.
+/// Env-mutating, so serialized on [`OTR_THREADS_ENV_LOCK`].
 #[test]
 fn columnar_repair_byte_identical_across_otr_threads_env() {
     let _env = OTR_THREADS_ENV_LOCK
@@ -196,34 +200,43 @@ fn columnar_repair_byte_identical_across_otr_threads_env() {
         let mut cfg = RepairConfig::with_n_q(40);
         cfg.mass_split = mass_split;
         cfg.threads = 0; // auto: defer to OTR_THREADS
+        let mut reference: Option<[Vec<u64>; 2]> = None;
         for threads in ["1", "2", "7"] {
             std::env::set_var("OTR_THREADS", threads);
             let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-            let col = plan.repair_columnar_par(&columnar, 42).unwrap();
-            let seq = plan.repair_dataset_seeded(&archive, 42).unwrap();
-            assert_eq!(
-                byte_image(&col.to_dataset()),
-                byte_image(&seq),
-                "columnar != sequential row path ({mass_split:?}, OTR_THREADS={threads})"
-            );
-            assert_eq!(col.s(), ColumnarDataset::from_dataset(&seq).s());
-            assert_eq!(col.u(), ColumnarDataset::from_dataset(&seq).u());
+            let full = plan.repair_columnar_par(&columnar, 42).unwrap();
+            let partial = plan.repair_columnar_partial(&columnar, 0.4, 42).unwrap();
+            assert_eq!(full.s(), columnar.s());
+            assert_eq!(full.u(), columnar.u());
+            let bytes = [
+                byte_image(&full.to_dataset()),
+                byte_image(&partial.to_dataset()),
+            ];
+            match &reference {
+                None => reference = Some(bytes),
+                Some(r) => assert_eq!(
+                    &bytes, r,
+                    "thread-count-dependent output ({mass_split:?}, OTR_THREADS={threads})"
+                ),
+            }
         }
         std::env::remove_var("OTR_THREADS");
     }
 }
 
 /// The partial-repair geodesic rides the same per-row streams, so the
-/// same invariance holds along λ.
+/// same invariance holds along λ under explicit thread counts.
 #[test]
 fn partial_repair_byte_identical_across_thread_counts() {
     let (research, archive) = setup();
+    let columnar = ColumnarDataset::from_dataset(&archive);
     let mut reference: Option<Vec<u64>> = None;
     for threads in [1usize, 2, 7] {
         let mut cfg = RepairConfig::with_n_q(30);
         cfg.threads = threads;
         let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-        let out = byte_image(&plan.repair_dataset_partial_par(&archive, 0.4, 13).unwrap());
+        let partial = plan.repair_columnar_partial(&columnar, 0.4, 13).unwrap();
+        let out = byte_image(&partial.to_dataset());
         match &reference {
             None => reference = Some(out),
             Some(r) => assert_eq!(&out, r, "threads={threads}"),
