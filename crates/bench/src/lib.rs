@@ -20,7 +20,9 @@
 //! This library crate hosts the shared machinery: a deterministic
 //! parallel Monte-Carlo runner (built on `otr-par`'s chunked executor)
 //! with per-run seeding, in-order Welford merging, and first-failure
-//! diagnostics, plus paper-style table formatting.
+//! diagnostics, plus paper-style table formatting, and the perf-smoke
+//! gate ([`Metric`] rows checked against floors by [`gate`]) that the
+//! `repair_throughput --quick` bench runs in CI.
 //!
 //! ## Example
 //!
@@ -252,6 +254,86 @@ pub fn threads_from_args() -> usize {
         .unwrap_or(0)
 }
 
+/// One measurement of the `repair_throughput --quick` perf-smoke gate:
+/// a rate or ratio, higher is better, floored in the baseline file
+/// under [`Metric::key`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Metric {
+    /// The leg that measured it (`throughput`, `joint_repair`, …).
+    pub leg: &'static str,
+    /// The metric within its leg (`rows_per_sec`, `speedup`, …).
+    pub name: &'static str,
+    /// The measured value.
+    pub value: f64,
+    /// Display unit (`rows/s`, `x`, …).
+    pub unit: &'static str,
+}
+
+impl Metric {
+    /// A row of leg `leg`.
+    pub fn new(leg: &'static str, name: &'static str, value: f64, unit: &'static str) -> Self {
+        Self {
+            leg,
+            name,
+            value,
+            unit,
+        }
+    }
+
+    /// The baseline key, `leg.name`.
+    pub fn key(&self) -> String {
+        format!("{}.{}", self.leg, self.name)
+    }
+}
+
+/// Check perf-smoke `rows` against `floors` (keyed [`Metric::key`];
+/// the one rule is `value ≥ floor`) and render one table line per row
+/// and per unmatched floor. A row without a floor and a floor without a
+/// row both fail, except a floored key listed in `skipped` with the
+/// reason its leg did not measure it. `floors = None` renders the rows
+/// ungated. Returns the table and the number of failures.
+pub fn gate(
+    rows: &[Metric],
+    floors: Option<&BTreeMap<String, f64>>,
+    skipped: &[(&str, &str)],
+) -> (String, usize) {
+    let mut table = format!(
+        "{:<36} {:>18} {:>12} {:<9} verdict\n",
+        "metric", "value", "floor", "unit"
+    );
+    let mut failures = 0;
+    let mut line = |key: &str, value: String, floor: String, unit: &str, verdict: &str| {
+        failures += usize::from(verdict.starts_with("FAIL"));
+        table.push_str(&format!(
+            "{key:<36} {value:>18} {floor:>12} {unit:<9} {verdict}\n"
+        ));
+    };
+    for row in rows {
+        let key = row.key();
+        let floor = floors.map(|f| f.get(&key).copied());
+        let verdict = match floor {
+            None => "ungated",
+            Some(None) => "FAIL: no floor",
+            Some(Some(floor)) if row.value >= floor => "ok",
+            Some(Some(_)) => "FAIL: below floor",
+        };
+        let floor = floor.flatten().map_or("-".into(), |f| f.to_string());
+        line(&key, format!("{:.4}", row.value), floor, row.unit, verdict);
+    }
+    let measured: Vec<String> = rows.iter().map(Metric::key).collect();
+    for (key, floor) in floors.into_iter().flatten() {
+        if measured.contains(key) {
+            continue;
+        }
+        let verdict = match skipped.iter().find(|(k, _)| k == key) {
+            Some((_, reason)) => format!("skipped: {reason}"),
+            None => "FAIL: no row".into(),
+        };
+        line(key, "-".into(), floor.to_string(), "", &verdict);
+    }
+    (table, failures)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,5 +424,67 @@ mod tests {
         w.push(1.0);
         w.push(3.0);
         assert_eq!(fmt_pm(&w), "2.0000 ± 1.4142");
+    }
+
+    /// Floors recorded the way `ci/bench_baseline.json` is: 75% of a
+    /// measured rate, and a fixed 2.0x ratio.
+    fn floors() -> BTreeMap<String, f64> {
+        BTreeMap::from([
+            ("throughput.columnar_rows_per_sec".into(), 0.75 * 5.1e6),
+            ("redesign.warm_speedup".into(), 2.0),
+        ])
+    }
+
+    fn rows(rate: f64, ratio: f64) -> Vec<Metric> {
+        vec![
+            Metric::new("throughput", "columnar_rows_per_sec", rate, "rows/s"),
+            Metric::new("redesign", "warm_speedup", ratio, "x"),
+        ]
+    }
+
+    #[test]
+    fn gate_fails_a_2x_slowdown() {
+        let (table, failures) = gate(&rows(5.1e6 / 2.0, 6.0), Some(&floors()), &[]);
+        assert_eq!(failures, 1, "{table}");
+        assert!(table.contains("FAIL: below floor"), "{table}");
+    }
+
+    #[test]
+    fn gate_passes_rows_at_or_above_their_floor() {
+        for rate in [0.75 * 5.1e6, 5.1e6] {
+            let (table, failures) = gate(&rows(rate, 2.0), Some(&floors()), &[]);
+            assert_eq!(failures, 0, "{table}");
+        }
+    }
+
+    #[test]
+    fn gate_fails_a_ratio_below_its_floor() {
+        let (table, failures) = gate(&rows(5.1e6, 1.9), Some(&floors()), &[]);
+        assert_eq!(failures, 1, "{table}");
+        assert!(table.contains("redesign.warm_speedup"), "{table}");
+    }
+
+    #[test]
+    fn gate_fails_missing_rows_and_missing_floors_unless_skipped() {
+        let mut rows = rows(5.1e6, 6.0);
+        let dropped = rows.pop().unwrap();
+        rows.push(Metric::new("serve", "rows_per_sec", 1e7, "rows/s"));
+        let (table, failures) = gate(&rows, Some(&floors()), &[]);
+        assert_eq!(failures, 2, "{table}");
+        assert!(table.contains("FAIL: no floor") && table.contains("FAIL: no row"));
+
+        rows.pop();
+        let key = dropped.key();
+        let skip = [(key.as_str(), "single-core runner")];
+        let (table, failures) = gate(&rows, Some(&floors()), &skip);
+        assert_eq!(failures, 0, "{table}");
+        assert!(table.contains("skipped: single-core runner"), "{table}");
+    }
+
+    #[test]
+    fn ungated_rows_never_fail() {
+        let (table, failures) = gate(&rows(1.0, 0.0), None, &[]);
+        assert_eq!(failures, 0, "{table}");
+        assert_eq!(table.matches("ungated").count(), 2, "{table}");
     }
 }

@@ -674,12 +674,30 @@ impl RepairPlan {
     /// Load a plan from JSON and recompile its samplers.
     ///
     /// # Errors
-    /// Propagates deserialization and recompilation failures, and
-    /// rejects deterministic plans whose barycentric projections (their
-    /// outputs) are not all finite.
+    /// Propagates deserialization and recompilation failures, rejects
+    /// plans whose `features` are not the `2 · dim` strata `(u, k)` at
+    /// slots `u · dim + k` (the repair kernels and the drift monitor
+    /// index them that way), and rejects deterministic plans whose
+    /// barycentric projections (their outputs) are not all finite.
     pub fn from_json(json: &str) -> Result<Self> {
         let mut plan: RepairPlan =
             serde_json::from_str(json).map_err(|e| RepairError::Persistence(e.to_string()))?;
+        let d = plan.dim;
+        if d == 0 || d.checked_mul(2) != Some(plan.features.len()) {
+            return Err(RepairError::PlanMismatch(format!(
+                "a dim-{d} plan needs 2·dim ≥ 2 feature plans, got {}",
+                plan.features.len()
+            )));
+        }
+        for (slot, fp) in plan.features.iter().enumerate() {
+            let (u, k) = (slot / d, slot % d);
+            if usize::from(fp.u) != u || fp.k != k {
+                return Err(RepairError::PlanMismatch(format!(
+                    "feature plan at slot {slot} is labelled (u={}, k={}), expected (u={u}, k={k})",
+                    fp.u, fp.k
+                )));
+            }
+        }
         for fp in &mut plan.features {
             fp.compile()?;
             let finite = |s| fp.projection_table(s).iter().all(|v: &f64| v.is_finite());

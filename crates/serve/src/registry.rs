@@ -413,16 +413,16 @@ impl PlanRegistry {
 
     /// Preload every `*.json` artifact in `dir`. File names map to
     /// registry keys: `census.json` loads as `census@1`,
-    /// `census@3.json` as `census@3`. The plan kind is sniffed by
-    /// validation order — scalar first, joint if that fails — which is
-    /// unambiguous because the two JSON schemas share no required
-    /// top-level shape. Returns the loaded entries in directory-sorted
-    /// order.
+    /// `census@3.json` as `census@3`. The plan kind is picked from the
+    /// artifact before validation: joint plans carry a `strata` key,
+    /// which the scalar schema (`features`) never does. Returns the
+    /// loaded entries in directory-sorted order.
     ///
     /// # Errors
-    /// Unreadable directory/files, unparsable stems, artifacts that
-    /// validate as neither kind, and collisions. Entries loaded before
-    /// the failing file stay registered.
+    /// Unreadable directory/files, unparsable stems, artifacts that fail
+    /// their kind's validation (the error names the file and that
+    /// kind's reason), and collisions. Entries loaded before the failing
+    /// file stay registered.
     pub fn load_dir(&self, dir: &Path) -> Result<Vec<PlanInfo>, RegistryError> {
         let mut files: Vec<_> = std::fs::read_dir(dir)
             .map_err(|e| RegistryError::Io(format!("{}: {e}", dir.display())))?
@@ -450,15 +450,18 @@ impl PlanRegistry {
             };
             let json = std::fs::read_to_string(&path)
                 .map_err(|e| RegistryError::Io(format!("{}: {e}", path.display())))?;
-            let info = self
-                .load(name, version, PlanKind::Scalar, &json)
-                .or_else(|scalar_err| match scalar_err {
-                    // Only fall through on parse failures: collisions and
-                    // bad names are the same either way.
-                    RegistryError::Invalid(_) => self.load(name, version, PlanKind::Joint, &json),
-                    other => Err(other),
-                })
-                .map_err(|e| RegistryError::Invalid(format!("{}: {e}", path.display())))?;
+            let kind = if json.contains("\"strata\"") {
+                PlanKind::Joint
+            } else {
+                PlanKind::Scalar
+            };
+            let info = self.load(name, version, kind, &json).map_err(|e| {
+                let reason = match e {
+                    RegistryError::Invalid(msg) => msg,
+                    other => other.to_string(),
+                };
+                RegistryError::Invalid(format!("{}: {reason}", path.display()))
+            })?;
             loaded.push(info);
         }
         Ok(loaded)

@@ -156,8 +156,8 @@ fn served_joint_repair_matches_offline() {
 
 /// The `d = 3` joint path through the service, end to end: a 3-feature
 /// joint plan is (a) preloaded from a `plans_dir` — exercising the
-/// registry's kind-sniffing loader (scalar parse first, joint on
-/// fallthrough) on the n-d plan schema — and (b) loaded over the wire,
+/// registry's kind-sniffing loader (a `strata` key picks the joint
+/// schema) on the n-d plan schema — and (b) loaded over the wire,
 /// and both must serve bytes byte-identical to offline
 /// `repair_dataset_par` (the `apply --joint` path). The registry
 /// listing must report the plan's true dimensionality, not assume
@@ -510,30 +510,67 @@ fn poison_first(json: &str, key: &str) -> String {
     format!("{}1e999{}", &json[..at], &json[end..])
 }
 
-/// A non-finite support (scalar) or axis (joint) is rejected once, at
-/// load, as `PlanInvalid` — over the wire and from a `plans_dir` — so no
-/// request can ever be served from it.
+/// `json` (a scalar plan) with its `features` array edited by `edit`.
+fn edit_features(json: &str, edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> String {
+    let mut plan: serde_json::Value = serde_json::from_str(json).unwrap();
+    let serde_json::Value::Obj(fields) = &mut plan else {
+        panic!("plan JSON is not an object")
+    };
+    let Some((_, serde_json::Value::Arr(features))) =
+        fields.iter_mut().find(|(key, _)| key == "features")
+    else {
+        panic!("plan JSON has no features array")
+    };
+    edit(features);
+    serde_json::to_string(&plan).unwrap()
+}
+
+/// A non-finite support (scalar) or axis (joint), and a scalar plan
+/// whose `features` are not the `2 · dim` strata in slot order, are
+/// rejected once, at load, as `PlanInvalid` — over the wire and from a
+/// `plans_dir`, each with its own reason — so no request can ever be
+/// served from them.
 #[test]
 fn non_finite_plan_supports_are_rejected_at_load() {
     let (research, _) = split_data(18, 400, 10);
-    let scalar = poison_first(&scalar_plan(&research, 12).to_json().unwrap(), "support");
+    let scalar_json = scalar_plan(&research, 12).to_json().unwrap();
+    let scalar = poison_first(&scalar_json, "support");
     let joint = poison_first(&joint_plan(&research).to_json().unwrap(), "axes");
     assert!(scalar.contains("1e999") && joint.contains("1e999"));
+    let cut = edit_features(&scalar_json, |features| features.truncate(1));
+    let relabelled = edit_features(&scalar_json, |features| {
+        let serde_json::Value::Obj(fields) = &mut features[1] else {
+            panic!("feature plan is not an object")
+        };
+        let k = fields.iter_mut().find(|(key, _)| key == "k").unwrap();
+        k.1 = serde_json::Value::Num(9.0);
+    });
+    let cases = [
+        ("scalar", PlanKind::Scalar, &scalar, "finite"),
+        ("joint", PlanKind::Joint, &joint, "finite"),
+        ("cut", PlanKind::Scalar, &cut, "feature plans, got 1"),
+        (
+            "relabelled",
+            PlanKind::Scalar,
+            &relabelled,
+            "labelled (u=0, k=9)",
+        ),
+    ];
 
     let server = TestServer::start(ServeConfig::default());
     let mut client = server.client();
-    for (kind, json) in [(PlanKind::Scalar, &scalar), (PlanKind::Joint, &joint)] {
-        let err = client.load_plan(kind, "inf", 1, json).unwrap_err();
+    for (name, kind, json, reason) in cases {
+        let err = client.load_plan(kind, "bad", 1, json).unwrap_err();
         assert_eq!(
             err.server_code(),
             Some(ErrorCode::PlanInvalid),
-            "{kind}: {err}"
+            "{name}: {err}"
         );
-        assert!(err.to_string().contains("finite"), "{kind}: {err}");
+        assert!(err.to_string().contains(reason), "{name}: {err}");
     }
     assert!(client.list_plans().unwrap().is_empty());
 
-    for (name, json) in [("scalar", &scalar), ("joint", &joint)] {
+    for (name, _, json, reason) in cases {
         let dir = std::env::temp_dir().join(format!("otrepaird-inf-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -545,7 +582,9 @@ fn non_finite_plan_supports_are_rejected_at_load() {
         })
         .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
-        assert!(err.to_string().contains(&format!("{name}.json")), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{name}.json")), "{msg}");
+        assert!(msg.contains(reason), "{name}: {msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
