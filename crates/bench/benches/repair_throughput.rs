@@ -21,7 +21,9 @@
 //!   keyed `leg.name`), [`otr_bench::gate`] checks each row against
 //!   its floor:
 //!   1. `throughput` — the columnar kernel over a 1M-row archive at auto
-//!      threads, its bytes equal to a one-thread run;
+//!      threads, its bytes equal to a one-thread run, and the in-memory
+//!      CSV → kernel → CSV chain over the same archive, its bytes equal
+//!      to a run under `OTR_THREADS=1`;
 //!   2. `plan_design` — the Algorithm-1 design rate at `nQ = 50`;
 //!   3. `joint_repair` — `nQ = 24` ε-scaled joint design + repair
 //!      through the separable kernel under `OTR_THREADS=1` and `4`
@@ -46,10 +48,13 @@ use rand::SeedableRng;
 
 use otr_bench::{gate, Metric};
 use otr_core::{
-    JointDesignReport, JointRepairConfig, JointRepairPlan, KernelChoice, RepairConfig,
+    JointDesignReport, JointRepairConfig, JointRepairPlan, KernelChoice, RepairConfig, RepairPlan,
     RepairPlanner,
 };
-use otr_data::{ColumnarDataset, Dataset, SimulationSpec, SplitData};
+use otr_data::{
+    read_labelled_csv_columnar, write_labelled_csv_columnar, ColumnarDataset, Dataset,
+    SimulationSpec, SplitData,
+};
 
 fn bench_repair(c: &mut Criterion) {
     let spec = SimulationSpec::paper_defaults();
@@ -144,29 +149,47 @@ fn byte_image(data: &Dataset) -> Vec<u64> {
         .collect()
 }
 
-/// Joint design + repair of `split` under `OTR_THREADS=threads` (the
-/// caller's setting is restored after): the repaired bytes and the
-/// design report.
+/// Run `f` under `OTR_THREADS=threads`, restoring the caller's setting
+/// after.
+fn with_otr_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
+    let saved = std::env::var(otr_par::THREADS_ENV).ok();
+    std::env::set_var(otr_par::THREADS_ENV, threads);
+    let out = f();
+    match saved {
+        Some(v) => std::env::set_var(otr_par::THREADS_ENV, v),
+        None => std::env::remove_var(otr_par::THREADS_ENV),
+    }
+    out
+}
+
+/// Joint design + repair of `split` under `OTR_THREADS=threads`: the
+/// repaired bytes and the design report.
 fn joint_run(
     split: &SplitData,
     cfg: JointRepairConfig,
     threads: &str,
 ) -> (Vec<u64>, JointDesignReport) {
-    let saved = std::env::var(otr_par::THREADS_ENV).ok();
-    std::env::set_var(otr_par::THREADS_ENV, threads);
-    let (plan, report) = JointRepairPlan::design_with_report(&split.research, cfg).unwrap();
-    let out = plan.repair_dataset_par(&split.archive, 7).unwrap();
-    match saved {
-        Some(v) => std::env::set_var(otr_par::THREADS_ENV, v),
-        None => std::env::remove_var(otr_par::THREADS_ENV),
-    }
-    (byte_image(&out), report)
+    with_otr_threads(threads, || {
+        let (plan, report) = JointRepairPlan::design_with_report(&split.research, cfg).unwrap();
+        let out = plan.repair_dataset_par(&split.archive, 7).unwrap();
+        (byte_image(&out), report)
+    })
 }
 
-/// Leg 1 — archival repair throughput: the Algorithm-2 columnar kernel
-/// at auto threads over a 1M-row archive (~0.1 s per sequential pass:
-/// long enough that timer noise is small against the floor, short
-/// enough for a smoke job).
+/// The `otrepair apply` chain in memory: CSV bytes in, the columnar
+/// kernel, CSV bytes out.
+fn csv_apply(plan: &RepairPlan, input: &[u8]) -> Vec<u8> {
+    let data = read_labelled_csv_columnar(input).unwrap();
+    let repaired = plan.repair_columnar_par(&data, 7).unwrap();
+    let mut out = Vec::with_capacity(input.len());
+    write_labelled_csv_columnar(&mut out, &repaired).unwrap();
+    out
+}
+
+/// Leg 1 — archival repair throughput over a 1M-row archive: the
+/// Algorithm-2 columnar kernel at auto threads (~0.1 s per sequential
+/// pass: long enough that timer noise is small against the floor, short
+/// enough for a smoke job), and the whole CSV-to-CSV chain around it.
 fn quick_throughput() -> Vec<Metric> {
     let rows = 1_000_000;
     let spec = SimulationSpec::paper_defaults();
@@ -178,18 +201,33 @@ fn quick_throughput() -> Vec<Metric> {
         .unwrap();
 
     let (secs, out) = best_of(5, || plan.repair_columnar_par(&archive, 7).unwrap());
+    let mut input = Vec::new();
+    write_labelled_csv_columnar(&mut input, &archive).unwrap();
+    let (csv_secs, csv_out) = best_of(3, || csv_apply(&plan, &input));
+    assert!(
+        with_otr_threads("1", || csv_apply(&plan, &input)) == csv_out,
+        "CSV apply output depends on OTR_THREADS"
+    );
     plan.config.threads = 1;
     let one_thread = plan.repair_columnar_par(&archive, 7).unwrap();
     assert!(
         byte_image(&out.to_dataset()) == byte_image(&one_thread.to_dataset()),
         "columnar repair output depends on the thread count"
     );
-    vec![Metric::new(
-        "throughput",
-        "columnar_rows_per_sec",
-        rows as f64 / secs,
-        "rows/s",
-    )]
+    vec![
+        Metric::new(
+            "throughput",
+            "columnar_rows_per_sec",
+            rows as f64 / secs,
+            "rows/s",
+        ),
+        Metric::new(
+            "throughput",
+            "csv_apply_rows_per_sec",
+            rows as f64 / csv_secs,
+            "rows/s",
+        ),
+    ]
 }
 
 /// Leg 2 — plan-design rate (Algorithm 1: KDE + barycentre + 4 OT

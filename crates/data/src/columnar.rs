@@ -273,6 +273,20 @@ impl ColumnarDataset {
         Ok(())
     }
 
+    /// Append the rows of `other`, a data set of the same dimension, in
+    /// order — how the block CSV reader joins the pieces it parsed.
+    ///
+    /// # Panics
+    /// The dimensions must agree.
+    pub(crate) fn append(&mut self, other: &Self) {
+        assert_eq!(self.dim, other.dim, "appending rows of another dimension");
+        for (col, more) in self.features.iter_mut().zip(&other.features) {
+            col.extend_from_slice(more);
+        }
+        self.s.extend_from_slice(&other.s);
+        self.u.extend_from_slice(&other.u);
+    }
+
     /// A new data set with the same rows and labels but replacement
     /// feature columns — how the columnar repair kernels assemble their
     /// output without re-validating the (unchanged) labels.

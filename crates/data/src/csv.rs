@@ -1,5 +1,5 @@
-//! A dependency-free CSV reader/writer sufficient for the Adult data file
-//! and for exporting experiment results.
+//! A dependency-free CSV reader sufficient for the Adult data file, and
+//! the general line parser behind the labelled-CSV reader.
 //!
 //! Supports quoted fields with embedded commas and doubled quotes, CRLF
 //! and LF line endings, and optional surrounding whitespace trimming. It
@@ -7,7 +7,7 @@
 //! the Adult file has none, and rejecting them keeps the reader O(1) in
 //! lookahead.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use crate::error::{DataError, Result};
 
@@ -78,8 +78,8 @@ pub fn parse_line_into(line: &str, line_no: usize, fields: &mut Vec<String>) -> 
 /// Stream rows from a reader, invoking `visit(line_no, fields)` for each
 /// non-blank line (1-based `line_no`). Line and field buffers are reused
 /// across rows, so memory stays O(widest row) no matter how large the
-/// archive is — the ingest path for columnar data sets and the streaming
-/// repair service.
+/// file is. The labelled-CSV reader accepts and rejects exactly what this
+/// loop plus its row parser would, one block of lines at a time.
 ///
 /// # Errors
 /// Propagates I/O and parse failures, and whatever the visitor returns.
@@ -117,32 +117,6 @@ pub fn read_rows<R: BufRead>(reader: R) -> Result<Vec<Vec<String>>> {
         Ok(())
     })?;
     Ok(rows)
-}
-
-/// Escape a field for CSV output (quotes it when it contains a comma,
-/// quote, or leading/trailing space).
-pub fn escape_field(field: &str) -> String {
-    let needs_quotes = field.contains(',')
-        || field.contains('"')
-        || field.starts_with(' ')
-        || field.ends_with(' ');
-    if needs_quotes {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
-/// Write rows to a writer as CSV.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn write_rows<W: Write>(mut writer: W, rows: &[Vec<String>]) -> Result<()> {
-    for row in rows {
-        let encoded: Vec<String> = row.iter().map(|f| escape_field(f)).collect();
-        writeln!(writer, "{}", encoded.join(","))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -195,21 +169,5 @@ mod tests {
         let rows = read_rows(input.as_bytes()).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], vec![" c".to_string(), "d".into()]);
-    }
-
-    #[test]
-    fn round_trip() {
-        let rows = vec![
-            vec![
-                "plain".to_string(),
-                "with,comma".into(),
-                "with\"quote".into(),
-            ],
-            vec![" leading".to_string(), String::new()],
-        ];
-        let mut buf = Vec::new();
-        write_rows(&mut buf, &rows).unwrap();
-        let back = read_rows(buf.as_slice()).unwrap();
-        assert_eq!(back, rows);
     }
 }

@@ -17,7 +17,9 @@
 //!   synthetic generator ([`adult::AdultSynth`]) standing in for the UCI
 //!   file (unavailable offline; see DESIGN.md §4), plus a loader for the
 //!   real `adult.data` CSV when present.
-//! * [`csv`] — a dependency-free CSV reader/writer.
+//! * [`csv`] — a dependency-free CSV line parser and reader.
+//! * [`labelled_csv`] — the `s,u,x0,…` interchange format, read and
+//!   written a block of bytes per thread.
 //! * [`drift`] — distribution-shift injectors used to stress the paper's
 //!   stationarity assumption (Section V-A2a discussion).
 //!

@@ -159,6 +159,8 @@ fn apply_output_identical_for_any_thread_count() {
         .success());
 
     // Full repair and partial repair (the kernel plus the geodesic pass).
+    // `--threads` sets the kernel's threads; `OTR_THREADS` also reaches
+    // the CSV reader and writer.
     for mode in [&[][..], &["--partial", "0.4"][..]] {
         let mut outputs = Vec::new();
         for threads in ["1", "2", "7"] {
@@ -181,6 +183,7 @@ fn apply_output_identical_for_any_thread_count() {
                     threads,
                 ])
                 .args(mode)
+                .env("OTR_THREADS", threads)
                 .status()
                 .unwrap()
                 .success());
@@ -188,6 +191,61 @@ fn apply_output_identical_for_any_thread_count() {
         }
         assert_eq!(outputs[0], outputs[1], "{mode:?}: 1 vs 2 threads");
         assert_eq!(outputs[0], outputs[2], "{mode:?}: 1 vs 7 threads");
+    }
+}
+
+/// A write that fails is an error, not "wrote …" over a truncated file:
+/// an output smaller than the writer's buffer reaches the disk only when
+/// it is flushed, so the flush must report.
+#[test]
+#[cfg(target_os = "linux")]
+fn apply_reports_write_errors() {
+    let dir = tmp_dir("full");
+    let (research, _) = write_csvs(&dir, 5);
+    let plan = dir.join("plan.json").to_string_lossy().into_owned();
+    let small = dir.join("small.csv");
+    let mut rng = StdRng::seed_from_u64(5);
+    let rows = SimulationSpec::paper_defaults()
+        .sample_dataset(29, &mut rng)
+        .unwrap();
+    write_labelled_csv(std::fs::File::create(&small).unwrap(), &rows).unwrap();
+    let small = small.to_string_lossy().into_owned();
+    assert!(Command::new(bin())
+        .args([
+            "design",
+            "--research",
+            &research,
+            "--out",
+            &plan,
+            "--nq",
+            "20"
+        ])
+        .status()
+        .unwrap()
+        .success());
+    // The columnar writer, after the kernel and the partial pass, and
+    // the row writer after Monge repair.
+    for mode in [&[][..], &["--partial", "0.4"][..], &["--monge"][..]] {
+        let full = Command::new(bin())
+            .args([
+                "apply",
+                "--plan",
+                &plan,
+                "--data",
+                &small,
+                "--out",
+                "/dev/full",
+            ])
+            .args(mode)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&full.stderr);
+        assert!(!full.status.success(), "{mode:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains("No space left"),
+            "{mode:?}: stderr: {stderr}"
+        );
+        assert!(!stderr.contains("wrote"), "{mode:?}: stderr: {stderr}");
     }
 }
 
