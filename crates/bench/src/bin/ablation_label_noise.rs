@@ -14,11 +14,11 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
 use otr_core::{GroupBlindRepairer, RepairConfig, RepairPlanner};
-use otr_data::{Dataset, GroupKey, LabelledPoint, SimulationSpec};
+use otr_data::{ColumnarDataset, Dataset, GroupKey, LabelledPoint, SimulationSpec};
 use otr_fairness::ConditionalDependence;
 use otr_stats::GaussianMixtureEm;
 
@@ -91,7 +91,11 @@ fn main() {
 
         let oracle = plan.repair_dataset(&split.archive, &mut rng)?;
         let blind = GroupBlindRepairer::new(plan.clone(), &split.research)?
-            .repair_dataset_blind(&split.archive, &mut rng)?;
+            .repair_columnar_par(
+                &ColumnarDataset::from_dataset(&split.archive),
+                rng.next_u64(),
+            )?
+            .to_dataset();
         let (relabelled, accuracy) = estimate_labels(&split.research, &split.archive)?;
         let estimated_raw = plan.repair_dataset(&relabelled, &mut rng)?;
         // Evaluate fairness against the TRUE labels (the estimator only

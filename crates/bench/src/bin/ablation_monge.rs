@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
 use otr_core::{MongeRepair, RepairConfig, RepairPlanner};
-use otr_data::SimulationSpec;
+use otr_data::{ColumnarDataset, SimulationSpec};
 use otr_fairness::ConditionalDependence;
 
 const N_RESEARCH: usize = 500;
@@ -41,7 +41,9 @@ fn main() {
             let monge = MongeRepair::from_plan(&plan);
 
             let rand_rep = plan.repair_dataset(&split.archive, &mut rng)?;
-            let monge_rep = monge.repair_dataset(&split.archive)?;
+            let monge_rep = monge
+                .repair_columnar(&ColumnarDataset::from_dataset(&split.archive))?
+                .to_dataset();
             metrics.push((
                 format!("E-kantorovich/nQ={n_q}"),
                 cd.evaluate(&rand_rep)?.aggregate(),

@@ -14,16 +14,17 @@
 //!
 //! is available at zero extra fitting cost. The repairer draws
 //! `ŝ ~ Bernoulli(Pr[s=0 | x, u])` per point and routes the point through
-//! the corresponding plan rows — marginally, the repaired distribution is
-//! the posterior mixture of the two `s`-conditional repairs, which is
-//! exactly the group-blind transport of Zhou & Marecek (paper ref \[37\])
-//! specialized to our discrete plans.
+//! the corresponding plan rows with the shared columnar kernel —
+//! marginally, the repaired distribution is the posterior mixture of the
+//! two `s`-conditional repairs, which is exactly the group-blind
+//! transport of Zhou & Marecek (paper ref \[37\]) specialized to our
+//! discrete plans.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use otr_data::{Dataset, LabelledPoint};
+use otr_data::{ColumnarDataset, Dataset};
 use otr_par::{splitmix_seed, try_par_map_indexed};
 
 use crate::error::{RepairError, Result};
@@ -99,11 +100,21 @@ impl GroupBlindRepairer {
                 self.plan.dim
             )));
         }
-        let prior0 = self.prior_s0_given_u[u as usize];
+        self.posterior(u, x.iter().copied())
+    }
+
+    /// [`Self::posterior_s0`] over a point's features in feature order
+    /// (the caller has checked their count).
+    fn posterior(&self, u: u8, x: impl Iterator<Item = f64>) -> Result<f64> {
+        let Some(&prior0) = self.prior_s0_given_u.get(usize::from(u)) else {
+            return Err(RepairError::PlanMismatch(format!(
+                "no posterior for u={u}: labels are binary"
+            )));
+        };
         // Work in logs: d features of potentially tiny masses.
         let mut log0 = prior0.ln();
         let mut log1 = (1.0 - prior0).ln();
-        for (k, &v) in x.iter().enumerate() {
+        for (k, v) in x.enumerate() {
             log0 += self.marginal_mass_at(u, 0, k, v)?.max(1e-300).ln();
             log1 += self.marginal_mass_at(u, 1, k, v)?.max(1e-300).ln();
         }
@@ -113,40 +124,27 @@ impl GroupBlindRepairer {
         Ok(w0 / (w0 + w1))
     }
 
-    /// Repair one unlabelled point: draw `ŝ` from the posterior, then run
-    /// Algorithm 2 under `ŝ`. The returned point carries `ŝ` as its `s`
-    /// field (callers evaluating fairness should substitute ground truth
-    /// when they have it).
+    /// Repair a columnar data set whose `s` labels are treated as
+    /// unobserved: the stored labels are ignored for routing and put back
+    /// in the output, so fairness can be evaluated against ground truth.
+    ///
+    /// `seed` derives two seeds, `[post, kern] = [0, 1].map(|j|
+    /// splitmix_seed(seed, j))`, so the label draw stays independent of
+    /// the plan-row draws. Row `i` takes `ŝᵢ = 1` when the first uniform
+    /// of `StdRng::seed_from_u64(splitmix_seed(post, i))` is at least
+    /// [`Self::posterior_s0`], else `ŝᵢ = 0`; the rows, labelled `ŝ`, then
+    /// go through the kernel of [`RepairPlan::repair_columnar_par`] under
+    /// `kern`. Both passes are row-parallel on the wrapped plan's
+    /// `config.threads` (`0` = auto / `OTR_THREADS`) and the output is
+    /// **bit-identical for any thread count**.
     ///
     /// # Errors
-    /// Rejects dimension/label mismatches.
-    pub fn repair_point_blind<R: Rng + ?Sized>(
+    /// Rejects dimension mismatches and uncompiled plans.
+    pub fn repair_columnar_par(
         &self,
-        u: u8,
-        x: &[f64],
-        rng: &mut R,
-    ) -> Result<LabelledPoint> {
-        let p0 = self.posterior_s0(u, x)?;
-        let s_hat = u8::from(rng.gen::<f64>() >= p0);
-        let point = LabelledPoint {
-            x: x.to_vec(),
-            s: s_hat,
-            u,
-        };
-        self.plan.repair_point(&point, rng)
-    }
-
-    /// Repair a data set whose `s` labels are treated as unobserved (the
-    /// stored labels are ignored for routing and preserved in the output
-    /// so that fairness can be evaluated against ground truth).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_blind<R: Rng + ?Sized>(
-        &self,
-        data: &Dataset,
-        rng: &mut R,
-    ) -> Result<Dataset> {
+        data: &ColumnarDataset,
+        seed: u64,
+    ) -> Result<ColumnarDataset> {
         if data.dim() != self.plan.dim {
             return Err(RepairError::PlanMismatch(format!(
                 "dataset dimension {} vs plan dimension {}",
@@ -154,49 +152,19 @@ impl GroupBlindRepairer {
                 self.plan.dim
             )));
         }
-        let mut points = Vec::with_capacity(data.len());
-        for p in data.points() {
-            let repaired = self.repair_point_blind(p.u, &p.x, rng)?;
-            points.push(LabelledPoint {
-                x: repaired.x,
-                s: p.s, // ground truth back in place for evaluation
-                u: p.u,
-            });
-        }
-        Ok(Dataset::from_points(points)?)
-    }
-
-    /// Row-parallel blind repair with per-row SplitMix64 RNG streams
-    /// derived from `seed` — the group-blind analogue of
-    /// [`RepairPlan::repair_columnar_par`]. Row `i` draws its posterior
-    /// `ŝ` and its plan-row randomness from
-    /// `StdRng::seed_from_u64(splitmix_seed(seed, i))` whatever thread
-    /// executes it, so the output is **bit-identical for any thread
-    /// count** (threads come from the wrapped plan's `config.threads`;
-    /// `0` = auto / `OTR_THREADS`).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_blind_par(&self, data: &Dataset, seed: u64) -> Result<Dataset> {
-        if data.dim() != self.plan.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "dataset dimension {} vs plan dimension {}",
-                data.dim(),
-                self.plan.dim
-            )));
-        }
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), self.plan.config.threads, |i| {
-            let p = &pts[i];
-            let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, i as u64));
-            let repaired = self.repair_point_blind(p.u, &p.x, &mut rng)?;
-            Ok::<_, RepairError>(LabelledPoint {
-                x: repaired.x,
-                s: p.s, // ground truth back in place for evaluation
-                u: p.u,
-            })
+        let [post, kern] = [0, 1].map(|j| splitmix_seed(seed, j));
+        let (cols, u) = (data.feature_columns(), data.u());
+        let s_hat = try_par_map_indexed(data.len(), self.plan.config.threads, |i| {
+            let p0 = self.posterior(u[i], cols.iter().map(|col| col[i]))?;
+            let draw: f64 = StdRng::seed_from_u64(splitmix_seed(post, i as u64)).gen();
+            Ok::<_, RepairError>(u8::from(draw >= p0))
         })?;
-        Ok(Dataset::from_points(points)?)
+        let routed = ColumnarDataset::from_columns(cols.to_vec(), s_hat, u.to_vec())?;
+        let mut out: Vec<Vec<f64>> = (0..data.dim()).map(|_| vec![0.0; data.len()]).collect();
+        self.plan
+            .repair_columnar_into(&routed, 0..data.len(), kern, 0, &mut out)?;
+        // Ground truth back in place for evaluation.
+        Ok(data.with_feature_columns(out)?)
     }
 }
 
@@ -205,10 +173,9 @@ mod tests {
     use super::*;
     use crate::config::RepairConfig;
     use crate::plan::RepairPlanner;
-    use otr_data::SimulationSpec;
+    use otr_data::{LabelledPoint, SimulationSpec};
     use otr_fairness::ConditionalDependence;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::RngCore;
 
     fn setup(seed: u64) -> (GroupBlindRepairer, Dataset) {
         let spec = SimulationSpec::paper_defaults();
@@ -221,6 +188,39 @@ mod tests {
             GroupBlindRepairer::new(plan, &split.research).unwrap(),
             split.archive,
         )
+    }
+
+    /// The columnar blind repair of a row-layout data set.
+    fn repair(blind: &GroupBlindRepairer, data: &Dataset, seed: u64) -> Dataset {
+        let cols = ColumnarDataset::from_dataset(data);
+        blind.repair_columnar_par(&cols, seed).unwrap().to_dataset()
+    }
+
+    /// The blind contract one row at a time: the `ŝ` draw on the `post`
+    /// stream, Algorithm 2 under `ŝ` on the `kern` stream, true `s` back.
+    fn per_row_reference(
+        blind: &GroupBlindRepairer,
+        data: &Dataset,
+        seed: u64,
+    ) -> Vec<LabelledPoint> {
+        let [post, kern] = [0, 1].map(|j| splitmix_seed(seed, j));
+        let stream = |base, i: usize| StdRng::seed_from_u64(splitmix_seed(base, i as u64));
+        (data.points().iter().enumerate())
+            .map(|(i, p)| {
+                let p0 = blind.posterior_s0(p.u, &p.x).unwrap();
+                let s_hat = u8::from(stream(post, i).gen::<f64>() >= p0);
+                let routed = LabelledPoint {
+                    x: p.x.clone(),
+                    s: s_hat,
+                    u: p.u,
+                };
+                let repaired = blind.plan.repair_point(&routed, &mut stream(kern, i));
+                LabelledPoint {
+                    s: p.s,
+                    ..repaired.unwrap()
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -239,8 +239,7 @@ mod tests {
     #[test]
     fn blind_repair_reduces_dependence_without_labels() {
         let (blind, archive) = setup(2);
-        let mut rng = StdRng::seed_from_u64(7);
-        let repaired = blind.repair_dataset_blind(&archive, &mut rng).unwrap();
+        let repaired = repair(&blind, &archive, 7);
         let cd = ConditionalDependence::default();
         let before = cd.evaluate(&archive).unwrap().aggregate();
         let after = cd.evaluate(&repaired).unwrap().aggregate();
@@ -254,7 +253,7 @@ mod tests {
     fn blind_repair_weaker_than_oracle() {
         let (blind, archive) = setup(3);
         let mut rng = StdRng::seed_from_u64(8);
-        let blind_rep = blind.repair_dataset_blind(&archive, &mut rng).unwrap();
+        let blind_rep = repair(&blind, &archive, rng.next_u64());
         let oracle_rep = blind.plan().repair_dataset(&archive, &mut rng).unwrap();
         let cd = ConditionalDependence::default();
         let e_blind = cd.evaluate(&blind_rep).unwrap().aggregate();
@@ -268,8 +267,7 @@ mod tests {
     #[test]
     fn labels_and_cardinality_preserved() {
         let (blind, archive) = setup(4);
-        let mut rng = StdRng::seed_from_u64(9);
-        let repaired = blind.repair_dataset_blind(&archive, &mut rng).unwrap();
+        let repaired = repair(&blind, &archive, 9);
         assert_eq!(repaired.len(), archive.len());
         for (a, b) in repaired.points().iter().zip(archive.points()) {
             assert_eq!(a.s, b.s);
@@ -280,24 +278,24 @@ mod tests {
     #[test]
     fn parallel_blind_repair_identical_across_thread_counts() {
         let (mut blind, archive) = setup(7);
-        let mut reference: Option<Dataset> = None;
+        // Every thread count reproduces the per-row reference bit for bit
+        // (true labels included).
+        let reference = per_row_reference(&blind, &archive, 23);
+        let bits = |pts: &[LabelledPoint]| {
+            (pts.iter())
+                .map(|p| (p.s, p.u, p.x.iter().map(|v| v.to_bits()).collect()))
+                .collect::<Vec<(u8, u8, Vec<u64>)>>()
+        };
         for threads in [1usize, 2, 7] {
             blind.plan.config.threads = threads;
-            let out = blind.repair_dataset_blind_par(&archive, 23).unwrap();
-            // Labels are ground truth, features posterior-routed repairs.
-            for (a, b) in out.points().iter().zip(archive.points()) {
-                assert_eq!(a.s, b.s);
-                assert_eq!(a.u, b.u);
-            }
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(out.points(), r.points(), "threads = {threads}"),
-            }
+            let out = repair(&blind, &archive, 23);
+            assert_eq!(bits(out.points()), bits(&reference), "threads = {threads}");
         }
         // Still reduces dependence through the parallel path.
         let cd = ConditionalDependence::default();
         let before = cd.evaluate(&archive).unwrap().aggregate();
-        let after = cd.evaluate(&reference.unwrap()).unwrap().aggregate();
+        let repaired = Dataset::from_points(reference).unwrap();
+        let after = cd.evaluate(&repaired).unwrap().aggregate();
         assert!(
             after < before * 0.8,
             "blind par repair: {before} -> {after}"
@@ -330,5 +328,14 @@ mod tests {
     fn posterior_rejects_bad_dim() {
         let (blind, _) = setup(6);
         assert!(blind.posterior_s0(0, &[0.0]).is_err());
+        let wrong_dim = ColumnarDataset::from_columns(vec![vec![0.0]], vec![0], vec![0]).unwrap();
+        assert!(blind.repair_columnar_par(&wrong_dim, 1).is_err());
+    }
+
+    #[test]
+    fn posterior_rejects_non_binary_u() {
+        let (blind, _) = setup(6);
+        let err = blind.posterior_s0(2, &[0.0, 0.0]).unwrap_err();
+        assert!(matches!(err, RepairError::PlanMismatch(_)), "{err}");
     }
 }

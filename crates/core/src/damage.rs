@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use otr_data::{ColumnarDataset, Dataset, GroupKey};
+use otr_data::{ColumnarDataset, Dataset};
 use otr_ot::wasserstein::w2;
 use otr_ot::DiscreteDistribution;
 
@@ -23,7 +23,8 @@ use crate::error::{RepairError, Result};
 pub struct DamageReport {
     /// RMSE point displacement per feature.
     pub rmse_per_feature: Vec<f64>,
-    /// `W₂` between pre/post empirical marginals, indexed `[u][s][k]`.
+    /// `W₂` between pre/post empirical marginals, indexed `[u][s][k]`
+    /// (`0` for a `(u, s)` group with no rows).
     pub w2_group_feature: Vec<Vec<Vec<f64>>>,
 }
 
@@ -47,77 +48,29 @@ impl DamageReport {
     }
 }
 
-/// Compute the damage of `repaired` relative to `original`.
+/// Compute the damage of `repaired` relative to `original`: the report
+/// of [`dataset_damage_columnar`] on the two columnar images.
 ///
 /// The two data sets must be point-wise aligned (same order, labels, and
 /// dimension) — exactly what [`crate::RepairPlan::repair_dataset`]
 /// guarantees.
 ///
 /// # Errors
-/// Rejects misaligned inputs or empty `(u, s)` groups.
+/// Rejects misaligned inputs; absent `(u, s)` groups report `W₂ = 0`.
 pub fn dataset_damage(original: &Dataset, repaired: &Dataset) -> Result<DamageReport> {
-    if original.dim() != repaired.dim() || original.len() != repaired.len() {
-        return Err(RepairError::PlanMismatch(format!(
-            "damage inputs misaligned: {}x{} vs {}x{}",
-            original.len(),
-            original.dim(),
-            repaired.len(),
-            repaired.dim()
-        )));
-    }
-    for (a, b) in original.points().iter().zip(repaired.points()) {
-        if a.s != b.s || a.u != b.u {
-            return Err(RepairError::PlanMismatch(
-                "damage inputs must be point-wise label-aligned".into(),
-            ));
-        }
-    }
-    let d = original.dim();
-    let n = original.len() as f64;
-
-    let mut rmse = vec![0.0f64; d];
-    for (a, b) in original.points().iter().zip(repaired.points()) {
-        for k in 0..d {
-            let diff = a.x[k] - b.x[k];
-            rmse[k] += diff * diff;
-        }
-    }
-    for v in &mut rmse {
-        *v = (*v / n).sqrt();
-    }
-
-    let mut w2_gf = vec![vec![vec![0.0f64; d]; 2]; 2];
-    for u in 0..2u8 {
-        for s in 0..2u8 {
-            let key = GroupKey { u, s };
-            for k in 0..d {
-                let before = original.feature_column(key, k)?;
-                let after = repaired.feature_column(key, k)?;
-                if before.is_empty() {
-                    continue; // a group may legitimately be absent
-                }
-                let mu = DiscreteDistribution::empirical(&before)?;
-                let nu = DiscreteDistribution::empirical(&after)?;
-                w2_gf[u as usize][s as usize][k] = w2(&mu, &nu)?;
-            }
-        }
-    }
-
-    Ok(DamageReport {
-        rmse_per_feature: rmse,
-        w2_group_feature: w2_gf,
-    })
+    dataset_damage_columnar(
+        &ColumnarDataset::from_dataset(original),
+        &ColumnarDataset::from_dataset(repaired),
+    )
 }
 
-/// [`dataset_damage`] over columnar data sets, computed straight from
-/// the column slices (full-column RMSE sweeps, group gathers from one
-/// partition of the shared labels). Produces bitwise the same report as
-/// [`dataset_damage`] on the row-major images: the per-feature RMSE
-/// accumulates in ascending row order either way, and the group columns
-/// gather in the same insertion order.
+/// The damage of `repaired` relative to `original`, computed straight
+/// from the column slices: full-column RMSE sweeps in ascending row
+/// order, and per-group `W₂` over gathers from one partition of the
+/// shared labels.
 ///
 /// # Errors
-/// Rejects misaligned inputs or empty `(u, s)` groups.
+/// Rejects misaligned inputs; absent `(u, s)` groups report `W₂ = 0`.
 pub fn dataset_damage_columnar(
     original: &ColumnarDataset,
     repaired: &ColumnarDataset,
@@ -251,18 +204,26 @@ mod tests {
             );
             assert!(report.rmse_per_feature[k] > 0.05);
         }
-        // The columnar report is bitwise the row report.
-        let columnar = dataset_damage_columnar(
-            &ColumnarDataset::from_dataset(&data),
-            &ColumnarDataset::from_dataset(&repaired),
+    }
+
+    #[test]
+    fn absent_group_reports_zero_w2() {
+        // No (u = 1, s = 1) rows: the call succeeds, that group's W₂ is
+        // 0, and the RMSE still averages over every row.
+        let x = vec![-1.0, 0.5, 2.0, 0.0, 1.5, -0.5];
+        let original = ColumnarDataset::from_columns(
+            vec![x.clone()],
+            vec![0, 0, 1, 1, 0, 0],
+            vec![0, 0, 0, 0, 1, 1],
         )
         .unwrap();
-        let bits = |r: &DamageReport| {
-            let w2 = r.w2_group_feature.iter().flatten().flatten();
-            (r.rmse_per_feature.iter().chain(w2))
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&columnar), bits(&report));
+        let shifted = x.iter().map(|v| v + 2.0).collect();
+        let repaired = original.with_feature_columns(vec![shifted]).unwrap();
+        let report = dataset_damage_columnar(&original, &repaired).unwrap();
+        assert_eq!(report.w2_group_feature[1][1], vec![0.0]);
+        for (u, s) in [(0, 0), (0, 1), (1, 0)] {
+            assert!((report.w2_group_feature[u][s][0] - 2.0).abs() < 1e-9);
+        }
+        assert!((report.rmse_per_feature[0] - 2.0).abs() < 1e-12);
     }
 }

@@ -28,14 +28,11 @@
 //! * [`monge`] — the deterministic **Monge quantile-matching repair**,
 //!   the `nQ → ∞` limit of Algorithm 2 anticipated by the paper's
 //!   Brenier discussion (Section VI); derived directly from a designed
-//!   plan.
+//!   plan and applied as a per-cell map over columns.
 //! * [`blind`] — **group-blind repair** of `s`-unlabelled archival data
 //!   (the paper's priority future-work direction, Section VI): posterior
-//!   `Pr[s|x,u]` from the plan's own interpolated marginals, then a
-//!   posterior-randomized plan-row choice.
-//! * [`continuous_u`] — repair with a **continuous unprotected
-//!   attribute** `u ∈ ℝ` via quantile binning (Section VI's "important
-//!   generalization").
+//!   `Pr[s|x,u]` from the plan's own interpolated marginals, a
+//!   posterior draw of `ŝ` per row, then the shared columnar kernel.
 //! * [`joint`] — the 2-D joint repair for correlation-borne dependence
 //!   (Section VI's intra-feature-correlation caveat).
 //!
@@ -69,7 +66,6 @@
 
 pub mod blind;
 pub mod config;
-pub mod continuous_u;
 pub mod damage;
 pub mod error;
 pub mod geometric;
@@ -81,7 +77,6 @@ pub mod repair;
 
 pub use blind::GroupBlindRepairer;
 pub use config::{MassSplit, RepairConfig, SolverBackend};
-pub use continuous_u::{ContinuousUPoint, ContinuousURepairer};
 pub use damage::{dataset_damage, dataset_damage_columnar, DamageReport};
 pub use error::RepairError;
 pub use geometric::GeometricRepair;

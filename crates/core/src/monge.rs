@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use otr_data::{Dataset, LabelledPoint};
+use otr_data::ColumnarDataset;
 use otr_ot::MidpointCdf;
 
 use crate::error::{RepairError, Result};
@@ -81,34 +81,13 @@ impl MongeRepair {
         Ok(stratum.marginal_cdfs[s as usize].monge_to(&stratum.target_cdf, x))
     }
 
-    /// Repair a full labelled point.
+    /// Repair a columnar data set cell by cell through
+    /// [`Self::repair_value`] (deterministic; no RNG), preserving row
+    /// order and labels.
     ///
     /// # Errors
     /// Rejects dimension mismatches.
-    pub fn repair_point(&self, point: &LabelledPoint) -> Result<LabelledPoint> {
-        if point.x.len() != self.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "point dimension {} vs design dimension {}",
-                point.x.len(),
-                self.dim
-            )));
-        }
-        let mut x = Vec::with_capacity(self.dim);
-        for (k, &v) in point.x.iter().enumerate() {
-            x.push(self.repair_value(point.u, point.s, k, v)?);
-        }
-        Ok(LabelledPoint {
-            x,
-            s: point.s,
-            u: point.u,
-        })
-    }
-
-    /// Repair an entire labelled data set (deterministic; no RNG).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset(&self, data: &Dataset) -> Result<Dataset> {
+    pub fn repair_columnar(&self, data: &ColumnarDataset) -> Result<ColumnarDataset> {
         if data.dim() != self.dim {
             return Err(RepairError::PlanMismatch(format!(
                 "dataset dimension {} vs design dimension {}",
@@ -116,12 +95,15 @@ impl MongeRepair {
                 self.dim
             )));
         }
-        let points = data
-            .points()
-            .iter()
-            .map(|p| self.repair_point(p))
+        let (s, u) = (data.s(), data.u());
+        let out = (data.feature_columns().iter().enumerate())
+            .map(|(k, col)| {
+                (col.iter().enumerate())
+                    .map(|(i, &x)| self.repair_value(u[i], s[i], k, x))
+                    .collect::<Result<Vec<f64>>>()
+            })
             .collect::<Result<Vec<_>>>()?;
-        Ok(Dataset::from_points(points)?)
+        Ok(data.with_feature_columns(out)?)
     }
 }
 
@@ -130,7 +112,7 @@ mod tests {
     use super::*;
     use crate::config::RepairConfig;
     use crate::plan::RepairPlanner;
-    use otr_data::SimulationSpec;
+    use otr_data::{Dataset, SimulationSpec};
     use otr_fairness::ConditionalDependence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -145,11 +127,17 @@ mod tests {
         (plan, split.research, split.archive)
     }
 
+    /// The columnar Monge repair of a row-layout data set.
+    fn repair(monge: &MongeRepair, data: &Dataset) -> Dataset {
+        let cols = ColumnarDataset::from_dataset(data);
+        monge.repair_columnar(&cols).unwrap().to_dataset()
+    }
+
     #[test]
     fn monge_repair_quenches_dependence() {
         let (plan, _, archive) = setup(1, 50);
         let monge = MongeRepair::from_plan(&plan);
-        let repaired = monge.repair_dataset(&archive).unwrap();
+        let repaired = repair(&monge, &archive);
         let cd = ConditionalDependence::default();
         let before = cd.evaluate(&archive).unwrap().aggregate();
         let after = cd.evaluate(&repaired).unwrap().aggregate();
@@ -177,7 +165,7 @@ mod tests {
     fn monge_values_are_continuous_not_grid_states() {
         let (plan, _, archive) = setup(3, 25);
         let monge = MongeRepair::from_plan(&plan);
-        let repaired = monge.repair_dataset(&archive).unwrap();
+        let repaired = repair(&monge, &archive);
         // At a coarse nQ=25 grid, most repaired values should NOT coincide
         // with grid states (unlike Algorithm 2).
         let fp = plan.feature_plan(0, 0).unwrap();
@@ -200,7 +188,7 @@ mod tests {
         // the repaired e-metric must be close between the two operators.
         let (plan, _, archive) = setup(4, 200);
         let monge = MongeRepair::from_plan(&plan);
-        let det = monge.repair_dataset(&archive).unwrap();
+        let det = repair(&monge, &archive);
         let mut rng = StdRng::seed_from_u64(99);
         let rand = plan.repair_dataset(&archive, &mut rng).unwrap();
         let cd = ConditionalDependence::default();
@@ -219,12 +207,8 @@ mod tests {
         assert!(monge.repair_value(2, 0, 0, 0.0).is_err());
         assert!(monge.repair_value(0, 2, 0, 0.0).is_err());
         assert!(monge.repair_value(0, 0, 5, 0.0).is_err());
-        let bad = LabelledPoint {
-            x: vec![0.0],
-            s: 0,
-            u: 0,
-        };
-        assert!(monge.repair_point(&bad).is_err());
+        let bad = ColumnarDataset::from_columns(vec![vec![0.0]], vec![0], vec![0]).unwrap();
+        assert!(monge.repair_columnar(&bad).is_err());
     }
 
     #[test]
@@ -242,7 +226,7 @@ mod tests {
     fn labels_preserved() {
         let (plan, _, archive) = setup(7, 30);
         let monge = MongeRepair::from_plan(&plan);
-        let repaired = monge.repair_dataset(&archive).unwrap();
+        let repaired = repair(&monge, &archive);
         assert_eq!(repaired.len(), archive.len());
         for (a, b) in repaired.points().iter().zip(archive.points()) {
             assert_eq!(a.s, b.s);

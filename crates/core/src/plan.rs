@@ -747,7 +747,7 @@ impl RepairPlanner {
         self.config.validate()?;
         let d = research.dim();
         let features = try_par_map_indexed(2 * d, self.config.threads, |idx| {
-            self.design_feature(research, (idx / d) as u8, idx % d)
+            self.design_feature(research, (idx / d) as u8, idx % d, [None, None])
         })?;
         Ok(RepairPlan {
             config: self.config,
@@ -782,7 +782,7 @@ impl RepairPlanner {
                 .feature_plan(u, k)
                 .map(|fp| [fp.duals[0].as_ref(), fp.duals[1].as_ref()])
                 .unwrap_or([None, None]);
-            self.design_feature_warm(research, u, k, warm)
+            self.design_feature(research, u, k, warm)
         })?;
         Ok(RepairPlan {
             config: self.config,
@@ -791,13 +791,10 @@ impl RepairPlanner {
         })
     }
 
-    /// Design the `(u, k)` stratum (lines 3–11 of Algorithm 1).
-    fn design_feature(&self, research: &Dataset, u: u8, k: usize) -> Result<FeaturePlan> {
-        self.design_feature_warm(research, u, k, [None, None])
-    }
-
-    /// [`Self::design_feature`] with warm-start duals per `s`.
-    fn design_feature_warm(
+    /// Design the `(u, k)` stratum (lines 3–11 of Algorithm 1), seeding
+    /// entropic solves from per-`s` warm-start duals when given (see
+    /// [`Self::redesign`] for the contract).
+    fn design_feature(
         &self,
         research: &Dataset,
         u: u8,
@@ -808,37 +805,6 @@ impl RepairPlanner {
             research.feature_column(GroupKey { u, s: 0 }, k)?,
             research.feature_column(GroupKey { u, s: 1 }, k)?,
         ];
-        self.design_feature_columns_warm(xs, u, k, warm)
-    }
-
-    /// Design one stratum directly from the two `s`-conditional feature
-    /// columns. This is the raw form of Algorithm 1's inner loop; the
-    /// continuous-`u` extension ([`crate::continuous_u`]) uses it with
-    /// quantile-bin indices in place of the binary `u`.
-    ///
-    /// # Errors
-    /// Same requirements as [`Self::design`].
-    pub fn design_feature_columns(
-        &self,
-        xs: [Vec<f64>; 2],
-        u: u8,
-        k: usize,
-    ) -> Result<FeaturePlan> {
-        self.design_feature_columns_warm(xs, u, k, [None, None])
-    }
-
-    /// [`Self::design_feature_columns`] with per-`s` warm-start duals
-    /// (see [`Self::redesign`] for the contract).
-    ///
-    /// # Errors
-    /// Same requirements as [`Self::design`].
-    pub fn design_feature_columns_warm(
-        &self,
-        xs: [Vec<f64>; 2],
-        u: u8,
-        k: usize,
-        warm: [Option<&SinkhornDuals>; 2],
-    ) -> Result<FeaturePlan> {
         for (s, col) in xs.iter().enumerate() {
             if col.len() < self.config.min_group_size {
                 return Err(RepairError::InsufficientResearchData {

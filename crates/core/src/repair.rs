@@ -3,15 +3,14 @@
 //! The paper's motivating deployment (Section I) is a stream of archival
 //! observations arriving *after* the repair was designed. The
 //! [`StreamingRepairer`] wraps a designed [`RepairPlan`] with an owned RNG
-//! and running counters, so a data pipeline can push labelled points
-//! through it one at a time, or columnar batches through the kernel,
-//! with O(1) amortized cost per feature and no further reference to the
-//! research data.
+//! and running counters, so a data pipeline can push columnar batches
+//! through the kernel as they arrive, with O(1) amortized cost per
+//! feature and no further reference to the research data.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use otr_data::{ColumnarDataset, LabelledPoint};
+use otr_data::ColumnarDataset;
 
 use crate::config::MassSplit;
 use crate::error::{RepairError, Result};
@@ -54,18 +53,6 @@ impl StreamingRepairer {
     /// Stream statistics so far.
     pub fn stats(&self) -> StreamStats {
         self.stats
-    }
-
-    /// Repair one labelled point, updating stream statistics.
-    ///
-    /// # Errors
-    /// Same requirements as [`RepairPlan::repair_point`].
-    pub fn repair(&mut self, point: &LabelledPoint) -> Result<LabelledPoint> {
-        let oob = out_of_range_features(&self.plan, point);
-        let repaired = self.plan.repair_point(point, &mut self.rng)?;
-        self.stats.out_of_range += oob;
-        self.stats.repaired += 1;
-        Ok(repaired)
     }
 
     /// Repair a columnar batch through the kernel of
@@ -121,28 +108,12 @@ impl StreamingRepairer {
     }
 }
 
-/// Feature values of `point` outside the plan's support range (they will
-/// be clamped to boundary states at repair time — the stationarity
-/// warning sign of Section V-A2a), counted by [`StreamingRepairer::repair`]
-/// with the same strict test the kernel's batch counter uses.
-fn out_of_range_features(plan: &RepairPlan, point: &LabelledPoint) -> u64 {
-    point
-        .x
-        .iter()
-        .enumerate()
-        .filter(|&(k, &v)| {
-            plan.feature_plan(point.u, k)
-                .is_ok_and(|fp| v < fp.support[0] || v > fp.support[fp.support.len() - 1])
-        })
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RepairConfig;
     use crate::plan::RepairPlanner;
-    use otr_data::{Dataset, SimulationSpec};
+    use otr_data::SimulationSpec;
 
     fn setup() -> (RepairPlan, ColumnarDataset) {
         let spec = SimulationSpec::paper_defaults();
@@ -170,33 +141,26 @@ mod tests {
     fn labels_pass_through() {
         let (plan, batch) = setup();
         let mut streamer = StreamingRepairer::new(plan, 8);
-        for p in batch.to_dataset().points().iter().take(50) {
-            let r = streamer.repair(p).unwrap();
-            assert_eq!(r.s, p.s);
-            assert_eq!(r.u, p.u);
+        for start in (0..batch.len()).step_by(50) {
+            let part = batch
+                .slice_rows(start..(start + 50).min(batch.len()))
+                .unwrap();
+            let r = streamer.repair_batch(&part).unwrap();
+            assert_eq!(r.s(), part.s());
+            assert_eq!(r.u(), part.u());
         }
     }
 
     #[test]
     fn out_of_range_counters_trigger() {
         let (plan, _) = setup();
-        let extreme = LabelledPoint {
-            x: vec![1e9, -1e9],
-            s: 0,
-            u: 0,
-        };
-        let mut streamer = StreamingRepairer::new(plan.clone(), 9);
-        streamer.repair(&extreme).unwrap();
-        assert_eq!(streamer.stats().out_of_range, 2);
-        assert!(streamer.out_of_range_rate() > 0.99);
-        // The batch counter agrees with the point-wise one.
-        let data = Dataset::from_points(vec![extreme]).unwrap();
+        let extreme =
+            ColumnarDataset::from_columns(vec![vec![1e9], vec![-1e9]], vec![0], vec![0]).unwrap();
         let mut streamer = StreamingRepairer::new(plan, 9);
-        streamer
-            .repair_batch(&ColumnarDataset::from_dataset(&data))
-            .unwrap();
+        streamer.repair_batch(&extreme).unwrap();
         assert_eq!(streamer.stats().out_of_range, 2);
         assert_eq!(streamer.stats().repaired, 1);
+        assert!(streamer.out_of_range_rate() > 0.99);
     }
 
     #[test]

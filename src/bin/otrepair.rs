@@ -405,40 +405,25 @@ fn cmd_apply(args: &[String]) -> CliResult {
         plan.config.batch_rows = Some(batch.parse()?);
     }
 
-    if use_monge {
-        let data = load_dataset(data_path)?;
-        eprintln!(
-            "repairing {} points through {plan_path} (Monge mode)",
-            data.len()
-        );
-        let repaired = MongeRepair::from_plan(&plan).repair_dataset(&data)?;
-        let out = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
-        ot_fair_repair::data::write_labelled_csv(BufWriter::new(out), &repaired)?;
-        let damage = dataset_damage(&data, &repaired)?;
-        eprintln!(
-            "wrote {out_path}; mean RMSE displacement {:.4}",
-            damage.mean_rmse()
-        );
-        return Ok(());
-    }
-
-    // Algorithm 2: ingest straight into columns, repair with the
-    // columnar kernel (then the partial-repair geodesic, if asked),
-    // stream back out.
+    // Ingest straight into columns, repair (Algorithm 2's columnar
+    // kernel, then the partial-repair geodesic if asked, or the Monge
+    // limit cell by cell), stream back out.
     let file = File::open(data_path).map_err(|e| format!("cannot open {data_path}: {e}"))?;
     let data = ot_fair_repair::data::read_labelled_csv_columnar(BufReader::new(file))?;
-    let split = match plan.config.mass_split {
+    let mode = match plan.config.mass_split {
+        _ if use_monge => "Monge",
         MassSplit::Randomized => "randomized",
         MassSplit::Deterministic => "deterministic",
     };
     let lambda = partial.map_or(String::new(), |l| format!(", partial λ = {l}"));
     eprintln!(
-        "repairing {} points through {plan_path} ({split} mode{lambda})",
+        "repairing {} points through {plan_path} ({mode} mode{lambda})",
         data.len()
     );
-    let repaired = match partial {
-        Some(lambda) => plan.repair_columnar_partial(&data, lambda, seed)?,
-        None => plan.repair_columnar_par(&data, seed)?,
+    let repaired = match (use_monge, partial) {
+        (true, _) => MongeRepair::from_plan(&plan).repair_columnar(&data)?,
+        (false, Some(lambda)) => plan.repair_columnar_partial(&data, lambda, seed)?,
+        (false, None) => plan.repair_columnar_par(&data, seed)?,
     };
     let out = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     ot_fair_repair::data::write_labelled_csv_columnar(BufWriter::new(out), &repaired)?;

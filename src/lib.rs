@@ -55,11 +55,10 @@ pub use otr_stats as stats;
 /// Convenience prelude pulling in the types used by almost every caller.
 pub mod prelude {
     pub use otr_core::{
-        dataset_damage, dataset_damage_columnar, plan_group_divergences, ContinuousUPoint,
-        ContinuousURepairer, DamageReport, DriftConfig, DriftMonitor, GeometricRepair,
-        GroupBlindRepairer, JointDesignReport, JointRepairConfig, JointRepairPlan, MassSplit,
-        MongeRepair, RepairConfig, RepairPlan, RepairPlanner, SolverBackend, StratumDrift,
-        StreamingRepairer,
+        dataset_damage, dataset_damage_columnar, plan_group_divergences, DamageReport, DriftConfig,
+        DriftMonitor, GeometricRepair, GroupBlindRepairer, JointDesignReport, JointRepairConfig,
+        JointRepairPlan, MassSplit, MongeRepair, RepairConfig, RepairPlan, RepairPlanner,
+        SolverBackend, StratumDrift, StreamingRepairer,
     };
     pub use otr_data::{
         AdultSynth, ColumnarDataset, Dataset, Drift, GroupKey, LabelledPoint, SimulationSpec,

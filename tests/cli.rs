@@ -7,7 +7,8 @@ use std::process::Command;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ot_fair_repair::data::{write_labelled_csv, SimulationSpec};
+use ot_fair_repair::data::{read_labelled_csv, write_labelled_csv, Dataset, SimulationSpec};
+use ot_fair_repair::repair::{MongeRepair, RepairPlan};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_otrepair")
@@ -115,6 +116,23 @@ fn apply_monge_mode_and_partial_conflict() {
         .status()
         .unwrap()
         .success());
+    // The output is the Monge map of the input, cell by cell and bit for
+    // bit, with labels and row order unchanged.
+    let read = |path: &str| -> Dataset {
+        read_labelled_csv(std::io::BufReader::new(std::fs::File::open(path).unwrap())).unwrap()
+    };
+    let monge = MongeRepair::from_plan(
+        &RepairPlan::from_json(&std::fs::read_to_string(&plan).unwrap()).unwrap(),
+    );
+    let (input, output) = (read(&archive), read(&out));
+    assert_eq!(input.len(), output.len());
+    for (i, (a, b)) in input.points().iter().zip(output.points()).enumerate() {
+        assert_eq!((a.s, a.u), (b.s, b.u), "row {i} labels");
+        for (k, (&x, &r)) in a.x.iter().zip(&b.x).enumerate() {
+            let want = monge.repair_value(a.u, a.s, k, x).unwrap();
+            assert_eq!(r.to_bits(), want.to_bits(), "row {i}, x{k}");
+        }
+    }
     // --monge + --partial must be rejected.
     let conflicted = Command::new(bin())
         .args([
@@ -158,10 +176,10 @@ fn apply_output_identical_for_any_thread_count() {
         .unwrap()
         .success());
 
-    // Full repair and partial repair (the kernel plus the geodesic pass).
-    // `--threads` sets the kernel's threads; `OTR_THREADS` also reaches
-    // the CSV reader and writer.
-    for mode in [&[][..], &["--partial", "0.4"][..]] {
+    // Full repair, partial repair (the kernel plus the geodesic pass) and
+    // the Monge map. `--threads` sets the kernel's threads; `OTR_THREADS`
+    // also reaches the CSV reader and writer.
+    for mode in [&[][..], &["--partial", "0.4"][..], &["--monge"][..]] {
         let mut outputs = Vec::new();
         for threads in ["1", "2", "7"] {
             let out = dir
