@@ -2,7 +2,8 @@
 # Scripted otrepaird session: boots the daemon on a loopback port, drives a
 # full client lifecycle (ping / load / plans / repair / info / evict), and
 # pins the serving determinism contract by comparing the served bytes against
-# an offline `otrepair apply` run with the same plan and seed.
+# an offline `otrepair apply` run with the same plan and seed, for a scalar
+# and a joint plan.
 #
 # Run from the repository root after `cargo build --release --bins`:
 #
@@ -34,6 +35,9 @@ echo "== design a plan and produce the offline reference =="
 "$BIN" design --research "$FIXTURES/research.csv" --out "$WORK/plan.json" --nq 24
 "$BIN" apply --plan "$WORK/plan.json" --data "$FIXTURES/archive.csv" \
     --out "$WORK/offline.csv" --seed "$SEED"
+"$BIN" design --joint --research "$FIXTURES/research.csv" --out "$WORK/joint.json"
+"$BIN" apply --joint --plan "$WORK/joint.json" --data "$FIXTURES/archive.csv" \
+    --out "$WORK/joint-offline.csv" --seed "$SEED"
 
 echo "== boot otrepaird on an ephemeral loopback port =="
 "$DAEMON" --bind 127.0.0.1:0 --shards 7 --port-file "$WORK/port" &
@@ -70,6 +74,13 @@ grep -qi 'UnknownPlan' "$WORK/err"
 
 echo "== serving determinism: served bytes == offline apply bytes =="
 cmp "$WORK/offline.csv" "$WORK/served.csv"
+
+echo "== joint plan: served bytes == offline apply --joint bytes =="
+"$BIN" client load --addr "$ADDR" --plan "$WORK/joint.json" --name ci-joint --joint
+"$BIN" client plans --addr "$ADDR" | grep -q 'ci-joint@1  joint  dim=2'
+"$BIN" client repair --addr "$ADDR" --name ci-joint \
+    --data "$FIXTURES/archive.csv" --out "$WORK/joint-served.csv" --seed "$SEED"
+cmp "$WORK/joint-offline.csv" "$WORK/joint-served.csv"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
@@ -182,4 +193,4 @@ kill "$PID3"
 wait "$PID3" 2>/dev/null || true
 PID3=""
 
-echo "serve session OK: lifecycle clean, overload handled politely, drift trip hot-swapped and audited, served output byte-identical to offline apply"
+echo "serve session OK: lifecycle clean, overload handled politely, drift trip hot-swapped and audited, served scalar and joint output byte-identical to offline apply"

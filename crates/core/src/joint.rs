@@ -610,7 +610,8 @@ impl JointRepairPlan {
     /// Load a joint plan from JSON and recompile its derived state.
     ///
     /// # Errors
-    /// Propagates deserialization and recompilation failures.
+    /// Propagates deserialization and recompilation failures, and
+    /// rejects strata that disagree on the feature count `d`.
     pub fn from_json(json: &str) -> Result<Self> {
         let mut plan: JointRepairPlan =
             serde_json::from_str(json).map_err(|e| RepairError::Persistence(e.to_string()))?;
@@ -622,6 +623,12 @@ impl JointRepairPlan {
         }
         for (u, stratum) in plan.strata.iter_mut().enumerate() {
             stratum.compile(u as u8)?;
+        }
+        let (d0, d1) = (plan.strata[0].axes.len(), plan.strata[1].axes.len());
+        if d0 != d1 {
+            return Err(RepairError::PlanMismatch(format!(
+                "joint strata disagree on the feature count: u=0 has d = {d0}, u=1 has d = {d1}"
+            )));
         }
         Ok(plan)
     }
@@ -1021,6 +1028,29 @@ mod tests {
         };
         assert!(matches!(
             stratum.compile(0),
+            Err(RepairError::PlanMismatch(_))
+        ));
+        // Each stratum is well formed on its own, but u = 0 repairs
+        // d = 2 rows and u = 1 d = 3 rows.
+        let stratum = |d: usize| {
+            let n = 1 << d;
+            let plan = OtPlan::from_dense(n, n, vec![1.0 / (n * n) as f64; n * n]).unwrap();
+            JointStratum {
+                gx: Vec::new(),
+                gy: Vec::new(),
+                axes: vec![vec![0.0, 1.0]; d],
+                points: Vec::new(),
+                plans: [plan.clone(), plan],
+                duals: [None, None],
+                samplers: [Vec::new(), Vec::new()],
+            }
+        };
+        let mixed = JointRepairPlan {
+            config: JointRepairConfig::default(),
+            strata: vec![stratum(2), stratum(3)],
+        };
+        assert!(matches!(
+            JointRepairPlan::from_json(&mixed.to_json().unwrap()),
             Err(RepairError::PlanMismatch(_))
         ));
     }

@@ -250,7 +250,8 @@ impl ColumnarDataset {
     /// columns through this, never materializing row structs).
     ///
     /// # Errors
-    /// Mirrors [`Dataset::push`].
+    /// Rejects a row of another dimension, non-finite features, and
+    /// labels outside `{0, 1}`; a rejected row changes nothing.
     pub fn push_row(&mut self, x: &[f64], s: u8, u: u8) -> Result<()> {
         if x.len() != self.dim {
             return Err(DataError::Shape(format!(
@@ -378,16 +379,16 @@ mod tests {
     }
 
     #[test]
-    fn push_row_matches_dataset_push() {
+    fn push_row_matches_from_points() {
         let mut c = ColumnarDataset::new(2).unwrap();
-        let mut d = Dataset::new(2).unwrap();
-        for p in small().points() {
+        let d = small();
+        for p in d.points() {
             c.push_row(&p.x, p.s, p.u).unwrap();
-            d.push(p.clone()).unwrap();
         }
         assert_eq!(c.to_dataset(), d);
         assert_eq!(c, ColumnarDataset::from_dataset(&d));
-        // Validation mirrors Dataset::push; a rejected row changes nothing.
+        // Validation mirrors Dataset::from_points; a rejected row
+        // changes nothing.
         assert!(c.push_row(&[1.0], 0, 0).is_err());
         assert!(c.push_row(&[1.0, f64::NAN], 0, 0).is_err());
         assert!(c.push_row(&[1.0, 2.0], 2, 0).is_err());

@@ -1,10 +1,10 @@
-//! The labelled data-set container: observations `z = {x, s, u}` of the
-//! paper's Equation (1), with the group bookkeeping that Algorithms 1 and 2
-//! stratify over.
+//! The row-major labelled data-set container: observations
+//! `z = {x, s, u}` of the paper's Equation (1), with the `(u, s)` group
+//! columns that Algorithm 1 stratifies over.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::error::{DataError, Result};
 
@@ -28,18 +28,11 @@ impl GroupKey {
             GroupKey { u: 1, s: 1 },
         ]
     }
-
-    /// The cache slot (`u * 2 + s`) of a valid binary key; `None` for
-    /// labels outside `{0, 1}` (which belong to no group).
-    #[inline]
-    pub(crate) fn slot(self) -> Option<usize> {
-        (self.u <= 1 && self.s <= 1).then(|| usize::from(self.u) * 2 + usize::from(self.s))
-    }
 }
 
 /// One labelled observation: features `x ∈ ℝᵈ`, protected attribute `s`,
 /// unprotected attribute `u`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelledPoint {
     /// Feature vector.
     pub x: Vec<f64>,
@@ -50,82 +43,16 @@ pub struct LabelledPoint {
 }
 
 /// An in-memory data set of labelled points with a fixed feature dimension.
-///
-/// Alongside the row store, the data set maintains per-`(u, s)`
-/// **group-index caches** (row indices in insertion order), built once at
-/// construction and kept current by [`Dataset::push`], so
-/// [`Dataset::group`] / [`Dataset::feature_column`] never rescan all
-/// points. The caches are derived state: serialization writes only
-/// `{dim, points}` and deserialization rebuilds them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     dim: usize,
     points: Vec<LabelledPoint>,
-    /// Row indices per `(u, s)` group, slot-indexed `u * 2 + s`, each
-    /// ascending (insertion order).
-    groups: [Vec<usize>; 4],
-}
-
-impl Serialize for Dataset {
-    fn to_value(&self) -> Value {
-        // Same shape the derive produced before the group caches existed;
-        // the caches are derived state and must not travel.
-        Value::Obj(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("points".to_string(), self.points.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Dataset {
-    fn from_value(value: &Value) -> std::result::Result<Self, serde::Error> {
-        let dim = usize::from_value(
-            value
-                .get("dim")
-                .ok_or_else(|| serde::Error::missing_field("dim", "Dataset"))?,
-        )?;
-        let points = Vec::<LabelledPoint>::from_value(
-            value
-                .get("points")
-                .ok_or_else(|| serde::Error::missing_field("points", "Dataset"))?,
-        )?;
-        Ok(Self::from_validated(dim, points))
-    }
 }
 
 impl Dataset {
-    /// Create an empty data set of feature dimension `dim ≥ 1`.
-    ///
-    /// # Errors
-    /// Rejects `dim == 0`.
-    pub fn new(dim: usize) -> Result<Self> {
-        if dim == 0 {
-            return Err(DataError::Shape("feature dimension must be >= 1".into()));
-        }
-        Ok(Self {
-            dim,
-            points: Vec::new(),
-            groups: Default::default(),
-        })
-    }
-
-    /// Assemble a data set from already-validated points, (re)building
-    /// the group-index caches. Points with labels outside `{0, 1}` (only
-    /// reachable through deserialization of foreign JSON) land in no
-    /// group — the same observable behaviour the old scan-per-call
-    /// accessors had.
+    /// Assemble a data set from already-validated points.
     pub(crate) fn from_validated(dim: usize, points: Vec<LabelledPoint>) -> Self {
-        let mut groups: [Vec<usize>; 4] = Default::default();
-        for (i, p) in points.iter().enumerate() {
-            if let Some(slot) = (GroupKey { u: p.u, s: p.s }).slot() {
-                groups[slot].push(i);
-            }
-        }
-        Self {
-            dim,
-            points,
-            groups,
-        }
+        Self { dim, points }
     }
 
     /// Build from points, validating dimensions and label ranges.
@@ -187,58 +114,8 @@ impl Dataset {
         &self.points
     }
 
-    /// Append a point.
-    ///
-    /// # Errors
-    /// Validates dimension, finiteness, and label range.
-    pub fn push(&mut self, p: LabelledPoint) -> Result<()> {
-        if p.x.len() != self.dim {
-            return Err(DataError::Shape(format!(
-                "point has dimension {} (expected {})",
-                p.x.len(),
-                self.dim
-            )));
-        }
-        if p.x.iter().any(|v| !v.is_finite()) {
-            return Err(DataError::Shape("point has non-finite features".into()));
-        }
-        if p.s > 1 || p.u > 1 {
-            return Err(DataError::Shape("labels must be in {0,1}".into()));
-        }
-        if let Some(slot) = (GroupKey { u: p.u, s: p.s }).slot() {
-            self.groups[slot].push(self.points.len());
-        }
-        self.points.push(p);
-        Ok(())
-    }
-
-    /// Row indices of the `(u, s)` group, in insertion order — the
-    /// precomputed cache behind [`Self::group`] and
-    /// [`Self::feature_column`]. Labels outside `{0, 1}` name no group
-    /// and yield an empty slice.
-    #[inline]
-    pub fn group_indices(&self, key: GroupKey) -> &[usize] {
-        match key.slot() {
-            Some(slot) => &self.groups[slot],
-            None => &[],
-        }
-    }
-
-    /// Iterator over points in the `(u, s)` group (cached indices; no
-    /// full scan).
-    pub fn group(&self, key: GroupKey) -> impl Iterator<Item = &LabelledPoint> {
-        self.group_indices(key)
-            .iter()
-            .map(move |&i| &self.points[i])
-    }
-
-    /// Number of points in the `(u, s)` group — O(1) via the cache.
-    pub fn group_len(&self, key: GroupKey) -> usize {
-        self.group_indices(key).len()
-    }
-
-    /// Feature-`k` column of a `(u, s)` group — the `x_{R,u,s,k}` input of
-    /// Algorithm 1. A gather through the cached group indices; no scan.
+    /// Feature-`k` column of a `(u, s)` group, in row order — the
+    /// `x_{R,u,s,k}` input of Algorithm 1.
     ///
     /// # Errors
     /// Rejects `k >= dim`.
@@ -250,9 +127,10 @@ impl Dataset {
             )));
         }
         Ok(self
-            .group_indices(key)
+            .points
             .iter()
-            .map(|&i| self.points[i].x[k])
+            .filter(|p| p.u == key.u && p.s == key.s)
+            .map(|p| p.x[k])
             .collect())
     }
 
@@ -361,7 +239,7 @@ impl Dataset {
 
 /// A research/archive split — the paper's `X_R` (small, fully labelled,
 /// used to design the repair) and `X_A` (large, repaired off-sample).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitData {
     /// The on-sample research data `X_R`.
     pub research: Dataset,
@@ -407,8 +285,10 @@ mod tests {
     #[test]
     fn group_slicing() {
         let d = small();
-        assert_eq!(d.group_len(GroupKey { u: 1, s: 1 }), 2);
-        assert_eq!(d.group_len(GroupKey { u: 0, s: 0 }), 1);
+        assert_eq!(
+            d.feature_column(GroupKey { u: 0, s: 0 }, 1).unwrap(),
+            vec![1.0]
+        );
         let col = d.feature_column(GroupKey { u: 1, s: 1 }, 0).unwrap();
         assert_eq!(col, vec![3.0, 4.0]);
         assert!(d.feature_column(GroupKey { u: 1, s: 1 }, 5).is_err());
@@ -466,16 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn push_validates() {
-        let mut d = Dataset::new(2).unwrap();
-        assert!(d.push(pt(&[1.0, 2.0], 0, 1)).is_ok());
-        assert!(d.push(pt(&[1.0], 0, 1)).is_err());
-        assert!(d.push(pt(&[1.0, f64::INFINITY], 0, 1)).is_err());
-        assert!(d.push(pt(&[1.0, 2.0], 9, 1)).is_err());
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
     fn map_features_preserves_labels() {
         let d = small();
         let shifted = d
@@ -492,44 +362,14 @@ mod tests {
     }
 
     #[test]
-    fn group_cache_tracks_constructors_and_push() {
-        let mut d = small();
-        assert_eq!(d.group_indices(GroupKey { u: 1, s: 1 }), &[3, 4]);
-        assert_eq!(d.group_indices(GroupKey { u: 0, s: 1 }), &[1]);
-        // Labels outside {0,1} name no group.
-        assert!(d.group_indices(GroupKey { u: 2, s: 0 }).is_empty());
-        d.push(pt(&[9.0, 9.0], 1, 1)).unwrap();
-        assert_eq!(d.group_indices(GroupKey { u: 1, s: 1 }), &[3, 4, 5]);
-        // A rejected push must not grow the cache.
-        assert!(d.push(pt(&[9.0], 1, 1)).is_err());
-        assert_eq!(d.group_len(GroupKey { u: 1, s: 1 }), 3);
-        // Derived constructors rebuild the cache consistently.
-        let both = d.concat(&d).unwrap();
-        for key in GroupKey::all() {
-            assert_eq!(both.group_len(key), 2 * d.group_len(key));
-            for (&i, p) in both.group_indices(key).iter().zip(both.group(key)) {
-                assert_eq!(&both.points()[i], p);
-            }
-        }
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_group_cache() {
-        use serde::{Deserialize as _, Serialize as _};
-        let d = small();
-        let back = Dataset::from_value(&d.to_value()).unwrap();
-        assert_eq!(back, d);
-        for key in GroupKey::all() {
-            assert_eq!(back.group_indices(key), d.group_indices(key));
-        }
-    }
-
-    #[test]
     fn group_key_all_is_exhaustive() {
         let keys = GroupKey::all();
         assert_eq!(keys.len(), 4);
         let d = small();
-        let total: usize = keys.iter().map(|&k| d.group_len(k)).sum();
+        let total: usize = keys
+            .iter()
+            .map(|&key| d.feature_column(key, 0).unwrap().len())
+            .sum();
         assert_eq!(total, d.len());
     }
 }

@@ -3,14 +3,13 @@
 //! In-memory labelled data sets and the generators behind both of the
 //! paper's test beds:
 //!
-//! * [`dataset`] — the [`Dataset`] container of `(x ∈ ℝᵈ, s, u)`
-//!   observations (`Z = {X, S, U}`, Equation 1), with `(u,s)`-group
-//!   slicing, feature-column extraction, and research/archive splitting.
+//! * [`dataset`] — the row-major [`Dataset`] container of
+//!   `(x ∈ ℝᵈ, s, u)` observations (`Z = {X, S, U}`, Equation 1), with
+//!   `(u,s)`-group feature columns and research/archive splitting.
 //! * [`columnar`] — the same data in column-major (struct-of-arrays)
-//!   layout ([`ColumnarDataset`]): one contiguous column per feature,
-//!   packed label bytes, precomputed group indices. The cache-friendly
-//!   substrate of the batch repair kernels; conversions both ways are
-//!   lossless.
+//!   layout ([`ColumnarDataset`]): one contiguous column per feature and
+//!   packed label bytes. The cache-friendly substrate of the batch
+//!   repair kernels; conversions both ways are lossless.
 //! * [`synth`] — the bivariate-Gaussian simulation of Section V-A
 //!   ([`SimulationSpec`]).
 //! * [`adult`] — the Adult-income study (Section V-B): a calibrated

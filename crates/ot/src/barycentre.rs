@@ -9,10 +9,13 @@
 //!    re-bin the mass onto a caller-fixed support with linear mass
 //!    splitting, which is what Algorithm 1 needs (`ν` must live on the
 //!    same interpolated support `Q` as the marginals).
-//! 2. [`entropic_barycentre`] — the **fixed-support iterative-Bregman**
-//!    barycentre (Benamou et al. 2015) for regularized OT, usable with
-//!    more than two marginals and in higher dimensions; property-tested to
-//!    agree with (1) at small `ε`.
+//! 2. [`entropic_barycentre_grid_nd`] — the **fixed-support
+//!    iterative-Bregman** barycentre (Benamou et al. 2015) for regularized
+//!    OT on a product grid, usable with more than two marginals and in
+//!    higher dimensions (the joint design's target); tested to agree with
+//!    (1) at small `ε` on one axis. [`entropic_barycentre_points2d`] runs
+//!    the same iteration on arbitrary points in the plane, the dense
+//!    reference the grid entry point is pinned against.
 
 use crate::discrete::DiscreteDistribution;
 use crate::error::{OtError, Result};
@@ -104,7 +107,7 @@ fn pmf_quantile(d: &DiscreteDistribution) -> impl Fn(f64) -> f64 {
 }
 
 /// Configuration of the iterative-Bregman entropic barycentre
-/// ([`entropic_barycentre_with`] / [`entropic_barycentre_points2d`]).
+/// ([`entropic_barycentre_grid_nd`] / [`entropic_barycentre_points2d`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BarycentreConfig {
     /// Entropic regularization `ε > 0` of the Gibbs kernel (squared
@@ -134,9 +137,9 @@ pub struct BarycentreConfig {
     /// Gibbs-kernel representation on separable (product-grid) costs —
     /// honored by [`entropic_barycentre_grid_nd`], where `Auto` (the
     /// default) factorizes the kernel as `K₁ ⊗ … ⊗ K_d` unless the
-    /// `OTR_KERNEL` environment variable says otherwise. The 1-D and
-    /// arbitrary-point entry points have no separable structure and
-    /// always solve dense. Part of the solve's definition (separable
+    /// `OTR_KERNEL` environment variable says otherwise. The
+    /// arbitrary-point entry point has no separable structure and
+    /// always solves dense. Part of the solve's definition (separable
     /// and dense group the matvec sums differently, so their outputs
     /// agree to ~1e-12 relative but not bitwise), like
     /// [`eps_scaling`](Self::eps_scaling).
@@ -184,36 +187,10 @@ pub struct BarycentreDiagnostics {
     pub stages: Vec<(f64, usize)>,
 }
 
-/// Fixed-support entropic Wasserstein barycentre of `k ≥ 2` marginals with
-/// weights `lambda` (iterative Bregman projections, Benamou et al. 2015).
-///
-/// All marginals and the output live on the same `support`.
-/// Convenience wrapper over [`entropic_barycentre_with`] that drops the
-/// diagnostics; prefer the full form when you need the iteration
-/// count or want a non-default tolerance / thread setting.
-///
-/// # Errors
-/// Validation failures, or [`OtError::NoConvergence`] if the fixed-point
-/// iteration does not stabilize (the error's `residual` reports the
-/// final L1 delta, its `iterations` the exhausted budget).
-pub fn entropic_barycentre(
-    marginals: &[&DiscreteDistribution],
-    lambda: &[f64],
-    support: &[f64],
-    eps: f64,
-    max_iters: usize,
-) -> Result<DiscreteDistribution> {
-    entropic_barycentre_with(
-        marginals,
-        lambda,
-        support,
-        &BarycentreConfig::new(eps, max_iters),
-    )
-    .map(|(bary, _)| bary)
-}
-
-/// [`entropic_barycentre`] with an explicit [`BarycentreConfig`],
-/// returning the barycentre **and** its [`BarycentreDiagnostics`].
+/// Fixed-support entropic Wasserstein barycentre of `k ≥ 2` pmfs with
+/// weights `lambda` (iterative Bregman projections, Benamou et al. 2015)
+/// on an arbitrary support in `ℝ²`, under the squared-Euclidean ground
+/// distance in the plane.
 ///
 /// The contract: on `Ok`, `diagnostics.final_delta < config.tol` and
 /// `diagnostics.iterations` is the number of Bregman iterations spent;
@@ -223,48 +200,12 @@ pub fn entropic_barycentre(
 /// every `config.threads` setting.
 ///
 /// # Errors
-/// As [`entropic_barycentre`].
-pub fn entropic_barycentre_with(
-    marginals: &[&DiscreteDistribution],
-    lambda: &[f64],
-    support: &[f64],
-    config: &BarycentreConfig,
-) -> Result<(DiscreteDistribution, BarycentreDiagnostics)> {
-    let n = support.len();
-    if n == 0 {
-        return Err(OtError::EmptyInput("barycentre support"));
-    }
-    for m in marginals {
-        if m.len() != n || m.support() != support {
-            return Err(OtError::InvalidParameter {
-                name: "marginals",
-                reason: "all marginals must share the barycentre support".into(),
-            });
-        }
-    }
-    // Validate eps/lambda/marginal-count before the O(n²) kernel build.
-    let lambda = validated_lambda(marginals.len(), lambda, config)?;
-    let pmfs: Vec<&[f64]> = marginals.iter().map(|m| m.masses()).collect();
-    // Ground metric (q_i - q_j)² on the shared support; the staged core
-    // builds the Gibbs kernel exp(-d²/ε) per schedule stage.
-    let (masses, diag) = bregman_barycentre(&pmfs, &lambda, n, config, n * n, |eps, threads| {
-        KernelRep::dense_square(n, eps, threads, |i, j| {
-            let d = support[i] - support[j];
-            d * d
-        })
-    })?;
-    Ok((DiscreteDistribution::new(support.to_vec(), masses)?, diag))
-}
-
-/// Entropic barycentre of pmfs on an arbitrary fixed support in `ℝ²`
-/// (the joint-repair setting: `support` is the flattened product grid).
-/// Same iteration, contract, and determinism guarantee as
-/// [`entropic_barycentre_with`], with the squared-Euclidean ground
-/// distance taken in the plane.
-///
-/// # Errors
-/// As [`entropic_barycentre_with`]; every marginal must have one mass
-/// per support point.
+/// Validation failures (fewer than two marginals, a `lambda` of another
+/// length or without positive weight, a non-positive `ε`, a malformed
+/// ε-schedule, a marginal without one mass per support point), or
+/// [`OtError::NoConvergence`] if the fixed-point iteration does not
+/// stabilize (the error's `residual` reports the final L1 delta, its
+/// `iterations` the exhausted budget).
 pub fn entropic_barycentre_points2d(
     marginals: &[&[f64]],
     lambda: &[f64],
@@ -556,6 +497,19 @@ mod tests {
         DiscreteDistribution::new(support.to_vec(), masses).unwrap()
     }
 
+    /// The entropic barycentre of distributions on the shared support
+    /// `q`: the grid entry point with one axis.
+    fn entropic_1d(
+        marginals: &[&DiscreteDistribution],
+        lambda: &[f64],
+        q: &[f64],
+        config: &BarycentreConfig,
+    ) -> Result<(DiscreteDistribution, BarycentreDiagnostics)> {
+        let pmfs: Vec<&[f64]> = marginals.iter().map(|m| m.masses()).collect();
+        let (masses, diag) = entropic_barycentre_grid_nd(&pmfs, lambda, &[q], config)?;
+        Ok((DiscreteDistribution::new(q.to_vec(), masses)?, diag))
+    }
+
     #[test]
     fn endpoints_recover_marginals() {
         let q = grid(-4.0, 4.0, 81);
@@ -624,7 +578,8 @@ mod tests {
         let mu0 = gaussian_on(&q, -1.0, 0.7);
         let mu1 = gaussian_on(&q, 1.0, 0.7);
         let exact = quantile_barycentre(&mu0, &mu1, 0.5, &q, None).unwrap();
-        let ent = entropic_barycentre(&[&mu0, &mu1], &[0.5, 0.5], &q, 0.05, 5_000).unwrap();
+        let cfg = BarycentreConfig::new(0.05, 5_000);
+        let (ent, _) = entropic_1d(&[&mu0, &mu1], &[0.5, 0.5], &q, &cfg).unwrap();
         // Compare means and W2 between the two barycentres.
         assert!(
             (exact.mean() - ent.mean()).abs() < 0.1,
@@ -637,15 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn entropic_rejects_mismatched_support() {
-        let q1 = grid(0.0, 1.0, 11);
-        let q2 = grid(0.0, 2.0, 11);
-        let a = gaussian_on(&q1, 0.5, 0.2);
-        let b = gaussian_on(&q2, 1.0, 0.3);
-        assert!(entropic_barycentre(&[&a, &b], &[0.5, 0.5], &q1, 0.1, 100).is_err());
-        assert!(entropic_barycentre(&[&a], &[1.0], &q1, 0.1, 100).is_err());
-        assert!(entropic_barycentre(&[&a, &a], &[0.5], &q1, 0.1, 100).is_err());
-        assert!(entropic_barycentre(&[&a, &a], &[0.5, 0.5], &q1, 0.0, 100).is_err());
+    fn entropic_rejects_bad_marginals_weights_and_eps() {
+        let q = grid(0.0, 1.0, 11);
+        let a = gaussian_on(&q, 0.5, 0.2);
+        let cfg = BarycentreConfig::new(0.1, 100);
+        assert!(entropic_1d(&[&a], &[1.0], &q, &cfg).is_err());
+        assert!(entropic_1d(&[&a, &a], &[0.5], &q, &cfg).is_err());
+        let zero_eps = BarycentreConfig::new(0.0, 100);
+        assert!(entropic_1d(&[&a, &a], &[0.5, 0.5], &q, &zero_eps).is_err());
     }
 
     #[test]
@@ -654,7 +608,7 @@ mod tests {
         let mu0 = gaussian_on(&q, -1.0, 0.6);
         let mu1 = gaussian_on(&q, 1.0, 0.6);
         let cfg = BarycentreConfig::new(0.1, 5_000);
-        let (bary, diag) = entropic_barycentre_with(&[&mu0, &mu1], &[0.5, 0.5], &q, &cfg).unwrap();
+        let (bary, diag) = entropic_1d(&[&mu0, &mu1], &[0.5, 0.5], &q, &cfg).unwrap();
         assert!(diag.iterations > 0 && diag.iterations <= cfg.max_iters);
         assert!(
             diag.final_delta < cfg.tol,
@@ -666,7 +620,7 @@ mod tests {
         // An exhausted budget is a NoConvergence carrying the real final
         // delta — never NaN, never a silently unconverged distribution.
         let starved = BarycentreConfig::new(0.1, 2);
-        match entropic_barycentre_with(&[&mu0, &mu1], &[0.5, 0.5], &q, &starved) {
+        match entropic_1d(&[&mu0, &mu1], &[0.5, 0.5], &q, &starved) {
             Err(OtError::NoConvergence {
                 iterations,
                 residual,
@@ -690,16 +644,14 @@ mod tests {
             threads: 1,
             ..BarycentreConfig::new(0.08, 5_000)
         };
-        let (seq, seq_diag) =
-            entropic_barycentre_with(&[&mu0, &mu1], &[0.4, 0.6], &q, &seq_cfg).unwrap();
+        let (seq, seq_diag) = entropic_1d(&[&mu0, &mu1], &[0.4, 0.6], &q, &seq_cfg).unwrap();
         for threads in [2usize, 3, 7] {
             let cfg = BarycentreConfig {
                 threads,
                 parallel_min_cells: Some(1),
                 ..seq_cfg
             };
-            let (par, diag) =
-                entropic_barycentre_with(&[&mu0, &mu1], &[0.4, 0.6], &q, &cfg).unwrap();
+            let (par, diag) = entropic_1d(&[&mu0, &mu1], &[0.4, 0.6], &q, &cfg).unwrap();
             assert_eq!(diag, seq_diag, "threads = {threads}");
             for (a, b) in par.masses().iter().zip(seq.masses()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
@@ -717,15 +669,13 @@ mod tests {
         let mu0 = gaussian_on(&q, -1.0, 0.6);
         let mu1 = gaussian_on(&q, 1.0, 0.6);
         let cold_cfg = BarycentreConfig::new(0.05, 20_000);
-        let (cold, cold_diag) =
-            entropic_barycentre_with(&[&mu0, &mu1], &[0.5, 0.5], &q, &cold_cfg).unwrap();
+        let (cold, cold_diag) = entropic_1d(&[&mu0, &mu1], &[0.5, 0.5], &q, &cold_cfg).unwrap();
         assert_eq!(cold_diag.stages.len(), 1);
         let sched_cfg = BarycentreConfig {
             eps_scaling: Some(EpsSchedule::geometric(0.8, 0.25)),
             ..cold_cfg
         };
-        let (sched, diag) =
-            entropic_barycentre_with(&[&mu0, &mu1], &[0.5, 0.5], &q, &sched_cfg).unwrap();
+        let (sched, diag) = entropic_1d(&[&mu0, &mu1], &[0.5, 0.5], &q, &sched_cfg).unwrap();
         assert_eq!(
             diag.stages.len(),
             EpsSchedule::geometric(0.8, 0.25).stages(0.05).len()
@@ -752,12 +702,10 @@ mod tests {
             parallel_min_cells: Some(1),
             ..BarycentreConfig::new(0.08, 5_000)
         };
-        let (seq, seq_diag) =
-            entropic_barycentre_with(&[&mu0, &mu1], &[0.4, 0.6], &q, &seq_cfg).unwrap();
+        let (seq, seq_diag) = entropic_1d(&[&mu0, &mu1], &[0.4, 0.6], &q, &seq_cfg).unwrap();
         for threads in [2usize, 3, 7] {
             let cfg = BarycentreConfig { threads, ..seq_cfg };
-            let (par, diag) =
-                entropic_barycentre_with(&[&mu0, &mu1], &[0.4, 0.6], &q, &cfg).unwrap();
+            let (par, diag) = entropic_1d(&[&mu0, &mu1], &[0.4, 0.6], &q, &cfg).unwrap();
             assert_eq!(diag, seq_diag, "threads = {threads}");
             for (a, b) in par.masses().iter().zip(seq.masses()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
@@ -768,23 +716,21 @@ mod tests {
     #[test]
     fn points2d_matches_1d_on_a_line() {
         // Embedding a 1-D support as (x, 0) points must reproduce the
-        // 1-D fixed-support barycentre exactly (same kernel, same
+        // one-axis grid barycentre exactly (same kernel cells, same
         // iteration).
         let q = grid(-1.5, 1.5, 25);
         let mu0 = gaussian_on(&q, -0.5, 0.4);
         let mu1 = gaussian_on(&q, 0.6, 0.5);
         let cfg = BarycentreConfig::new(0.1, 5_000);
-        let (line, _) = entropic_barycentre_with(&[&mu0, &mu1], &[0.5, 0.5], &q, &cfg).unwrap();
+        let pmfs = [mu0.masses(), mu1.masses()];
+        let (line, line_diag) =
+            entropic_barycentre_grid_nd(&pmfs, &[0.5, 0.5], &[&q], &cfg).unwrap();
         let points: Vec<(f64, f64)> = q.iter().map(|&x| (x, 0.0)).collect();
         let (plane, diag) =
-            entropic_barycentre_points2d(&[mu0.masses(), mu1.masses()], &[0.5, 0.5], &points, &cfg)
-                .unwrap();
+            entropic_barycentre_points2d(&pmfs, &[0.5, 0.5], &points, &cfg).unwrap();
         assert!(diag.final_delta < cfg.tol);
-        // The 1-D wrapper re-normalizes through DiscreteDistribution;
-        // push the flat result through the same constructor before the
-        // bitwise comparison.
-        let plane = DiscreteDistribution::new(q.clone(), plane).unwrap();
-        for (a, b) in plane.masses().iter().zip(line.masses()) {
+        assert_eq!(diag, line_diag);
+        for (a, b) in plane.iter().zip(&line) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -995,7 +941,8 @@ mod tests {
         let a = gaussian_on(&q, -1.0, 0.5);
         let b = gaussian_on(&q, 0.0, 0.5);
         let c = gaussian_on(&q, 1.0, 0.5);
-        let bary = entropic_barycentre(&[&a, &b, &c], &[1.0, 1.0, 1.0], &q, 0.1, 5_000).unwrap();
+        let cfg = BarycentreConfig::new(0.1, 5_000);
+        let (bary, _) = entropic_1d(&[&a, &b, &c], &[1.0, 1.0, 1.0], &q, &cfg).unwrap();
         assert!(bary.mean().abs() < 0.05, "mean = {}", bary.mean());
     }
 }

@@ -31,7 +31,8 @@
 //! * [`barycentre`] — Wasserstein-2 barycentres (Equation 7): the exact
 //!   1-D quantile-interpolation construction (McCann interpolation) pushed
 //!   onto a fixed support, plus the entropic fixed-support
-//!   iterative-Bregman barycentre as a regularized alternative.
+//!   iterative-Bregman barycentre on product grids, the joint design's
+//!   target.
 //! * [`wasserstein`] — `W_p` distances between discrete distributions on
 //!   ordered supports (closed-form 1-D CDF formula, cross-checked against
 //!   the solvers).
@@ -50,7 +51,9 @@
 //!
 //! let mu = DiscreteDistribution::new(vec![0.0, 1.0, 2.0], vec![0.2, 0.5, 0.3]).unwrap();
 //! let nu = DiscreteDistribution::new(vec![0.5, 1.5], vec![0.6, 0.4]).unwrap();
-//! let plan = SolverBackend::ExactMonotone.solve_1d(&mu, &nu).unwrap();
+//! let (plan, _duals) = SolverBackend::ExactMonotone
+//!     .solve_1d_warm(&mu, &nu, 0, None)
+//!     .unwrap();
 //! plan.validate_marginals(mu.masses(), nu.masses()).unwrap();
 //! ```
 
@@ -65,8 +68,8 @@ pub mod solvers;
 pub mod wasserstein;
 
 pub use barycentre::{
-    entropic_barycentre, entropic_barycentre_grid_nd, entropic_barycentre_points2d,
-    entropic_barycentre_with, quantile_barycentre, BarycentreConfig, BarycentreDiagnostics,
+    entropic_barycentre_grid_nd, entropic_barycentre_points2d, quantile_barycentre,
+    BarycentreConfig, BarycentreDiagnostics,
 };
 pub use cost::CostMatrix;
 pub use coupling::OtPlan;

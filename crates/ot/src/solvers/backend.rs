@@ -4,9 +4,10 @@
 //!
 //! Downstream crates (`otr-core`'s planners, the CLI's `--solver` flag,
 //! the bench ablations) never match on solver variants: they hold a
-//! [`SolverBackend`] and call [`Solver1d::solve_1d`] /
-//! [`Solver1d::solve_with_cost`]. Adding a backend (a parallel design, a
-//! new regularizer) means adding a variant *here* and nowhere else.
+//! [`SolverBackend`] and call [`Solver1d::solve_1d_warm`] /
+//! [`Solver1d::solve_with_cost_warm`]. Adding a backend (a parallel
+//! design, a new regularizer) means adding a variant *here* and nowhere
+//! else.
 //!
 //! Policy centralized here:
 //! * **Backend selection** — the `match` over variants lives only in this
@@ -43,7 +44,8 @@ pub enum SolverBackend {
     /// Exact 1-D monotone coupling (north-west-corner on sorted supports)
     /// — optimal for convex translation-invariant costs, `O(n + m)` per
     /// plan; the Algorithm 1 hot path. Requires 1-D geometry: it cannot
-    /// serve [`Solver1d::solve_with_cost`] on arbitrary cost matrices.
+    /// serve [`Solver1d::solve_with_cost_warm`] on arbitrary cost
+    /// matrices.
     #[default]
     ExactMonotone,
     /// Exact transportation simplex (MODI) — any cost matrix, any
@@ -120,101 +122,35 @@ pub const SIMPLEX_FALLBACK_MAX_CELLS: usize = 512 * 512;
 /// The one interface through which every layer of the workspace solves
 /// optimal transport. Object-safe, so callers may also hold
 /// `&dyn Solver1d`.
+///
+/// Both methods take a worker-thread request for the backend's
+/// in-kernel parallelism (`0` = auto; the plan's bytes never depend on
+/// it, only wall-clock time does) and optional entropic dual potentials
+/// for warm-started re-solves. Entropic backends seed their iteration
+/// from `warm` when the potentials match the problem shape (a mismatch
+/// degrades to a cold solve — never an error, so callers may pass duals
+/// recorded under a different grid resolution) and return the converged
+/// duals of the plan they produce. A caller-provided warm start
+/// **replaces** any configured ε-schedule: the schedule exists only to
+/// warm the duals, which the caller has already done, so the solve runs
+/// directly at the final ε. Exact backends ignore `warm` and return
+/// `None` duals.
 pub trait Solver1d {
-    /// Short diagnostic name of the backend.
-    fn name(&self) -> &'static str;
-
-    /// Solve 1-D OT between two distributions on ordered supports under
-    /// squared-Euclidean cost (the Algorithm 1 setting).
+    /// Solve OT between two mass vectors under an explicit cost matrix
+    /// (the joint/2-D setting, or any non-Euclidean geometry). `kernel`
+    /// is the Gibbs-kernel representation preference of entropic
+    /// backends on grid-separable costs (see [`KernelChoice`]); backends
+    /// without an entropic kernel ignore it, and an unavailable
+    /// preference degrades to dense, never errors.
     ///
     /// # Errors
-    /// Propagates validation failures. Up to
+    /// Propagates validation failures, and
+    /// [`OtError::InvalidParameter`] for backends that require 1-D
+    /// structure ([`SolverBackend::ExactMonotone`]). Up to
     /// [`SIMPLEX_FALLBACK_MAX_CELLS`] the entropic backend does not fail
     /// for non-convergence — it falls back to the exact simplex (which
     /// can itself report [`OtError::NoConvergence`] on pathologically
     /// degenerate instances that exhaust its pivot budget).
-    fn solve_1d(&self, mu: &DiscreteDistribution, nu: &DiscreteDistribution) -> Result<OtPlan>;
-
-    /// Solve OT between two mass vectors under an explicit cost matrix
-    /// (the joint/2-D setting, or any non-Euclidean geometry).
-    ///
-    /// # Errors
-    /// [`OtError::InvalidParameter`] for backends that require 1-D
-    /// structure ([`SolverBackend::ExactMonotone`]); otherwise as
-    /// [`Solver1d::solve_1d`].
-    fn solve_with_cost(&self, mu: &[f64], nu: &[f64], cost: &CostMatrix) -> Result<OtPlan>;
-
-    /// [`Solver1d::solve_1d`] with an explicit worker-thread request for
-    /// the backend's in-kernel parallelism (`0` = auto). The plan's
-    /// bytes never depend on `threads` — only wall-clock time does —
-    /// and backends without parallel kernels ignore it, which is the
-    /// default implementation.
-    ///
-    /// # Errors
-    /// As [`Solver1d::solve_1d`].
-    fn solve_1d_threads(
-        &self,
-        mu: &DiscreteDistribution,
-        nu: &DiscreteDistribution,
-        threads: usize,
-    ) -> Result<OtPlan> {
-        let _ = threads;
-        self.solve_1d(mu, nu)
-    }
-
-    /// [`Solver1d::solve_with_cost`] with an explicit worker-thread
-    /// request (`0` = auto); same bytes-invariance contract as
-    /// [`Solver1d::solve_1d_threads`].
-    ///
-    /// # Errors
-    /// As [`Solver1d::solve_with_cost`].
-    fn solve_with_cost_threads(
-        &self,
-        mu: &[f64],
-        nu: &[f64],
-        cost: &CostMatrix,
-        threads: usize,
-    ) -> Result<OtPlan> {
-        let _ = threads;
-        self.solve_with_cost(mu, nu, cost)
-    }
-
-    /// [`Solver1d::solve_with_cost_threads`] with an explicit
-    /// Gibbs-kernel representation preference for entropic backends on
-    /// grid-separable costs (see [`KernelChoice`]). Backends without an
-    /// entropic kernel ignore the preference, which is the default
-    /// implementation; an unavailable preference degrades to dense,
-    /// never errors.
-    ///
-    /// # Errors
-    /// As [`Solver1d::solve_with_cost`].
-    fn solve_with_cost_kernel(
-        &self,
-        mu: &[f64],
-        nu: &[f64],
-        cost: &CostMatrix,
-        threads: usize,
-        kernel: KernelChoice,
-    ) -> Result<OtPlan> {
-        let _ = kernel;
-        self.solve_with_cost_threads(mu, nu, cost, threads)
-    }
-
-    /// [`Solver1d::solve_with_cost_kernel`], additionally accepting and
-    /// returning entropic dual potentials for warm-started re-solves.
-    ///
-    /// Entropic backends seed their iteration from `warm` when the
-    /// potentials match the problem shape (a mismatch degrades to a cold
-    /// solve — never an error, so callers may pass duals recorded under
-    /// a different grid resolution) and return the converged duals of
-    /// the plan they produce. A caller-provided warm start **replaces**
-    /// any configured ε-schedule: the schedule exists only to warm the
-    /// duals, which the caller has already done, so the solve runs
-    /// directly at the final ε. Exact backends ignore `warm` and return
-    /// `None` duals, which is the default implementation.
-    ///
-    /// # Errors
-    /// As [`Solver1d::solve_with_cost`].
     fn solve_with_cost_warm(
         &self,
         mu: &[f64],
@@ -223,86 +159,24 @@ pub trait Solver1d {
         threads: usize,
         kernel: KernelChoice,
         warm: Option<&SinkhornDuals>,
-    ) -> Result<(OtPlan, Option<SinkhornDuals>)> {
-        let _ = warm;
-        Ok((
-            self.solve_with_cost_kernel(mu, nu, cost, threads, kernel)?,
-            None,
-        ))
-    }
+    ) -> Result<(OtPlan, Option<SinkhornDuals>)>;
 
-    /// [`Solver1d::solve_1d_threads`] with the warm-dual contract of
-    /// [`Solver1d::solve_with_cost_warm`].
+    /// Solve 1-D OT between two distributions on ordered supports under
+    /// squared-Euclidean cost (the Algorithm 1 setting).
     ///
     /// # Errors
-    /// As [`Solver1d::solve_1d`].
+    /// As [`Solver1d::solve_with_cost_warm`], except that every backend
+    /// serves this 1-D form.
     fn solve_1d_warm(
         &self,
         mu: &DiscreteDistribution,
         nu: &DiscreteDistribution,
         threads: usize,
         warm: Option<&SinkhornDuals>,
-    ) -> Result<(OtPlan, Option<SinkhornDuals>)> {
-        let _ = warm;
-        Ok((self.solve_1d_threads(mu, nu, threads)?, None))
-    }
+    ) -> Result<(OtPlan, Option<SinkhornDuals>)>;
 }
 
 impl Solver1d for SolverBackend {
-    fn name(&self) -> &'static str {
-        match self {
-            SolverBackend::ExactMonotone => "exact-monotone",
-            SolverBackend::Simplex => "simplex",
-            SolverBackend::Sinkhorn { .. } => "sinkhorn",
-        }
-    }
-
-    fn solve_1d(&self, mu: &DiscreteDistribution, nu: &DiscreteDistribution) -> Result<OtPlan> {
-        self.solve_1d_threads(mu, nu, 0)
-    }
-
-    fn solve_with_cost(&self, mu: &[f64], nu: &[f64], cost: &CostMatrix) -> Result<OtPlan> {
-        self.solve_with_cost_threads(mu, nu, cost, 0)
-    }
-
-    fn solve_1d_threads(
-        &self,
-        mu: &DiscreteDistribution,
-        nu: &DiscreteDistribution,
-        threads: usize,
-    ) -> Result<OtPlan> {
-        self.validate()?;
-        match self {
-            SolverBackend::ExactMonotone => solve_monotone_1d(mu, nu),
-            SolverBackend::Simplex | SolverBackend::Sinkhorn { .. } => {
-                let cost = CostMatrix::squared_euclidean(mu.support(), nu.support())?;
-                self.solve_with_cost_threads(mu.masses(), nu.masses(), &cost, threads)
-            }
-        }
-    }
-
-    fn solve_with_cost_threads(
-        &self,
-        mu: &[f64],
-        nu: &[f64],
-        cost: &CostMatrix,
-        threads: usize,
-    ) -> Result<OtPlan> {
-        self.solve_with_cost_kernel(mu, nu, cost, threads, KernelChoice::Auto)
-    }
-
-    fn solve_with_cost_kernel(
-        &self,
-        mu: &[f64],
-        nu: &[f64],
-        cost: &CostMatrix,
-        threads: usize,
-        kernel: KernelChoice,
-    ) -> Result<OtPlan> {
-        self.solve_with_cost_warm(mu, nu, cost, threads, kernel, None)
-            .map(|(plan, _)| plan)
-    }
-
     fn solve_with_cost_warm(
         &self,
         mu: &[f64],
@@ -499,9 +373,9 @@ mod tests {
         let mu = dd(&[-1.0, 0.0, 1.0, 2.0], &[0.1, 0.4, 0.3, 0.2]);
         let nu = dd(&[-0.5, 0.5, 1.5], &[0.3, 0.4, 0.3]);
         for backend in all_backends() {
-            let plan = backend.solve_1d(&mu, &nu).unwrap();
+            let (plan, _) = backend.solve_1d_warm(&mu, &nu, 0, None).unwrap();
             plan.validate_marginals(mu.masses(), nu.masses())
-                .unwrap_or_else(|e| panic!("{}: {e}", backend.name()));
+                .unwrap_or_else(|e| panic!("{backend}: {e}"));
         }
     }
 
@@ -511,13 +385,15 @@ mod tests {
         let nu = dd(&[0.5, 2.5, 4.0], &[0.5, 0.3, 0.2]);
         let cost = CostMatrix::squared_euclidean(mu.support(), nu.support()).unwrap();
         let mono = SolverBackend::ExactMonotone
-            .solve_1d(&mu, &nu)
+            .solve_1d_warm(&mu, &nu, 0, None)
             .unwrap()
+            .0
             .transport_cost(&cost)
             .unwrap();
         let simp = SolverBackend::Simplex
-            .solve_1d(&mu, &nu)
+            .solve_1d_warm(&mu, &nu, 0, None)
             .unwrap()
+            .0
             .transport_cost(&cost)
             .unwrap();
         assert!(
@@ -526,8 +402,9 @@ mod tests {
         );
         // Entropic cost upper-bounds the exact optimum and converges to it.
         let entropic = SolverBackend::sinkhorn(0.01)
-            .solve_1d(&mu, &nu)
+            .solve_1d_warm(&mu, &nu, 0, None)
             .unwrap()
+            .0
             .transport_cost(&cost)
             .unwrap();
         assert!(entropic >= mono - 1e-9);
@@ -542,12 +419,13 @@ mod tests {
         let mu = dd(&[0.0, 3.0, 6.0], &[0.5, 0.25, 0.25]);
         let nu = dd(&[1.0, 4.0], &[0.6, 0.4]);
         let backend = SolverBackend::sinkhorn(1e-12);
-        let plan = backend.solve_1d(&mu, &nu).unwrap();
+        let (plan, _) = backend.solve_1d_warm(&mu, &nu, 0, None).unwrap();
         plan.validate_marginals(mu.masses(), nu.masses()).unwrap();
         let cost = CostMatrix::squared_euclidean(mu.support(), nu.support()).unwrap();
         let exact = SolverBackend::ExactMonotone
-            .solve_1d(&mu, &nu)
+            .solve_1d_warm(&mu, &nu, 0, None)
             .unwrap()
+            .0
             .transport_cost(&cost)
             .unwrap();
         let got = plan.transport_cost(&cost).unwrap();
@@ -565,11 +443,20 @@ mod tests {
         let cost =
             CostMatrix::from_fn(&[0, 1], &[0, 1], |a, b| if a == b { 0.0 } else { 2.0 }).unwrap();
         for backend in [SolverBackend::Simplex, SolverBackend::sinkhorn(0.1)] {
-            let plan = backend.solve_with_cost(&mu, &nu, &cost).unwrap();
+            let (plan, _) = backend
+                .solve_with_cost_warm(&mu, &nu, &cost, 0, KernelChoice::Auto, None)
+                .unwrap();
             plan.validate_marginals(&mu, &nu).unwrap();
         }
         // The monotone backend must refuse rather than silently mis-solve.
-        let err = SolverBackend::ExactMonotone.solve_with_cost(&mu, &nu, &cost);
+        let err = SolverBackend::ExactMonotone.solve_with_cost_warm(
+            &mu,
+            &nu,
+            &cost,
+            0,
+            KernelChoice::Auto,
+            None,
+        );
         assert!(matches!(err, Err(OtError::InvalidParameter { .. })));
     }
 
@@ -583,7 +470,9 @@ mod tests {
         assert!(SolverBackend::Simplex.validate().is_ok());
         // Invalid parameters surface through the solve path too.
         let mu = dd(&[0.0, 1.0], &[0.5, 0.5]);
-        assert!(SolverBackend::sinkhorn(-1.0).solve_1d(&mu, &mu).is_err());
+        assert!(SolverBackend::sinkhorn(-1.0)
+            .solve_1d_warm(&mu, &mu, 0, None)
+            .is_err());
     }
 
     #[test]

@@ -413,10 +413,27 @@ impl RetryingClient {
         }
     }
 
-    /// Run `op` against a fresh connection per attempt, retrying
-    /// transient failures within the policy's attempt and deadline
-    /// budgets.
-    fn with_retry<T>(
+    /// Run `op` — one or more [`Client`] calls, e.g.
+    /// `client.call(|c| c.ping())` — against a fresh connection per
+    /// attempt, retrying transient failures within the policy's attempt
+    /// and deadline budgets.
+    ///
+    /// A retry re-runs the whole of `op` on a new connection. That is
+    /// safe for the read-only requests (ping, info, plan listing, drift
+    /// status, audit) and for two more:
+    /// * [`Client::repair`] / [`Client::repair_archive`]: repair is
+    ///   read-only on the server and bit-deterministic in
+    ///   `(plan, seed, archive)`, so every attempt computes the same
+    ///   bytes;
+    /// * [`Client::watch`]: re-arming a watch is idempotent (audit trail
+    ///   and swap count are preserved).
+    ///
+    /// Loading a plan needs a rule of its own: use [`Self::load_plan`].
+    ///
+    /// # Errors
+    /// The last underlying error once retries or the deadline run out,
+    /// or the first permanent one.
+    pub fn call<T>(
         &self,
         mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
@@ -470,14 +487,6 @@ impl RetryingClient {
         op(&mut client)
     }
 
-    /// Retrying [`Client::ping`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn ping(&self) -> Result<(), ClientError> {
-        self.with_retry(|c| c.ping())
-    }
-
     /// Retrying [`Client::load_plan`], with lost-response idempotency:
     /// a [`ErrorCode::VersionCollision`] on a retry *after* a transient
     /// failure counts as success (the earlier attempt's load landed).
@@ -492,7 +501,7 @@ impl RetryingClient {
         json: &str,
     ) -> Result<(), ClientError> {
         let mut earlier_transient_failure = false;
-        self.with_retry(|c| match c.load_plan(kind, name, version, json) {
+        self.call(|c| match c.load_plan(kind, name, version, json) {
             Ok(()) => Ok(()),
             Err(e)
                 if e.server_code() == Some(ErrorCode::VersionCollision)
@@ -505,86 +514,6 @@ impl RetryingClient {
                 Err(e)
             }
         })
-    }
-
-    /// Retrying [`Client::list_plans`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn list_plans(&self) -> Result<Vec<PlanInfo>, ClientError> {
-        self.with_retry(|c| c.list_plans())
-    }
-
-    /// Retrying [`Client::evict_plan`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn evict_plan(&self, name: &str, version: u32) -> Result<(), ClientError> {
-        self.with_retry(|c| c.evict_plan(name, version))
-    }
-
-    /// Retrying [`Client::repair`]. Safe to retry unconditionally:
-    /// repair is read-only on the server and bit-deterministic in
-    /// `(plan, seed, archive)`, so every attempt computes the same
-    /// bytes.
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn repair(
-        &self,
-        name: &str,
-        version: u32,
-        seed: u64,
-        archive: &ColumnarDataset,
-    ) -> Result<Repaired, ClientError> {
-        self.with_retry(|c| c.repair(name, version, seed, archive))
-    }
-
-    /// Retrying [`Client::repair_archive`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn repair_archive(
-        &self,
-        name: &str,
-        version: u32,
-        seed: u64,
-        archive: &ColumnarDataset,
-    ) -> Result<ColumnarDataset, ClientError> {
-        self.with_retry(|c| c.repair_archive(name, version, seed, archive))
-    }
-
-    /// Retrying [`Client::info`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn info(&self) -> Result<ServerInfo, ClientError> {
-        self.with_retry(|c| c.info())
-    }
-
-    /// Retrying [`Client::watch`]. Safe to retry: re-arming a watch is
-    /// idempotent (audit trail and swap count are preserved).
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn watch(&self, name: &str, config: &DriftConfig) -> Result<u32, ClientError> {
-        self.with_retry(|c| c.watch(name, config))
-    }
-
-    /// Retrying [`Client::drift_status`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn drift_status(&self, name: &str) -> Result<DriftReport, ClientError> {
-        self.with_retry(|c| c.drift_status(name))
-    }
-
-    /// Retrying [`Client::audit`].
-    ///
-    /// # Errors
-    /// The last underlying error once retries or the deadline run out.
-    pub fn audit(&self, name: &str) -> Result<Vec<AuditRecord>, ClientError> {
-        self.with_retry(|c| c.audit(name))
     }
 }
 

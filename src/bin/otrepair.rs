@@ -564,12 +564,12 @@ fn cmd_client(args: &[String]) -> CliResult {
     match action {
         "ping" => {
             client
-                .ping()
+                .call(|c| c.ping())
                 .map_err(|e| format!("cannot reach {addr}: {e}"))?;
             println!("pong from {addr}");
         }
         "info" => {
-            let info = client.info()?;
+            let info = client.call(|c| c.info())?;
             println!(
                 "otrepaird at {addr}: protocol v{}, {} plans, {} requests handled, \
                  {} rows repaired, {} shards x {} threads",
@@ -599,7 +599,7 @@ fn cmd_client(args: &[String]) -> CliResult {
             );
         }
         "plans" => {
-            let plans = client.list_plans()?;
+            let plans = client.call(|c| c.list_plans())?;
             if plans.is_empty() {
                 println!("no plans registered");
             }
@@ -627,7 +627,7 @@ fn cmd_client(args: &[String]) -> CliResult {
         "evict" => {
             let name = required(rest, "--name")?;
             let version: u32 = required(rest, "--version")?.parse()?;
-            client.evict_plan(name, version)?;
+            client.call(|c| c.evict_plan(name, version))?;
             println!("evicted {name}@{version}");
         }
         "watch" => {
@@ -645,7 +645,7 @@ fn cmd_client(args: &[String]) -> CliResult {
             if let Some(v) = opt(rest, "--min-rows") {
                 config.min_rows = v.parse()?;
             }
-            let version = client.watch(name, &config)?;
+            let version = client.call(|c| c.watch(name, &config))?;
             println!(
                 "watching {name}@{version}: threshold {} sym-KL, {} trip(s), checkpoint every {} rows after {}",
                 config.threshold, config.trips, config.check_every, config.min_rows
@@ -653,7 +653,7 @@ fn cmd_client(args: &[String]) -> CliResult {
         }
         "drift" => {
             let name = required(rest, "--name")?;
-            let report = client.drift_status(name)?;
+            let report = client.call(|c| c.drift_status(name))?;
             println!(
                 "{name}@{}: {} rows seen, {} checkpoints, streak {}, {} swap(s), tripped: {}",
                 report.version,
@@ -672,7 +672,7 @@ fn cmd_client(args: &[String]) -> CliResult {
         }
         "audit" => {
             let name = required(rest, "--name")?;
-            let records = client.audit(name)?;
+            let records = client.call(|c| c.audit(name))?;
             if records.is_empty() {
                 println!("no hot swaps recorded for {name}");
             }
@@ -707,7 +707,7 @@ fn cmd_client(args: &[String]) -> CliResult {
                     version.to_string()
                 }
             );
-            let repaired = client.repair_archive(name, version, seed, &archive)?;
+            let repaired = client.call(|c| c.repair_archive(name, version, seed, &archive))?;
             let out =
                 File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
             ot_fair_repair::data::write_labelled_csv_columnar(BufWriter::new(out), &repaired)?;

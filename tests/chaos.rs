@@ -182,7 +182,7 @@ fn retry_recovers_from_mid_frame_response_disconnect() {
     )
     .unwrap();
     let client = RetryingClient::new(proxy.addr().to_string(), test_policy(3, 1));
-    let repaired = client.repair("p", 1, 9, &archive).unwrap();
+    let repaired = client.call(|c| c.repair("p", 1, 9, &archive)).unwrap();
     assert_eq!(
         bits(&repaired.columns),
         offline,
@@ -328,7 +328,7 @@ fn overload_rejection_is_polite_and_retry_recovers() {
             call_deadline: Some(Duration::from_secs(10)),
         },
     );
-    retrying.ping().unwrap();
+    retrying.call(|c| c.ping()).unwrap();
     release.join().unwrap();
     assert!(server.handle.rejected_overload() >= 1);
     server.assert_alive();
@@ -348,7 +348,9 @@ fn panic_isolation_under_chaos_keeps_registry_and_daemon() {
         13,
     );
     let retrying = RetryingClient::new(server.addr.to_string(), test_policy(3, 2));
-    let err = retrying.repair("poison", 0, 1, &archive).unwrap_err();
+    let err = retrying
+        .call(|c| c.repair("poison", 0, 1, &archive))
+        .unwrap_err();
     assert_eq!(err.server_code(), Some(ErrorCode::Internal), "{err}");
     assert!(!err.is_transient(), "a panic is not worth retrying");
     assert_eq!(
@@ -389,7 +391,7 @@ fn seeded_fault_sweep_every_success_is_byte_identical() {
         };
         let proxy = FaultProxy::spawn(server.addr, script, sweep_seed).unwrap();
         let client = RetryingClient::new(proxy.addr().to_string(), test_policy(4, sweep_seed));
-        let repaired = client.repair("p", 1, 17, &archive).unwrap();
+        let repaired = client.call(|c| c.repair("p", 1, 17, &archive)).unwrap();
         assert_eq!(
             bits(&repaired.columns),
             offline,

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ot_fair_repair::data::{read_labelled_csv, write_labelled_csv, Dataset, SimulationSpec};
-use ot_fair_repair::repair::{MongeRepair, RepairPlan};
+use ot_fair_repair::repair::{JointRepairPlan, MongeRepair, RepairPlan};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_otrepair")
@@ -18,6 +18,10 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("otrepair-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn read_csv(path: &str) -> Dataset {
+    read_labelled_csv(std::io::BufReader::new(std::fs::File::open(path).unwrap())).unwrap()
 }
 
 fn write_csvs(dir: &std::path::Path, seed: u64) -> (String, String) {
@@ -118,13 +122,10 @@ fn apply_monge_mode_and_partial_conflict() {
         .success());
     // The output is the Monge map of the input, cell by cell and bit for
     // bit, with labels and row order unchanged.
-    let read = |path: &str| -> Dataset {
-        read_labelled_csv(std::io::BufReader::new(std::fs::File::open(path).unwrap())).unwrap()
-    };
     let monge = MongeRepair::from_plan(
         &RepairPlan::from_json(&std::fs::read_to_string(&plan).unwrap()).unwrap(),
     );
-    let (input, output) = (read(&archive), read(&out));
+    let (input, output) = (read_csv(&archive), read_csv(&out));
     assert_eq!(input.len(), output.len());
     for (i, (a, b)) in input.points().iter().zip(output.points()).enumerate() {
         assert_eq!((a.s, a.u), (b.s, b.u), "row {i} labels");
@@ -241,8 +242,8 @@ fn apply_reports_write_errors() {
         .status()
         .unwrap()
         .success());
-    // The columnar writer, after the kernel and the partial pass, and
-    // the row writer after Monge repair.
+    // The columnar writer, after the kernel, the partial pass and the
+    // Monge map.
     for mode in [&[][..], &["--partial", "0.4"][..], &["--monge"][..]] {
         let full = Command::new(bin())
             .args([
@@ -306,18 +307,40 @@ fn joint_design_apply_loop_with_verbose_report() {
     assert!(stderr.contains("plan transport cost"), "report: {stderr}");
     assert!(std::fs::metadata(&plan).unwrap().len() > 1_000);
 
-    assert!(Command::new(bin())
-        .args([
-            "apply", "--joint", "--plan", &plan, "--data", &archive, "--out", &out, "--seed", "5",
-        ])
-        .status()
-        .unwrap()
-        .success());
-    let repaired = std::fs::read_to_string(&out).unwrap();
-    assert_eq!(
-        repaired.lines().count(),
-        std::fs::read_to_string(&archive).unwrap().lines().count()
-    );
+    // The same bytes at any OTR_THREADS (reader, kernel and writer).
+    let mut outputs = Vec::new();
+    for threads in ["1", "2", "7"] {
+        assert!(Command::new(bin())
+            .args([
+                "apply", "--joint", "--plan", &plan, "--data", &archive, "--out", &out, "--seed",
+                "5",
+            ])
+            .env("OTR_THREADS", threads)
+            .status()
+            .unwrap()
+            .success());
+        outputs.push(std::fs::read(&out).unwrap());
+    }
+    assert_eq!(outputs[0], outputs[1], "1 vs 2 threads");
+    assert_eq!(outputs[0], outputs[2], "1 vs 7 threads");
+    // The output is the library's joint repair of the input, cell by
+    // cell and bit for bit, with labels and row order unchanged.
+    let joint = JointRepairPlan::from_json(&std::fs::read_to_string(&plan).unwrap()).unwrap();
+    let (input, output) = (read_csv(&archive), read_csv(&out));
+    let want = joint.repair_dataset_par(&input, 5).unwrap();
+    assert_eq!(input.len(), output.len());
+    for (i, ((a, b), w)) in input
+        .points()
+        .iter()
+        .zip(output.points())
+        .zip(want.points())
+        .enumerate()
+    {
+        assert_eq!((a.s, a.u), (b.s, b.u), "row {i} labels");
+        for (k, (&r, &x)) in b.x.iter().zip(&w.x).enumerate() {
+            assert_eq!(r.to_bits(), x.to_bits(), "row {i}, x{k}");
+        }
+    }
 
     // Joint apply rejects the 1-D-only modes.
     let conflicted = Command::new(bin())

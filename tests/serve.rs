@@ -510,40 +510,50 @@ fn poison_first(json: &str, key: &str) -> String {
     format!("{}1e999{}", &json[..at], &json[end..])
 }
 
-/// `json` (a scalar plan) with its `features` array edited by `edit`.
-fn edit_features(json: &str, edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> String {
+/// `json` (a plan) with its top-level `key` array edited by `edit`
+/// (`features` of a scalar plan, `strata` of a joint one).
+fn edit_array(json: &str, key: &str, edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> String {
     let mut plan: serde_json::Value = serde_json::from_str(json).unwrap();
     let serde_json::Value::Obj(fields) = &mut plan else {
         panic!("plan JSON is not an object")
     };
-    let Some((_, serde_json::Value::Arr(features))) =
-        fields.iter_mut().find(|(key, _)| key == "features")
-    else {
-        panic!("plan JSON has no features array")
+    let Some((_, serde_json::Value::Arr(array))) = fields.iter_mut().find(|(k, _)| k == key) else {
+        panic!("plan JSON has no {key} array")
     };
-    edit(features);
+    edit(array);
     serde_json::to_string(&plan).unwrap()
 }
 
-/// A non-finite support (scalar) or axis (joint), and a scalar plan
-/// whose `features` are not the `2 · dim` strata in slot order, are
-/// rejected once, at load, as `PlanInvalid` — over the wire and from a
-/// `plans_dir`, each with its own reason — so no request can ever be
-/// served from them.
+/// A non-finite support (scalar) or axis (joint), a scalar plan whose
+/// `features` are not the `2 · dim` strata in slot order, and a joint
+/// plan whose two strata disagree on `d`, are rejected once, at load, as
+/// `PlanInvalid` — over the wire and from a `plans_dir`, each with its
+/// own reason — so no request can ever be served from them.
 #[test]
 fn non_finite_plan_supports_are_rejected_at_load() {
     let (research, _) = split_data(18, 400, 10);
     let scalar_json = scalar_plan(&research, 12).to_json().unwrap();
     let scalar = poison_first(&scalar_json, "support");
-    let joint = poison_first(&joint_plan(&research).to_json().unwrap(), "axes");
+    let joint_json = joint_plan(&research).to_json().unwrap();
+    let joint = poison_first(&joint_json, "axes");
     assert!(scalar.contains("1e999") && joint.contains("1e999"));
-    let cut = edit_features(&scalar_json, |features| features.truncate(1));
-    let relabelled = edit_features(&scalar_json, |features| {
+    let cut = edit_array(&scalar_json, "features", |features| features.truncate(1));
+    let relabelled = edit_array(&scalar_json, "features", |features| {
         let serde_json::Value::Obj(fields) = &mut features[1] else {
             panic!("feature plan is not an object")
         };
         let k = fields.iter_mut().find(|(key, _)| key == "k").unwrap();
         k.1 = serde_json::Value::Num(9.0);
+    });
+    // The d = 2 plan with the u = 1 stratum of a d = 3 design.
+    let mut d3_stratum = None;
+    edit_array(
+        include_str!("fixtures/joint_plan_3feature.json"),
+        "strata",
+        |strata| d3_stratum = strata.pop(),
+    );
+    let mixed = edit_array(&joint_json, "strata", |strata| {
+        strata[1] = d3_stratum.unwrap();
     });
     let cases = [
         ("scalar", PlanKind::Scalar, &scalar, "finite"),
@@ -554,6 +564,12 @@ fn non_finite_plan_supports_are_rejected_at_load() {
             PlanKind::Scalar,
             &relabelled,
             "labelled (u=0, k=9)",
+        ),
+        (
+            "mixed",
+            PlanKind::Joint,
+            &mixed,
+            "u=0 has d = 2, u=1 has d = 3",
         ),
     ];
 
