@@ -31,7 +31,8 @@
 //!      dense-kernel run; also writes the design report
 //!      `BENCH_joint_report.json`;
 //!   4. `serve` — rows/s through a live `otrepaird` on loopback under
-//!      four concurrent clients, served bytes equal to offline repair;
+//!      four concurrent clients, for a scalar and a joint plan, served
+//!      bytes equal to offline repair;
 //!   5. `joint3` — `d = 3`, `nQ = 16`-per-axis joint design + repair
 //!      through the forced `SeparableNd` kernel, bytes identical across
 //!      `OTR_THREADS ∈ {1, 2, 7}`;
@@ -293,11 +294,12 @@ fn quick_joint(multicore: bool) -> Vec<Metric> {
 }
 
 /// Leg 4 — repair-as-a-service throughput: a live `otrepaird` on a
-/// loopback socket, a registered plan, and four concurrent clients each
-/// repairing a 100k-row archive three times, wall-clocked end to end
+/// loopback socket, a scalar and a default joint (`d = 2`, `nQ = 16`)
+/// plan registered, and four concurrent clients each repairing a
+/// 100k-row archive three times per plan, wall-clocked end to end
 /// (framing, socket copies, decode, in-place sharded repair, encode).
-/// One served response is asserted byte-identical to the offline
-/// columnar path first.
+/// One served response per plan is asserted byte-identical to the
+/// offline columnar path first.
 fn quick_serve() -> Vec<Metric> {
     use otr_serve::{Client, PlanKind, ServeConfig, Server};
 
@@ -309,6 +311,7 @@ fn quick_serve() -> Vec<Metric> {
     let plan = RepairPlanner::new(RepairConfig::with_n_q(50))
         .design(&research)
         .unwrap();
+    let joint = JointRepairPlan::design(&research, JointRepairConfig::default()).unwrap();
 
     let server = Server::bind(&ServeConfig {
         bind: "127.0.0.1:0".into(),
@@ -320,51 +323,69 @@ fn quick_serve() -> Vec<Metric> {
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
     let mut loader = Client::connect(&addr).unwrap();
-    loader
-        .load_plan(PlanKind::Scalar, "bench", 1, &plan.to_json().unwrap())
-        .unwrap();
-    let served = loader.repair("bench", 1, 7, &archive).unwrap();
-    let offline = plan.repair_columnar_par(&archive, 7).unwrap();
-    let same = served
-        .columns
-        .iter()
-        .zip(offline.feature_columns())
-        .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-    assert!(
-        same,
-        "served repair diverged from the offline columnar path"
-    );
+    let plans = [
+        (
+            "bench",
+            PlanKind::Scalar,
+            plan.to_json().unwrap(),
+            plan.repair_columnar_par(&archive, 7).unwrap(),
+        ),
+        (
+            "joint",
+            PlanKind::Joint,
+            joint.to_json().unwrap(),
+            joint.repair_columnar_par(&archive, 7).unwrap(),
+        ),
+    ];
+    let mut secs = Vec::new();
+    for (name, kind, json, offline) in &plans {
+        loader.load_plan(*kind, name, 1, json).unwrap();
+        let served = loader.repair(name, 1, 7, &archive).unwrap();
+        let same = served
+            .columns
+            .iter()
+            .zip(offline.feature_columns())
+            .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(
+            same,
+            "served {name} repair diverged from the offline columnar path"
+        );
 
-    let (secs, ()) = best_of(3, || {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let addr = addr.clone();
-                    let archive = &archive;
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).unwrap();
-                        for round in 0..rounds {
-                            client
-                                .repair("bench", 1, (c * rounds + round) as u64, archive)
-                                .unwrap();
-                        }
+        let (best, ()) = best_of(3, || {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|c| {
+                        let addr = addr.clone();
+                        let archive = &archive;
+                        scope.spawn(move || {
+                            let mut client = Client::connect(addr).unwrap();
+                            for round in 0..rounds {
+                                client
+                                    .repair(name, 1, (c * rounds + round) as u64, archive)
+                                    .unwrap();
+                            }
+                        })
                     })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        })
-    });
+                    .collect();
+                for h in handles {
+                    h.join().unwrap();
+                }
+            })
+        });
+        secs.push(best);
+    }
     handle.shutdown();
     server_thread.join().unwrap();
     let total_rows = (rows * clients * rounds) as f64;
-    vec![Metric::new(
-        "serve",
-        "rows_per_sec",
-        total_rows / secs,
-        "rows/s",
-    )]
+    vec![
+        Metric::new("serve", "rows_per_sec", total_rows / secs[0], "rows/s"),
+        Metric::new(
+            "serve",
+            "joint_rows_per_sec",
+            total_rows / secs[1],
+            "rows/s",
+        ),
+    ]
 }
 
 /// Leg 5 — the `d = 3` joint workload: `nQ = 16` per axis (4096 product

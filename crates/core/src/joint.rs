@@ -31,22 +31,24 @@
 //! (16.8M-cell dense kernel) tractable. The `ablation_joint` experiment
 //! measures both sides of the marginal-vs-joint trade.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use otr_data::{Dataset, GroupKey, LabelledPoint};
+use otr_data::{ColumnarDataset, Dataset, GroupKey, LabelledPoint};
 use otr_ot::{
     entropic_barycentre_grid_nd, BarycentreConfig, BarycentreDiagnostics, CostMatrix, EpsSchedule,
     KernelChoice, OtPlan, SinkhornDuals, Solver1d as _, SolverBackend,
 };
-use otr_par::{splitmix_seed, try_par_map_indexed};
+use otr_par::{par_cols_mut, par_map_indexed, splitmix_seed, try_par_map_indexed};
 use otr_stats::dist::Categorical;
 use otr_stats::GaussianKdeNd;
 
 use crate::error::{RepairError, Result};
+use crate::plan::check_out_fits;
 
 /// Configuration of the joint repair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -150,9 +152,10 @@ struct JointStratum {
     /// Per-`s` plans onto the barycentre.
     plans: [OtPlan; 2],
     /// Converged Sinkhorn dual potentials of the solves that produced
-    /// `plans` (per `s`; `None` under the simplex backend). Persisted so
-    /// a re-design against drifted data can warm-start; absent in plan
-    /// JSON written before the lifecycle existed (defaults to cold).
+    /// `plans` (per `s`; `None` under the simplex backend). Part of the
+    /// artifact schema — `design --joint` writes them — but no repair or
+    /// design path reads them back: joint plans are never re-designed.
+    /// Absent in plan JSON written before they were recorded.
     #[serde(default)]
     duals: [Option<SinkhornDuals>; 2],
     /// Per-row alias samplers (derived; rebuilt by
@@ -313,37 +316,6 @@ impl JointRepairPlan {
         Self::design_with_report(research, config).map(|(plan, _)| plan)
     }
 
-    /// Re-design against (typically drifted) research data, warm-starting
-    /// each stratum's per-`s` OT solves from the dual potentials stored
-    /// in `previous` — the joint arm of the drift-aware lifecycle.
-    /// Entropic backends skip their ε-schedule when warm duals of the
-    /// right shape are present (a resolution change degrades to cold);
-    /// the barycentre stage is unchanged. Deterministic: a pure function
-    /// of `(config, research, previous duals)`, bit-identical for any
-    /// thread count.
-    ///
-    /// # Errors
-    /// As [`JointRepairPlan::design`].
-    pub fn redesign(
-        research: &Dataset,
-        config: JointRepairConfig,
-        previous: &Self,
-    ) -> Result<Self> {
-        Self::redesign_with_report(research, config, previous).map(|(plan, _)| plan)
-    }
-
-    /// [`JointRepairPlan::redesign`] returning the design report.
-    ///
-    /// # Errors
-    /// As [`JointRepairPlan::design`].
-    pub fn redesign_with_report(
-        research: &Dataset,
-        config: JointRepairConfig,
-        previous: &Self,
-    ) -> Result<(Self, JointDesignReport)> {
-        Self::design_with_report_warm(research, config, Some(previous))
-    }
-
     /// [`JointRepairPlan::design`] returning the designed plan **and**
     /// its [`JointDesignReport`] (barycentre convergence per stratum,
     /// ε-schedule stage stats, plan transport costs, wall time).
@@ -353,14 +325,6 @@ impl JointRepairPlan {
     pub fn design_with_report(
         research: &Dataset,
         config: JointRepairConfig,
-    ) -> Result<(Self, JointDesignReport)> {
-        Self::design_with_report_warm(research, config, None)
-    }
-
-    fn design_with_report_warm(
-        research: &Dataset,
-        config: JointRepairConfig,
-        previous: Option<&Self>,
     ) -> Result<(Self, JointDesignReport)> {
         if research.dim() < 2 {
             return Err(RepairError::PlanMismatch(format!(
@@ -404,10 +368,7 @@ impl JointRepairPlan {
         // design them concurrently with a deterministic error order.
         let start = Instant::now();
         let designed = try_par_map_indexed(2, config.threads, |u| {
-            let warm = previous
-                .map(|p| [p.strata[u].duals[0].as_ref(), p.strata[u].duals[1].as_ref()])
-                .unwrap_or([None, None]);
-            Self::design_stratum(research, u as u8, &config, warm)
+            Self::design_stratum(research, u as u8, &config)
         })?;
         let design_secs = start.elapsed().as_secs_f64();
         let mut strata = Vec::with_capacity(2);
@@ -439,7 +400,6 @@ impl JointRepairPlan {
         research: &Dataset,
         u: u8,
         config: &JointRepairConfig,
-        warm: [Option<&SinkhornDuals>; 2],
     ) -> Result<(JointStratum, JointStratumReport)> {
         let d = research.dim();
         let mut cols: [Vec<Vec<f64>>; 2] = Default::default();
@@ -535,7 +495,7 @@ impl JointRepairPlan {
                 &cost,
                 config.threads,
                 config.kernel,
-                warm[s],
+                None,
             )?;
             plan_transport_cost[s] = plan.transport_cost(&cost)?;
             plans.push(plan);
@@ -658,29 +618,108 @@ impl JointRepairPlan {
         Ok(stratum.plans[s as usize].transport_cost(&cost)?)
     }
 
-    /// Repair one labelled point jointly.
+    /// Repair an entire data set jointly: draws **one** `u64` seed from
+    /// `rng` and runs [`Self::repair_dataset_par`] under it, the same
+    /// contract as [`crate::RepairPlan::repair_dataset`].
     ///
     /// # Errors
-    /// Rejects dimension/label mismatches.
-    pub fn repair_point<R: Rng + ?Sized>(
+    /// Rejects dimension mismatches.
+    pub fn repair_dataset<R: Rng + ?Sized>(&self, data: &Dataset, rng: &mut R) -> Result<Dataset> {
+        self.repair_dataset_par(data, rng.next_u64())
+    }
+
+    /// Repair an entire data set jointly, in parallel over its rows, row
+    /// `i` drawing from `splitmix_seed(seed, i)`: the same bytes as
+    /// [`Self::repair_columnar_par`] on the same rows, bit-identical for
+    /// any `config.threads` setting.
+    ///
+    /// # Errors
+    /// Rejects dimension mismatches.
+    pub fn repair_dataset_par(&self, data: &Dataset, seed: u64) -> Result<Dataset> {
+        self.check_dim(data.dim())?;
+        let pts = data.points();
+        let points = par_map_indexed(pts.len(), self.config.threads, |i| {
+            let p = &pts[i];
+            let row_seed = splitmix_seed(seed, i as u64);
+            let x = self.repair_row(p.s, p.u, p.x.iter().copied(), row_seed);
+            LabelledPoint {
+                x: x.to_vec(),
+                s: p.s,
+                u: p.u,
+            }
+        });
+        Ok(Dataset::from_points(points)?)
+    }
+
+    /// Columnar joint repair of every row of `data`, row `i` drawing from
+    /// `splitmix_seed(seed, i)` — the joint analogue of
+    /// [`crate::RepairPlan::repair_columnar_par`] (`apply --joint`),
+    /// bit-identical for any `config.threads` setting.
+    ///
+    /// # Errors
+    /// Rejects dimension mismatches.
+    pub fn repair_columnar_par(
         &self,
-        point: &LabelledPoint,
-        rng: &mut R,
-    ) -> Result<LabelledPoint> {
-        if point.u > 1 || point.s > 1 {
+        data: &ColumnarDataset,
+        seed: u64,
+    ) -> Result<ColumnarDataset> {
+        let mut out: Vec<Vec<f64>> = (0..data.dim()).map(|_| vec![0.0; data.len()]).collect();
+        self.repair_columnar_into(data, 0..data.len(), seed, 0, &mut out)?;
+        Ok(data.with_feature_columns(out)?)
+    }
+
+    /// The in-place joint kernel, twin of
+    /// [`crate::RepairPlan::repair_columnar_into`]: repairs rows `rows` of
+    /// `data`, read in place, straight into `out` (one slice per feature,
+    /// `rows.len()` long — e.g. one shard's range of a response buffer),
+    /// row `i` drawing `splitmix_seed(seed, row_offset + i)`. Contiguous
+    /// shards repaired into their ranges of one buffer are therefore
+    /// byte-identical to one whole-archive call. Chunked over
+    /// `config.threads`.
+    ///
+    /// # Errors
+    /// Rejects dimension, row-range and `out` shape mismatches.
+    pub fn repair_columnar_into<C: AsMut<[f64]>>(
+        &self,
+        data: &ColumnarDataset,
+        rows: Range<usize>,
+        seed: u64,
+        row_offset: u64,
+        out: &mut [C],
+    ) -> Result<()> {
+        self.check_dim(data.dim())?;
+        check_out_fits(data, &rows, out)?;
+        let (row0, s, u, cols) = (rows.start, data.s(), data.u(), data.feature_columns());
+        par_cols_mut(out, self.config.threads, |start, chunk| {
+            for li in 0..chunk.first().map_or(0, |c| c.len()) {
+                let i = row0 + start + li;
+                let row_seed = splitmix_seed(seed, row_offset + i as u64);
+                let state = self.repair_row(s[i], u[i], cols.iter().map(|c| c[i]), row_seed);
+                for (col, &v) in chunk.iter_mut().zip(state) {
+                    col[li] = v;
+                }
+            }
+        });
+        Ok(())
+    }
+
+    fn check_dim(&self, dim: usize) -> Result<()> {
+        let d = self.dims();
+        if dim != d {
             return Err(RepairError::PlanMismatch(format!(
-                "labels (s={}, u={}) outside {{0,1}}",
-                point.s, point.u
+                "joint repair needs d = {d}, got d = {dim}"
             )));
         }
-        let stratum = &self.strata[point.u as usize];
-        let d = stratum.axes.len();
-        if point.x.len() != d {
-            return Err(RepairError::PlanMismatch(format!(
-                "joint repair needs d = {d}, got d = {}",
-                point.x.len()
-            )));
-        }
+        Ok(())
+    }
+
+    /// Algorithm 2 on the product grid, the per-row step of both the row
+    /// driver and the in-place kernel: the grid state nearest `x` in
+    /// stratum `u`, then one alias draw from that state's row of the `s`
+    /// plan under an RNG seeded with `row_seed`. Returns the drawn
+    /// state's `d` coordinates.
+    fn repair_row(&self, s: u8, u: u8, x: impl Iterator<Item = f64>, row_seed: u64) -> &[f64] {
+        let stratum = &self.strata[usize::from(u)];
         let cell = |grid: &[f64], v: f64| -> usize {
             let n = grid.len();
             if v <= grid[0] {
@@ -693,63 +732,13 @@ impl JointRepairPlan {
             (((v - grid[0]) / step) + 0.5).floor() as usize % n
         };
         let mut row = 0usize;
-        for (g, &v) in stratum.axes.iter().zip(&point.x) {
+        for (g, v) in stratum.axes.iter().zip(x) {
             row = row * g.len() + cell(g, v);
         }
-        let target = stratum.samplers[point.s as usize][row].sample(rng);
-        Ok(LabelledPoint {
-            x: stratum.points[target * d..(target + 1) * d].to_vec(),
-            s: point.s,
-            u: point.u,
-        })
-    }
-
-    /// Repair an entire data set jointly: draws **one** `u64` seed from
-    /// `rng` and runs [`Self::repair_dataset_par`] under it, the same
-    /// contract as [`crate::RepairPlan::repair_dataset`].
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset<R: Rng + ?Sized>(&self, data: &Dataset, rng: &mut R) -> Result<Dataset> {
-        self.repair_dataset_par(data, rng.next_u64())
-    }
-
-    /// Repair an entire data set jointly, in parallel, with per-row
-    /// SplitMix64 RNG streams derived from `seed` — the joint analogue
-    /// of [`crate::RepairPlan::repair_columnar_par`], bit-identical for
-    /// any `config.threads` setting.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_par(&self, data: &Dataset, seed: u64) -> Result<Dataset> {
-        self.repair_dataset_shard(data, seed, 0)
-    }
-
-    /// Chunk-addressable joint repair — the joint analogue of
-    /// [`crate::RepairPlan::repair_columnar_shard`], and the entry point
-    /// the repair service (`otr-serve`) shards joint archives through.
-    /// Repairs `data` as if its rows occupied absolute indices
-    /// `row_offset .. row_offset + data.len()` of a larger archive: row
-    /// `i` draws from `splitmix_seed(seed, row_offset + i)`, so
-    /// contiguous shards repaired with their start rows as offsets and
-    /// concatenated in index order are byte-identical to one
-    /// whole-archive [`Self::repair_dataset_par`] call (which is the
-    /// `row_offset = 0` case).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_shard(
-        &self,
-        data: &Dataset,
-        seed: u64,
-        row_offset: u64,
-    ) -> Result<Dataset> {
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), self.config.threads, |i| {
-            let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, row_offset + i as u64));
-            self.repair_point(&pts[i], &mut rng)
-        })?;
-        Ok(Dataset::from_points(points)?)
+        let mut rng = StdRng::seed_from_u64(row_seed);
+        let target = stratum.samplers[usize::from(s)][row].sample(&mut rng);
+        let d = stratum.axes.len();
+        &stratum.points[target * d..(target + 1) * d]
     }
 }
 
@@ -890,47 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn joint_warm_redesign_agrees_with_cold_design() {
-        use otr_data::Drift;
-
-        let spec = correlation_spec();
-        let mut rng = StdRng::seed_from_u64(17);
-        let original = spec.sample_dataset(700, &mut rng).unwrap();
-        let mut cfg = JointRepairConfig::default();
-        cfg.n_q = 8;
-        let previous = JointRepairPlan::design(&original, cfg).unwrap();
-        for stratum in &previous.strata {
-            assert!(
-                stratum.duals[0].is_some() && stratum.duals[1].is_some(),
-                "entropic joint design must bank duals"
-            );
-        }
-
-        let drifted = Drift::MeanShift(vec![0.5, -0.5]).apply(&original).unwrap();
-        let cold = JointRepairPlan::design(&drifted, cfg).unwrap();
-        let (warm, _report) =
-            JointRepairPlan::redesign_with_report(&drifted, cfg, &previous).unwrap();
-
-        // Same final ε, same (µ, ν, cost) per stratum: the converged
-        // plans agree within solver tolerance even though the warm path
-        // skipped the ε-schedule.
-        for (c, w) in cold.strata.iter().zip(&warm.strata) {
-            assert_eq!(c.axes, w.axes);
-            let axis_refs: Vec<&[f64]> = c.axes.iter().map(Vec::as_slice).collect();
-            let cost = CostMatrix::squared_euclidean_grid_nd(&axis_refs).unwrap();
-            for s in 0..2usize {
-                let cc = c.plans[s].transport_cost(&cost).unwrap();
-                let wc = w.plans[s].transport_cost(&cost).unwrap();
-                assert!(
-                    (cc - wc).abs() <= 1e-5 * cc.abs().max(1.0),
-                    "s = {s}: cold cost {cc} vs warm cost {wc}"
-                );
-                assert!(w.duals[s].is_some(), "warm redesign dropped duals");
-            }
-        }
-    }
-
-    #[test]
     fn design_report_surfaces_barycentre_convergence() {
         let spec = correlation_spec();
         let mut rng = StdRng::seed_from_u64(9);
@@ -1056,22 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_point_rejects_out_of_range_labels() {
-        let spec = correlation_spec();
-        let mut rng = StdRng::seed_from_u64(12);
-        let research = spec.sample_dataset(500, &mut rng).unwrap();
-        let mut cfg = JointRepairConfig::default();
-        cfg.n_q = 6;
-        let plan = JointRepairPlan::design(&research, cfg).unwrap();
-        let bad = LabelledPoint {
-            x: vec![0.0, 0.0],
-            s: 0,
-            u: 7,
-        };
-        assert!(plan.repair_point(&bad, &mut rng).is_err());
-    }
-
-    #[test]
     fn joint_plan_json_round_trip_preserves_repair() {
         let spec = correlation_spec();
         let mut rng = StdRng::seed_from_u64(10);
@@ -1083,6 +1015,13 @@ mod tests {
         let back = JointRepairPlan::from_json(&json).unwrap();
         assert_eq!(back.n_q(), plan.n_q());
         assert_eq!(back.config().epsilon, plan.config().epsilon);
+        // Entropic design banks each solve's duals in the artifact.
+        for stratum in plan.strata.iter().chain(&back.strata) {
+            assert!(
+                stratum.duals.iter().all(Option::is_some),
+                "entropic joint design must bank duals"
+            );
+        }
         // Threads are machine-local runtime policy: never persisted.
         assert_eq!(back.config().threads, 0);
         // Identical repairs under the same seed (JSON costs one f64
@@ -1133,22 +1072,52 @@ mod tests {
         let mut cfg = JointRepairConfig::default();
         cfg.n_q = 8; // keep the n_q² Sinkhorn solves cheap
         let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
-        let whole = plan.repair_dataset_par(&split.archive, 21).unwrap();
+        // The row driver and the in-place kernel draw the same bytes.
+        let whole =
+            ColumnarDataset::from_dataset(&plan.repair_dataset_par(&split.archive, 21).unwrap());
+        let archive = ColumnarDataset::from_dataset(&split.archive);
+        assert_eq!(plan.repair_columnar_par(&archive, 21).unwrap(), whole);
+        let n = archive.len();
         for shards in [2usize, 7] {
-            let pts = split.archive.points();
-            let mut rebuilt: Vec<LabelledPoint> = Vec::with_capacity(pts.len());
-            let base = pts.len() / shards;
-            let rem = pts.len() % shards;
+            // Each shard repaired in place into its range of one buffer:
+            // once reading the archive itself (`row_offset = 0`), once
+            // reading a sliced copy keyed by the shard's start row.
+            let mut out = vec![vec![0.0; n]; plan.dims()];
+            let mut offset_out = vec![vec![0.0; n]; plan.dims()];
+            let (base, rem) = (n / shards, n % shards);
             let mut start = 0usize;
             for sh in 0..shards {
-                let len = base + usize::from(sh < rem);
-                let slice = Dataset::from_points(pts[start..start + len].to_vec()).unwrap();
-                let out = plan.repair_dataset_shard(&slice, 21, start as u64).unwrap();
-                rebuilt.extend_from_slice(out.points());
-                start += len;
+                let rows = start..start + base + usize::from(sh < rem);
+                let mut range: Vec<&mut [f64]> =
+                    out.iter_mut().map(|c| &mut c[rows.clone()]).collect();
+                plan.repair_columnar_into(&archive, rows.clone(), 21, 0, &mut range)
+                    .unwrap();
+                let shard = archive.slice_rows(rows.clone()).unwrap();
+                let mut range: Vec<&mut [f64]> = offset_out
+                    .iter_mut()
+                    .map(|c| &mut c[rows.clone()])
+                    .collect();
+                plan.repair_columnar_into(
+                    &shard,
+                    0..shard.len(),
+                    21,
+                    rows.start as u64,
+                    &mut range,
+                )
+                .unwrap();
+                start = rows.end;
             }
-            assert_eq!(&rebuilt[..], whole.points(), "shards = {shards}");
+            assert_eq!(out, whole.feature_columns(), "shards = {shards}");
+            assert_eq!(offset_out, whole.feature_columns(), "shards = {shards}");
         }
+        // Ranges past the archive and misshapen outputs are errors.
+        let mut short = vec![vec![0.0; 2]; plan.dims()];
+        assert!(plan
+            .repair_columnar_into(&archive, n - 1..n + 1, 21, 0, &mut short)
+            .is_err());
+        assert!(plan
+            .repair_columnar_into(&archive, 0..3, 21, 0, &mut short)
+            .is_err());
     }
 
     /// Three features whose pairwise correlation on the first two axes
@@ -1195,13 +1164,17 @@ mod tests {
                 assert!(c > 0.0 && c.is_finite(), "(u={u}, s={s}): {c}");
             }
         }
-        // A 2-feature point is rejected against a 3-feature plan.
-        let bad = LabelledPoint {
-            x: vec![0.0, 0.0],
-            s: 0,
-            u: 0,
-        };
-        assert!(plan.repair_point(&bad, &mut rng).is_err());
+        // 2-feature data is rejected against a 3-feature plan, by both
+        // drivers.
+        let flat = correlation_spec().sample_dataset(50, &mut rng).unwrap();
+        assert!(matches!(
+            plan.repair_dataset_par(&flat, 17),
+            Err(RepairError::PlanMismatch(_))
+        ));
+        assert!(matches!(
+            plan.repair_columnar_par(&ColumnarDataset::from_dataset(&flat), 17),
+            Err(RepairError::PlanMismatch(_))
+        ));
     }
 
     #[test]

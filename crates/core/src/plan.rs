@@ -516,15 +516,7 @@ impl RepairPlan {
                 self.dim
             )));
         }
-        let n = rows.len();
-        if rows.end > data.len()
-            || out.len() != self.dim
-            || out.iter_mut().any(|c| c.as_mut().len() != n)
-        {
-            return Err(RepairError::PlanMismatch(format!(
-                "out does not fit rows {rows:?}"
-            )));
-        }
+        check_out_fits(data, &rows, out)?;
         // Mode-specific precomputation, and all fallibility, up front:
         // the chunk workers below are infallible.
         let proj: Option<Vec<[Vec<f64>; 2]>> = match self.config.mass_split {
@@ -710,6 +702,26 @@ impl RepairPlan {
         }
         Ok(plan)
     }
+}
+
+/// The shape contract of the in-place kernels (scalar and joint):
+/// `rows` lies inside `data`, and `out` holds `data.dim()` columns of
+/// `rows.len()` values.
+pub(crate) fn check_out_fits<C: AsMut<[f64]>>(
+    data: &ColumnarDataset,
+    rows: &std::ops::Range<usize>,
+    out: &mut [C],
+) -> Result<()> {
+    let n = rows.len();
+    if rows.end > data.len()
+        || out.len() != data.dim()
+        || out.iter_mut().any(|c| c.as_mut().len() != n)
+    {
+        return Err(RepairError::PlanMismatch(format!(
+            "out does not fit rows {rows:?}"
+        )));
+    }
+    Ok(())
 }
 
 /// Algorithm 1: designs [`RepairPlan`]s from `s|u`-labelled research data.

@@ -313,7 +313,7 @@ impl ColumnarDataset {
     }
 
     /// Copy out the contiguous row range `range` as its own data set
-    /// (batching a stream, or a joint-plan shard in the repair service).
+    /// (e.g. one batch of a stream).
     /// Row order, labels, and exact `f64` bits are preserved.
     ///
     /// # Errors

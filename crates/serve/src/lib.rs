@@ -20,9 +20,9 @@
 //! seed + same plan ⇒ same bytes, whatever the shard layout, thread
 //! count, or client interleaving — and byte-identical to an offline
 //! `otrepair apply`. The derivation lives in `docs/determinism.md`;
-//! `tests/serve.rs` pins it. A served scalar repair writes each
-//! feature value three times: decode (fused with validation), the
-//! in-place kernel, and the response encode.
+//! `tests/serve.rs` pins it. A served repair, scalar or joint, writes
+//! each feature value three times: decode (fused with validation), the
+//! plan kind's in-place kernel, and the response encode.
 //!
 //! Everything here is plain `std` (`TcpListener` + threads): the
 //! workspace vendors its few dependencies, and a repair server has no

@@ -137,11 +137,11 @@ impl RegisteredPlan {
     /// per feature, each `rows.len()` long), row `i` of `archive` drawing
     /// the stream of absolute row `row_offset + i` — what the server runs
     /// per shard, writing into disjoint row ranges of one response
-    /// buffer. Scalar plans read `archive` in place through
-    /// [`RepairPlan::repair_columnar_into`]; joint plans round-trip the
-    /// rows through the row-layout kernel and copy the result in.
-    /// Returns the out-of-range count (0 for joint plans). `out` must
-    /// hold `archive.dim()` columns of `rows.len()` values.
+    /// buffer. Both plan kinds read `archive` in place through their
+    /// in-place kernel ([`RepairPlan::repair_columnar_into`],
+    /// [`JointRepairPlan::repair_columnar_into`]). Returns the
+    /// out-of-range count (0 for joint plans, which do not track it).
+    /// `out` must hold `archive.dim()` columns of `rows.len()` values.
     ///
     /// # Errors
     /// Rejects dimension mismatches and row ranges past the archive.
@@ -154,23 +154,12 @@ impl RegisteredPlan {
         out: &mut [C],
     ) -> Result<u64, String> {
         match self {
-            Self::Scalar(plan) => plan
+            Self::Scalar(plan) => plan.repair_columnar_into(archive, rows, seed, row_offset, out),
+            Self::Joint(plan) => plan
                 .repair_columnar_into(archive, rows, seed, row_offset, out)
-                .map_err(|e| e.to_string()),
-            Self::Joint(plan) => {
-                let offset = row_offset + rows.start as u64;
-                let shard = archive.slice_rows(rows).map_err(|e| e.to_string())?;
-                let repaired = plan
-                    .repair_dataset_shard(&shard.to_dataset(), seed, offset)
-                    .map_err(|e| e.to_string())?;
-                for (i, point) in repaired.points().iter().enumerate() {
-                    for (col, &v) in out.iter_mut().zip(&point.x) {
-                        col.as_mut()[i] = v;
-                    }
-                }
-                Ok(0)
-            }
+                .map(|()| 0),
         }
+        .map_err(|e| e.to_string())
     }
 
     /// Serialize back to the same JSON artifact schema the offline CLI
@@ -257,6 +246,8 @@ impl PlanRegistry {
         kind: PlanKind,
         json: &str,
     ) -> Result<PlanInfo, RegistryError> {
+        // Name and version first: a bad key is reported before the
+        // artifact is parsed.
         Self::validate_name(name)?;
         if version == 0 {
             return Err(RegistryError::InvalidVersion);
@@ -276,23 +267,7 @@ impl PlanRegistry {
                 RegisteredPlan::Joint(plan)
             }
         };
-        let info = PlanInfo {
-            name: name.into(),
-            version,
-            kind: plan.kind(),
-            dim: plan.dim(),
-            n_q: plan.n_q(),
-        };
-        let mut plans = self.plans();
-        let key = (name.to_string(), version);
-        if plans.contains_key(&key) {
-            return Err(RegistryError::VersionCollision {
-                name: name.into(),
-                version,
-            });
-        }
-        plans.insert(key, Arc::new(plan));
-        Ok(info)
+        self.register(name, version, Arc::new(plan))
     }
 
     /// Fetch `name@version`; `version = 0` selects the highest loaded
@@ -334,8 +309,9 @@ impl PlanRegistry {
     }
 
     /// Register an already-validated in-memory plan under
-    /// `name@version` — the hot-swap path, where the plan was just
-    /// designed in-process rather than parsed from JSON.
+    /// `name@version`: the tail of [`Self::load`], and the hot-swap path,
+    /// where the plan was just designed in-process rather than parsed
+    /// from JSON.
     ///
     /// # Errors
     /// Bad name/version and version collisions; on error the registry

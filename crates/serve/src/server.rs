@@ -9,7 +9,9 @@
 //! same bounds; each shard's
 //! [`RegisteredPlan::repair_into`](crate::registry::RegisteredPlan::repair_into)
 //! reads its rows of the decoded archive in place and writes straight
-//! into its own row range — no shard copies, no reassembly. Because row
+//! into its own row range — no shard copies, no reassembly, for scalar
+//! and joint plans alike. Each value is written three times: decode,
+//! kernel, encode. Because row
 //! `i` always draws from `splitmix_seed(seed, i)` whichever shard holds
 //! it, the response bytes are a pure function of `(plan, seed,
 //! archive)` — shard count, worker threads, and client interleaving

@@ -22,6 +22,7 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use ot_fair_repair::prelude::*;
+use ot_fair_repair::repair::RepairError;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -365,66 +366,60 @@ fn cmd_apply(args: &[String]) -> CliResult {
     if use_monge && partial.is_some() {
         return Err("--partial and --monge are mutually exclusive".into());
     }
+    if (joint || use_monge) && has_flag(args, "--batch-rows") {
+        return Err("--joint and --monge do not batch rows; drop --batch-rows".into());
+    }
 
-    if joint {
-        let blob = std::fs::read_to_string(plan_path)
-            .map_err(|e| format!("cannot read {plan_path}: {e}"))?;
+    // Both plan kinds parse before the archive is opened.
+    let blob =
+        std::fs::read_to_string(plan_path).map_err(|e| format!("cannot read {plan_path}: {e}"))?;
+    type Repair = Box<dyn Fn(&ColumnarDataset) -> Result<ColumnarDataset, RepairError>>;
+    let repair: Repair;
+    let how = if joint {
         let mut plan = JointRepairPlan::from_json(&blob)?;
         if let Some(threads) = opt(args, "--threads") {
             plan.set_threads(threads.parse()?);
         }
-        let data = load_dataset(data_path)?;
-        eprintln!(
-            "repairing {} points jointly through {plan_path} (d = {}, nQ = {} per dim)",
-            data.len(),
+        let how = format!(
+            "jointly through {plan_path} (d = {}, nQ = {} per dim)",
             plan.dims(),
             plan.n_q()
         );
-        let repaired = plan.repair_dataset_par(&data, seed)?;
-        let out = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
-        ot_fair_repair::data::write_labelled_csv(BufWriter::new(out), &repaired)?;
-        let damage = dataset_damage(&data, &repaired)?;
-        eprintln!(
-            "wrote {out_path}; mean RMSE displacement {:.4}",
-            damage.mean_rmse()
-        );
-        return Ok(());
-    }
+        repair = Box::new(move |data| plan.repair_columnar_par(data, seed));
+        how
+    } else {
+        let mut plan = RepairPlan::from_json(&blob)?;
+        if let Some(threads) = opt(args, "--threads") {
+            // Deployment-side override of the design-time thread count;
+            // the repaired bytes depend only on --seed, never on this.
+            plan.config.threads = threads.parse()?;
+        }
+        if let Some(batch) = opt(args, "--batch-rows") {
+            // Columnar batch size; like --threads, pure execution policy
+            // (default: auto via OTR_BATCH_ROWS).
+            plan.config.batch_rows = Some(batch.parse()?);
+        }
+        let mode = match plan.config.mass_split {
+            _ if use_monge => "Monge",
+            MassSplit::Randomized => "randomized",
+            MassSplit::Deterministic => "deterministic",
+        };
+        let lambda = partial.map_or(String::new(), |l| format!(", partial λ = {l}"));
+        // Algorithm 2's columnar kernel, then the partial-repair geodesic
+        // if asked, or the Monge limit cell by cell.
+        repair = Box::new(move |data| match (use_monge, partial) {
+            (true, _) => MongeRepair::from_plan(&plan).repair_columnar(data),
+            (false, Some(lambda)) => plan.repair_columnar_partial(data, lambda, seed),
+            (false, None) => plan.repair_columnar_par(data, seed),
+        });
+        format!("through {plan_path} ({mode} mode{lambda})")
+    };
 
-    let blob =
-        std::fs::read_to_string(plan_path).map_err(|e| format!("cannot read {plan_path}: {e}"))?;
-    let mut plan = RepairPlan::from_json(&blob)?;
-    if let Some(threads) = opt(args, "--threads") {
-        // Deployment-side override of the design-time thread count; the
-        // repaired bytes depend only on --seed, never on this.
-        plan.config.threads = threads.parse()?;
-    }
-    if let Some(batch) = opt(args, "--batch-rows") {
-        // Columnar batch size; like --threads, pure execution policy
-        // (default: auto via OTR_BATCH_ROWS).
-        plan.config.batch_rows = Some(batch.parse()?);
-    }
-
-    // Ingest straight into columns, repair (Algorithm 2's columnar
-    // kernel, then the partial-repair geodesic if asked, or the Monge
-    // limit cell by cell), stream back out.
+    // Ingest straight into columns, repair, stream back out.
     let file = File::open(data_path).map_err(|e| format!("cannot open {data_path}: {e}"))?;
     let data = ot_fair_repair::data::read_labelled_csv_columnar(BufReader::new(file))?;
-    let mode = match plan.config.mass_split {
-        _ if use_monge => "Monge",
-        MassSplit::Randomized => "randomized",
-        MassSplit::Deterministic => "deterministic",
-    };
-    let lambda = partial.map_or(String::new(), |l| format!(", partial λ = {l}"));
-    eprintln!(
-        "repairing {} points through {plan_path} ({mode} mode{lambda})",
-        data.len()
-    );
-    let repaired = match (use_monge, partial) {
-        (true, _) => MongeRepair::from_plan(&plan).repair_columnar(&data)?,
-        (false, Some(lambda)) => plan.repair_columnar_partial(&data, lambda, seed)?,
-        (false, None) => plan.repair_columnar_par(&data, seed)?,
-    };
+    eprintln!("repairing {} points {how}", data.len());
+    let repaired = repair(&data)?;
     let out = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     ot_fair_repair::data::write_labelled_csv_columnar(BufWriter::new(out), &repaired)?;
     let damage = dataset_damage_columnar(&data, &repaired)?;

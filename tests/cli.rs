@@ -157,6 +157,31 @@ fn apply_monge_mode_and_partial_conflict() {
     assert!(!stderr.contains("repairing"), "stderr: {stderr}");
 }
 
+/// Neither the joint path nor the Monge map batches rows, so
+/// `--batch-rows` there is a usage error, caught before any file is
+/// touched: the plan named here does not exist.
+#[test]
+fn apply_rejects_batch_rows_in_joint_and_monge_mode() {
+    let dir = tmp_dir("batch-rows");
+    let missing = dir.join("missing.json").to_string_lossy().into_owned();
+    let out = dir.join("out.csv");
+    for mode in ["--joint", "--monge"] {
+        let run = Command::new(bin())
+            .args(["apply", "--plan", &missing, "--data", &missing, "--out"])
+            .arg(&out)
+            .args(["--batch-rows", "64", mode])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{mode}: stderr: {stderr}");
+        assert!(
+            stderr.contains("do not batch rows"),
+            "{mode}: stderr: {stderr}"
+        );
+        assert!(!out.exists(), "{mode}: wrote {}", out.display());
+    }
+}
+
 #[test]
 fn apply_output_identical_for_any_thread_count() {
     let dir = tmp_dir("threads");

@@ -446,9 +446,10 @@ fn plans_dir_preloads_named_versions() {
 }
 
 /// Shards repair in place into disjoint row ranges of one response
-/// buffer; the knob grid pins that split at its edges too: both kernels
-/// (the randomized draw and the deterministic projection table), an
-/// archive with no rows, and one with fewer rows than shards.
+/// buffer; the knob grid pins that split at its edges too: every kernel
+/// (the scalar randomized draw and deterministic projection table, and
+/// the joint product-grid draw), an archive with no rows, and one with
+/// fewer rows than shards.
 #[test]
 fn execution_knobs_never_change_served_bytes() {
     let (research, archive) = split_data(17, 400, 700);
@@ -456,14 +457,41 @@ fn execution_knobs_never_change_served_bytes() {
     let mut config = RepairConfig::with_n_q(20);
     config.mass_split = MassSplit::Deterministic;
     let deterministic = RepairPlanner::new(config).design(&research).unwrap();
+    let joint = joint_plan(&research);
     let archives = [
         archive.clone(),
         archive.slice_rows(0..0).unwrap(),
         archive.slice_rows(0..3).unwrap(),
     ];
+    // Each plan's artifact and its offline bytes for every archive.
+    let offline = |repair: &dyn Fn(&ColumnarDataset) -> ColumnarDataset| {
+        archives
+            .iter()
+            .map(|input| bits(repair(input).feature_columns()))
+            .collect::<Vec<_>>()
+    };
+    let plans = [
+        (
+            "randomized",
+            PlanKind::Scalar,
+            randomized.to_json().unwrap(),
+            offline(&|a| randomized.repair_columnar_par(a, 42).unwrap()),
+        ),
+        (
+            "deterministic",
+            PlanKind::Scalar,
+            deterministic.to_json().unwrap(),
+            offline(&|a| deterministic.repair_columnar_par(a, 42).unwrap()),
+        ),
+        (
+            "joint",
+            PlanKind::Joint,
+            joint.to_json().unwrap(),
+            offline(&|a| joint.repair_columnar_par(a, 42).unwrap()),
+        ),
+    ];
 
-    for plan in [&randomized, &deterministic] {
-        let json = plan.to_json().unwrap();
+    for (label, kind, json, expected) in &plans {
         for (threads, shards, batch_rows) in [
             (1, 1, None),
             (2, 7, Some(64)),
@@ -477,20 +505,14 @@ fn execution_knobs_never_change_served_bytes() {
                 ..ServeConfig::default()
             });
             let mut client = server.client();
-            client.load_plan(PlanKind::Scalar, "p", 1, &json).unwrap();
-            for input in &archives {
-                let offline = bits(
-                    plan.repair_columnar_par(input, 42)
-                        .unwrap()
-                        .feature_columns(),
-                );
+            client.load_plan(*kind, "p", 1, json).unwrap();
+            for (input, offline) in archives.iter().zip(expected) {
                 let served = client.repair("p", 1, 42, input).unwrap();
                 assert_eq!(
-                    bits(&served.columns),
+                    &bits(&served.columns),
                     offline,
-                    "{:?} plan, {} rows: threads={threads} shards={shards} \
+                    "{label} plan, {} rows: threads={threads} shards={shards} \
                      batch_rows={batch_rows:?} changed bytes",
-                    plan.config.mass_split,
                     input.len()
                 );
             }
