@@ -7,7 +7,7 @@
 //! small number of replicates to also report spread.
 //!
 //! Data source: the calibrated Adult-like synthetic generator
-//! (`otr_data::AdultSynth`, see DESIGN.md §4). Set the environment
+//! (`otr_data::AdultSynth`). Set the environment
 //! variable `ADULT_CSV=/path/to/adult.data` to run on the real UCI file
 //! instead (single replicate, as in the paper).
 //!

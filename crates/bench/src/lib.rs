@@ -1,6 +1,6 @@
 //! # otr-bench — experiment harnesses reproducing the paper's evaluation
 //!
-//! One binary per table/figure (see DESIGN.md §5):
+//! One binary per table, figure and ablation:
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -12,6 +12,8 @@
 //! | `ablation_sinkhorn` | exact vs entropic plans (Sec. IV-A1) |
 //! | `ablation_randomization` | randomized vs deterministic mass split (Sec. IV-B) |
 //! | `ablation_label_noise` | oracle vs EM-estimated `ŝ` labels (Sec. IV/VI) |
+//! | `ablation_monge` | randomized Kantorovich repair vs the Monge map across `nQ` (Sec. VI) |
+//! | `ablation_joint` | per-feature vs joint repair of correlation-borne dependence (Sec. VI) |
 //!
 //! Each binary accepts an optional first argument overriding the number of
 //! Monte-Carlo replicates and writes a JSON result file alongside the
@@ -201,7 +203,8 @@ pub struct MetricSnapshot {
 }
 
 /// Write the full stats map as JSON under `results/<name>.json` (creating
-/// the directory), so EXPERIMENTS.md can cite machine-readable numbers.
+/// the directory), so the numbers are machine-readable
+/// (`ci/experiments_smoke.sh` checks `extra.failures` there).
 pub fn write_results(name: &str, stats: &McStats, extra: &BTreeMap<String, f64>) {
     let snapshots: Vec<MetricSnapshot> = stats
         .iter()

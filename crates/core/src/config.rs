@@ -60,9 +60,8 @@ pub struct RepairConfig {
     /// deserialized plans always start at `0` = auto.
     #[serde(skip)]
     pub threads: usize,
-    /// Row-batch size of the columnar repair kernels (`None` = auto: the
-    /// `OTR_BATCH_ROWS` environment variable if set, else
-    /// `otr_par::BATCH_ROWS_DEFAULT`). Pure blocking policy — it changes
+    /// Row-batch size of the columnar repair kernel (`None` = 8 192
+    /// rows; `Some(0)` counts as 1). Pure blocking policy — it changes
     /// wall-clock time and nothing else — and, like [`Self::threads`],
     /// machine-local: not serialized into plan JSON.
     #[serde(skip)]

@@ -85,12 +85,12 @@ pub struct JointRepairConfig {
     /// Gibbs-kernel representation of the design's entropic solves
     /// (barycentre + Sinkhorn plans). The joint cost is squared
     /// Euclidean on the `d`-axis self-product grid, so it factorizes
-    /// as `K₁ ⊗ … ⊗ K_d`: `Auto` (the default; the `OTR_KERNEL`
-    /// environment variable can override it) runs every kernel matvec
+    /// as `K₁ ⊗ … ⊗ K_d`: `Auto` (the default) runs every kernel matvec
     /// as `d` `O(nQ^d · nQ)` axis passes instead of the `O(nQ^{2d})`
     /// dense sweep — the joint design's dominant cost after ε-scaling,
     /// and the only representation that fits in memory beyond coarse
-    /// `d = 3` grids. Either representation stays byte-identical across
+    /// `d = 3` grids. `Dense` is the reference the tests compare it
+    /// against. Either representation stays byte-identical across
     /// thread counts; the two representations group sums differently,
     /// so they agree to solver tolerance, not bitwise.
     #[serde(default)]
@@ -384,7 +384,7 @@ impl JointRepairPlan {
             eps_scaling: config.eps_scaling,
             solver: config.plan_solver().to_string(),
             // The joint cost is always grid-separable, so the resolved
-            // representation is a pure function of the config + env.
+            // representation is a pure function of the config.
             kernel: if config.kernel.resolve(true) {
                 "separable".into()
             } else {
@@ -461,7 +461,7 @@ impl JointRepairPlan {
         // Bregman projections, annealed along the configured ε-schedule
         // — see otr_ot::barycentre). The grid_nd entry point lets the
         // kernel choice factorize the Gibbs matvecs as d O(nQ^d·nQ)
-        // axis passes (`auto`, the default) instead of O(nQ^{2d}) dense
+        // axis passes (`Auto`, the default) instead of O(nQ^{2d}) dense
         // sweeps, chunked over config.threads either way.
         let (bary, diagnostics) = entropic_barycentre_grid_nd(
             &[&pmfs[0], &pmfs[1]],
@@ -890,13 +890,9 @@ mod tests {
         assert_eq!(report.epsilon, cfg.epsilon);
         assert_eq!(report.eps_scaling, cfg.eps_scaling);
         assert_eq!(report.solver, cfg.plan_solver().to_string());
-        // The report names the resolved representation (auto is
-        // resolved through the environment, so accept either).
-        assert!(
-            report.kernel == "separable" || report.kernel == "dense",
-            "kernel: {}",
-            report.kernel
-        );
+        // The report names the resolved representation: the joint cost
+        // is grid-separable, so the default resolves to separable.
+        assert_eq!(report.kernel, "separable");
         assert!(report.design_secs > 0.0);
         assert_eq!(report.strata.len(), 2);
         let expected_stages = cfg.eps_scaling.unwrap().stages(cfg.epsilon).len();

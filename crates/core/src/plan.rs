@@ -29,6 +29,14 @@ use otr_stats::kde::GaussianKde;
 use crate::config::{MassSplit, RepairConfig};
 use crate::error::{RepairError, Result};
 
+/// Row batch of the columnar repair kernel when
+/// [`RepairConfig::batch_rows`] is `None`. Sized so one batch's working
+/// set — a handful of `f64` column slices, one 32-byte RNG state per
+/// row, and the quantization lanes — stays around the L2 cache
+/// (~0.5 MiB at `d = 2`) while the per-batch setup (group partitioning,
+/// RNG seeding) amortizes over thousands of rows.
+const BATCH_ROWS_DEFAULT: usize = 8_192;
+
 /// The designed transport machinery for one `(u, k)` stratum.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeaturePlan {
@@ -445,7 +453,7 @@ impl RepairPlan {
     /// deterministic mode) the repaired states, scatter back — in tight
     /// `f64`-slice loops that autovectorize, chunked over rows on
     /// `config.threads` threads with `config.batch_rows`-row batches
-    /// (`None` = auto / `OTR_BATCH_ROWS`).
+    /// (`None` = 8 192 rows).
     ///
     /// Row `i` draws from `StdRng::seed_from_u64(splitmix_seed(seed, i))`
     /// in feature order, exactly as [`Self::repair_point`] would under
@@ -561,7 +569,10 @@ impl RepairPlan {
     ) -> u64 {
         let d = self.dim;
         let chunk_rows = cols_out.first().map_or(0, |c| c.len());
-        let batch = otr_par::batch_rows(self.config.batch_rows);
+        let batch = self
+            .config
+            .batch_rows
+            .map_or(BATCH_ROWS_DEFAULT, |rows| rows.max(1));
         let (s_col, u_col) = (data.s(), data.u());
         let cols_in = data.feature_columns();
         let mut groups: [Vec<u32>; 4] = Default::default();

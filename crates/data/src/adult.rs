@@ -3,7 +3,7 @@
 //! The UCI Adult file cannot be downloaded in this offline environment, so
 //! the default source is [`AdultSynth`]: a calibrated synthetic generator
 //! reproducing the group-conditional structure the paper's Table II
-//! depends on (see DESIGN.md §4 for the substitution argument):
+//! depends on:
 //!
 //! * `s = 1` for males (≈ 67% of the population, as in Adult);
 //! * `u = 1` for college-level education or above (more common among
@@ -148,8 +148,7 @@ impl AdultSynth {
             // The 40-hour heap: a tight bump that integer rounding turns
             // into heavy ties at 39/40/41. We deliberately do NOT emit the
             // real file's exact single-value atom: a pure atom makes the
-            // KDE-plug-in E estimator non-comparable across repair methods
-            // (see EXPERIMENTS.md, Table II deviations).
+            // KDE-plug-in E estimator non-comparable across repair methods.
             TruncatedNormal::new(40.0, 2.0, HOURS_RANGE.0, HOURS_RANGE.1)?.sample(rng)
         } else {
             TruncatedNormal::new(

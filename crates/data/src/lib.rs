@@ -14,8 +14,8 @@
 //!   ([`SimulationSpec`]).
 //! * [`adult`] — the Adult-income study (Section V-B): a calibrated
 //!   synthetic generator ([`adult::AdultSynth`]) standing in for the UCI
-//!   file (unavailable offline; see DESIGN.md §4), plus a loader for the
-//!   real `adult.data` CSV when present.
+//!   file (unavailable offline), plus a loader for the real
+//!   `adult.data` CSV when present.
 //! * [`csv`] — a dependency-free CSV line parser and reader.
 //! * [`labelled_csv`] — the `s,u,x0,…` interchange format, read and
 //!   written a block of bytes per thread.

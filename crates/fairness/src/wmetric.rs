@@ -3,10 +3,10 @@
 //!
 //! Section II-B of the paper notes that empirical-probability proxies are
 //! "subject to small-sample estimation errors"; the KLD plug-in `E` is
-//! itself sensitive to tail/flooring conventions (see EXPERIMENTS.md,
-//! "Reading the numbers"). The 1-D Wasserstein distance between the
-//! `s|u`-conditional *empirical* feature distributions needs no density
-//! estimation at all, is insensitive to tails, and is exactly the
+//! itself sensitive to tail/flooring conventions. The 1-D Wasserstein
+//! distance between the `s|u`-conditional *empirical* feature
+//! distributions needs no density estimation at all, is insensitive to
+//! tails, and is exactly the
 //! geometry the OT repair optimizes — `W` after a perfect `t = ½`
 //! barycentric repair is zero by construction.
 //!

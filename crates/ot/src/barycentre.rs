@@ -131,18 +131,16 @@ pub struct BarycentreConfig {
     /// returned masses' bytes.
     pub threads: usize,
     /// Minimum kernel size (cells) before the matvecs chunk across
-    /// threads; `None` = auto (`OTR_KERNEL_CELLS` env or
-    /// [`otr_par::KERNEL_CELLS_DEFAULT`]).
+    /// threads; `None` = [`otr_par::KERNEL_CELLS_DEFAULT`].
     pub parallel_min_cells: Option<usize>,
     /// Gibbs-kernel representation on separable (product-grid) costs —
     /// honored by [`entropic_barycentre_grid_nd`], where `Auto` (the
-    /// default) factorizes the kernel as `K₁ ⊗ … ⊗ K_d` unless the
-    /// `OTR_KERNEL` environment variable says otherwise. The
-    /// arbitrary-point entry point has no separable structure and
-    /// always solves dense. Part of the solve's definition (separable
-    /// and dense group the matvec sums differently, so their outputs
-    /// agree to ~1e-12 relative but not bitwise), like
-    /// [`eps_scaling`](Self::eps_scaling).
+    /// default) factorizes the kernel as `K₁ ⊗ … ⊗ K_d` and `Dense`
+    /// keeps the dense one. The arbitrary-point entry point has no
+    /// separable structure and always solves dense. Part of the
+    /// solve's definition (separable and dense group the matvec sums
+    /// differently, so their outputs agree to ~1e-12 relative but not
+    /// bitwise), like [`eps_scaling`](Self::eps_scaling).
     pub kernel: KernelChoice,
 }
 
@@ -307,16 +305,6 @@ pub fn entropic_barycentre_grid_nd(
     })
 }
 
-/// Effective matvec thread count: configured threads once the kernel
-/// crosses the size threshold, else 1 (sequential, no spawn overhead).
-fn kernel_threads(config: &BarycentreConfig, cells: usize) -> usize {
-    if cells >= otr_par::kernel_cells(config.parallel_min_cells) {
-        config.threads
-    } else {
-        1
-    }
-}
-
 /// Validate the barycentre inputs that gate the `O(n²)` kernel build —
 /// marginal count, `ε`, and the weight vector — and return the
 /// normalized weights. Shared by both public entry points so invalid
@@ -373,7 +361,7 @@ fn bregman_barycentre(
     work_cells: usize,
     build_kernel: impl Fn(f64, usize) -> KernelRep,
 ) -> Result<(Vec<f64>, BarycentreDiagnostics)> {
-    let threads = kernel_threads(config, work_cells);
+    let threads = otr_par::kernel_threads(config.threads, work_cells, config.parallel_min_cells);
     let k = marginals.len();
     let mut u = vec![vec![1.0f64; n]; k];
     let mut v = vec![vec![1.0f64; n]; k];

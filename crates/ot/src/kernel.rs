@@ -46,35 +46,25 @@
 //! the kernel representation is part of the solve's definition, like an
 //! ε-schedule, not a free runtime knob.
 //!
-//! [`KernelChoice`] is the selection policy: `Dense` and `Separable`
-//! force a representation, `Auto` (the default) consults the
-//! [`KERNEL_ENV`] environment variable and otherwise picks separable
-//! whenever the cost is grid-separable.
-
-use std::fmt;
-use std::str::FromStr;
+//! [`KernelChoice`] is the selection policy, a field of the solve's
+//! config: `Dense` forces the dense kernel (the reference the tests
+//! compare against), `Auto` (the default) and `Separable` pick the
+//! separable one whenever the cost is grid-separable.
 
 use serde::{Deserialize, Serialize};
 
 use otr_par::{par_chunks_mut, par_rows_mut};
 
-use crate::error::OtError;
-
-/// Environment variable steering [`KernelChoice::Auto`]: `dense`,
-/// `separable`, or `auto` (anything else is ignored). Explicit config
-/// choices always win over the environment.
-pub const KERNEL_ENV: &str = "OTR_KERNEL";
-
 /// Which Gibbs-kernel representation an entropic solve uses on
 /// separable (product-grid squared-Euclidean) costs.
 ///
 /// Serialized like the other config enums (`"Auto"`, `"Dense"`,
-/// `"Separable"`); the CLI spelling is lowercase (`auto|dense|separable`,
-/// via [`FromStr`]/[`fmt::Display`]).
+/// `"Separable"`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelChoice {
-    /// Consult [`KERNEL_ENV`], else pick separable whenever the cost is
-    /// grid-separable. The default.
+    /// Pick separable whenever the cost is grid-separable — the same
+    /// rule as [`KernelChoice::Separable`]. The default, and what joint
+    /// plan JSON records.
     #[default]
     Auto,
     /// Always the dense `n × n` kernel, even on product grids.
@@ -90,48 +80,9 @@ impl KernelChoice {
     /// representation. `separable_available` says whether the solve's
     /// cost actually factorizes (product-grid squared-Euclidean support,
     /// no zero-mass filtering); an unavailable preference degrades to
-    /// dense rather than erroring. `Auto` consults [`KERNEL_ENV`]
-    /// first (unparseable values are ignored).
+    /// dense rather than erroring.
     pub fn resolve(self, separable_available: bool) -> bool {
-        let effective = match self {
-            KernelChoice::Auto => std::env::var(KERNEL_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<KernelChoice>().ok())
-                .unwrap_or(KernelChoice::Auto),
-            explicit => explicit,
-        };
-        match effective {
-            KernelChoice::Dense => false,
-            KernelChoice::Separable | KernelChoice::Auto => separable_available,
-        }
-    }
-}
-
-impl fmt::Display for KernelChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Dense => "dense",
-            KernelChoice::Separable => "separable",
-        })
-    }
-}
-
-impl FromStr for KernelChoice {
-    type Err = OtError;
-
-    fn from_str(s: &str) -> Result<Self, OtError> {
-        match s {
-            "auto" => Ok(KernelChoice::Auto),
-            "dense" => Ok(KernelChoice::Dense),
-            "separable" => Ok(KernelChoice::Separable),
-            other => Err(OtError::InvalidParameter {
-                name: "kernel",
-                reason: format!(
-                    "unknown kernel `{other}` (expected `auto`, `dense`, or `separable`)"
-                ),
-            }),
-        }
+        self != KernelChoice::Dense && separable_available
     }
 }
 
@@ -254,7 +205,7 @@ impl KernelRep {
     }
 
     /// Matrix cells one matvec actually touches — the work measure the
-    /// [`otr_par::kernel_cells`] parallelism threshold compares against
+    /// [`otr_par::kernel_threads`] parallelism threshold compares against
     /// (`n²` dense; `n·(nx + ny)` separable; `n·Σnᵢ` for d axes).
     pub fn work_cells(&self) -> usize {
         match self {
@@ -574,37 +525,14 @@ mod tests {
     }
 
     #[test]
-    fn choice_parses_displays_and_defaults() {
-        assert_eq!("auto".parse::<KernelChoice>().unwrap(), KernelChoice::Auto);
-        assert_eq!(
-            "dense".parse::<KernelChoice>().unwrap(),
-            KernelChoice::Dense
-        );
-        assert_eq!(
-            "separable".parse::<KernelChoice>().unwrap(),
-            KernelChoice::Separable
-        );
-        assert!("kronecker".parse::<KernelChoice>().is_err());
+    fn choices_resolve() {
         assert_eq!(KernelChoice::default(), KernelChoice::Auto);
-        for c in [
-            KernelChoice::Auto,
-            KernelChoice::Dense,
-            KernelChoice::Separable,
-        ] {
-            assert_eq!(c.to_string().parse::<KernelChoice>().unwrap(), c);
-        }
-    }
-
-    #[test]
-    fn explicit_choices_resolve_without_the_environment() {
-        // Explicit settings never consult OTR_KERNEL, so these are safe
-        // to assert whatever the ambient environment says.
         assert!(!KernelChoice::Dense.resolve(true));
         assert!(!KernelChoice::Dense.resolve(false));
         assert!(KernelChoice::Separable.resolve(true));
+        assert!(KernelChoice::Auto.resolve(true));
         // An unavailable preference degrades to dense, never errors.
         assert!(!KernelChoice::Separable.resolve(false));
-        // Auto on a non-separable cost is dense regardless of the env.
         assert!(!KernelChoice::Auto.resolve(false));
     }
 

@@ -23,7 +23,7 @@
 //!   [`KernelRep`] serves every entropic matvec either dense or — on
 //!   product-grid squared-Euclidean costs — factorized as `Kx ⊗ Ky`
 //!   (two `O(nQ³)` axis passes instead of one `O(nQ⁴)` sweep), selected
-//!   by [`KernelChoice`] (`auto|dense|separable`, `OTR_KERNEL` env).
+//!   by the config field [`KernelChoice`] (`Auto`, `Dense`, `Separable`).
 //! * [`solvers::backend`] — the **unified solver seam**: [`SolverBackend`]
 //!   and the [`Solver1d`] interface own backend selection, epsilon
 //!   validation, and the Sinkhorn→simplex fallback policy; every
@@ -76,7 +76,7 @@ pub use coupling::OtPlan;
 pub use discrete::DiscreteDistribution;
 pub use error::OtError;
 pub use interp::MidpointCdf;
-pub use kernel::{AxisKernel, KernelChoice, KernelRep, KERNEL_ENV};
+pub use kernel::{AxisKernel, KernelChoice, KernelRep};
 pub use solvers::backend::{Solver1d, SolverBackend};
 pub use solvers::monotone::solve_monotone_1d;
 pub use solvers::simplex::solve_transportation_simplex;

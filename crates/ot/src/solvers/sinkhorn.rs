@@ -23,11 +23,9 @@
 //!
 //! The hot loops chunk their row/column scaling updates over
 //! [`otr_par::par_chunks_mut`] once the kernel crosses the
-//! [`otr_par::kernel_cells`] size threshold, and past the same
-//! threshold the **column phase reads a transposed kernel copy**
-//! ([`otr_par::par_transpose`]) instead of striding the row-major
-//! kernel — the accumulation order over rows is unchanged, so the
-//! transposed phase is bitwise-equal to the strided one. Every output
+//! [`otr_par::kernel_threads`] size threshold, and the **column phase
+//! reads a transposed kernel copy** ([`otr_par::par_transpose`]),
+//! contiguously, instead of striding the row-major kernel. Every output
 //! element is written by exactly one thread and accumulated in a fixed
 //! order, and all cross-row reductions (marginal residuals, absorption
 //! drift, rounding mass totals) are summed sequentially on the calling
@@ -222,24 +220,21 @@ pub struct SinkhornConfig {
     #[serde(skip)]
     pub threads: usize,
     /// Minimum kernel size (rows × cols) before the scaling updates
-    /// chunk across threads — and before the column phase switches to
-    /// the transposed kernel copy; `None` = auto (`OTR_KERNEL_CELLS`
-    /// env or [`otr_par::KERNEL_CELLS_DEFAULT`]). Runtime policy, not
-    /// serialized.
+    /// chunk across threads; `None` = [`otr_par::KERNEL_CELLS_DEFAULT`].
+    /// Runtime policy, not serialized.
     #[serde(skip)]
     pub parallel_min_cells: Option<usize>,
     /// Gibbs-kernel representation on **grid-separable** costs (a
     /// self-product-grid squared-Euclidean [`CostMatrix`] with no
     /// zero-mass filtering): `Auto` (the default) factorizes the kernel
     /// as `Kx ⊗ Ky` — two `O(nQ³)` axis passes per scaling update
-    /// instead of the `O(nQ⁴)` dense sweep — unless the `OTR_KERNEL`
-    /// environment variable says otherwise; non-separable solves always
-    /// run dense. Like [`eps_scaling`](Self::eps_scaling) this is part
-    /// of the solve's definition (the representations group sums
-    /// differently, agreeing to ~1e-12 relative, not bitwise); unlike
-    /// it the choice is not serialized — a persisted plan stores the
-    /// designed coupling itself, never the representation that built
-    /// it.
+    /// instead of the `O(nQ⁴)` dense sweep — and `Dense` keeps the
+    /// dense kernel; non-separable solves always run dense. Like
+    /// [`eps_scaling`](Self::eps_scaling) this is part of the solve's
+    /// definition (the representations group sums differently,
+    /// agreeing to ~1e-12 relative, not bitwise); unlike it the choice
+    /// is not serialized — a persisted plan stores the designed
+    /// coupling itself, never the representation that built it.
     #[serde(skip)]
     pub kernel: KernelChoice,
 }
@@ -264,16 +259,6 @@ impl SinkhornConfig {
         Self {
             epsilon,
             ..Self::default()
-        }
-    }
-
-    /// Effective thread count for a kernel of `cells` matrix cells: the
-    /// configured threads once the size threshold is crossed, else 1.
-    fn kernel_threads(&self, cells: usize) -> usize {
-        if cells >= otr_par::kernel_cells(self.parallel_min_cells) {
-            self.threads // 0 = auto, resolved by the executor
-        } else {
-            1
         }
     }
 }
@@ -386,8 +371,9 @@ pub fn sinkhorn_warm(
     let np = rows_pos.len();
     let mp = cols_pos.len();
 
-    let threads = config.kernel_threads(np * mp);
-    let transposed = np * mp >= otr_par::kernel_cells(config.parallel_min_cells);
+    let kernel_threads =
+        |cells| otr_par::kernel_threads(config.threads, cells, config.parallel_min_cells);
+    let threads = kernel_threads(np * mp);
 
     // The separable (Kronecker) standard domain engages only when the
     // cost is grid-separable AND no zero-mass filtering narrowed the
@@ -402,7 +388,7 @@ pub fn sinkhorn_warm(
         .filter(|_| config.kernel.resolve(true))
         .map(|axes| axes.to_vec());
     let sep_threads = separable.as_ref().map_or(1, |axes: &Vec<Vec<f64>>| {
-        config.kernel_threads(np * axes.iter().map(|g| g.len()).sum::<usize>())
+        kernel_threads(np * axes.iter().map(|g| g.len()).sum::<usize>())
     });
 
     // Negated cost -C on the positive sub-support (ε-free, so one build
@@ -429,7 +415,6 @@ pub fn sinkhorn_warm(
         a_pos: rows_pos.iter().map(|&i| a[i]).collect(),
         b_pos: cols_pos.iter().map(|&j| b[j]).collect(),
         threads,
-        transposed,
         separable,
         sep_threads,
     };
@@ -519,9 +504,6 @@ struct SubProblem {
     /// Effective worker threads (1 = stay sequential; the size
     /// threshold has already been applied).
     threads: usize,
-    /// Column phase reads a transposed kernel copy (true once the
-    /// kernel crosses the [`otr_par::kernel_cells`] threshold).
-    transposed: bool,
     /// Axis grids when the standard domain runs against the factorized
     /// kernel `K₁ ⊗ … ⊗ K_d` (grid-separable cost, unfiltered support,
     /// kernel choice resolved to separable); `None` = dense.
@@ -754,8 +736,7 @@ impl SubProblem {
     }
 
     /// Build the absorbed Gibbs kernel `K̃_ij = exp((φ_i + ψ_j − C_ij)/ε)`
-    /// (and, past the size threshold, its transposed copy for the
-    /// column phase), chunk-parallel.
+    /// and its transposed copy for the column phase, chunk-parallel.
     fn build_absorbed_kernel(
         &self,
         eps: f64,
@@ -772,9 +753,7 @@ impl SubProblem {
                 *slot = ((phi[idx / mp] + psi[idx % mp] + neg_c[idx]) / eps).exp();
             }
         });
-        if self.transposed {
-            par_transpose(kernel, self.np, mp, kernel_t, self.threads);
-        }
+        par_transpose(kernel, self.np, mp, kernel_t, self.threads);
     }
 
     /// Standard-domain Sinkhorn against the absorbed kernel, with
@@ -794,11 +773,7 @@ impl SubProblem {
     ) -> StandardOutcome {
         let (np, mp) = (self.np, self.mp);
         let mut kernel = vec![0.0f64; np * mp];
-        let mut kernel_t = if self.transposed {
-            vec![0.0f64; np * mp]
-        } else {
-            Vec::new()
-        };
+        let mut kernel_t = vec![0.0f64; np * mp];
         self.build_absorbed_kernel(eps, phi, psi, &mut kernel, &mut kernel_t);
 
         const FLOOR: f64 = 1e-300;
@@ -832,37 +807,19 @@ impl SubProblem {
                 }
             });
             // v_j = b_j / Σ_i K̃_ij u_i (column marginals exact after
-            // this). Past the size threshold the sum reads row pj of the
-            // transposed copy — contiguous instead of stride-mp — in the
-            // same pi order, so the accumulated bits are unchanged.
-            if self.transposed {
-                let kernel_t = &kernel_t;
-                let u_ref = &u;
-                par_chunks_mut(&mut v, self.threads, |start, chunk| {
-                    for (off, vj) in chunk.iter_mut().enumerate() {
-                        let pj = start + off;
-                        let col = &kernel_t[pj * np..(pj + 1) * np];
-                        let mut acc = 0.0;
-                        for (kij, ui) in col.iter().zip(u_ref) {
-                            acc += kij * ui;
-                        }
-                        *vj = self.b_pos[pj] / acc.max(FLOOR);
+            // this), read as row pj of the transposed copy.
+            let u_ref = &u;
+            par_chunks_mut(&mut v, self.threads, |start, chunk| {
+                for (off, vj) in chunk.iter_mut().enumerate() {
+                    let pj = start + off;
+                    let col = &kernel_t[pj * np..(pj + 1) * np];
+                    let mut acc = 0.0;
+                    for (kij, ui) in col.iter().zip(u_ref) {
+                        acc += kij * ui;
                     }
-                });
-            } else {
-                let kernel_ref = &kernel;
-                let u_ref = &u;
-                par_chunks_mut(&mut v, self.threads, |start, chunk| {
-                    for (off, vj) in chunk.iter_mut().enumerate() {
-                        let pj = start + off;
-                        let mut acc = 0.0;
-                        for pi in 0..np {
-                            acc += kernel_ref[pi * mp + pj] * u_ref[pi];
-                        }
-                        *vj = self.b_pos[pj] / acc.max(FLOOR);
-                    }
-                });
-            }
+                    *vj = self.b_pos[pj] / acc.max(FLOOR);
+                }
+            });
 
             // Convergence / absorption checks every few iterations to
             // amortize their O(n²) / O(n) cost. Per-row contributions
@@ -952,10 +909,8 @@ impl SubProblem {
         let (np, mp) = (self.np, self.mp);
         let log_a: Vec<f64> = self.a_pos.iter().map(|x| x.ln()).collect();
         let log_b: Vec<f64> = self.b_pos.iter().map(|x| x.ln()).collect();
-        // Kernel exponents -C/ε for this stage, plus the transposed
-        // copy for the column phase past the size threshold (the
-        // elementwise scaling commutes with the transpose, so either
-        // build order yields the same bits).
+        // Kernel exponents -C/ε for this stage, plus their transposed
+        // copy for the column phase.
         let mut neg_c_eps = vec![0.0f64; np * mp];
         let neg_c = self.neg_c();
         par_chunks_mut(&mut neg_c_eps, self.threads, |start, chunk| {
@@ -963,11 +918,8 @@ impl SubProblem {
                 *slot = neg_c[start + off] / eps;
             }
         });
-        let mut neg_c_eps_t = Vec::new();
-        if self.transposed {
-            neg_c_eps_t = vec![0.0f64; np * mp];
-            par_transpose(&neg_c_eps, np, mp, &mut neg_c_eps_t, self.threads);
-        }
+        let mut neg_c_eps_t = vec![0.0f64; np * mp];
+        par_transpose(&neg_c_eps, np, mp, &mut neg_c_eps_t, self.threads);
 
         // Log-domain dual potentials (stored as dual/ε so updates are
         // additive), warm-started from the cost-unit duals.
@@ -1001,34 +953,19 @@ impl SubProblem {
                 }
             });
             // g update (column-parallel; contiguous reads off the
-            // transposed exponents past the size threshold).
-            if self.transposed {
-                let t = &neg_c_eps_t;
-                let f_ref = &f;
-                par_chunks_mut(&mut g, self.threads, |start, chunk| {
-                    let mut scratch = vec![0.0f64; np];
-                    for (off, gj) in chunk.iter_mut().enumerate() {
-                        let pj = start + off;
-                        let col = &t[pj * np..(pj + 1) * np];
-                        for (slot, (nc, fi)) in scratch.iter_mut().zip(col.iter().zip(f_ref)) {
-                            *slot = nc + fi;
-                        }
-                        *gj = log_b[pj] - log_sum_exp(&scratch);
+            // transposed exponents).
+            let f_ref = &f;
+            par_chunks_mut(&mut g, self.threads, |start, chunk| {
+                let mut scratch = vec![0.0f64; np];
+                for (off, gj) in chunk.iter_mut().enumerate() {
+                    let pj = start + off;
+                    let col = &neg_c_eps_t[pj * np..(pj + 1) * np];
+                    for (slot, (nc, fi)) in scratch.iter_mut().zip(col.iter().zip(f_ref)) {
+                        *slot = nc + fi;
                     }
-                });
-            } else {
-                let f_ref = &f;
-                par_chunks_mut(&mut g, self.threads, |start, chunk| {
-                    let mut scratch = vec![0.0f64; np];
-                    for (off, gj) in chunk.iter_mut().enumerate() {
-                        let pj = start + off;
-                        for pi in 0..np {
-                            scratch[pi] = neg_c_eps[pi * mp + pj] + f_ref[pi];
-                        }
-                        *gj = log_b[pj] - log_sum_exp(&scratch);
-                    }
-                });
-            }
+                    *gj = log_b[pj] - log_sum_exp(&scratch);
+                }
+            });
 
             // Residual cadence as in the standard path; after the g
             // update column marginals are exact, so measure rows.
@@ -1352,57 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn transposed_column_phase_bitwise_equal_to_strided() {
-        // The transposed kernel copy changes memory layout, never the
-        // accumulation order — forcing it on (min_cells = 1) must
-        // reproduce the strided sequential solve bit for bit, for both
-        // a cold and a scheduled solve.
-        let support_a: Vec<f64> = (0..23).map(|i| i as f64 * 0.031).collect();
-        let support_b: Vec<f64> = (0..17).map(|i| 0.01 + i as f64 * 0.04).collect();
-        let a: Vec<f64> = (0..23).map(|i| 1.0 + ((i * 7) % 5) as f64).collect();
-        let b: Vec<f64> = (0..17).map(|i| 1.0 + ((i * 3) % 4) as f64).collect();
-        let cost = CostMatrix::squared_euclidean(&support_a, &support_b).unwrap();
-        for eps_scaling in [None, Some(EpsSchedule::default())] {
-            let strided = sinkhorn(
-                &a,
-                &b,
-                &cost,
-                SinkhornConfig {
-                    epsilon: 0.05,
-                    eps_scaling,
-                    threads: 1,
-                    parallel_min_cells: Some(usize::MAX),
-                    ..SinkhornConfig::default()
-                },
-            )
-            .unwrap();
-            let transposed = sinkhorn(
-                &a,
-                &b,
-                &cost,
-                SinkhornConfig {
-                    epsilon: 0.05,
-                    eps_scaling,
-                    threads: 1,
-                    parallel_min_cells: Some(1),
-                    ..SinkhornConfig::default()
-                },
-            )
-            .unwrap();
-            for i in 0..a.len() {
-                for j in 0..b.len() {
-                    assert_eq!(
-                        transposed.get(i, j).to_bits(),
-                        strided.get(i, j).to_bits(),
-                        "scheduled = {}, cell ({i}, {j})",
-                        eps_scaling.is_some()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_kernels_bit_identical_to_sequential() {
         // The in-kernel determinism contract: chunking the scaling
         // updates across any thread count returns the *exact same
@@ -1502,7 +1388,6 @@ mod tests {
             a_pos: a.to_vec(),
             b_pos: b.to_vec(),
             threads: 1,
-            transposed: false,
             separable: None,
             sep_threads: 1,
         };
@@ -1528,6 +1413,64 @@ mod tests {
             .expect("final stage materializes");
         for (idx, (s, l)) in standard.iter().zip(&log).enumerate() {
             assert!((s - l).abs() < 1e-6, "cell {idx}: standard {s} vs log {l}");
+        }
+    }
+
+    #[test]
+    fn chunked_iteration_domains_bit_identical_to_sequential() {
+        // Both iteration domains driven directly, so the log domain runs
+        // chunked too: no solve under test falls back to it past the
+        // size threshold. On the rectangular 23×17 problem, at a
+        // moderate and a small ε, every thread count must return the
+        // sequential plans and duals bit for bit.
+        let support_a: Vec<f64> = (0..23).map(|i| i as f64 * 0.031).collect();
+        let support_b: Vec<f64> = (0..17).map(|i| 0.01 + i as f64 * 0.04).collect();
+        let cost = CostMatrix::squared_euclidean(&support_a, &support_b).unwrap();
+        let normalized = |v: Vec<f64>| {
+            let total: f64 = v.iter().sum();
+            v.iter().map(|x| x / total).collect::<Vec<f64>>()
+        };
+        let a = normalized((0..23).map(|i| 1.0 + ((i * 7) % 5) as f64).collect());
+        let b = normalized((0..17).map(|i| 1.0 + ((i * 3) % 4) as f64).collect());
+        let (np, mp) = (a.len(), b.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let run = |threads: usize, eps: f64| {
+            let neg_c = std::sync::OnceLock::new();
+            let _ = neg_c.set(
+                (0..np * mp)
+                    .map(|idx| -cost.get(idx / mp, idx % mp))
+                    .collect(),
+            );
+            let sub = SubProblem {
+                np,
+                mp,
+                neg_c,
+                a_pos: a.clone(),
+                b_pos: b.clone(),
+                threads,
+                separable: None,
+                sep_threads: 1,
+            };
+            let (mut phi, mut psi) = (vec![0.0f64; np], vec![0.0f64; mp]);
+            let standard = match sub.iterate_standard(eps, 50_000, 1e-9, &mut phi, &mut psi, true) {
+                StandardOutcome::Converged(Some(plan)) => plan,
+                _ => panic!("standard domain did not converge at eps = {eps}"),
+            };
+            let (mut f, mut g) = (vec![0.0f64; np], vec![0.0f64; mp]);
+            let log = sub
+                .iterate_log(eps, 50_000, 1e-9, &mut f, &mut g, true)
+                .unwrap()
+                .expect("final stage materializes");
+            [standard, phi, psi, log, f, g].map(|v| bits(&v))
+        };
+        for eps in [0.05, 2e-3] {
+            let sequential = run(1, eps);
+            for threads in [2usize, 3, 7] {
+                assert!(
+                    run(threads, eps) == sequential,
+                    "eps = {eps}, threads = {threads}"
+                );
+            }
         }
     }
 
@@ -1738,7 +1681,6 @@ mod tests {
             a_pos: a.clone(),
             b_pos: b.clone(),
             threads: 1,
-            transposed: false,
             separable: Some(axes),
             sep_threads: 1,
         };
@@ -1769,7 +1711,6 @@ mod tests {
             a_pos: a.clone(),
             b_pos: b.clone(),
             threads: 1,
-            transposed: false,
             separable: Some(vec![gx, gy]),
             sep_threads: 1,
         };

@@ -25,10 +25,13 @@
 //!
 //! In-kernel parallelism (the Sinkhorn scaling updates and the
 //! barycentre matvecs in `otr-ot`) additionally respects a **size
-//! threshold**: a kernel engages its chunked path only when it touches
-//! at least [`kernel_cells`] matrix cells, so the many tiny solves of a
-//! 1-D plan design stay free of spawn overhead while the `nQ⁴`-cell
-//! joint kernels scale with cores.
+//! threshold** ([`kernel_threads`]): a kernel engages its chunked path
+//! only when it touches at least [`KERNEL_CELLS_DEFAULT`] matrix cells,
+//! so the many tiny solves of a 1-D plan design stay free of spawn
+//! overhead while the `nQ⁴`-cell joint kernels scale with cores.
+//! `OTR_THREADS` is the only execution setting read from the
+//! environment; everything else is a constant here or a field of the
+//! caller's config.
 //!
 //! ```
 //! // out[i] = 2 * i, computed on up to 3 scoped threads — the result is
@@ -47,12 +50,8 @@ use std::ops::Range;
 /// Environment variable overriding the auto thread count.
 pub const THREADS_ENV: &str = "OTR_THREADS";
 
-/// Environment variable overriding the in-kernel parallelism threshold
-/// (minimum matrix cells before an OT kernel chunks its hot loops).
-pub const KERNEL_CELLS_ENV: &str = "OTR_KERNEL_CELLS";
-
-/// Default in-kernel parallelism threshold, in matrix cells. Sized so a
-/// 1-D `nQ ≤ 180` solve (≤ 32 400 cells) stays sequential — its scaling
+/// In-kernel parallelism threshold, in matrix cells. Sized so a 1-D
+/// `nQ ≤ 180` solve (≤ 32 400 cells) stays sequential — its scaling
 /// loops finish faster than threads spawn — while a joint `nQ ≥ 14`
 /// product-support kernel (`nQ⁴ ≥ 38 416` cells) goes parallel.
 pub const KERNEL_CELLS_DEFAULT: usize = 32_768;
@@ -76,53 +75,18 @@ pub fn thread_count(requested: usize) -> usize {
         .unwrap_or(4)
 }
 
-/// Resolve the in-kernel parallelism threshold: an explicit
-/// `Some(cells)` wins (the per-solve config knob); `None` means auto —
-/// the `OTR_KERNEL_CELLS` environment variable if set and positive,
-/// else [`KERNEL_CELLS_DEFAULT`]. A kernel touching fewer cells than
-/// the threshold runs sequentially regardless of the thread setting.
-pub fn kernel_cells(requested: Option<usize>) -> usize {
-    if let Some(cells) = requested {
-        return cells.max(1);
+/// Worker threads for an OT kernel that touches `cells` matrix cells:
+/// `threads` (`0` = auto, resolved by the executor) once `cells`
+/// reaches the threshold — `min_cells` when the solve's config sets
+/// one, else [`KERNEL_CELLS_DEFAULT`] — and 1 below it, so small solves
+/// never pay for a spawn. The Sinkhorn solver and the barycentre both
+/// decide their in-kernel threads here.
+pub fn kernel_threads(threads: usize, cells: usize, min_cells: Option<usize>) -> usize {
+    if cells >= min_cells.unwrap_or(KERNEL_CELLS_DEFAULT) {
+        threads
+    } else {
+        1
     }
-    if let Ok(v) = std::env::var(KERNEL_CELLS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    KERNEL_CELLS_DEFAULT
-}
-
-/// Environment variable overriding the columnar repair kernels' row
-/// batch size (rows processed per per-batch scratch refill).
-pub const BATCH_ROWS_ENV: &str = "OTR_BATCH_ROWS";
-
-/// Default row batch of the columnar repair kernels. Sized so one
-/// batch's working set — a handful of `f64` column slices, one 32-byte
-/// RNG state per row, and the quantization lanes — stays around the
-/// L2 cache (~0.5 MiB at `d = 2`) while the per-batch setup (group
-/// partitioning, RNG seeding) amortizes over thousands of rows.
-pub const BATCH_ROWS_DEFAULT: usize = 8_192;
-
-/// Resolve the columnar row-batch size: an explicit `Some(rows)` wins
-/// (the per-plan config knob, clamped to ≥ 1); `None` means auto — the
-/// `OTR_BATCH_ROWS` environment variable if set and positive, else
-/// [`BATCH_ROWS_DEFAULT`]. Batch size is pure blocking policy: it may
-/// change wall-clock time and nothing else (see `docs/determinism.md`).
-pub fn batch_rows(requested: Option<usize>) -> usize {
-    if let Some(rows) = requested {
-        return rows.max(1);
-    }
-    if let Ok(v) = std::env::var(BATCH_ROWS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    BATCH_ROWS_DEFAULT
 }
 
 /// The `stream`-th output of a SplitMix64 sequence seeded at `base` —
@@ -353,12 +317,10 @@ const TRANSPOSE_TILE: usize = 64;
 /// the operation is a pure permutation, so `dst` is bit-identical for
 /// every thread count.
 ///
-/// This is the cache primitive behind the OT kernels' **column phase**:
-/// a column update over a row-major kernel reads with stride `cols`,
-/// thrashing cache once kernels reach ~1M cells; reading rows of the
-/// transposed copy instead is contiguous, and the accumulation order
-/// over the original rows is unchanged — so the transposed phase is
-/// bitwise-equal to the strided one.
+/// This is the cache primitive behind the Sinkhorn **column phase**:
+/// the column sums of a row-major kernel read rows of its transposed
+/// copy, contiguously, instead of striding by `cols` through the
+/// original, which thrashes cache once kernels reach ~1M cells.
 ///
 /// # Panics
 /// `src.len()` and `dst.len()` must both equal `rows * cols`.
@@ -648,17 +610,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_rows_resolution() {
-        assert_eq!(batch_rows(Some(7)), 7);
-        assert_eq!(batch_rows(Some(0)), 1); // explicit 0 clamps, not auto
-        assert!(batch_rows(None) >= 1);
-    }
-
-    #[test]
-    fn kernel_cells_resolution() {
-        assert_eq!(kernel_cells(Some(7)), 7);
-        assert_eq!(kernel_cells(Some(0)), 1); // explicit 0 clamps, not auto
-        assert!(kernel_cells(None) >= 1);
+    fn kernel_threads_engage_at_the_threshold() {
+        let below = KERNEL_CELLS_DEFAULT - 1;
+        assert_eq!(kernel_threads(4, below, None), 1);
+        assert_eq!(kernel_threads(4, KERNEL_CELLS_DEFAULT, None), 4);
+        assert_eq!(kernel_threads(0, KERNEL_CELLS_DEFAULT, None), 0); // auto stays auto
+        assert_eq!(kernel_threads(4, 7, Some(7)), 4); // a config threshold wins
+        assert_eq!(kernel_threads(4, 6, Some(7)), 1);
     }
 
     #[test]

@@ -28,8 +28,6 @@ Options:
                        OTR_THREADS if set, else available parallelism)
   --shards <n>         row shards per repair request (default 0 = auto: the
                        resolved thread count)
-  --batch-rows <n>     columnar kernel batch size (default 0 = auto:
-                       OTR_BATCH_ROWS if set, else the library default)
   --max-conns <n>      connection cap: connections past <n> are rejected
                        with an Overloaded error frame (default 256; 0 = off)
   --deadline-ms <n>    per-frame deadline: a frame's bytes (and each
@@ -63,10 +61,6 @@ impl DaemonArgs {
                 }
                 "--shards" => {
                     out.config.shards = parse_num(flag, &value("a shard count")?)?;
-                }
-                "--batch-rows" => {
-                    let n: usize = parse_num(flag, &value("a batch size")?)?;
-                    out.config.batch_rows = (n != 0).then_some(n);
                 }
                 "--max-conns" => {
                     out.config.max_conns = parse_num(flag, &value("a connection cap")?)?;
@@ -150,5 +144,19 @@ pub fn announce(server: &Server, args: &DaemonArgs) -> std::io::Result<()> {
 pub fn cleanup(args: &DaemonArgs) {
     if let Some(path) = &args.port_file {
         let _ = std::fs::remove_file(path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_and_removed_flags_are_errors() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
+        let parsed = DaemonArgs::parse(&args(&["--threads", "2", "--shards", "7"])).unwrap();
+        assert_eq!((parsed.config.threads, parsed.config.shards), (2, 7));
+        let err = DaemonArgs::parse(&args(&["--batch-rows", "64"])).unwrap_err();
+        assert!(err.contains("unknown flag --batch-rows"), "{err}");
     }
 }

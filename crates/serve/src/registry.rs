@@ -187,7 +187,7 @@ pub struct PlanRegistry {
     /// the two levels from multiplying; standalone users may want auto.
     plan_threads: usize,
     /// Columnar batch-rows policy applied to loaded scalar plans
-    /// (`None` = auto / `OTR_BATCH_ROWS`).
+    /// (`None` = the kernel's default; see `RepairConfig::batch_rows`).
     batch_rows: Option<usize>,
 }
 

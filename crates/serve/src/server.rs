@@ -98,10 +98,6 @@ pub struct ServeConfig {
     /// Contiguous row shards per repair request (`0` = auto: the
     /// resolved thread count).
     pub shards: usize,
-    /// Row-batch size of the columnar kernels inside each shard
-    /// (`None` = auto: `OTR_BATCH_ROWS` if set, else the library
-    /// default).
-    pub batch_rows: Option<usize>,
     /// Directory of plan artifacts to preload at startup
     /// (`name.json` → `name@1`, `name@v.json` → `name@v`).
     pub plans_dir: Option<PathBuf>,
@@ -127,7 +123,6 @@ impl Default for ServeConfig {
             bind: "127.0.0.1:7878".into(),
             threads: 0,
             shards: 0,
-            batch_rows: None,
             plans_dir: None,
             max_conns: 256,
             deadline_ms: 30_000,
@@ -268,7 +263,7 @@ impl Server {
         // Shards run concurrently on the server's own pool, so each
         // registered plan executes single-threaded: two multiplying
         // levels of parallelism would oversubscribe the machine.
-        let registry = Arc::new(PlanRegistry::new(1, config.batch_rows));
+        let registry = Arc::new(PlanRegistry::new(1, None));
         if let Some(dir) = &config.plans_dir {
             registry
                 .load_dir(dir)

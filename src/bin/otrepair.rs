@@ -58,19 +58,16 @@ fn print_usage() {
                              [--min-group N] [--threads N] [--verbose]\n\
            otrepair design   --joint --research <csv> --out <plan.json> [--nq N] [--t T]\n\
                              [--eps E] [--eps-scaling off|on|<eps0>:<factor>]\n\
-                             [--kernel auto|dense|separable]\n\
                              [--solver …] [--min-group N] [--threads N] [--verbose]\n\
            otrepair apply    --plan <plan.json> --data <csv> --out <csv>\n\
                              [--seed N] [--partial LAMBDA] [--monge] [--threads N]\n\
-                             [--batch-rows N]\n\
            otrepair apply    --joint --plan <plan.json> --data <csv> --out <csv>\n\
                              [--seed N] [--threads N]\n\
-           otrepair evaluate --data <csv> [--grid N] [--joint]\n\
+           otrepair evaluate --data <csv> [--grid N] [--joint [--joint-grid N]]\n\
            otrepair drift    --data <csv> --out <csv> [--mean-shift V1,V2,..]\n\
                              [--scale F1,F2,..] [--group-shift S:V1,V2,..]\n\
            otrepair serve    [--bind ADDR] [--plans DIR] [--threads N] [--shards N]\n\
-                             [--batch-rows N] [--max-conns N] [--deadline-ms N]\n\
-                             [--port-file PATH]\n\
+                             [--max-conns N] [--deadline-ms N] [--port-file PATH]\n\
            otrepair client   <ping|info|plans|load|evict|repair|watch|drift|audit>\n\
                              --addr HOST:PORT [--retries N] [--timeout MS] …\n\
          \n\
@@ -82,36 +79,31 @@ fn print_usage() {
            per-feature plan misses). --eps sets the entropic regularization;\n\
            --eps-scaling controls the annealed ε-schedule with warm-started\n\
            duals (default on: geometric 1.0 → ε with factor 0.25 — the big\n\
-           joint-design speedup). --kernel picks the Gibbs-kernel\n\
-           representation of the entropic solves: the joint cost factorizes\n\
-           as K₁ ⊗ … ⊗ K_d, so `auto` (default; OTR_KERNEL env can override\n\
-           it) runs each matvec as d O(nQ^d·nQ) axis passes instead of the\n\
-           O(nQ^2d) dense sweep — at d ≥ 3 the dense kernel rarely fits, so\n\
-           `auto` is what makes e.g. a 3-feature nQ=16 design tractable;\n\
-           `dense` forces the dense kernel. --verbose prints the design\n\
-           report: barycentre iterations / final delta per stratum,\n\
-           per-stage ε schedule stats, the resolved kernel, plan transport\n\
-           costs, and wall time.\n\
+           joint-design speedup). The joint cost factorizes as\n\
+           K₁ ⊗ … ⊗ K_d, so every entropic matvec runs as d O(nQ^d·nQ) axis\n\
+           passes instead of the O(nQ^2d) dense sweep — at d ≥ 3 the dense\n\
+           kernel rarely fits, so this is what makes e.g. a 3-feature nQ=16\n\
+           design tractable. --verbose prints the design report: barycentre\n\
+           iterations / final delta per stratum, per-stage ε schedule stats,\n\
+           the kernel, plan transport costs, and wall time.\n\
+           evaluate --joint adds the joint d-dimensional E on a shared\n\
+           product grid of --joint-grid points per dimension (at least 8;\n\
+           default 64 at d = 2, 16 above).\n\
          \n\
          PARALLELISM:\n\
            --threads 0 (default) = auto: the OTR_THREADS environment variable if\n\
            set, else all available cores. Large OT kernels (Sinkhorn scaling,\n\
-           barycentre matvecs) additionally chunk internally once they exceed\n\
-           OTR_KERNEL_CELLS matrix cells (default 32768); smaller solves stay\n\
-           sequential, and past the same threshold the kernels' column phase\n\
-           reads a transposed copy (bitwise-identical, just cache-friendly).\n\
-           Repair output is bit-identical for any thread count and any\n\
-           threshold at a given --seed — see docs/determinism.md.\n\
+           barycentre matvecs) additionally chunk internally once they reach\n\
+           32768 matrix cells; smaller solves stay sequential. Repair output\n\
+           is bit-identical for any thread count at a given --seed — see\n\
+           docs/determinism.md.\n\
          \n\
          COLUMNAR KERNEL:\n\
            apply (with or without --partial) repairs through one columnar\n\
            (struct-of-arrays) kernel: CSV parses straight into per-feature\n\
            columns and whole column slices are quantized/gathered in\n\
            vectorizable loops; --partial then moves each value back along\n\
-           the geodesic. --batch-rows sets the kernel's row-batch size\n\
-           (default: the OTR_BATCH_ROWS environment variable if set, else\n\
-           8192); batch size is pure blocking policy and never changes the\n\
-           output.\n\
+           the geodesic.\n\
          \n\
          SERVING:\n\
            `otrepair serve` runs the otrepaird daemon in-process (same flags;\n\
@@ -172,6 +164,15 @@ fn required<'a>(args: &'a [String], flag: &str) -> Result<&'a str, String> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The parser ignores unknown flags, so a removed flag must fail loudly
+/// (before any file I/O) rather than quietly fall back to the default.
+fn reject_removed(args: &[String], flag: &str, why: &str) -> CliResult {
+    if has_flag(args, flag) {
+        return Err(format!("{flag} was removed: {why}").into());
+    }
+    Ok(())
 }
 
 fn load_dataset(path: &str) -> Result<Dataset, Box<dyn std::error::Error>> {
@@ -256,6 +257,11 @@ fn parse_eps_scaling(spec: &str) -> Result<Option<EpsSchedule>, Box<dyn std::err
 }
 
 fn cmd_design_joint(args: &[String]) -> CliResult {
+    reject_removed(
+        args,
+        "--kernel",
+        "joint design always runs the separable kernel",
+    )?;
     let research_path = required(args, "--research")?;
     let out_path = required(args, "--out")?;
     let mut config = JointRepairConfig::default();
@@ -270,10 +276,6 @@ fn cmd_design_joint(args: &[String]) -> CliResult {
     }
     if let Some(spec) = opt(args, "--eps-scaling") {
         config.eps_scaling = parse_eps_scaling(spec)?;
-    }
-    if let Some(kernel) = opt(args, "--kernel") {
-        // Spelling and validation owned by the OT crate's kernel seam.
-        config.kernel = kernel.parse::<KernelChoice>()?;
     }
     if let Some(mg) = opt(args, "--min-group") {
         config.min_group_size = mg.parse()?;
@@ -352,6 +354,11 @@ fn print_joint_report(report: &JointDesignReport) {
 }
 
 fn cmd_apply(args: &[String]) -> CliResult {
+    reject_removed(
+        args,
+        "--batch-rows",
+        "batch height never changed the output",
+    )?;
     let plan_path = required(args, "--plan")?;
     let data_path = required(args, "--data")?;
     let out_path = required(args, "--out")?;
@@ -365,9 +372,6 @@ fn cmd_apply(args: &[String]) -> CliResult {
     }
     if use_monge && partial.is_some() {
         return Err("--partial and --monge are mutually exclusive".into());
-    }
-    if (joint || use_monge) && has_flag(args, "--batch-rows") {
-        return Err("--joint and --monge do not batch rows; drop --batch-rows".into());
     }
 
     // Both plan kinds parse before the archive is opened.
@@ -393,11 +397,6 @@ fn cmd_apply(args: &[String]) -> CliResult {
             // Deployment-side override of the design-time thread count;
             // the repaired bytes depend only on --seed, never on this.
             plan.config.threads = threads.parse()?;
-        }
-        if let Some(batch) = opt(args, "--batch-rows") {
-            // Columnar batch size; like --threads, pure execution policy
-            // (default: auto via OTR_BATCH_ROWS).
-            plan.config.batch_rows = Some(batch.parse()?);
         }
         let mode = match plan.config.mass_split {
             _ if use_monge => "Monge",

@@ -157,28 +157,40 @@ fn apply_monge_mode_and_partial_conflict() {
     assert!(!stderr.contains("repairing"), "stderr: {stderr}");
 }
 
-/// Neither the joint path nor the Monge map batches rows, so
-/// `--batch-rows` there is a usage error, caught before any file is
-/// touched: the plan named here does not exist.
+/// The parser ignores unknown flags, so the removed `apply --batch-rows`
+/// (every mode) and `design --joint --kernel` must be usage errors naming
+/// the removal, caught before any file is touched: the files named here
+/// do not exist, so any read would fail with "cannot".
 #[test]
-fn apply_rejects_batch_rows_in_joint_and_monge_mode() {
-    let dir = tmp_dir("batch-rows");
-    let missing = dir.join("missing.json").to_string_lossy().into_owned();
-    let out = dir.join("out.csv");
-    for mode in ["--joint", "--monge"] {
+fn removed_flags_are_usage_errors() {
+    let dir = tmp_dir("removed-flags");
+    let missing = dir.join("missing.csv").to_string_lossy().into_owned();
+    let out = dir.join("out");
+    let apply = ["apply", "--plan", &missing, "--data", &missing];
+    let design = ["design", "--joint", "--research", &missing];
+    let runs: [(&[&str], &[&str]); 5] = [
+        (&apply, &["--batch-rows", "64"]),
+        (&apply, &["--batch-rows", "64", "--partial", "0.4"]),
+        (&apply, &["--batch-rows", "64", "--monge"]),
+        (&apply, &["--batch-rows", "64", "--joint"]),
+        (&design, &["--kernel", "dense"]),
+    ];
+    for (cmd, extra) in runs {
         let run = Command::new(bin())
-            .args(["apply", "--plan", &missing, "--data", &missing, "--out"])
+            .args(cmd)
+            .arg("--out")
             .arg(&out)
-            .args(["--batch-rows", "64", mode])
+            .args(extra)
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&run.stderr);
-        assert!(!run.status.success(), "{mode}: stderr: {stderr}");
+        assert!(!run.status.success(), "{extra:?}: stderr: {stderr}");
         assert!(
-            stderr.contains("do not batch rows"),
-            "{mode}: stderr: {stderr}"
+            stderr.contains(&format!("{} was removed", extra[0])),
+            "{extra:?}: stderr: {stderr}"
         );
-        assert!(!out.exists(), "{mode}: wrote {}", out.display());
+        assert!(!stderr.contains("cannot"), "{extra:?}: stderr: {stderr}");
+        assert!(!out.exists(), "{extra:?}: wrote {}", out.display());
     }
 }
 
@@ -391,23 +403,6 @@ fn joint_design_apply_loop_with_verbose_report() {
         .unwrap();
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("eps-scaling"));
-
-    // An invalid --kernel spelling too.
-    let bad_kernel = Command::new(bin())
-        .args([
-            "design",
-            "--joint",
-            "--research",
-            &research,
-            "--out",
-            &plan,
-            "--kernel",
-            "kronecker",
-        ])
-        .output()
-        .unwrap();
-    assert!(!bad_kernel.status.success());
-    assert!(String::from_utf8_lossy(&bad_kernel.stderr).contains("kernel"));
 }
 
 #[test]
@@ -417,7 +412,7 @@ fn joint_verbose_report_names_kernel_and_single_stage() {
     let plan = dir.join("joint-plan.json").to_string_lossy().into_owned();
 
     // ε-scaling off: the per-stratum stage breakdown says so instead of
-    // echoing a one-entry stage list; --kernel dense is reported back.
+    // echoing a one-entry stage list; the factorized kernel is named.
     let design = Command::new(bin())
         .args([
             "design",
@@ -432,8 +427,6 @@ fn joint_verbose_report_names_kernel_and_single_stage() {
             "0.25",
             "--eps-scaling",
             "off",
-            "--kernel",
-            "dense",
             "--verbose",
         ])
         .output()
@@ -444,31 +437,44 @@ fn joint_verbose_report_names_kernel_and_single_stage() {
         stderr.contains("single stage (eps-scaling off)"),
         "report: {stderr}"
     );
-    assert!(stderr.contains("kernel = dense"), "report: {stderr}");
-
-    // The separable kernel designs the same grid shape successfully.
-    let design = Command::new(bin())
-        .args([
-            "design",
-            "--joint",
-            "--research",
-            &research,
-            "--out",
-            &plan,
-            "--nq",
-            "8",
-            "--eps",
-            "0.25",
-            "--kernel",
-            "separable",
-            "--verbose",
-        ])
-        .output()
-        .unwrap();
-    assert!(design.status.success(), "separable joint design failed");
-    let stderr = String::from_utf8_lossy(&design.stderr);
     assert!(stderr.contains("kernel = separable"), "report: {stderr}");
     assert!(std::fs::metadata(&plan).unwrap().len() > 1_000);
+}
+
+/// `evaluate --joint --joint-grid N` sets the joint E's grid points per
+/// dimension (it changes the estimate); fewer than 8 is an error.
+#[test]
+fn evaluate_joint_grid_sets_the_joint_product_grid() {
+    let dir = tmp_dir("joint-grid");
+    let (_research, archive) = write_csvs(&dir, 8);
+    let run = |grid: &str| {
+        Command::new(bin())
+            .args([
+                "evaluate",
+                "--data",
+                &archive,
+                "--joint",
+                "--joint-grid",
+                grid,
+            ])
+            .output()
+            .unwrap()
+    };
+    let joint_line = |grid: &str| {
+        let out = run(grid);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "--joint-grid {grid}: {stdout}");
+        stdout
+            .lines()
+            .find(|l| l.contains("joint 2-D E = "))
+            .unwrap_or_else(|| panic!("--joint-grid {grid}: no joint E line in {stdout}"))
+            .to_string()
+    };
+    assert_ne!(joint_line("8"), joint_line("16"));
+    let bad = run("4");
+    assert!(!bad.status.success());
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert!(stderr.contains("at least 8"), "stderr: {stderr}");
 }
 
 #[test]
@@ -629,7 +635,7 @@ fn help_prints_usage() {
         "--joint",
         "--eps-scaling",
         "OTR_THREADS",
-        "OTR_KERNEL_CELLS",
+        "--joint-grid",
         "serve",
         "client",
         "--max-conns",
@@ -639,5 +645,17 @@ fn help_prints_usage() {
         "docs/operations.md",
     ] {
         assert!(text.contains(word), "usage missing {word}");
+    }
+    // Execution policy comes from code or the plan's recorded config:
+    // neither usage text offers a removed knob.
+    let serve = Command::new(bin())
+        .args(["serve", "--help"])
+        .output()
+        .unwrap();
+    let serve = String::from_utf8_lossy(&serve.stdout);
+    assert!(serve.contains("--shards"), "serve usage: {serve}");
+    for gone in ["OTR_KERNEL", "OTR_BATCH_ROWS", "--kernel", "--batch-rows"] {
+        assert!(!text.contains(gone), "usage offers {gone}");
+        assert!(!serve.contains(gone), "serve usage offers {gone}");
     }
 }

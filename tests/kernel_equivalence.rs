@@ -18,8 +18,8 @@
 //!    separable kernel forced on is byte-identical across
 //!    `OTR_THREADS ∈ {1, 2, 7}`, and so is a 3-feature `nQ = 12`
 //!    (1 728 product states) joint design + repair (the same shape as
-//!    `tests/parallel_determinism.rs`, which pins the `auto` path under
-//!    whatever `OTR_KERNEL` says).
+//!    `tests/parallel_determinism.rs`, which pins the default `Auto`
+//!    path and the dense reference).
 
 use std::sync::Mutex;
 
@@ -378,12 +378,10 @@ fn spec_3features() -> SimulationSpec {
 }
 
 /// The n-d acceptance pin: a **3-feature** `nQ = 12` joint design
-/// (1 728 product states — past the `OTR_KERNEL_CELLS` chunking
+/// (1 728 product states — past the 32 768-cell in-kernel chunking
 /// threshold at `1 728 × 36` separable work cells) with the separable
 /// kernel forced on, plus the repair of the archive through it, is
-/// **byte-identical** across `OTR_THREADS ∈ {1, 2, 7}`. The explicit
-/// `KernelChoice::Separable` ignores `OTR_KERNEL`, so this pin holds on
-/// both CI kernel legs.
+/// **byte-identical** across `OTR_THREADS ∈ {1, 2, 7}`.
 #[test]
 fn separable_nd_3feature_joint_repair_byte_identical_across_otr_threads_env() {
     let _env = OTR_THREADS_ENV_LOCK

@@ -492,16 +492,10 @@ fn execution_knobs_never_change_served_bytes() {
     ];
 
     for (label, kind, json, expected) in &plans {
-        for (threads, shards, batch_rows) in [
-            (1, 1, None),
-            (2, 7, Some(64)),
-            (4, 3, Some(1)),
-            (0, 0, None),
-        ] {
+        for (threads, shards) in [(1, 1), (2, 7), (4, 3), (0, 0)] {
             let server = TestServer::start(ServeConfig {
                 threads,
                 shards,
-                batch_rows,
                 ..ServeConfig::default()
             });
             let mut client = server.client();
@@ -511,8 +505,7 @@ fn execution_knobs_never_change_served_bytes() {
                 assert_eq!(
                     &bits(&served.columns),
                     offline,
-                    "{label} plan, {} rows: threads={threads} shards={shards} \
-                     batch_rows={batch_rows:?} changed bytes",
+                    "{label} plan, {} rows: threads={threads} shards={shards} changed bytes",
                     input.len()
                 );
             }
