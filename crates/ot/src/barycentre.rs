@@ -449,7 +449,7 @@ fn bregman_barycentre(
         stage_log.push((eps, iterations));
         // Only the final stage must actually converge; intermediate
         // stages exist to warm the scaling vectors.
-        if last && delta >= tol {
+        if last && !(delta < tol) {
             return Err(OtError::NoConvergence {
                 solver: "entropic barycentre",
                 iterations: total_iterations,
@@ -617,6 +617,25 @@ mod tests {
                 assert_eq!(iterations, 2);
                 assert!(residual.is_finite() && residual >= starved.tol);
             }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_barycentre_is_no_convergence() {
+        // This kernel overflows `u·Kv` in the first iteration, so log_b is
+        // infinite and the barycentre NaN. NaN compares false both ways,
+        // so the final check must still fail the NaN delta.
+        let marginals: [&[f64]; 2] = [&[0.5, 0.5], &[0.25, 0.75]];
+        let config = BarycentreConfig::new(0.1, 20);
+        let result = bregman_barycentre(&marginals, &[0.5, 0.5], 2, &config, 4, |_, _| {
+            KernelRep::Dense {
+                k: vec![0.0, 1e300, 1e-300, 0.0],
+                n: 2,
+            }
+        });
+        match result {
+            Err(OtError::NoConvergence { residual, .. }) => assert!(residual.is_nan()),
             other => panic!("expected NoConvergence, got {other:?}"),
         }
     }

@@ -93,31 +93,25 @@ impl CostMatrix {
                 reason: "contains non-finite points".into(),
             });
         }
-        let d = axes.len();
         let n: usize = axes.iter().map(|g| g.len()).product();
-        // Flattened point coordinates (row i = the d coordinates of
-        // support point i), decoded once instead of per cell.
-        let mut coords = vec![0.0f64; n * d];
-        for i in 0..n {
-            let mut r = i;
-            for a in (0..d).rev() {
-                let na = axes[a].len();
-                coords[i * d + a] = axes[a][r % na];
-                r /= na;
-            }
-        }
-        let mut data = Vec::with_capacity(n * n);
-        for i in 0..n {
-            let ci = &coords[i * d..(i + 1) * d];
-            for j in 0..n {
-                let cj = &coords[j * d..(j + 1) * d];
-                let mut acc = 0.0;
-                for (x, y) in ci.iter().zip(cj) {
-                    let dd = x - y;
-                    acc += dd * dd;
-                }
-                data.push(acc);
-            }
+        // Per-axis squared distances sq_a[i·n_a + j] = (g_i − g_j)²,
+        // folded as ((0 + sq_0) + sq_1) + … per cell.
+        let sq: Vec<Vec<f64>> = axes
+            .iter()
+            .map(|g| {
+                g.iter()
+                    .flat_map(|&x| g.iter().map(move |&y| (x - y) * (x - y)))
+                    .collect()
+            })
+            .collect();
+        let tables: Vec<(&[f64], usize)> = sq
+            .iter()
+            .zip(axes)
+            .map(|(t, g)| (t.as_slice(), g.len()))
+            .collect();
+        let mut data = vec![0.0f64; n * n];
+        for (r, row) in data.chunks_exact_mut(n).enumerate() {
+            fold_grid_row(&tables, r, 0.0, |acc, s| acc + s, row);
         }
         Ok(Self {
             rows: n,
@@ -197,6 +191,59 @@ impl CostMatrix {
     /// Largest entry (used by Sinkhorn's epsilon scaling).
     pub fn max(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// Fill `row`, row `r` of an `n × n` table over a d-axis self-product
+/// grid (flattened row-major, last axis fastest), with the left fold
+/// `f(…f(f(init, t₀[r₀, c₀]), t₁[r₁, c₁])…, t_{d−1}[r_{d−1}, c_{d−1}])`
+/// for every column `c`. `tables[a]` is the `(nₐ × nₐ table, nₐ)` of
+/// axis `a`. An odometer over the leading axes keeps the prefix folds,
+/// so each cell costs one `f` and no index decode, and every cell folds
+/// the same operands in the same order as the per-cell definition: the
+/// bits are the same.
+pub(crate) fn fold_grid_row(
+    tables: &[(&[f64], usize)],
+    r: usize,
+    init: f64,
+    f: impl Fn(f64, f64) -> f64,
+    row: &mut [f64],
+) {
+    let d = tables.len();
+    // Row r_a of every axis table, decoded once for the whole row.
+    let mut axis_rows: Vec<&[f64]> = vec![&[]; d];
+    let mut rem = r;
+    for (slot, &(table, na)) in axis_rows.iter_mut().zip(tables).rev() {
+        let ia = rem % na;
+        rem /= na;
+        *slot = &table[ia * na..(ia + 1) * na];
+    }
+    // pre[a] folds axes 0..a at the odometer's column indices idx[..a].
+    let mut idx = vec![0usize; d];
+    let mut pre = vec![init; d];
+    for a in 1..d {
+        pre[a] = f(pre[a - 1], axis_rows[a - 1][0]);
+    }
+    let last = axis_rows[d - 1];
+    for block in row.chunks_exact_mut(last.len()) {
+        let p = pre[d - 1];
+        for (slot, &t) in block.iter_mut().zip(last) {
+            *slot = f(p, t);
+        }
+        // Bump the fastest leading axis that does not wrap, then refold
+        // the prefixes after it.
+        let mut a = d - 1;
+        while a > 0 {
+            a -= 1;
+            idx[a] += 1;
+            if idx[a] < axis_rows[a].len() {
+                break;
+            }
+            idx[a] = 0;
+        }
+        for b in a..d - 1 {
+            pre[b + 1] = f(pre[b], axis_rows[b][idx[b]]);
+        }
     }
 }
 

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use otr_par::{par_chunks_mut, par_rows_mut, par_transpose};
 
-use crate::cost::CostMatrix;
+use crate::cost::{fold_grid_row, CostMatrix};
 use crate::coupling::OtPlan;
 use crate::error::{OtError, Result};
 use crate::kernel::{KernelChoice, KernelRep};
@@ -385,39 +385,10 @@ pub fn sinkhorn_warm(
         .filter(|axes| {
             np == n && mp == m && n == m && axes.iter().map(|g| g.len()).product::<usize>() == n
         })
-        .filter(|_| config.kernel.resolve(true))
-        .map(|axes| axes.to_vec());
-    let sep_threads = separable.as_ref().map_or(1, |axes: &Vec<Vec<f64>>| {
+        .filter(|_| config.kernel.resolve(true));
+    let sep_threads = separable.map_or(1, |axes| {
         kernel_threads(np * axes.iter().map(|g| g.len()).sum::<usize>())
     });
-
-    // Negated cost -C on the positive sub-support (ε-free, so one build
-    // serves every schedule stage), built row-parallel — but only for
-    // dense solves. The separable path rebuilds it on demand from its
-    // axis grids if (and only if) a stage ever falls back to the log
-    // domain; its happy path never touches the O(n²) matrix.
-    let neg_c = std::sync::OnceLock::new();
-    if separable.is_none() {
-        let mut dense = vec![0.0f64; np * mp];
-        par_chunks_mut(&mut dense, threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let idx = start + off;
-                *slot = -cost.get(rows_pos[idx / mp], cols_pos[idx % mp]);
-            }
-        });
-        let _ = neg_c.set(dense);
-    }
-
-    let sub = SubProblem {
-        np,
-        mp,
-        neg_c,
-        a_pos: rows_pos.iter().map(|&i| a[i]).collect(),
-        b_pos: cols_pos.iter().map(|&j| b[j]).collect(),
-        threads,
-        separable,
-        sep_threads,
-    };
 
     // Dual potentials in cost units on the sub-support, warm or zero.
     let mut phi = vec![0.0f64; np];
@@ -430,6 +401,20 @@ pub fn sinkhorn_warm(
             *slot = duals.g[j];
         }
     }
+
+    let sub = SubProblem {
+        np,
+        mp,
+        cost,
+        a_pos: rows_pos.iter().map(|&i| a[i]).collect(),
+        b_pos: cols_pos.iter().map(|&j| b[j]).collect(),
+        rows_pos,
+        cols_pos,
+        neg_c: std::sync::OnceLock::new(),
+        threads,
+        separable,
+        sep_threads,
+    };
 
     let stages = match &config.eps_scaling {
         Some(schedule) => schedule.stages(config.epsilon),
@@ -452,14 +437,21 @@ pub fn sinkhorn_warm(
         }
     }
     let rounded = sub.round_to_feasible(solved);
+    let (rows_pos, cols_pos) = (&sub.rows_pos, &sub.cols_pos);
 
-    // Embed the plan and the duals into the full support.
-    let mut mass = vec![0.0f64; n * m];
-    for (pi, &i) in rows_pos.iter().enumerate() {
-        for (pj, &j) in cols_pos.iter().enumerate() {
-            mass[i * m + j] = rounded[pi * mp + pj];
+    // Embed the plan and the duals into the full support. An unfiltered
+    // sub-plan already is the plan.
+    let mass = if np == n && mp == m {
+        rounded
+    } else {
+        let mut mass = vec![0.0f64; n * m];
+        for (pi, &i) in rows_pos.iter().enumerate() {
+            for (pj, &j) in cols_pos.iter().enumerate() {
+                mass[i * m + j] = rounded[pi * mp + pj];
+            }
         }
-    }
+        mass
+    };
     let mut duals = SinkhornDuals {
         f: vec![0.0f64; n],
         g: vec![0.0f64; m],
@@ -490,60 +482,44 @@ enum StandardOutcome {
 /// The strictly-positive sub-problem a [`sinkhorn`] call reduces to,
 /// plus the resolved in-kernel execution policy. All schedule stages,
 /// both iteration domains, and the feasibility rounding operate on this.
-struct SubProblem {
+struct SubProblem<'a> {
     np: usize,
     mp: usize,
-    /// Negated cost `-C` (ε-free), row-major `np × mp`. Built eagerly
-    /// for dense solves; the separable fast path defers it — only the
-    /// log-domain fallback needs the dense cost there, and the common
-    /// case (every stage converging in the factorized domain) never
-    /// pays the `O(n²)` build. Access through [`SubProblem::neg_c`].
+    /// The full-support cost this sub-problem was cut from.
+    cost: &'a CostMatrix,
+    /// Positive-mass rows / columns of `cost`, ascending (`np` / `mp`
+    /// of them).
+    rows_pos: Vec<usize>,
+    cols_pos: Vec<usize>,
+    /// Negated cost `-C` (ε-free), row-major `np × mp`, built on first
+    /// use: the dense domains need it, while a separable solve whose
+    /// every stage converges in the factorized domain never pays the
+    /// `O(n²)` build. Access through [`SubProblem::neg_c`].
     neg_c: std::sync::OnceLock<Vec<f64>>,
     a_pos: Vec<f64>,
     b_pos: Vec<f64>,
-    /// Effective worker threads (1 = stay sequential; the size
-    /// threshold has already been applied).
+    /// Effective worker threads of the `np × mp` passes (1 = stay
+    /// sequential; the size threshold has already been applied).
     threads: usize,
     /// Axis grids when the standard domain runs against the factorized
     /// kernel `K₁ ⊗ … ⊗ K_d` (grid-separable cost, unfiltered support,
     /// kernel choice resolved to separable); `None` = dense.
-    separable: Option<Vec<Vec<f64>>>,
-    /// Effective worker threads of the separable passes (thresholded on
-    /// their own `n·Σnᵢ` work measure; 1 when `separable` is `None`).
+    separable: Option<&'a [Vec<f64>]>,
+    /// Effective worker threads of the separable matvecs (thresholded
+    /// on their own `n·Σnᵢ` work measure; 1 when `separable` is `None`).
     sep_threads: usize,
 }
 
-impl SubProblem {
-    /// The negated cost `-C`, row-major `np × mp` — eager for dense
-    /// solves, reconstructed from the separable axis grids on first use
-    /// (bit-identical to the eager build: the squared axis distances
-    /// are accumulated in the same forward axis order, then negated).
+impl SubProblem<'_> {
+    /// The negated cost `-C` on the positive sub-support, row-major
+    /// `np × mp`, built row-parallel on first use.
     fn neg_c(&self) -> &[f64] {
         self.neg_c.get_or_init(|| {
-            let axes = self
-                .separable
-                .as_ref()
-                .expect("dense sub-problems build neg_c eagerly");
-            let d = axes.len();
-            // suffix[a] = Π axes[a..].len(), for decoding the flattened
-            // (last-axis-fastest) multi-indices.
-            let mut suffix = vec![1usize; d + 1];
-            for a in (0..d).rev() {
-                suffix[a] = suffix[a + 1] * axes[a].len();
-            }
-            let m = self.mp;
-            let mut dense = vec![0.0f64; self.np * m];
-            par_chunks_mut(&mut dense, self.threads, |start, chunk| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let idx = start + off;
-                    let (r, c) = (idx / m, idx % m);
-                    let mut acc = 0.0;
-                    for (a, g) in axes.iter().enumerate() {
-                        let na = g.len();
-                        let dd = g[(r / suffix[a + 1]) % na] - g[(c / suffix[a + 1]) % na];
-                        acc += dd * dd;
-                    }
-                    *slot = -acc;
+            let mut dense = vec![0.0f64; self.np * self.mp];
+            par_rows_mut(&mut dense, self.mp, self.threads, |pi, row| {
+                let i = self.rows_pos[pi];
+                for (slot, &j) in row.iter_mut().zip(&self.cols_pos) {
+                    *slot = -self.cost.get(i, j);
                 }
             });
             dense
@@ -609,7 +585,7 @@ impl SubProblem {
         psi: &mut [f64],
         materialize: bool,
     ) -> StandardOutcome {
-        let axes = self.separable.as_ref().expect("separable axes");
+        let axes = self.separable.expect("separable axes");
         let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
         let kernel = KernelRep::separable_grid_nd(&axis_refs, eps);
         let n = self.np;
@@ -701,35 +677,24 @@ impl SubProblem {
         StandardOutcome::Exhausted
     }
 
-    /// Materialize `π_ij = U_i · K_ij · V_j` from the factorized kernel
-    /// (the plan itself is dense — `O(n²)` cells once, vs the per-
-    /// iteration savings of the axis-pass matvecs), chunk-parallel and
-    /// elementwise pure, so bit-identical for any thread count.
+    /// Materialize `π_rc = ((U_r · K₁[r₁, c₁]) · … · K_d[r_d, c_d]) · V_c`
+    /// from the factorized kernel (the plan itself is dense — `O(n²)`
+    /// cells once, vs the per-iteration savings of the axis-pass
+    /// matvecs). Rows are built contiguously from prefix products
+    /// ([`fold_grid_row`]) and chunked over the `n²`-cell thread count;
+    /// every cell multiplies left to right, so the bits do not depend on
+    /// the row walk or the thread count.
     fn materialize_separable(&self, kernel: &KernelRep, u: &[f64], v: &[f64]) -> Vec<f64> {
         let KernelRep::SeparableNd { axes } = kernel else {
             unreachable!("separable materialization needs a factorized kernel")
         };
         let n = self.np;
-        let d = axes.len();
-        // suffix[a] = Π axes[a..].n for the multi-index decode; the
-        // axis factors multiply left-to-right so the d = 2 product is
-        // the exact `u·kx·ky·v` association of the 2-axis original.
-        let mut suffix = vec![1usize; d + 1];
-        for a in (0..d).rev() {
-            suffix[a] = suffix[a + 1] * axes[a].n;
-        }
+        let tables: Vec<(&[f64], usize)> = axes.iter().map(|ax| (ax.k.as_slice(), ax.n)).collect();
         let mut plan = vec![0.0f64; n * n];
-        par_chunks_mut(&mut plan, self.sep_threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let idx = start + off;
-                let (r, c) = (idx / n, idx % n);
-                let mut acc = u[r];
-                for (a, ax) in axes.iter().enumerate() {
-                    let ia = (r / suffix[a + 1]) % ax.n;
-                    let ja = (c / suffix[a + 1]) % ax.n;
-                    acc *= ax.k[ia * ax.n + ja];
-                }
-                *slot = acc * v[c];
+        par_rows_mut(&mut plan, n, self.threads, |r, row| {
+            fold_grid_row(&tables, r, u[r], |acc, k| acc * k, row);
+            for (slot, vc) in row.iter_mut().zip(v) {
+                *slot *= vc;
             }
         });
         plan
@@ -986,7 +951,7 @@ impl SubProblem {
                 }
             }
         }
-        if residual >= tol && iterations >= max_iters && last {
+        if !(residual < tol) && iterations >= max_iters && last {
             return Err(OtError::NoConvergence {
                 solver: "sinkhorn",
                 iterations,
@@ -1037,20 +1002,12 @@ impl SubProblem {
                 }
             }
         });
-        // Over-full columns: per-column sums scan all rows (strided).
-        let mut col_scale = vec![1.0f64; mp];
-        par_chunks_mut(&mut col_scale, self.threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let pj = start + off;
-                let mut col_sum = 0.0;
-                for pi in 0..np {
-                    col_sum += sub[pi * mp + pj];
-                }
-                if col_sum > b_pos[pj] && col_sum > 0.0 {
-                    *slot = b_pos[pj] / col_sum;
-                }
-            }
-        });
+        // Over-full columns.
+        let col_scale: Vec<f64> = col_sums(&sub, mp, self.threads)
+            .iter()
+            .zip(b_pos)
+            .map(|(&c, &b)| if c > b && c > 0.0 { b / c } else { 1.0 })
+            .collect();
         par_rows_mut(&mut sub, mp, self.threads, |_, row| {
             for (v, s) in row.iter_mut().zip(&col_scale) {
                 *v *= s;
@@ -1065,17 +1022,11 @@ impl SubProblem {
                 *slot = (a_pos[pi] - r).max(0.0);
             }
         });
-        let mut err_b = vec![0.0f64; mp];
-        par_chunks_mut(&mut err_b, self.threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let pj = start + off;
-                let mut col_sum = 0.0;
-                for pi in 0..np {
-                    col_sum += sub[pi * mp + pj];
-                }
-                *slot = b_pos[pj] - col_sum;
-            }
-        });
+        let err_b: Vec<f64> = col_sums(&sub, mp, self.threads)
+            .iter()
+            .zip(b_pos)
+            .map(|(c, b)| b - c)
+            .collect();
         let err_total: f64 = err_a.iter().sum();
         if err_total > 0.0 {
             par_rows_mut(&mut sub, mp, self.threads, |pi, row| {
@@ -1091,11 +1042,45 @@ impl SubProblem {
     }
 }
 
+/// Column sums of the row-major `rows × cols` matrix `m`. The columns
+/// are chunked over `threads`; each chunk walks the rows in ascending
+/// order and adds the row's contiguous segment, so every column is
+/// summed from `0.0` over the rows ascending whatever the chunking.
+fn col_sums(m: &[f64], cols: usize, threads: usize) -> Vec<f64> {
+    let mut sums = vec![0.0f64; cols];
+    par_chunks_mut(&mut sums, threads, |start, chunk| {
+        for row in m.chunks_exact(cols) {
+            for (s, x) in chunk.iter_mut().zip(&row[start..]) {
+                *s += x;
+            }
+        }
+    });
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::discrete::DiscreteDistribution;
     use crate::solvers::monotone::solve_monotone_1d;
+
+    /// The unfiltered dense sub-problem of `cost` with marginals `a`, `b`
+    /// taken as given.
+    fn full_sub<'a>(cost: &'a CostMatrix, a: &[f64], b: &[f64], threads: usize) -> SubProblem<'a> {
+        SubProblem {
+            np: a.len(),
+            mp: b.len(),
+            cost,
+            rows_pos: (0..a.len()).collect(),
+            cols_pos: (0..b.len()).collect(),
+            neg_c: std::sync::OnceLock::new(),
+            a_pos: a.to_vec(),
+            b_pos: b.to_vec(),
+            threads,
+            separable: None,
+            sep_threads: 1,
+        }
+    }
 
     #[test]
     fn marginals_match_within_tolerance() {
@@ -1373,24 +1358,7 @@ mod tests {
         let cost = CostMatrix::squared_euclidean(&mu_support, &nu_support).unwrap();
         let eps = 0.05;
         let (np, mp) = (a.len(), b.len());
-        let mut neg_c = vec![0.0f64; np * mp];
-        for i in 0..np {
-            for j in 0..mp {
-                neg_c[i * mp + j] = -cost.get(i, j);
-            }
-        }
-        let neg_c_cell = std::sync::OnceLock::new();
-        let _ = neg_c_cell.set(neg_c);
-        let sub = SubProblem {
-            np,
-            mp,
-            neg_c: neg_c_cell,
-            a_pos: a.to_vec(),
-            b_pos: b.to_vec(),
-            threads: 1,
-            separable: None,
-            sep_threads: 1,
-        };
+        let sub = full_sub(&cost, &a, &b, 1);
         let mut phi = vec![0.0f64; np];
         let mut psi = vec![0.0f64; mp];
         let standard = match sub.iterate_standard(eps, 200_000, 1e-9, &mut phi, &mut psi, true) {
@@ -1435,22 +1403,7 @@ mod tests {
         let (np, mp) = (a.len(), b.len());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let run = |threads: usize, eps: f64| {
-            let neg_c = std::sync::OnceLock::new();
-            let _ = neg_c.set(
-                (0..np * mp)
-                    .map(|idx| -cost.get(idx / mp, idx % mp))
-                    .collect(),
-            );
-            let sub = SubProblem {
-                np,
-                mp,
-                neg_c,
-                a_pos: a.clone(),
-                b_pos: b.clone(),
-                threads,
-                separable: None,
-                sep_threads: 1,
-            };
+            let sub = full_sub(&cost, &a, &b, threads);
             let (mut phi, mut psi) = (vec![0.0f64; np], vec![0.0f64; mp]);
             let standard = match sub.iterate_standard(eps, 50_000, 1e-9, &mut phi, &mut psi, true) {
                 StandardOutcome::Converged(Some(plan)) => plan,
@@ -1671,58 +1624,89 @@ mod tests {
     }
 
     #[test]
-    fn lazy_neg_c_3d_reconstruction_bitwise_matches_eager_build() {
-        let (axes, a, b, cost) = product_grid_problem_3d();
-        let n = a.len();
-        let lazy = SubProblem {
-            np: n,
-            mp: b.len(),
-            neg_c: std::sync::OnceLock::new(),
-            a_pos: a.clone(),
-            b_pos: b.clone(),
-            threads: 1,
-            separable: Some(axes),
-            sep_threads: 1,
-        };
-        let got = lazy.neg_c();
-        for r in 0..n {
-            for c in 0..n {
-                assert_eq!(
-                    got[r * n + c].to_bits(),
-                    (-cost.get(r, c)).to_bits(),
-                    "cell ({r}, {c})"
-                );
+    fn materialize_separable_bitwise_matches_per_cell_definition() {
+        // The row walk must reproduce the per-cell definition
+        // `u_r · Π_a K_a[r_a, c_a] · v_c`, multiplied left to right, bit
+        // for bit; the oracle decodes both multi-indices of every cell.
+        let (gx, gy, _, _, _) = product_grid_problem();
+        let (axes_3d, _, _, _) = product_grid_problem_3d();
+        for axes in [vec![gx, gy], axes_3d] {
+            let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
+            let cost = CostMatrix::squared_euclidean_grid_nd(&axis_refs).unwrap();
+            let kernel = KernelRep::separable_grid_nd(&axis_refs, 0.3);
+            let KernelRep::SeparableNd { axes: ks } = &kernel else {
+                unreachable!("separable_grid_nd builds SeparableNd")
+            };
+            let n = cost.rows();
+            let u: Vec<f64> = (0..n).map(|i| 0.5 + ((i * 7) % 11) as f64 / 3.0).collect();
+            let v: Vec<f64> = (0..n).map(|i| 0.2 + ((i * 5) % 13) as f64 / 7.0).collect();
+            let d = ks.len();
+            let mut suffix = vec![1usize; d + 1];
+            for a in (0..d).rev() {
+                suffix[a] = suffix[a + 1] * ks[a].n;
+            }
+            let oracle: Vec<f64> = (0..n * n)
+                .map(|idx| {
+                    let (r, c) = (idx / n, idx % n);
+                    let mut acc = u[r];
+                    for (a, ax) in ks.iter().enumerate() {
+                        let ia = (r / suffix[a + 1]) % ax.n;
+                        let ja = (c / suffix[a + 1]) % ax.n;
+                        acc *= ax.k[ia * ax.n + ja];
+                    }
+                    acc * v[c]
+                })
+                .collect();
+            for threads in [1usize, 2, 7] {
+                let got = full_sub(&cost, &u, &v, threads).materialize_separable(&kernel, &u, &v);
+                let first_diff = got
+                    .iter()
+                    .zip(&oracle)
+                    .position(|(x, y)| x.to_bits() != y.to_bits());
+                assert_eq!(first_diff, None, "d = {d}, threads = {threads}");
             }
         }
     }
 
     #[test]
-    fn lazy_neg_c_reconstruction_bitwise_matches_eager_build() {
-        // A separable sub-problem defers its O(n²) negated-cost build;
-        // when the log-domain fallback does demand it, the axis-grid
-        // reconstruction must reproduce the eager `-cost.get(i, j)`
-        // build bit for bit.
-        let (gx, gy, a, b, cost) = product_grid_problem();
-        let n = a.len();
-        let lazy = SubProblem {
-            np: n,
-            mp: b.len(),
-            neg_c: std::sync::OnceLock::new(),
-            a_pos: a.clone(),
-            b_pos: b.clone(),
-            threads: 1,
-            separable: Some(vec![gx, gy]),
-            sep_threads: 1,
-        };
-        let got = lazy.neg_c();
-        for r in 0..n {
-            for c in 0..n {
-                assert_eq!(
-                    got[r * n + c].to_bits(),
-                    (-cost.get(r, c)).to_bits(),
-                    "cell ({r}, {c})"
-                );
-            }
+    fn col_sums_bitwise_match_strided_column_sums() {
+        // Mixed magnitudes make the summation order visible in the bits.
+        let (rows, cols) = (13, 9);
+        let m: Vec<f64> = (0..rows * cols)
+            .map(|i| ((i * 37) % 101) as f64 * 10f64.powi((i % 7) as i32 - 3))
+            .collect();
+        let strided: Vec<f64> = (0..cols)
+            .map(|j| {
+                let mut sum = 0.0;
+                for i in 0..rows {
+                    sum += m[i * cols + j];
+                }
+                sum
+            })
+            .collect();
+        for threads in [1usize, 2, 7] {
+            let got = col_sums(&m, cols, threads);
+            assert!(
+                got.iter()
+                    .map(|x| x.to_bits())
+                    .eq(strided.iter().map(|x| x.to_bits())),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn log_domain_reports_a_nan_residual_as_no_convergence() {
+        // A NaN warm dual turns every iterate NaN. NaN compares false
+        // both ways, so the final check must still fail it rather than
+        // return a NaN plan as converged.
+        let cost = CostMatrix::squared_euclidean(&[0.0, 1.0, 2.0], &[0.5, 1.5]).unwrap();
+        let sub = full_sub(&cost, &[0.3, 0.4, 0.3], &[0.5, 0.5], 1);
+        let mut phi = vec![0.0f64; 3];
+        let mut psi = vec![0.0, f64::NAN];
+        match sub.iterate_log(0.1, 50, 1e-6, &mut phi, &mut psi, true) {
+            Err(OtError::NoConvergence { residual, .. }) => assert!(residual.is_nan()),
+            other => panic!("expected NoConvergence, got {other:?}"),
         }
     }
 
