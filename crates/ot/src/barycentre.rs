@@ -13,9 +13,7 @@
 //!    iterative-Bregman** barycentre (Benamou et al. 2015) for regularized
 //!    OT on a product grid, usable with more than two marginals and in
 //!    higher dimensions (the joint design's target); tested to agree with
-//!    (1) at small `ε` on one axis. [`entropic_barycentre_points2d`] runs
-//!    the same iteration on arbitrary points in the plane, the dense
-//!    reference the grid entry point is pinned against.
+//!    (1) at small `ε` on one axis.
 
 use crate::discrete::DiscreteDistribution;
 use crate::error::{OtError, Result};
@@ -107,7 +105,7 @@ fn pmf_quantile(d: &DiscreteDistribution) -> impl Fn(f64) -> f64 {
 }
 
 /// Configuration of the iterative-Bregman entropic barycentre
-/// ([`entropic_barycentre_grid_nd`] / [`entropic_barycentre_points2d`]).
+/// ([`entropic_barycentre_grid_nd`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BarycentreConfig {
     /// Entropic regularization `ε > 0` of the Gibbs kernel (squared
@@ -136,11 +134,10 @@ pub struct BarycentreConfig {
     /// Gibbs-kernel representation on separable (product-grid) costs —
     /// honored by [`entropic_barycentre_grid_nd`], where `Auto` (the
     /// default) factorizes the kernel as `K₁ ⊗ … ⊗ K_d` and `Dense`
-    /// keeps the dense one. The arbitrary-point entry point has no
-    /// separable structure and always solves dense. Part of the
-    /// solve's definition (separable and dense group the matvec sums
-    /// differently, so their outputs agree to ~1e-12 relative but not
-    /// bitwise), like [`eps_scaling`](Self::eps_scaling).
+    /// keeps the dense one. Part of the solve's definition (separable
+    /// and dense group the matvec sums differently, so their outputs
+    /// agree to ~1e-12 relative but not bitwise), like
+    /// [`eps_scaling`](Self::eps_scaling).
     pub kernel: KernelChoice,
 }
 
@@ -187,70 +184,29 @@ pub struct BarycentreDiagnostics {
 
 /// Fixed-support entropic Wasserstein barycentre of `k ≥ 2` pmfs with
 /// weights `lambda` (iterative Bregman projections, Benamou et al. 2015)
-/// on an arbitrary support in `ℝ²`, under the squared-Euclidean ground
-/// distance in the plane.
-///
-/// The contract: on `Ok`, `diagnostics.final_delta < config.tol` and
-/// `diagnostics.iterations` is the number of Bregman iterations spent;
-/// a budget exhausted before stabilizing is an
-/// [`OtError::NoConvergence`] carrying the final delta — never a
-/// silently unconverged distribution. Output bytes are identical for
-/// every `config.threads` setting.
-///
-/// # Errors
-/// Validation failures (fewer than two marginals, a `lambda` of another
-/// length or without positive weight, a non-positive `ε`, a malformed
-/// ε-schedule, a marginal without one mass per support point), or
-/// [`OtError::NoConvergence`] if the fixed-point iteration does not
-/// stabilize (the error's `residual` reports the final L1 delta, its
-/// `iterations` the exhausted budget).
-pub fn entropic_barycentre_points2d(
-    marginals: &[&[f64]],
-    lambda: &[f64],
-    points: &[(f64, f64)],
-    config: &BarycentreConfig,
-) -> Result<(Vec<f64>, BarycentreDiagnostics)> {
-    let n = points.len();
-    if n == 0 {
-        return Err(OtError::EmptyInput("barycentre support"));
-    }
-    for m in marginals {
-        if m.len() != n {
-            return Err(OtError::LengthMismatch {
-                what: "marginal vs product support",
-                left: m.len(),
-                right: n,
-            });
-        }
-    }
-    // Validate eps/lambda/marginal-count before the O(n²) kernel build.
-    let lambda = validated_lambda(marginals.len(), lambda, config)?;
-    bregman_barycentre(marginals, &lambda, n, config, n * n, |eps, threads| {
-        KernelRep::dense_square(n, eps, threads, |i, j| {
-            let dx = points[i].0 - points[j].0;
-            let dy = points[i].1 - points[j].1;
-            dx * dx + dy * dy
-        })
-    })
-}
-
-/// Entropic barycentre of pmfs on the **d-axis self-product grid**
-/// `axes[0] × … × axes[d−1]` (flattened row-major, last axis fastest)
-/// under squared-Euclidean cost — the joint-repair hot path.
+/// on the **d-axis self-product grid** `axes[0] × … × axes[d−1]`
+/// (flattened row-major, last axis fastest) under squared-Euclidean
+/// cost — the joint-repair hot path.
 /// On this support the Gibbs kernel factorizes as `K₁ ⊗ … ⊗ K_d`, so
 /// the default `Auto` choice runs every matvec as d `O(n·nᵢ)` axis
 /// passes instead of one `O(n²)` dense sweep; at d = 3 the dense kernel
 /// (`nQ⁶` cells) is infeasible beyond toy sizes, so the separable
 /// representation is what makes deeper joint design possible at all.
-/// Either representation is bit-identical for any
-/// [`BarycentreConfig::threads`] setting. At d = 2 this is
-/// [`entropic_barycentre_points2d`] over the flattened grid points
-/// (bitwise-equal to it when [`BarycentreConfig::kernel`] resolves to
-/// dense), with the `Kx ⊗ Ky` factorization as the default.
+///
+/// The contract: on `Ok`, `diagnostics.final_delta < config.tol` and
+/// `diagnostics.iterations` is the number of Bregman iterations spent;
+/// a budget exhausted before stabilizing is an
+/// [`OtError::NoConvergence`] carrying the final delta — never a
+/// silently unconverged distribution. Either kernel representation is
+/// bit-identical for any [`BarycentreConfig::threads`] setting.
 ///
 /// # Errors
-/// As [`entropic_barycentre_points2d`]; every marginal must have one
-/// mass per product-grid cell.
+/// Validation failures (an empty axis, fewer than two marginals, a
+/// `lambda` of another length or without positive weight, a
+/// non-positive `ε`, a malformed ε-schedule, a marginal without one mass
+/// per product-grid cell), or [`OtError::NoConvergence`] if the
+/// fixed-point iteration does not stabilize (the error's `residual`
+/// reports the final L1 delta, its `iterations` the exhausted budget).
 pub fn entropic_barycentre_grid_nd(
     marginals: &[&[f64]],
     lambda: &[f64],
@@ -278,9 +234,7 @@ pub fn entropic_barycentre_grid_nd(
         });
     }
     // Dense fallback: decode the flattened multi-indices once and feed
-    // the axis-ordered squared distance (at d = 2 this is the exact
-    // `dx² + dy²` of the points2d build, bitwise — pinned by
-    // `grid2d_dense_path_bitwise_matches_points2d`).
+    // the axis-ordered squared distance.
     let d = axes.len();
     let mut coords = vec![0.0f64; n * d];
     for i in 0..n {
@@ -307,8 +261,8 @@ pub fn entropic_barycentre_grid_nd(
 
 /// Validate the barycentre inputs that gate the `O(n²)` kernel build —
 /// marginal count, `ε`, and the weight vector — and return the
-/// normalized weights. Shared by both public entry points so invalid
-/// calls are rejected before any expensive work.
+/// normalized weights, so invalid calls are rejected before any
+/// expensive work.
 fn validated_lambda(k: usize, lambda: &[f64], config: &BarycentreConfig) -> Result<Vec<f64>> {
     if k < 2 {
         return Err(OtError::EmptyInput("barycentre marginals (need >= 2)"));
@@ -348,7 +302,7 @@ fn validated_lambda(k: usize, lambda: &[f64], config: &BarycentreConfig) -> Resu
 /// `config.max_iters`.
 ///
 /// `work_cells` is the matrix cells one matvec touches (`n²` dense,
-/// `n·(nx+ny)` separable) — what the in-kernel parallelism threshold
+/// `n·Σnᵢ` separable) — what the in-kernel parallelism threshold
 /// compares against. The kernel matvecs are chunk-parallel over output
 /// rows; every `O(n)` reduction (barycentre normalization, convergence
 /// delta) is summed sequentially on the calling thread, keeping the
@@ -720,28 +674,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn points2d_matches_1d_on_a_line() {
-        // Embedding a 1-D support as (x, 0) points must reproduce the
-        // one-axis grid barycentre exactly (same kernel cells, same
-        // iteration).
-        let q = grid(-1.5, 1.5, 25);
-        let mu0 = gaussian_on(&q, -0.5, 0.4);
-        let mu1 = gaussian_on(&q, 0.6, 0.5);
-        let cfg = BarycentreConfig::new(0.1, 5_000);
-        let pmfs = [mu0.masses(), mu1.masses()];
-        let (line, line_diag) =
-            entropic_barycentre_grid_nd(&pmfs, &[0.5, 0.5], &[&q], &cfg).unwrap();
-        let points: Vec<(f64, f64)> = q.iter().map(|&x| (x, 0.0)).collect();
-        let (plane, diag) =
-            entropic_barycentre_points2d(&pmfs, &[0.5, 0.5], &points, &cfg).unwrap();
-        assert!(diag.final_delta < cfg.tol);
-        assert_eq!(diag, line_diag);
-        for (a, b) in plane.iter().zip(&line) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
     /// Unnormalized 2-D Gaussian pmf on the product grid (row-major,
     /// `y` fastest), floored to strict positivity.
     fn gaussian2d_on(gx: &[f64], gy: &[f64], mx: f64, my: f64, sd: f64) -> Vec<f64> {
@@ -758,32 +690,6 @@ mod tests {
             *p = (*p / total).max(1e-14);
         }
         pmf
-    }
-
-    #[test]
-    fn grid2d_dense_path_bitwise_matches_points2d() {
-        // The 2-axis grid entry with the kernel forced dense is the
-        // exact points2d computation — a refactor guard at the bit level.
-        let gx = grid(-1.5, 1.5, 9);
-        let gy = grid(-1.0, 2.0, 7);
-        let a = gaussian2d_on(&gx, &gy, -0.5, 0.0, 0.6);
-        let b = gaussian2d_on(&gx, &gy, 0.7, 0.8, 0.5);
-        let cfg = BarycentreConfig {
-            kernel: KernelChoice::Dense,
-            ..BarycentreConfig::new(0.15, 5_000)
-        };
-        let points: Vec<(f64, f64)> = gx
-            .iter()
-            .flat_map(|&x| gy.iter().map(move |&y| (x, y)))
-            .collect();
-        let (flat, flat_diag) =
-            entropic_barycentre_points2d(&[&a, &b], &[0.5, 0.5], &points, &cfg).unwrap();
-        let (grid2d, diag) =
-            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&gx, &gy], &cfg).unwrap();
-        assert_eq!(diag, flat_diag);
-        for (x, y) in grid2d.iter().zip(&flat) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

@@ -5,35 +5,32 @@
 //! projections) spend essentially all of their time computing
 //! `out = K v` against the Gibbs kernel `K_ij = exp(−C_ij / ε)`. For an
 //! arbitrary cost that kernel is an `n × n` dense matrix and the matvec
-//! is `O(n²)`. But for the **squared-Euclidean cost on a 2-D product
+//! is `O(n²)`. But for the **squared-Euclidean cost on a d-axis product
 //! grid** — the joint-repair setting, where the support is
-//! `Q² = gx × gy` flattened row-major — the kernel factorizes as a
-//! Kronecker product:
+//! `Q₁ × … × Q_d` flattened row-major with the last axis fastest — the
+//! kernel factorizes as a Kronecker product of axis kernels (the
+//! separable-kernel scheme of Solomon et al., "Convolutional Wasserstein
+//! Distances", SIGGRAPH 2015):
 //!
 //! ```text
-//! C[(i,j),(k,l)] = (gx[i]−gx[k])² + (gy[j]−gy[l])²
-//! ⇒ K = Kx ⊗ Ky,   Kx[i,k] = exp(−(gx[i]−gx[k])²/ε),
-//!                  Ky[j,l] = exp(−(gy[j]−gy[l])²/ε)
+//! C[i, j] = Σₐ (Qₐ[iₐ] − Qₐ[jₐ])²
+//! ⇒ K = K₁ ⊗ … ⊗ K_d,   Kₐ[i, j] = exp(−(Qₐ[i] − Qₐ[j])²/ε)
 //! ```
 //!
-//! so the matvec contracts one axis at a time:
+//! so [`KernelRep::SeparableNd`] contracts one axis per pass, the last
+//! axis first; at d = 2:
 //!
 //! ```text
-//! tmp[k, j] = Σ_l Ky[j,l] · v[k, l]      (contract y)
-//! out[i, j] = Σ_k Kx[i,k] · tmp[k, j]    (contract x)
+//! tmp[k, j] = Σ_l K₂[j,l] · v[k, l]      (contract axis 2)
+//! out[i, j] = Σ_k K₁[i,k] · tmp[k, j]    (contract axis 1)
 //! ```
 //!
-//! — two `O(nQ³)` passes instead of one `O(nQ⁴)` sweep, a `~nQ/2`-fold
-//! saving (12× at `nQ = 24`).
-//!
-//! The same factorization holds on a **d-axis product grid** (the
-//! ≥3-feature joint-repair setting): `K = K₁ ⊗ … ⊗ K_d`, and
-//! [`KernelRep::SeparableNd`] contracts one axis per pass —
-//! `O(n·Σnᵢ)` total per matvec instead of `O(n²)`, where `n = Πnᵢ`.
-//! At `d = 3`, `nQ = 16` the dense kernel is `nQ⁶ ≈ 1.7e7` cells per
-//! *row block* (16.8M cells, 134 MB — infeasible to iterate), while the
-//! separable matvec touches `n·3nQ ≈ 2.0e5` cells: separability is the
-//! enabling representation, not an optimization.
+//! That is `O(n·Σnᵢ)` per matvec instead of `O(n²)`, where `n = Πnᵢ`:
+//! two `O(nQ³)` passes instead of one `O(nQ⁴)` sweep at d = 2 (12× less
+//! work at `nQ = 24`). At `d = 3`, `nQ = 16` the dense kernel is `nQ⁶ ≈
+//! 1.7e7` cells (134 MB — infeasible to iterate), while the separable
+//! matvec touches `n·3nQ ≈ 2.0e5` cells: separability is the enabling
+//! representation, not an optimization.
 //!
 //! **Determinism.** Each pass writes every output element from exactly
 //! one thread ([`otr_par::par_rows_mut`] chunks whole rows of the outer
@@ -69,7 +66,7 @@ pub enum KernelChoice {
     Auto,
     /// Always the dense `n × n` kernel, even on product grids.
     Dense,
-    /// Prefer the factorized `Kx ⊗ Ky` kernel; solves whose cost is not
+    /// Prefer the factorized `K₁ ⊗ … ⊗ K_d` kernel; solves whose cost is not
     /// grid-separable (or whose support was filtered) fall back to
     /// dense — the preference is never an error.
     Separable,
@@ -112,7 +109,7 @@ impl AxisKernel {
     }
 }
 
-/// A symmetric Gibbs kernel in one of three representations, behind one
+/// A symmetric Gibbs kernel in one of two representations, behind one
 /// [`matvec`](KernelRep::matvec).
 #[derive(Debug, Clone)]
 pub enum KernelRep {
@@ -123,23 +120,9 @@ pub enum KernelRep {
         /// Side length.
         n: usize,
     },
-    /// The factorized kernel `Kx ⊗ Ky` of a squared-Euclidean cost on
-    /// the product grid `gx × gy` (flattened row-major, `y` fastest).
-    Separable {
-        /// Axis kernel `exp(−(gx[i]−gx[k])²/ε)`, row-major `nx × nx`.
-        kx: Vec<f64>,
-        /// Axis kernel `exp(−(gy[j]−gy[l])²/ε)`, row-major `ny × ny`.
-        ky: Vec<f64>,
-        /// `gx` length.
-        nx: usize,
-        /// `gy` length.
-        ny: usize,
-    },
     /// The factorized kernel `K₁ ⊗ … ⊗ K_d` of a squared-Euclidean cost
     /// on a d-axis product grid, flattened row-major with the **last
-    /// axis fastest**. The d = 2 matvec is bitwise-identical to
-    /// [`KernelRep::Separable`] (pinned by `tests/kernel_equivalence.rs`);
-    /// the 2-axis variant is kept as the long-standing grid2d spelling.
+    /// axis fastest**.
     SeparableNd {
         /// Per-axis kernels, outermost (slowest-varying) axis first.
         axes: Vec<AxisKernel>,
@@ -167,20 +150,6 @@ impl KernelRep {
     }
 
     /// Build the factorized kernel of the squared-Euclidean cost on the
-    /// self-product grid `gx × gy`: two tiny axis kernels (`nx²` and
-    /// `ny²` cells — noise next to the `(nx·ny)²` dense build).
-    pub fn separable_grid2d(gx: &[f64], gy: &[f64], eps: f64) -> Self {
-        let kx = AxisKernel::from_grid(gx, eps);
-        let ky = AxisKernel::from_grid(gy, eps);
-        KernelRep::Separable {
-            kx: kx.k,
-            ky: ky.k,
-            nx: kx.n,
-            ny: ky.n,
-        }
-    }
-
-    /// Build the factorized kernel of the squared-Euclidean cost on the
     /// d-axis product grid `axes[0] × … × axes[d−1]` (flattened
     /// row-major, last axis fastest): d tiny axis kernels, `Σnᵢ²` cells
     /// total where the dense build would be `(Πnᵢ)²`.
@@ -194,7 +163,6 @@ impl KernelRep {
     pub fn len(&self) -> usize {
         match self {
             KernelRep::Dense { n, .. } => *n,
-            KernelRep::Separable { nx, ny, .. } => nx * ny,
             KernelRep::SeparableNd { axes } => axes.iter().map(|a| a.n).product(),
         }
     }
@@ -206,11 +174,10 @@ impl KernelRep {
 
     /// Matrix cells one matvec actually touches — the work measure the
     /// [`otr_par::kernel_threads`] parallelism threshold compares against
-    /// (`n²` dense; `n·(nx + ny)` separable; `n·Σnᵢ` for d axes).
+    /// (`n²` dense; `n·Σnᵢ` separable).
     pub fn work_cells(&self) -> usize {
         match self {
             KernelRep::Dense { n, .. } => n * n,
-            KernelRep::Separable { nx, ny, .. } => nx * ny * (nx + ny),
             KernelRep::SeparableNd { axes } => self.len() * axes.iter().map(|a| a.n).sum::<usize>(),
         }
     }
@@ -244,36 +211,6 @@ impl KernelRep {
                     }
                 });
             }
-            KernelRep::Separable { kx, ky, nx, ny } => {
-                let (nx, ny) = (*nx, *ny);
-                // Pass 1 (contract y): tmp[k, j] = Σ_l Ky[j, l] v[k, l].
-                // Whole x-rows are the chunk unit; inside a row the
-                // (j, l) loops run in a fixed order on one thread.
-                par_rows_mut(scratch, ny, threads, |k, tmp_row| {
-                    let v_row = &v[k * ny..(k + 1) * ny];
-                    for (j, slot) in tmp_row.iter_mut().enumerate() {
-                        let ky_row = &ky[j * ny..(j + 1) * ny];
-                        let mut acc = 0.0;
-                        for (kjl, vl) in ky_row.iter().zip(v_row) {
-                            acc += kjl * vl;
-                        }
-                        *slot = acc;
-                    }
-                });
-                // Pass 2 (contract x): out[i, j] = Σ_k Kx[i, k] tmp[k, j],
-                // accumulated over k in ascending order per output row.
-                let tmp = &*scratch;
-                par_rows_mut(out, ny, threads, |i, out_row| {
-                    out_row.fill(0.0);
-                    let kx_row = &kx[i * nx..(i + 1) * nx];
-                    for (k, &w) in kx_row.iter().enumerate() {
-                        let tmp_row = &tmp[k * ny..(k + 1) * ny];
-                        for (slot, t) in out_row.iter_mut().zip(tmp_row) {
-                            *slot += w * t;
-                        }
-                    }
-                });
-            }
             KernelRep::SeparableNd { axes } => {
                 let d = axes.len();
                 assert!(d > 0, "kernel matvec: SeparableNd needs ≥ 1 axis");
@@ -287,10 +224,8 @@ impl KernelRep {
                 // tensor as (P, n_a, R) with R = suffix[a + 1]. The
                 // accumulation order inside each output row is fixed by
                 // the representation (l / k ascending), never by the
-                // chunking, and at d = 2 both passes reproduce the
-                // 2-axis variant's loops exactly — so the output is
-                // bit-identical to `Separable` there and across thread
-                // counts everywhere.
+                // chunking, so the output is bit-identical across
+                // thread counts.
                 let contract = |a: usize, src: &[f64], dst: &mut [f64]| {
                     let ax = &axes[a];
                     let na = ax.n;
@@ -354,66 +289,6 @@ mod tests {
             .collect()
     }
 
-    /// Dense kernel over the flattened product grid, for comparison.
-    fn dense_of_grid(gx: &[f64], gy: &[f64], eps: f64) -> KernelRep {
-        let points: Vec<(f64, f64)> = gx
-            .iter()
-            .flat_map(|&x| gy.iter().map(move |&y| (x, y)))
-            .collect();
-        KernelRep::dense_square(points.len(), eps, 1, |i, j| {
-            let dx = points[i].0 - points[j].0;
-            let dy = points[i].1 - points[j].1;
-            dx * dx + dy * dy
-        })
-    }
-
-    #[test]
-    fn separable_matvec_matches_dense_within_rounding() {
-        let gx = grid(-1.5, 2.0, 7);
-        let gy = grid(0.0, 1.0, 5);
-        let n = gx.len() * gy.len();
-        let v: Vec<f64> = (0..n)
-            .map(|i| 0.1 + ((i * 13) % 17) as f64 / 17.0)
-            .collect();
-        for eps in [0.05, 0.3, 1.7] {
-            let dense = dense_of_grid(&gx, &gy, eps);
-            let sep = KernelRep::separable_grid2d(&gx, &gy, eps);
-            assert_eq!(sep.len(), n);
-            assert!(sep.work_cells() < dense.work_cells());
-            let mut a = vec![0.0; n];
-            let mut b = vec![0.0; n];
-            let mut scratch = vec![0.0; n];
-            dense.matvec(&v, &mut a, &mut scratch, 1);
-            sep.matvec(&v, &mut b, &mut scratch, 1);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1e-300),
-                    "eps = {eps}, cell {i}: dense {x} vs separable {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn separable_matvec_bit_identical_across_thread_counts() {
-        let gx = grid(-2.0, 2.0, 9);
-        let gy = grid(-1.0, 3.0, 6);
-        let n = gx.len() * gy.len();
-        let v: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 11.0).collect();
-        let kernel = KernelRep::separable_grid2d(&gx, &gy, 0.2);
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in [1usize, 2, 7] {
-            let mut out = vec![0.0; n];
-            let mut scratch = vec![0.0; n];
-            kernel.matvec(&v, &mut out, &mut scratch, threads);
-            let bits: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(&bits, r, "threads = {threads}"),
-            }
-        }
-    }
-
     /// Dense kernel over a flattened d-axis product grid (last axis
     /// fastest), for comparison.
     fn dense_of_grid_nd(axes: &[&[f64]], eps: f64) -> KernelRep {
@@ -469,44 +344,25 @@ mod tests {
     }
 
     #[test]
-    fn separable_nd_d2_bitwise_matches_legacy_separable() {
-        let gx = grid(-2.0, 2.0, 9);
-        let gy = grid(-1.0, 3.0, 6);
-        let n = gx.len() * gy.len();
-        let v: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 11.0).collect();
-        for eps in [0.05, 0.2, 1.3] {
-            let legacy = KernelRep::separable_grid2d(&gx, &gy, eps);
-            let nd = KernelRep::separable_grid_nd(&[&gx, &gy], eps);
-            for threads in [1usize, 2, 7] {
-                let mut a = vec![0.0; n];
-                let mut b = vec![0.0; n];
-                let mut scratch = vec![0.0; n];
-                legacy.matvec(&v, &mut a, &mut scratch, threads);
-                nd.matvec(&v, &mut b, &mut scratch, threads);
-                let bits_a: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
-                let bits_b: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(bits_a, bits_b, "eps = {eps}, threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn separable_nd_matvec_bit_identical_across_thread_counts() {
-        let g1 = grid(-2.0, 2.0, 5);
-        let g2 = grid(-1.0, 3.0, 4);
+        let g1 = grid(-2.0, 2.0, 9);
+        let g2 = grid(-1.0, 3.0, 6);
         let g3 = grid(0.0, 1.0, 3);
-        let kernel = KernelRep::separable_grid_nd(&[&g1, &g2, &g3], 0.2);
-        let n = kernel.len();
-        let v: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 11.0).collect();
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in [1usize, 2, 7] {
-            let mut out = vec![0.0; n];
-            let mut scratch = vec![0.0; n];
-            kernel.matvec(&v, &mut out, &mut scratch, threads);
-            let bits: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(&bits, r, "threads = {threads}"),
+        let cases: [&[&[f64]]; 2] = [&[&g1, &g2], &[&g1, &g2, &g3]];
+        for axes in cases {
+            let kernel = KernelRep::separable_grid_nd(axes, 0.2);
+            let n = kernel.len();
+            let v: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 11.0).collect();
+            let mut reference: Option<Vec<u64>> = None;
+            for threads in [1usize, 2, 7] {
+                let mut out = vec![0.0; n];
+                let mut scratch = vec![0.0; n];
+                kernel.matvec(&v, &mut out, &mut scratch, threads);
+                let bits: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                match &reference {
+                    None => reference = Some(bits),
+                    Some(r) => assert_eq!(&bits, r, "d = {}, threads = {threads}", axes.len()),
+                }
             }
         }
     }

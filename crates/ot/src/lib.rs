@@ -21,8 +21,8 @@
 //!   `O(nQ²/ε²)` alternative discussed in Section IV-A1.
 //! * [`kernel`] — the **Gibbs-kernel representation seam**:
 //!   [`KernelRep`] serves every entropic matvec either dense or — on
-//!   product-grid squared-Euclidean costs — factorized as `Kx ⊗ Ky`
-//!   (two `O(nQ³)` axis passes instead of one `O(nQ⁴)` sweep), selected
+//!   product-grid squared-Euclidean costs — factorized as `K₁ ⊗ … ⊗ K_d`
+//!   (`d` axis passes instead of one `O(nQ^{2d})` sweep), selected
 //!   by the config field [`KernelChoice`] (`Auto`, `Dense`, `Separable`).
 //! * [`solvers::backend`] — the **unified solver seam**: [`SolverBackend`]
 //!   and the [`Solver1d`] interface own backend selection, epsilon
@@ -68,8 +68,7 @@ pub mod solvers;
 pub mod wasserstein;
 
 pub use barycentre::{
-    entropic_barycentre_grid_nd, entropic_barycentre_points2d, quantile_barycentre,
-    BarycentreConfig, BarycentreDiagnostics,
+    entropic_barycentre_grid_nd, quantile_barycentre, BarycentreConfig, BarycentreDiagnostics,
 };
 pub use cost::CostMatrix;
 pub use coupling::OtPlan;

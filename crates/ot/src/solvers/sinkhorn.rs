@@ -62,9 +62,9 @@ const STALL_CHECKS: usize = 30;
 
 /// Largest `max(|ln U|, |ln V|)` total-scaling drift the **separable**
 /// standard domain tolerates. Its factored kernel cannot be rebuilt
-/// around the dual potentials (that would break the `Kx ⊗ Ky`
+/// around the dual potentials (that would break the `K₁ ⊗ … ⊗ K_d`
 /// structure), so the scaling vectors carry the *full* duals; past this
-/// bound the products `U_i · Kx·Ky · V_j` risk leaving f64 range and
+/// bound the products `U_i · K_ij · V_j` risk leaving f64 range and
 /// the stage bails to the log domain instead
 /// (`2 · 340 < ln f64::MAX ≈ 709`).
 const SEPARABLE_SCALING_MAX: f64 = 340.0;
@@ -227,8 +227,9 @@ pub struct SinkhornConfig {
     /// Gibbs-kernel representation on **grid-separable** costs (a
     /// self-product-grid squared-Euclidean [`CostMatrix`] with no
     /// zero-mass filtering): `Auto` (the default) factorizes the kernel
-    /// as `Kx ⊗ Ky` — two `O(nQ³)` axis passes per scaling update
-    /// instead of the `O(nQ⁴)` dense sweep — and `Dense` keeps the
+    /// as `K₁ ⊗ … ⊗ K_d` — `d` axis passes per scaling update (two
+    /// `O(nQ³)` passes at `d = 2`) instead of the `O(nQ^{2d})` dense
+    /// sweep — and `Dense` keeps the
     /// dense kernel; non-separable solves always run dense. Like
     /// [`eps_scaling`](Self::eps_scaling) this is part of the solve's
     /// definition (the representations group sums differently,

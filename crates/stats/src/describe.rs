@@ -1,6 +1,6 @@
-//! Descriptive statistics: numerically stable streaming moments (Welford)
-//! and batch summaries. The Monte-Carlo experiment harnesses aggregate the
-//! `E` metric over 200 replicates with these accumulators.
+//! Descriptive statistics: numerically stable streaming moments
+//! (Welford). The Monte-Carlo experiment harnesses aggregate the `E`
+//! metric over 200 replicates with these accumulators.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,49 +78,6 @@ impl Welford {
     }
 }
 
-/// Batch summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Unbiased sample standard deviation.
-    pub sd: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Median (type-7 interpolated).
-    pub median: f64,
-}
-
-impl Summary {
-    /// Summarize a sample. Returns `None` for an empty slice.
-    pub fn of(sample: &[f64]) -> Option<Self> {
-        if sample.is_empty() {
-            return None;
-        }
-        let mut w = Welford::new();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &x in sample {
-            w.push(x);
-            min = min.min(x);
-            max = max.max(x);
-        }
-        let median = crate::quantile::empirical_quantile(sample, 0.5).ok()?;
-        Some(Self {
-            n: sample.len(),
-            mean: w.mean(),
-            sd: w.sample_sd(),
-            min,
-            max,
-            median,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,21 +140,5 @@ mod tests {
         let mut e = Welford::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(s.n, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.median, 2.0);
-        assert!((s.mean - 2.0).abs() < 1e-14);
-        assert!((s.sd - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
     }
 }

@@ -192,132 +192,6 @@ impl ContinuousDistribution for TruncatedNormal {
 }
 
 // ---------------------------------------------------------------------------
-// Log-normal
-// ---------------------------------------------------------------------------
-
-/// The log-normal distribution: `exp(N(mu, sigma²))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    log_scale: Normal,
-}
-
-impl LogNormal {
-    /// A log-normal whose logarithm is `N(mu, sigma²)`.
-    ///
-    /// # Errors
-    /// Same domain as [`Normal::new`].
-    pub fn new(mu: f64, sigma: f64) -> Result<Self> {
-        Ok(Self {
-            log_scale: Normal::new(mu, sigma)?,
-        })
-    }
-}
-
-impl ContinuousDistribution for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.log_scale.sample(rng).exp()
-    }
-
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            self.log_scale.pdf(x.ln()) / x
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            self.log_scale.cdf(x.ln())
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        self.log_scale.quantile(p).exp()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Finite 1-D Gaussian mixtures
-// ---------------------------------------------------------------------------
-
-/// A finite mixture of Gaussians on the real line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mixture1d {
-    weights: Vec<f64>,
-    components: Vec<Normal>,
-    picker: Categorical,
-}
-
-impl Mixture1d {
-    /// A mixture from `(weight, component)` pairs; weights are
-    /// normalized.
-    ///
-    /// # Errors
-    /// Requires at least one component and valid (non-negative, positive
-    /// total) weights.
-    pub fn new(parts: Vec<(f64, Normal)>) -> Result<Self> {
-        if parts.is_empty() {
-            return Err(StatsError::EmptyInput("mixture components"));
-        }
-        let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
-        let picker = Categorical::new(&weights)?;
-        let components = parts.into_iter().map(|(_, c)| c).collect();
-        Ok(Self {
-            weights: picker.probs().to_vec(),
-            components,
-            picker,
-        })
-    }
-}
-
-impl ContinuousDistribution for Mixture1d {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let k = self.picker.sample(rng);
-        self.components[k].sample(rng)
-    }
-
-    fn pdf(&self, x: f64) -> f64 {
-        self.weights
-            .iter()
-            .zip(&self.components)
-            .map(|(w, c)| w * c.pdf(x))
-            .sum()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        self.weights
-            .iter()
-            .zip(&self.components)
-            .map(|(w, c)| w * c.cdf(x))
-            .sum()
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        // No closed form: bisect the monotone CDF.
-        let p = p.clamp(1e-12, 1.0 - 1e-12);
-        let (mut lo, mut hi) = self
-            .components
-            .iter()
-            .map(|c| (c.quantile(1e-9), c.quantile(1.0 - 1e-9)))
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), (l, h)| {
-                (a.min(l), b.max(h))
-            });
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Bernoulli
 // ---------------------------------------------------------------------------
 
@@ -458,40 +332,6 @@ impl Categorical {
 }
 
 // ---------------------------------------------------------------------------
-// Multinomial
-// ---------------------------------------------------------------------------
-
-/// A multinomial: `trials` independent categorical draws, reported as
-/// per-category counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Multinomial {
-    trials: u64,
-    categorical: Categorical,
-}
-
-impl Multinomial {
-    /// A multinomial over the given weights.
-    ///
-    /// # Errors
-    /// Same weight domain as [`Categorical::new`].
-    pub fn new(trials: u64, weights: &[f64]) -> Result<Self> {
-        Ok(Self {
-            trials,
-            categorical: Categorical::new(weights)?,
-        })
-    }
-
-    /// Draw one count vector (sums to `trials`).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
-        let mut counts = vec![0u64; self.categorical.len()];
-        for _ in 0..self.trials {
-            counts[self.categorical.sample(rng)] += 1;
-        }
-        counts
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Multivariate Gaussian
 // ---------------------------------------------------------------------------
 
@@ -600,17 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_is_exp_of_normal() {
-        let dist = LogNormal::new(0.3, 0.8).unwrap();
-        let base = Normal::new(0.3, 0.8).unwrap();
-        assert!((dist.quantile(0.7) - base.quantile(0.7).exp()).abs() < 1e-12);
-        assert!((dist.cdf(2.0) - base.cdf(2.0f64.ln())).abs() < 1e-12);
-        assert_eq!(dist.pdf(-1.0), 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(dist.sample(&mut rng) > 0.0);
-    }
-
-    #[test]
     fn categorical_alias_matches_pmf() {
         let mut rng = StdRng::seed_from_u64(4);
         let weights = [0.5, 0.0, 1.5, 2.0];
@@ -647,15 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn multinomial_counts_sum_to_trials() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let m = Multinomial::new(1_000, &[0.2, 0.3, 0.5]).unwrap();
-        let counts = m.sample(&mut rng);
-        assert_eq!(counts.iter().sum::<u64>(), 1_000);
-        assert!(counts[2] > counts[0]);
-    }
-
-    #[test]
     fn multivariate_normal_reproduces_covariance() {
         let mut rng = StdRng::seed_from_u64(7);
         let cov = Matrix::from_rows(2, 2, vec![1.0, 0.6, 0.6, 1.0]).unwrap();
@@ -683,25 +503,8 @@ mod tests {
         // Dimension mismatch and non-PD covariances are rejected.
         let bad = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
         assert!(MultivariateNormal::new(vec![0.0, 0.0], bad).is_err());
-        let cov3 = Matrix::identity(3);
+        let cov3 =
+            Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).unwrap();
         assert!(MultivariateNormal::new(vec![0.0, 0.0], cov3).is_err());
-    }
-
-    #[test]
-    fn mixture_interpolates_components() {
-        let parts = vec![
-            (0.25, Normal::new(-3.0, 0.5).unwrap()),
-            (0.75, Normal::new(3.0, 0.5).unwrap()),
-        ];
-        let mix = Mixture1d::new(parts).unwrap();
-        assert!((mix.cdf(0.0) - 0.25).abs() < 1e-6);
-        let q = mix.quantile(0.25);
-        assert!((mix.cdf(q) - 0.25).abs() < 1e-6, "q = {q}");
-        let mut rng = StdRng::seed_from_u64(8);
-        let n = 20_000;
-        let right = (0..n).filter(|_| mix.sample(&mut rng) > 0.0).count();
-        let have = right as f64 / n as f64;
-        assert!((have - 0.75).abs() < 0.02, "{have}");
-        assert!(Mixture1d::new(vec![]).is_err());
     }
 }

@@ -67,42 +67,6 @@ pub fn sym_kl_divergence(p: &[f64], q: &[f64]) -> Result<f64> {
     Ok(0.5 * kl_divergence(p, q)? + 0.5 * kl_divergence(q, p)?)
 }
 
-/// Jensen–Shannon divergence (bounded by `ln 2`).
-///
-/// # Errors
-/// Same as [`kl_divergence`].
-pub fn js_divergence(p: &[f64], q: &[f64]) -> Result<f64> {
-    let (p, q) = validate_pair(p, q)?;
-    let m: Vec<f64> = p.iter().zip(&q).map(|(a, b)| 0.5 * (a + b)).collect();
-    Ok(0.5 * kl_divergence(&p, &m)? + 0.5 * kl_divergence(&q, &m)?)
-}
-
-/// Total variation distance `½ Σ |p − q| ∈ [0, 1]`.
-///
-/// # Errors
-/// Same as [`kl_divergence`].
-pub fn total_variation(p: &[f64], q: &[f64]) -> Result<f64> {
-    let (p, q) = validate_pair(p, q)?;
-    Ok(0.5 * p.iter().zip(&q).map(|(a, b)| (a - b).abs()).sum::<f64>())
-}
-
-/// Hellinger distance `√(½ Σ (√p − √q)²) ∈ [0, 1]`.
-///
-/// # Errors
-/// Same as [`kl_divergence`].
-pub fn hellinger(p: &[f64], q: &[f64]) -> Result<f64> {
-    let (p, q) = validate_pair(p, q)?;
-    let s: f64 = p
-        .iter()
-        .zip(&q)
-        .map(|(a, b)| {
-            let d = a.sqrt() - b.sqrt();
-            d * d
-        })
-        .sum();
-    Ok((0.5 * s).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,9 +76,6 @@ mod tests {
         let p = [0.2, 0.3, 0.5];
         assert!(kl_divergence(&p, &p).unwrap() < 1e-12);
         assert!(sym_kl_divergence(&p, &p).unwrap() < 1e-12);
-        assert!(js_divergence(&p, &p).unwrap() < 1e-12);
-        assert!(total_variation(&p, &p).unwrap() < 1e-15);
-        assert!(hellinger(&p, &p).unwrap() < 1e-12);
     }
 
     #[test]
@@ -135,22 +96,6 @@ mod tests {
         // D([1,0] || [0.5,0.5]) = 1*ln(2) with the zero floored.
         let d = kl_divergence(&[1.0, 0.0], &[0.5, 0.5]).unwrap();
         assert!((d - std::f64::consts::LN_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn js_bounded_by_ln2() {
-        // Maximally separated distributions.
-        let d = js_divergence(&[1.0, 0.0], &[0.0, 1.0]).unwrap();
-        assert!(d <= std::f64::consts::LN_2 + 1e-12);
-        assert!(d > std::f64::consts::LN_2 - 1e-6);
-    }
-
-    #[test]
-    fn tv_and_hellinger_bounds() {
-        let d = total_variation(&[1.0, 0.0], &[0.0, 1.0]).unwrap();
-        assert!((d - 1.0).abs() < 1e-10);
-        let h = hellinger(&[1.0, 0.0], &[0.0, 1.0]).unwrap();
-        assert!((h - 1.0).abs() < 1e-5);
     }
 
     #[test]

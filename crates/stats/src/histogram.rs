@@ -1,8 +1,8 @@
 //! Histograms and empirical pmfs on uniform grids.
 //!
-//! Used to bin repaired archival data back onto the interpolated support
-//! when estimating post-repair divergences, and as a non-smoothed
-//! alternative to KDE in ablation experiments.
+//! The drift monitor (`otr_core::lifecycle`) bins served archival rows
+//! onto a plan's support with these, to compare them with the research
+//! marginals the plan recorded.
 
 use crate::error::{Result, StatsError};
 
@@ -76,18 +76,6 @@ impl Histogram {
         )
     }
 
-    /// Build a histogram directly from data.
-    ///
-    /// # Errors
-    /// Same as [`Histogram::new`].
-    pub fn from_data(lo: f64, hi: f64, bins: usize, data: &[f64]) -> Result<Self> {
-        let mut h = Self::new(lo, hi, bins)?;
-        for &x in data {
-            h.push(x);
-        }
-        Ok(h)
-    }
-
     /// Bin index for a value (clamped into range).
     #[inline]
     pub fn bin_of(&self, x: f64) -> usize {
@@ -127,14 +115,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Bin centres.
-    pub fn centres(&self) -> Vec<f64> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (0..self.counts.len())
-            .map(|i| self.lo + (i as f64 + 0.5) * w)
-            .collect()
-    }
-
     /// Normalized probability masses (empty histogram yields all zeros).
     pub fn pmf(&self) -> Vec<f64> {
         if self.total == 0 {
@@ -144,12 +124,6 @@ impl Histogram {
             .iter()
             .map(|&c| c as f64 / self.total as f64)
             .collect()
-    }
-
-    /// Density values (pmf divided by bin width).
-    pub fn density(&self) -> Vec<f64> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.pmf().into_iter().map(|p| p / w).collect()
     }
 }
 
@@ -165,16 +139,24 @@ mod tests {
         assert!(Histogram::new(f64::NEG_INFINITY, 1.0, 3).is_err());
     }
 
+    fn filled(lo: f64, hi: f64, bins: usize, data: &[f64]) -> Histogram {
+        let mut h = Histogram::new(lo, hi, bins).unwrap();
+        for &x in data {
+            h.push(x);
+        }
+        h
+    }
+
     #[test]
     fn binning_is_uniform() {
-        let h = Histogram::from_data(0.0, 1.0, 4, &[0.1, 0.3, 0.6, 0.9]).unwrap();
+        let h = filled(0.0, 1.0, 4, &[0.1, 0.3, 0.6, 0.9]);
         assert_eq!(h.counts(), &[1, 1, 1, 1]);
         assert_eq!(h.total(), 4);
     }
 
     #[test]
     fn out_of_range_clamps() {
-        let h = Histogram::from_data(0.0, 1.0, 2, &[-5.0, 7.0, 1.0]).unwrap();
+        let h = filled(0.0, 1.0, 2, &[-5.0, 7.0, 1.0]);
         // -5 -> bin 0; 7 and 1.0 (== hi) -> last bin.
         assert_eq!(h.counts(), &[1, 2]);
     }
@@ -182,7 +164,7 @@ mod tests {
     #[test]
     fn pmf_sums_to_one() {
         let data: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
-        let h = Histogram::from_data(0.0, 1.0, 7, &data).unwrap();
+        let h = filled(0.0, 1.0, 7, &data);
         let s: f64 = h.pmf().iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
     }
@@ -194,34 +176,19 @@ mod tests {
     }
 
     #[test]
-    fn centres_are_midpoints() {
-        let h = Histogram::new(0.0, 1.0, 2).unwrap();
-        assert_eq!(h.centres(), vec![0.25, 0.75]);
-    }
-
-    #[test]
     fn grid_centred_bins_recover_the_grid() {
         let grid = vec![-1.0, 0.0, 1.0, 2.0];
         let h = Histogram::centred_on_grid(&grid).unwrap();
         assert_eq!(h.bins(), 4);
-        for (c, g) in h.centres().iter().zip(&grid) {
-            assert!((c - g).abs() < 1e-12, "centre {c} vs grid {g}");
-        }
-        // Each grid point falls into its own bin.
+        // Each grid point, and everything within just under half a step
+        // of it, falls into its own bin.
         for (i, &g) in grid.iter().enumerate() {
-            assert_eq!(h.bin_of(g), i);
+            for x in [g - 0.49, g, g + 0.49] {
+                assert_eq!(h.bin_of(x), i, "x = {x}");
+            }
         }
         assert!(Histogram::centred_on_grid(&[1.0]).is_err());
         assert!(Histogram::centred_on_grid(&[1.0, 1.0]).is_err());
         assert!(Histogram::centred_on_grid(&[2.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn density_integrates_to_one() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 / 1000.0) * 3.0 - 1.0).collect();
-        let h = Histogram::from_data(-1.0, 2.0, 10, &data).unwrap();
-        let w = 3.0 / 10.0;
-        let total: f64 = h.density().iter().map(|d| d * w).sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 }

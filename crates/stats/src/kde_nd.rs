@@ -2,13 +2,15 @@
 //! per-dimension Silverman bandwidths).
 //!
 //! The joint repair lifts Algorithm 1 to a `d`-axis product support, and
-//! needs joint `s|u`-conditional pmfs on that grid. This estimator is the
-//! `d`-axis generalization of [`crate::GaussianKde2d`]: a Gaussian
-//! product kernel with per-dimension Silverman bandwidths scaled to the
-//! `d`-optimal `n^{-1/(d+4)}` rate. At `d = 2` every operation is
-//! **bitwise identical** to `GaussianKde2d` (same bandwidth arithmetic,
-//! same accumulation order, same `1e-300` prefix skip), so the 2-feature
-//! joint design is byte-for-byte unchanged by routing through this type.
+//! needs joint `s|u`-conditional pmfs on that grid. This estimator is a
+//! Gaussian product kernel with per-dimension Silverman bandwidths scaled
+//! to the `d`-optimal `n^{-1/(d+4)}` rate.
+//!
+//! Its arithmetic order — the bandwidth rate fix, the sample-major grid
+//! accumulation with its `1e-300` prefix skip, and the multiplication
+//! order of the normalization — defines the bytes of every joint plan
+//! the CLI writes, which `tests/golden.rs` pins. Reordering any of them
+//! is a byte change, not a refactor.
 
 use crate::error::{Result, StatsError};
 use crate::kde::silverman_bandwidth;
@@ -26,8 +28,7 @@ impl GaussianKdeNd {
     /// Fit to column-major observations (`cols[a][i]` = coordinate `a`
     /// of sample `i`) with per-dimension Silverman bandwidths, each
     /// scaled by `n^{-1/(d+4)}` instead of `n^{-1/5}` (the d-optimal
-    /// rate; at `d = 2` this is the `n^{-1/6}` rule of
-    /// [`crate::GaussianKde2d`], bitwise).
+    /// rate; `n^{-1/6}` at `d = 2`).
     ///
     /// # Errors
     /// Requires at least one dimension and non-empty, equal-length,
@@ -86,8 +87,10 @@ impl GaussianKdeNd {
         &self.bandwidth
     }
 
-    /// The `n · Πhₐ · (2π)^{d/2}` normalization denominator, built with
-    /// the exact multiplication order `GaussianKde2d` uses at `d = 2`.
+    /// The `n · Πhₐ · (2π)^{d/2}` normalization denominator, multiplied
+    /// in a fixed order: `n`, each `hₐ`, then `2` and `π` per pair of
+    /// dimensions. That order defines the pinned joint bytes (see the
+    /// module doc), so it stays even where another would be as accurate.
     fn norm_denominator(&self) -> f64 {
         let d = self.cols.len();
         let mut z = self.cols[0].len() as f64;
@@ -131,16 +134,15 @@ impl GaussianKdeNd {
 
     /// Evaluate the density on the product grid `axes[0] × … ×
     /// axes[d−1]`, flattened row-major with the **last axis fastest**
-    /// (at `d = 2`: `out[i * axes[1].len() + j] = pdf(axes[0][i],
-    /// axes[1][j])`, matching [`crate::GaussianKde2d::evaluate_grid`]
-    /// bitwise).
+    /// (at `d = 2`: `out[i * axes[1].len() + j]` is `pdf(axes[0][i],
+    /// axes[1][j])` up to rounding).
     ///
     /// Computed with separable kernel factorization — per-sample,
     /// per-axis kernel rows combined by outer product — so the cost is
     /// `O((n + Πgₐ)·Σgₐ)` instead of `O(n·Πgₐ·d)`. Accumulation is
     /// sample-major into row-major cells; prefixes below `1e-300`
-    /// (underflowed mass) skip the cell block, exactly like the 2-D
-    /// estimator.
+    /// (underflowed mass) skip the cell block. That order defines the
+    /// pinned joint bytes (see the module doc).
     pub fn evaluate_grid(&self, axes: &[&[f64]]) -> Vec<f64> {
         let d = self.cols.len();
         assert_eq!(axes.len(), d, "n-D KDE grid: expected {d} axes");
@@ -169,8 +171,11 @@ impl GaussianKdeNd {
         let unit = [1.0f64];
         for s in 0..n {
             // Outer-product expansion of the first d−1 axes into
-            // `prefix` (a single borrowed row when d = 2, the empty
-            // product when d = 1).
+            // `prefix`: the empty product when d = 1, and at d = 2 row 0
+            // itself, borrowed rather than copied (the loop below would
+            // copy the same values). The expansion multiplies left to
+            // right in axis order, part of the order the pinned joint
+            // bytes depend on.
             let row0 = &rows[0][s * axes[0].len()..(s + 1) * axes[0].len()];
             let prefix: &[f64] = if d == 1 {
                 &unit
@@ -237,7 +242,6 @@ impl GaussianKdeNd {
 mod tests {
     use super::*;
     use crate::dist::{ContinuousDistribution, Normal};
-    use crate::kde2d::GaussianKde2d;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -265,47 +269,31 @@ mod tests {
     }
 
     #[test]
-    fn d2_is_bitwise_identical_to_gaussian_kde2d() {
-        let cols = sample_cols(250, 2, 7);
-        let nd = GaussianKdeNd::fit(&[&cols[0], &cols[1]]).unwrap();
-        let k2 = GaussianKde2d::fit(&cols[0], &cols[1]).unwrap();
-        let (hx, hy) = k2.bandwidth();
-        assert_eq!(nd.bandwidth(), &[hx, hy]);
-        let gx: Vec<f64> = (0..9).map(|i| -2.0 + 0.5 * i as f64).collect();
-        let gy: Vec<f64> = (0..7).map(|i| -1.5 + 0.5 * i as f64).collect();
-        // The grid evaluation, the pmf, and pointwise pdfs all match to
-        // the bit: the n-d path must be a drop-in replacement for the
-        // 2-D joint design.
-        assert_eq!(nd.evaluate_grid(&[&gx, &gy]), k2.evaluate_grid(&gx, &gy));
-        assert_eq!(
-            nd.pmf_on_grid(&[&gx, &gy]).unwrap(),
-            k2.pmf_on_grid(&gx, &gy).unwrap()
-        );
-        for &x in &gx {
-            for &y in &gy {
-                assert_eq!(nd.pdf(&[x, y]).unwrap().to_bits(), k2.pdf(x, y).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn evaluate_grid_matches_pointwise_pdf_at_d3() {
-        let cols = sample_cols(120, 3, 2);
-        let kde = GaussianKdeNd::fit(&[&cols[0], &cols[1], &cols[2]]).unwrap();
+    fn evaluate_grid_matches_pointwise_pdf_at_d2_and_d3() {
         let g0 = [-1.0, 0.0, 2.0];
         let g1 = [-2.0, 0.5];
         let g2 = [-0.5, 0.25, 0.75, 1.5];
-        let grid = kde.evaluate_grid(&[&g0, &g1, &g2]);
-        for (i, &x) in g0.iter().enumerate() {
-            for (j, &y) in g1.iter().enumerate() {
-                for (k, &z) in g2.iter().enumerate() {
-                    let direct = kde.pdf(&[x, y, z]).unwrap();
-                    let fast = grid[(i * g1.len() + j) * g2.len() + k];
-                    assert!(
-                        (direct - fast).abs() < 1e-12 * (1.0 + direct),
-                        "mismatch at ({x},{y},{z}): {direct} vs {fast}"
-                    );
+        let cases: [&[&[f64]]; 2] = [&[&g0, &g2], &[&g0, &g1, &g2]];
+        for axes in cases {
+            let d = axes.len();
+            let cols = sample_cols(120, d, 2);
+            let cols: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            let kde = GaussianKdeNd::fit(&cols).unwrap();
+            let grid = kde.evaluate_grid(axes);
+            assert_eq!(grid.len(), axes.iter().map(|g| g.len()).product());
+            for (cell, &fast) in grid.iter().enumerate() {
+                // Decode the row-major cell index, last axis fastest.
+                let mut point = vec![0.0; d];
+                let mut r = cell;
+                for a in (0..d).rev() {
+                    point[a] = axes[a][r % axes[a].len()];
+                    r /= axes[a].len();
                 }
+                let direct = kde.pdf(&point).unwrap();
+                assert!(
+                    (direct - fast).abs() < 1e-12 * (1.0 + direct),
+                    "d = {d}, mismatch at {point:?}: {direct} vs {fast}"
+                );
             }
         }
     }

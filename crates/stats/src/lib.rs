@@ -6,20 +6,19 @@
 //! * **Special functions** ([`special`]): `erf`, `erfc`, the standard-normal
 //!   CDF and its inverse (Acklam's algorithm refined by Halley iteration).
 //! * **Distributions** ([`dist`]): Gaussian (sampling via the Marsaglia polar
-//!   method), truncated Gaussian, log-normal, Bernoulli, categorical (with an
-//!   O(1) alias sampler), multinomial, multivariate Gaussian (via our own
-//!   Cholesky factorization), and finite mixtures.
-//! * **Dense linear algebra** ([`linalg`]): the small dense-matrix kernel and
-//!   Cholesky / solve routines used by the multivariate normal and EM.
-//! * **Kernel density estimation** ([`kde`]): Gaussian-kernel KDE with
-//!   Silverman / Scott bandwidth rules — Equation (11)–(12) of the paper.
+//!   method), truncated Gaussian, Bernoulli, categorical (with an O(1) alias
+//!   sampler), and multivariate Gaussian (via our own Cholesky
+//!   factorization).
+//! * **Dense linear algebra** ([`linalg`]): the small dense-matrix type and
+//!   the Cholesky factorization the multivariate normal samples with.
+//! * **Kernel density estimation** ([`kde`], [`kde_nd`]): Gaussian-kernel
+//!   KDE with Silverman / Scott bandwidth rules — Equation (11)–(12) of the
+//!   paper — and its d-variate product-kernel form for joint repair.
 //! * **Histograms & empirical pmfs** ([`histogram`]).
-//! * **Quantiles** ([`quantile`]): empirical quantiles and pmf quantile
-//!   functions used by the 1-D Wasserstein barycentre.
-//! * **Divergences** ([`divergence`]): KL, symmetrized KL (the paper's
-//!   `E_u`, Definition 2.4), Jensen–Shannon, total variation, Hellinger.
-//! * **Descriptive statistics** ([`describe`]): Welford accumulators and
-//!   summary statistics.
+//! * **Quantiles** ([`quantile`]): empirical sample quantiles.
+//! * **Divergences** ([`divergence`]): KL and symmetrized KL (the paper's
+//!   `E_u`, Definition 2.4).
+//! * **Descriptive statistics** ([`describe`]): Welford accumulators.
 //! * **Expectation–maximization** ([`em`]): two-component Gaussian-mixture
 //!   EM used to estimate missing `s|u` labels of archival data (Section IV
 //!   / VI of the paper).
@@ -50,23 +49,18 @@ pub mod em;
 pub mod error;
 pub mod histogram;
 pub mod kde;
-pub mod kde2d;
 pub mod kde_nd;
 pub mod linalg;
 pub mod quantile;
 pub mod special;
 
-pub use describe::{Summary, Welford};
-pub use dist::{
-    Bernoulli, Categorical, LogNormal, Mixture1d, Multinomial, MultivariateNormal, Normal,
-    TruncatedNormal,
-};
-pub use divergence::{hellinger, js_divergence, kl_divergence, sym_kl_divergence, total_variation};
+pub use describe::Welford;
+pub use dist::{Bernoulli, Categorical, MultivariateNormal, Normal, TruncatedNormal};
+pub use divergence::{kl_divergence, sym_kl_divergence};
 pub use em::{GaussianMixtureEm, GmmFit};
 pub use error::StatsError;
 pub use histogram::Histogram;
 pub use kde::{Bandwidth, GaussianKde};
-pub use kde2d::GaussianKde2d;
 pub use kde_nd::GaussianKdeNd;
 pub use linalg::Matrix;
-pub use quantile::{empirical_quantile, pmf_quantile_fn};
+pub use quantile::empirical_quantile;

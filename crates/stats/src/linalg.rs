@@ -1,5 +1,5 @@
-//! Small dense linear algebra: the `Matrix` type, Cholesky factorization,
-//! and triangular solves.
+//! Small dense linear algebra: the `Matrix` type and its Cholesky
+//! factorization.
 //!
 //! The fairness-repair pipeline only ever manipulates small matrices — the
 //! `d × d` covariance of the simulated mixture components (`d = 2` in the
@@ -42,15 +42,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Number of rows.
@@ -112,44 +103,6 @@ impl Matrix {
         Ok(y)
     }
 
-    /// Matrix product `A B`.
-    ///
-    /// # Errors
-    /// Returns [`StatsError::LengthMismatch`] on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(StatsError::LengthMismatch {
-                what: "matmul inner dimension",
-                left: self.cols,
-                right: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += aik * other.get(k, j);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
-    }
-
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
     /// matrix; returns the lower-triangular factor `L`.
     ///
@@ -185,81 +138,6 @@ impl Matrix {
         }
         Ok(l)
     }
-
-    /// Solve `L y = b` for lower-triangular `L` (forward substitution).
-    ///
-    /// # Errors
-    /// Returns [`StatsError::Linalg`] on dimension mismatch or a zero pivot.
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.rows;
-        if self.cols != n || b.len() != n {
-            return Err(StatsError::Linalg("solve_lower dimension mismatch".into()));
-        }
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.get(i, k) * y[k];
-            }
-            let piv = self.get(i, i);
-            if piv == 0.0 {
-                return Err(StatsError::Linalg(format!("zero pivot at row {i}")));
-            }
-            y[i] = sum / piv;
-        }
-        Ok(y)
-    }
-
-    /// Solve `Lᵀ x = y` for lower-triangular `L` (backward substitution on
-    /// the transpose).
-    ///
-    /// # Errors
-    /// Returns [`StatsError::Linalg`] on dimension mismatch or a zero pivot.
-    pub fn solve_lower_transpose(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let n = self.rows;
-        if self.cols != n || y.len() != n {
-            return Err(StatsError::Linalg(
-                "solve_lower_transpose dimension mismatch".into(),
-            ));
-        }
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in i + 1..n {
-                sum -= self.get(k, i) * x[k];
-            }
-            let piv = self.get(i, i);
-            if piv == 0.0 {
-                return Err(StatsError::Linalg(format!("zero pivot at row {i}")));
-            }
-            x[i] = sum / piv;
-        }
-        Ok(x)
-    }
-
-    /// Solve the SPD system `A x = b` via Cholesky.
-    ///
-    /// # Errors
-    /// Propagates factorization/solve failures.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let l = self.cholesky()?;
-        let y = l.solve_lower(b)?;
-        l.solve_lower_transpose(&y)
-    }
-
-    /// Log-determinant of an SPD matrix via Cholesky:
-    /// `log det A = 2 Σ log L_ii`.
-    ///
-    /// # Errors
-    /// Propagates factorization failures.
-    pub fn logdet_spd(&self) -> Result<f64> {
-        let l = self.cholesky()?;
-        let mut s = 0.0;
-        for i in 0..self.rows {
-            s += l.get(i, i).ln();
-        }
-        Ok(2.0 * s)
-    }
 }
 
 #[cfg(test)]
@@ -280,37 +158,20 @@ mod tests {
     }
 
     #[test]
-    fn identity_matvec_is_identity() {
-        let i3 = Matrix::identity(3);
-        let x = vec![1.0, -2.0, 3.5];
-        assert_eq!(i3.matvec(&x).unwrap(), x);
-    }
-
-    #[test]
-    fn matmul_against_hand_computed() {
+    fn matvec_against_hand_computed() {
         let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let b = Matrix::from_rows(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.rows(), 2);
-        assert_eq!(c.cols(), 2);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_dimension_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
+        assert_eq!(a.matvec(&[1.0, -2.0, 3.5]).unwrap(), vec![7.5, 15.0]);
+        assert!(a.matvec(&[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn cholesky_reconstructs() {
         let a = spd3();
         let l = a.cholesky().unwrap();
-        let back = l.matmul(&l.transpose()).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert!((back.get(i, j) - a.get(i, j)).abs() < 1e-12);
+                let back: f64 = (0..3).map(|k| l.get(i, k) * l.get(j, k)).sum();
+                assert!((back - a.get(i, j)).abs() < 1e-12);
             }
         }
         // L is lower triangular.
@@ -328,29 +189,5 @@ mod tests {
     #[test]
     fn cholesky_rejects_non_square() {
         assert!(Matrix::zeros(2, 3).cholesky().is_err());
-    }
-
-    #[test]
-    fn solve_spd_round_trip() {
-        let a = spd3();
-        let x_true = vec![1.0, -1.0, 2.0];
-        let b = a.matvec(&x_true).unwrap();
-        let x = a.solve_spd(&b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn logdet_matches_direct_2x2() {
-        let a = Matrix::from_rows(2, 2, vec![2.0, 0.3, 0.3, 1.0]).unwrap();
-        let det: f64 = 2.0 * 1.0 - 0.09;
-        assert!((a.logdet_spd().unwrap() - det.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
     }
 }

@@ -1,10 +1,7 @@
-//! Quantile machinery: empirical sample quantiles and quantile functions of
-//! discrete pmfs on ordered supports.
+//! Empirical sample quantiles.
 //!
-//! The 1-D Wasserstein-2 barycentre of the repair target (Equation 7 of the
-//! paper) is computed in `otr-ot` by *quantile interpolation*:
-//! `F_ν⁻¹ = (1−t)·F₀⁻¹ + t·F₁⁻¹`. The pmf quantile function here is its
-//! foundation.
+//! (The quantile function of a pmf on an ordered support, which the 1-D
+//! Wasserstein-2 barycentre interpolates, is `otr_ot::interp::MidpointCdf`.)
 
 use crate::error::{Result, StatsError};
 
@@ -37,86 +34,6 @@ pub fn empirical_quantile(sample: &[f64], p: f64) -> Result<f64> {
     Ok(v[lo] * (1.0 - frac) + v[hi] * frac)
 }
 
-/// The (generalized-inverse) quantile function of a pmf on an ordered
-/// support, with linear interpolation *within* the CDF steps so that the
-/// returned curve is continuous — the form needed for Wasserstein
-/// geodesics between discretized continuous distributions.
-///
-/// Returns a closure mapping `p ∈ [0, 1]` to a point in the convex hull of
-/// `support`.
-///
-/// # Errors
-/// Requires equal non-zero lengths, a strictly increasing support, and a
-/// valid probability vector.
-pub fn pmf_quantile_fn(support: &[f64], pmf: &[f64]) -> Result<impl Fn(f64) -> f64> {
-    if support.is_empty() {
-        return Err(StatsError::EmptyInput("support"));
-    }
-    if support.len() != pmf.len() {
-        return Err(StatsError::LengthMismatch {
-            what: "support vs pmf",
-            left: support.len(),
-            right: pmf.len(),
-        });
-    }
-    for w in support.windows(2) {
-        if !(w[0] < w[1]) {
-            return Err(StatsError::InvalidParameter {
-                name: "support",
-                reason: "must be strictly increasing".into(),
-            });
-        }
-    }
-    let total: f64 = pmf.iter().sum();
-    if pmf.iter().any(|&p| p < 0.0 || p.is_nan()) || total <= 0.0 {
-        return Err(StatsError::InvalidProbabilities(format!(
-            "pmf invalid (total {total})"
-        )));
-    }
-
-    // Cumulative masses, normalized. cdf[i] = P(X <= support[i]).
-    let mut cdf = Vec::with_capacity(pmf.len());
-    let mut acc = 0.0;
-    for &p in pmf {
-        acc += p / total;
-        cdf.push(acc);
-    }
-    // Guard against round-off.
-    if let Some(last) = cdf.last_mut() {
-        *last = 1.0;
-    }
-    let support = support.to_vec();
-
-    Ok(move |p: f64| -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        // Find first index with cdf[i] >= p.
-        let mut lo = 0usize;
-        let mut hi = cdf.len() - 1;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cdf[mid] < p {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let i = lo;
-        // Interpolate linearly between the previous grid point and this one
-        // proportionally to the mass consumed inside step i.
-        let (c_prev, x_prev) = if i == 0 {
-            (0.0, support[0])
-        } else {
-            (cdf[i - 1], support[i - 1])
-        };
-        let step = cdf[i] - c_prev;
-        if step <= 0.0 {
-            return support[i];
-        }
-        let frac = ((p - c_prev) / step).clamp(0.0, 1.0);
-        x_prev + frac * (support[i] - x_prev)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,60 +54,5 @@ mod tests {
         assert!(empirical_quantile(&[1.0], -0.1).is_err());
         assert!(empirical_quantile(&[1.0], 1.5).is_err());
         assert!(empirical_quantile(&[f64::NAN], 0.5).is_err());
-    }
-
-    #[test]
-    fn pmf_quantile_point_mass() {
-        let q = pmf_quantile_fn(&[0.0, 1.0, 2.0], &[0.0, 1.0, 0.0]).unwrap();
-        // All mass on the middle point; quantiles interpolate from the
-        // previous grid point up to it across the single step.
-        assert!((q(1.0) - 1.0).abs() < 1e-12);
-        assert!(q(0.5) <= 1.0);
-    }
-
-    #[test]
-    fn pmf_quantile_uniform_is_linearish() {
-        let support: Vec<f64> = (0..=10).map(|i| i as f64).collect();
-        let pmf = vec![1.0 / 11.0; 11];
-        let q = pmf_quantile_fn(&support, &pmf).unwrap();
-        assert!(q(0.0) <= q(0.25));
-        assert!(q(0.25) <= q(0.5));
-        assert!(q(0.5) <= q(0.75));
-        assert!(q(1.0) == 10.0);
-        // Median of a uniform on [0,10] grid ≈ 5 (within one grid step).
-        assert!((q(0.5) - 5.0).abs() <= 1.0);
-    }
-
-    #[test]
-    fn pmf_quantile_monotone() {
-        let support = [0.0, 0.5, 1.5, 2.0, 4.0];
-        let pmf = [0.1, 0.4, 0.0, 0.3, 0.2];
-        let q = pmf_quantile_fn(&support, &pmf).unwrap();
-        let mut prev = f64::NEG_INFINITY;
-        for i in 0..=100 {
-            let p = i as f64 / 100.0;
-            let v = q(p);
-            assert!(v >= prev - 1e-12, "non-monotone at p = {p}");
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn pmf_quantile_rejects_invalid() {
-        assert!(pmf_quantile_fn(&[], &[]).is_err());
-        assert!(pmf_quantile_fn(&[1.0, 0.5], &[0.5, 0.5]).is_err()); // not increasing
-        assert!(pmf_quantile_fn(&[0.0, 1.0], &[0.5]).is_err()); // length mismatch
-        assert!(pmf_quantile_fn(&[0.0, 1.0], &[-0.5, 1.5]).is_err()); // negative
-        assert!(pmf_quantile_fn(&[0.0, 1.0], &[0.0, 0.0]).is_err()); // zero mass
-    }
-
-    #[test]
-    fn pmf_quantile_unnormalized_input_ok() {
-        // Weights normalize internally.
-        let q1 = pmf_quantile_fn(&[0.0, 1.0], &[1.0, 3.0]).unwrap();
-        let q2 = pmf_quantile_fn(&[0.0, 1.0], &[0.25, 0.75]).unwrap();
-        for p in [0.1, 0.5, 0.9] {
-            assert!((q1(p) - q2(p)).abs() < 1e-12);
-        }
     }
 }

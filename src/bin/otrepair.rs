@@ -150,29 +150,126 @@ fn print_usage() {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// Minimal `--flag value` parser: returns the value following `flag`.
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The flags one subcommand (or `client` action) reads, as
+/// space-separated names: `valued` flags take the next argument as their
+/// value, `switches` stand alone.
+struct Flags {
+    valued: &'static str,
+    switches: &'static str,
 }
 
-fn required<'a>(args: &'a [String], flag: &str) -> Result<&'a str, String> {
-    opt(args, flag).ok_or_else(|| format!("missing required option `{flag} <value>`"))
+const fn flags(valued: &'static str, switches: &'static str) -> Flags {
+    Flags { valued, switches }
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+const DESIGN: Flags = flags(
+    "--research --out --nq --t --solver --min-group --threads",
+    "--verbose",
+);
+const DESIGN_JOINT: Flags = flags(
+    "--research --out --nq --t --eps --eps-scaling --solver --min-group --threads",
+    "--joint --verbose",
+);
+const APPLY: Flags = flags(
+    "--plan --data --out --seed --partial --threads",
+    "--monge --joint",
+);
+const EVALUATE: Flags = flags("--data --grid", "");
+const EVALUATE_JOINT: Flags = flags("--data --grid --joint-grid", "--joint");
+const DRIFT: Flags = flags("--data --out --mean-shift --scale --group-shift", "");
+/// Every `client` action reads these on top of its own.
+const CLIENT: Flags = flags("--addr --retries --timeout", "");
+const CLIENT_ACTIONS: [(&str, Flags); 9] = [
+    ("ping", flags("", "")),
+    ("info", flags("", "")),
+    ("plans", flags("", "")),
+    ("load", flags("--plan --name --version", "--joint")),
+    ("evict", flags("--name --version", "")),
+    ("repair", flags("--name --data --out --version --seed", "")),
+    (
+        "watch",
+        flags("--name --threshold --trips --check-every --min-rows", ""),
+    ),
+    ("drift", flags("--name", "")),
+    ("audit", flags("--name", "")),
+];
+
+/// Flags that used to exist: the subcommand, the flag, and why it went.
+const REMOVED: [(&str, &str, &str); 2] = [
+    (
+        "design --joint",
+        "--kernel",
+        "joint design always runs the separable kernel",
+    ),
+    (
+        "apply",
+        "--batch-rows",
+        "batch height never changed the output",
+    ),
+];
+
+/// The parsed options of one subcommand.
+struct Opts<'a> {
+    values: Vec<(&'static str, &'a str)>,
+    switches: Vec<&'static str>,
 }
 
-/// The parser ignores unknown flags, so a removed flag must fail loudly
-/// (before any file I/O) rather than quietly fall back to the default.
-fn reject_removed(args: &[String], flag: &str, why: &str) -> CliResult {
-    if has_flag(args, flag) {
-        return Err(format!("{flag} was removed: {why}").into());
+impl<'a> Opts<'a> {
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
     }
-    Ok(())
+
+    fn required(&self, flag: &str) -> Result<&'a str, String> {
+        self.get(flag)
+            .ok_or_else(|| format!("missing required option `{flag} <value>`"))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+}
+
+/// Check `args` against the flags `cmd` reads, before any file I/O. An
+/// unknown, removed, repeated or value-less flag, or a stray positional
+/// argument, is a one-line usage error naming the flag and `cmd`: a
+/// misspelled flag must fail, not quietly leave its default in place.
+fn parse<'a>(cmd: &str, args: &'a [String], tables: &[&Flags]) -> Result<Opts<'a>, String> {
+    let usage = |what: String| format!("{cmd}: {what} (see `otrepair --help`)");
+    let mut opts = Opts {
+        values: Vec::new(),
+        switches: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let arg = arg.as_str();
+        if opts.get(arg).is_some() || opts.has(arg) {
+            return Err(usage(format!("`{arg}` given twice")));
+        }
+        let find = |list: fn(&Flags) -> &'static str| {
+            tables
+                .iter()
+                .flat_map(|t| list(t).split_whitespace())
+                .find(|f| *f == arg)
+        };
+        if let Some(flag) = find(|t| t.valued) {
+            match it.next() {
+                Some(value) if !value.starts_with("--") => opts.values.push((flag, value)),
+                _ => return Err(usage(format!("`{flag}` needs a value"))),
+            }
+        } else if let Some(flag) = find(|t| t.switches) {
+            opts.switches.push(flag);
+        } else if let Some((_, _, why)) = REMOVED.iter().find(|r| (r.0, r.1) == (cmd, arg)) {
+            return Err(format!("{cmd}: {arg} was removed: {why}"));
+        } else if arg.starts_with('-') {
+            return Err(usage(format!("unknown flag `{arg}`")));
+        } else {
+            return Err(usage(format!("unexpected argument `{arg}`")));
+        }
+    }
+    Ok(opts)
 }
 
 fn load_dataset(path: &str) -> Result<Dataset, Box<dyn std::error::Error>> {
@@ -183,24 +280,25 @@ fn load_dataset(path: &str) -> Result<Dataset, Box<dyn std::error::Error>> {
 }
 
 fn cmd_design(args: &[String]) -> CliResult {
-    if has_flag(args, "--joint") {
+    if args.iter().any(|a| a == "--joint") {
         return cmd_design_joint(args);
     }
-    let research_path = required(args, "--research")?;
-    let out_path = required(args, "--out")?;
-    let mut config = RepairConfig::with_n_q(opt(args, "--nq").map_or(Ok(50), str::parse)?);
-    if let Some(t) = opt(args, "--t") {
+    let args = parse("design", args, &[&DESIGN])?;
+    let research_path = args.required("--research")?;
+    let out_path = args.required("--out")?;
+    let mut config = RepairConfig::with_n_q(args.get("--nq").map_or(Ok(50), str::parse)?);
+    if let Some(t) = args.get("--t") {
         config.t = t.parse()?;
     }
-    if let Some(mg) = opt(args, "--min-group") {
+    if let Some(mg) = args.get("--min-group") {
         config.min_group_size = mg.parse()?;
     }
-    if let Some(solver) = opt(args, "--solver") {
+    if let Some(solver) = args.get("--solver") {
         // Backend spellings (and their validation) are owned by the OT
         // crate's unified solver seam.
         config.solver = solver.parse::<SolverBackend>()?;
     }
-    if let Some(threads) = opt(args, "--threads") {
+    if let Some(threads) = args.get("--threads") {
         config.threads = threads.parse()?;
     }
 
@@ -213,7 +311,7 @@ fn cmd_design(args: &[String]) -> CliResult {
         config.t
     );
     let plan = RepairPlanner::new(config).design(&research)?;
-    if has_flag(args, "--verbose") {
+    if args.has("--verbose") {
         for fp in plan.feature_plans() {
             let support = &fp.support;
             eprintln!(
@@ -257,33 +355,29 @@ fn parse_eps_scaling(spec: &str) -> Result<Option<EpsSchedule>, Box<dyn std::err
 }
 
 fn cmd_design_joint(args: &[String]) -> CliResult {
-    reject_removed(
-        args,
-        "--kernel",
-        "joint design always runs the separable kernel",
-    )?;
-    let research_path = required(args, "--research")?;
-    let out_path = required(args, "--out")?;
+    let args = parse("design --joint", args, &[&DESIGN_JOINT])?;
+    let research_path = args.required("--research")?;
+    let out_path = args.required("--out")?;
     let mut config = JointRepairConfig::default();
-    if let Some(nq) = opt(args, "--nq") {
+    if let Some(nq) = args.get("--nq") {
         config.n_q = nq.parse()?;
     }
-    if let Some(t) = opt(args, "--t") {
+    if let Some(t) = args.get("--t") {
         config.t = t.parse()?;
     }
-    if let Some(eps) = opt(args, "--eps") {
+    if let Some(eps) = args.get("--eps") {
         config.epsilon = eps.parse()?;
     }
-    if let Some(spec) = opt(args, "--eps-scaling") {
+    if let Some(spec) = args.get("--eps-scaling") {
         config.eps_scaling = parse_eps_scaling(spec)?;
     }
-    if let Some(mg) = opt(args, "--min-group") {
+    if let Some(mg) = args.get("--min-group") {
         config.min_group_size = mg.parse()?;
     }
-    if let Some(solver) = opt(args, "--solver") {
+    if let Some(solver) = args.get("--solver") {
         config.solver = Some(solver.parse::<SolverBackend>()?);
     }
-    if let Some(threads) = opt(args, "--threads") {
+    if let Some(threads) = args.get("--threads") {
         config.threads = threads.parse()?;
     }
 
@@ -300,7 +394,7 @@ fn cmd_design_joint(args: &[String]) -> CliResult {
         config.t
     );
     let (plan, report) = JointRepairPlan::design_with_report(&research, config)?;
-    if has_flag(args, "--verbose") {
+    if args.has("--verbose") {
         print_joint_report(&report);
     }
     std::fs::write(out_path, plan.to_json()?)
@@ -354,18 +448,14 @@ fn print_joint_report(report: &JointDesignReport) {
 }
 
 fn cmd_apply(args: &[String]) -> CliResult {
-    reject_removed(
-        args,
-        "--batch-rows",
-        "batch height never changed the output",
-    )?;
-    let plan_path = required(args, "--plan")?;
-    let data_path = required(args, "--data")?;
-    let out_path = required(args, "--out")?;
-    let seed: u64 = opt(args, "--seed").map_or(Ok(0), str::parse)?;
-    let partial: Option<f64> = opt(args, "--partial").map(str::parse).transpose()?;
-    let use_monge = has_flag(args, "--monge");
-    let joint = has_flag(args, "--joint");
+    let args = parse("apply", args, &[&APPLY])?;
+    let plan_path = args.required("--plan")?;
+    let data_path = args.required("--data")?;
+    let out_path = args.required("--out")?;
+    let seed: u64 = args.get("--seed").map_or(Ok(0), str::parse)?;
+    let partial: Option<f64> = args.get("--partial").map(str::parse).transpose()?;
+    let use_monge = args.has("--monge");
+    let joint = args.has("--joint");
     // Mode conflicts are usage errors: reject them before any file I/O.
     if joint && (partial.is_some() || use_monge) {
         return Err("--joint supports neither --partial nor --monge".into());
@@ -381,7 +471,7 @@ fn cmd_apply(args: &[String]) -> CliResult {
     let repair: Repair;
     let how = if joint {
         let mut plan = JointRepairPlan::from_json(&blob)?;
-        if let Some(threads) = opt(args, "--threads") {
+        if let Some(threads) = args.get("--threads") {
             plan.set_threads(threads.parse()?);
         }
         let how = format!(
@@ -393,7 +483,7 @@ fn cmd_apply(args: &[String]) -> CliResult {
         how
     } else {
         let mut plan = RepairPlan::from_json(&blob)?;
-        if let Some(threads) = opt(args, "--threads") {
+        if let Some(threads) = args.get("--threads") {
             // Deployment-side override of the design-time thread count;
             // the repaired bytes depend only on --seed, never on this.
             plan.config.threads = threads.parse()?;
@@ -430,10 +520,15 @@ fn cmd_apply(args: &[String]) -> CliResult {
 }
 
 fn cmd_evaluate(args: &[String]) -> CliResult {
-    let data_path = required(args, "--data")?;
+    let args = if args.iter().any(|a| a == "--joint") {
+        parse("evaluate --joint", args, &[&EVALUATE_JOINT])?
+    } else {
+        parse("evaluate", args, &[&EVALUATE])?
+    };
+    let data_path = args.required("--data")?;
     let data = load_dataset(data_path)?;
     let mut cd = ConditionalDependence::default();
-    if let Some(g) = opt(args, "--grid") {
+    if let Some(g) = args.get("--grid") {
         cd.grid_size = g.parse()?;
     }
     let report = cd.evaluate(&data)?;
@@ -450,9 +545,9 @@ fn cmd_evaluate(args: &[String]) -> CliResult {
         );
     }
     println!("  aggregate E = {:.6}", report.aggregate());
-    if has_flag(args, "--joint") {
+    if args.has("--joint") {
         let mut jd = JointDependence::default();
-        if let Some(g) = opt(args, "--joint-grid") {
+        if let Some(g) = args.get("--joint-grid") {
             jd.grid_size = g.parse()?;
         } else if data.dim() > 2 {
             // The shared product grid has grid_size^d cells; the 2-D
@@ -481,12 +576,13 @@ fn parse_floats(spec: &str) -> Result<Vec<f64>, Box<dyn std::error::Error>> {
 /// the injector ci/serve_session.sh uses to exercise the drift-aware
 /// plan lifecycle end to end.
 fn cmd_drift(args: &[String]) -> CliResult {
-    let data_path = required(args, "--data")?;
-    let out_path = required(args, "--out")?;
+    let args = parse("drift", args, &[&DRIFT])?;
+    let data_path = args.required("--data")?;
+    let out_path = args.required("--out")?;
     let drift = match (
-        opt(args, "--mean-shift"),
-        opt(args, "--scale"),
-        opt(args, "--group-shift"),
+        args.get("--mean-shift"),
+        args.get("--scale"),
+        args.get("--group-shift"),
     ) {
         (Some(spec), None, None) => Drift::MeanShift(parse_floats(spec)?),
         (None, Some(spec), None) => {
@@ -521,7 +617,7 @@ fn cmd_drift(args: &[String]) -> CliResult {
 /// `otrepair serve`: the otrepaird daemon, in-process (identical flags).
 fn cmd_serve(args: &[String]) -> CliResult {
     use ot_fair_repair::serve::daemon;
-    if has_flag(args, "--help") {
+    if args.iter().any(|a| a == "--help") {
         println!(
             "otrepair serve — run the otrepaird daemon\n\n{}",
             daemon::USAGE
@@ -544,13 +640,20 @@ fn cmd_client(args: &[String]) -> CliResult {
     let action = args.first().map(String::as_str).ok_or(
         "client needs an action: ping | info | plans | load | evict | repair | watch | drift | audit",
     )?;
-    let rest = &args[1..];
-    let addr = opt(rest, "--addr").unwrap_or("127.0.0.1:7878");
+    let Some((_, flags)) = CLIENT_ACTIONS.iter().find(|(name, _)| *name == action) else {
+        return Err(format!(
+            "unknown client action `{action}` (expected ping | info | plans | load | evict | \
+             repair | watch | drift | audit)"
+        )
+        .into());
+    };
+    let rest = parse(&format!("client {action}"), &args[1..], &[&CLIENT, flags])?;
+    let addr = rest.get("--addr").unwrap_or("127.0.0.1:7878");
     let mut policy = RetryPolicy::default();
-    if let Some(retries) = opt(rest, "--retries") {
+    if let Some(retries) = rest.get("--retries") {
         policy.retries = retries.parse()?;
     }
-    let timeout_ms: u64 = opt(rest, "--timeout").map_or(Ok(0), str::parse)?;
+    let timeout_ms: u64 = rest.get("--timeout").map_or(Ok(0), str::parse)?;
     if timeout_ms > 0 {
         policy.call_deadline = Some(Duration::from_millis(timeout_ms));
     }
@@ -605,10 +708,10 @@ fn cmd_client(args: &[String]) -> CliResult {
             }
         }
         "load" => {
-            let plan_path = required(rest, "--plan")?;
-            let name = required(rest, "--name")?;
-            let version: u32 = opt(rest, "--version").map_or(Ok(1), str::parse)?;
-            let kind = if has_flag(rest, "--joint") {
+            let plan_path = rest.required("--plan")?;
+            let name = rest.required("--name")?;
+            let version: u32 = rest.get("--version").map_or(Ok(1), str::parse)?;
+            let kind = if rest.has("--joint") {
                 PlanKind::Joint
             } else {
                 PlanKind::Scalar
@@ -619,24 +722,24 @@ fn cmd_client(args: &[String]) -> CliResult {
             println!("loaded {name}@{version} ({kind})");
         }
         "evict" => {
-            let name = required(rest, "--name")?;
-            let version: u32 = required(rest, "--version")?.parse()?;
+            let name = rest.required("--name")?;
+            let version: u32 = rest.required("--version")?.parse()?;
             client.call(|c| c.evict_plan(name, version))?;
             println!("evicted {name}@{version}");
         }
         "watch" => {
-            let name = required(rest, "--name")?;
+            let name = rest.required("--name")?;
             let mut config = DriftConfig::default();
-            if let Some(v) = opt(rest, "--threshold") {
+            if let Some(v) = rest.get("--threshold") {
                 config.threshold = v.parse()?;
             }
-            if let Some(v) = opt(rest, "--trips") {
+            if let Some(v) = rest.get("--trips") {
                 config.trips = v.parse()?;
             }
-            if let Some(v) = opt(rest, "--check-every") {
+            if let Some(v) = rest.get("--check-every") {
                 config.check_every = v.parse()?;
             }
-            if let Some(v) = opt(rest, "--min-rows") {
+            if let Some(v) = rest.get("--min-rows") {
                 config.min_rows = v.parse()?;
             }
             let version = client.call(|c| c.watch(name, &config))?;
@@ -646,7 +749,7 @@ fn cmd_client(args: &[String]) -> CliResult {
             );
         }
         "drift" => {
-            let name = required(rest, "--name")?;
+            let name = rest.required("--name")?;
             let report = client.call(|c| c.drift_status(name))?;
             println!(
                 "{name}@{}: {} rows seen, {} checkpoints, streak {}, {} swap(s), tripped: {}",
@@ -665,7 +768,7 @@ fn cmd_client(args: &[String]) -> CliResult {
             }
         }
         "audit" => {
-            let name = required(rest, "--name")?;
+            let name = rest.required("--name")?;
             let records = client.call(|c| c.audit(name))?;
             if records.is_empty() {
                 println!("no hot swaps recorded for {name}");
@@ -684,11 +787,11 @@ fn cmd_client(args: &[String]) -> CliResult {
             }
         }
         "repair" => {
-            let name = required(rest, "--name")?;
-            let data_path = required(rest, "--data")?;
-            let out_path = required(rest, "--out")?;
-            let version: u32 = opt(rest, "--version").map_or(Ok(0), str::parse)?;
-            let seed: u64 = opt(rest, "--seed").map_or(Ok(0), str::parse)?;
+            let name = rest.required("--name")?;
+            let data_path = rest.required("--data")?;
+            let out_path = rest.required("--out")?;
+            let version: u32 = rest.get("--version").map_or(Ok(0), str::parse)?;
+            let seed: u64 = rest.get("--seed").map_or(Ok(0), str::parse)?;
             let file =
                 File::open(data_path).map_err(|e| format!("cannot open {data_path}: {e}"))?;
             let archive = ot_fair_repair::data::read_labelled_csv_columnar(BufReader::new(file))?;
@@ -711,13 +814,7 @@ fn cmd_client(args: &[String]) -> CliResult {
                 damage.mean_rmse()
             );
         }
-        other => {
-            return Err(format!(
-                "unknown client action `{other}` (expected ping | info | plans | load | evict | \
-                 repair | watch | drift | audit)"
-            )
-            .into())
-        }
+        _ => unreachable!("`{action}` is checked against CLIENT_ACTIONS"),
     }
     Ok(())
 }

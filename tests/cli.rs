@@ -157,10 +157,10 @@ fn apply_monge_mode_and_partial_conflict() {
     assert!(!stderr.contains("repairing"), "stderr: {stderr}");
 }
 
-/// The parser ignores unknown flags, so the removed `apply --batch-rows`
-/// (every mode) and `design --joint --kernel` must be usage errors naming
-/// the removal, caught before any file is touched: the files named here
-/// do not exist, so any read would fail with "cannot".
+/// The removed `apply --batch-rows` (every mode) and `design --joint
+/// --kernel` are usage errors naming the removal, caught before any file
+/// is touched: the files named here do not exist, so any read would fail
+/// with "cannot".
 #[test]
 fn removed_flags_are_usage_errors() {
     let dir = tmp_dir("removed-flags");
@@ -191,6 +191,88 @@ fn removed_flags_are_usage_errors() {
         );
         assert!(!stderr.contains("cannot"), "{extra:?}: stderr: {stderr}");
         assert!(!out.exists(), "{extra:?}: wrote {}", out.display());
+    }
+}
+
+/// Every subcommand rejects a misspelled flag and a repeated `--seed`
+/// (unknown where the subcommand reads no seed) with a one-line usage
+/// error naming the flag, before it reads or writes a file. The inputs
+/// are real, so a parser that skipped the flag would run and write.
+#[test]
+fn misspelled_and_repeated_flags_are_usage_errors() {
+    let dir = tmp_dir("strict-flags");
+    let (research, archive) = write_csvs(&dir, 9);
+    let plan = dir.join("plan.json").to_string_lossy().into_owned();
+    assert!(Command::new(bin())
+        .args([
+            "design",
+            "--research",
+            &research,
+            "--out",
+            &plan,
+            "--nq",
+            "20"
+        ])
+        .status()
+        .unwrap()
+        .success());
+    let out = dir.join("out.csv");
+    let out_s = out.to_string_lossy().into_owned();
+    let design = ["design", "--research", &research, "--out", &out_s];
+    let joint = [
+        "design",
+        "--joint",
+        "--research",
+        &research,
+        "--out",
+        &out_s,
+    ];
+    let apply = [
+        "apply", "--plan", &plan, "--data", &archive, "--out", &out_s,
+    ];
+    let evaluate = ["evaluate", "--data", &archive];
+    let drift = ["drift", "--data", &archive, "--out", &out_s];
+    let serve = ["serve", "--bind", "127.0.0.1:0"];
+    let repair = [
+        "client",
+        "repair",
+        "--addr",
+        "127.0.0.1:1",
+        "--name",
+        "p",
+        "--data",
+        &archive,
+        "--out",
+        &out_s,
+    ];
+    let seed_twice: &[&str] = &["--seed", "1", "--seed", "2"];
+    let runs: [(&[&str], &[&str], &str); 17] = [
+        (&design, &["--nq", "20", "--bogus"], "--bogus"),
+        (&design, seed_twice, "--seed"),
+        (&design, &["--eps", "0.1"], "--eps"),
+        (&joint, &["--nq", "8", "--epsilon", "0.1"], "--epsilon"),
+        (&joint, seed_twice, "--seed"),
+        (&apply, &["--sed", "9"], "--sed"),
+        (&apply, seed_twice, "--seed"),
+        (&apply, &["--seed"], "--seed"),
+        (&apply, &["stray.csv"], "stray.csv"),
+        (&evaluate, &["--jiont"], "--jiont"),
+        (&evaluate, seed_twice, "--seed"),
+        (&drift, &["--mean-shfit", "1,1"], "--mean-shfit"),
+        (&drift, seed_twice, "--seed"),
+        (&serve, &["--bnid", "127.0.0.1:0"], "--bnid"),
+        (&serve, seed_twice, "--seed"),
+        (&repair, &["--sed", "9"], "--sed"),
+        (&repair, seed_twice, "--seed"),
+    ];
+    for (cmd, extra, flag) in runs {
+        let run = Command::new(bin()).args(cmd).args(extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{extra:?}: stderr: {stderr}");
+        assert!(stderr.contains(flag), "{extra:?}: stderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{extra:?}: stderr: {stderr}");
+        assert!(run.stdout.is_empty(), "{extra:?}: printed output");
+        assert!(!out.exists(), "{cmd:?} {extra:?}: wrote {out_s}");
     }
 }
 

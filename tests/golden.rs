@@ -1,0 +1,199 @@
+//! Golden output digests: the bytes of the `otrepair` CLI on a fixed
+//! corpus, pinned by a checked-in manifest.
+//!
+//! The corpus runs Algorithm 1 (`design`), Algorithm 2 (`apply`) and the
+//! `E` audit (`evaluate`) on `ci/fixtures`, plus a small `d = 3` joint
+//! design and repair on a CSV this test writes from a fixed-seed
+//! [`SimulationSpec`]. Every output file, and every `evaluate` stdout, is
+//! hashed with 64-bit FNV-1a and listed as a `name bytes digest` line;
+//! the lines must equal `tests/fixtures/golden_digests.txt`, whose header
+//! names the platform the digests were recorded on (`exp`, `ln` and
+//! `powf` come from the platform libm).
+//!
+//! On a mismatch the test prints the whole recomputed manifest. A change
+//! that moves bytes on purpose commits that manifest and names each moved
+//! entry, with its reason, in CHANGES.md (see `docs/determinism.md`,
+//! "Golden digests"). Nothing rewrites the manifest automatically.
+
+use std::path::Path;
+use std::process::Command;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use ot_fair_repair::data::{write_labelled_csv, SimulationSpec};
+
+/// The corpus, in manifest order after [`D3_INPUT`]: an entry's name
+/// and its `otrepair` arguments. `{fix}` is `ci/fixtures`, `{dir}` the
+/// test's temporary directory holding earlier entries' outputs, and
+/// `{out}` the entry's own output file; an entry without `{out}` is
+/// digested by its stdout.
+const CORPUS: &[(&str, &str)] = &[
+    (
+        "design_exact.json",
+        "design --research {fix}/research.csv --out {out} --solver exact --nq 40",
+    ),
+    (
+        "design_simplex.json",
+        "design --research {fix}/research.csv --out {out} --solver simplex --nq 30",
+    ),
+    (
+        "design_sinkhorn.json",
+        "design --research {fix}/research.csv --out {out} --solver sinkhorn:0.05 --nq 30",
+    ),
+    (
+        "design_sinkhorn_scaled.json",
+        "design --research {fix}/research.csv --out {out} --solver sinkhorn:0.01:scaled --nq 60",
+    ),
+    (
+        "apply_exact.csv",
+        "apply --plan {dir}/design_exact.json --data {fix}/archive.csv --out {out} --seed 7",
+    ),
+    (
+        "apply_sinkhorn_scaled.csv",
+        "apply --plan {dir}/design_sinkhorn_scaled.json --data {fix}/archive.csv --out {out} \
+         --seed 7",
+    ),
+    (
+        "apply_partial.csv",
+        "apply --plan {dir}/design_exact.json --data {fix}/archive.csv --out {out} --seed 7 \
+         --partial 0.5",
+    ),
+    (
+        "apply_monge.csv",
+        "apply --plan {dir}/design_exact.json --data {fix}/archive.csv --out {out} --seed 7 \
+         --monge",
+    ),
+    ("evaluate.txt", "evaluate --data {fix}/archive.csv"),
+    (
+        "design_joint.json",
+        "design --joint --research {fix}/research.csv --out {out}",
+    ),
+    (
+        "apply_joint.csv",
+        "apply --joint --plan {dir}/design_joint.json --data {fix}/archive.csv --out {out} \
+         --seed 7",
+    ),
+    (
+        "evaluate_joint.txt",
+        "evaluate --data {fix}/archive.csv --joint --joint-grid 16",
+    ),
+    (
+        "d3_design_joint.json",
+        "design --joint --research {dir}/d3_input.csv --out {out} --nq 6 --eps 0.1",
+    ),
+    (
+        "d3_apply_joint.csv",
+        "apply --joint --plan {dir}/d3_design_joint.json --data {dir}/d3_input.csv --out {out} \
+         --seed 7",
+    ),
+];
+
+/// The CSV the `d = 3` entries read; the test writes it, so it is an
+/// entry too (listed before the entries that read it).
+const D3_INPUT: &str = "d3_input.csv";
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `arch-os-env` of the build, e.g. `x86_64-linux-gnu`.
+fn platform() -> String {
+    let env = if cfg!(target_env = "gnu") {
+        "gnu"
+    } else if cfg!(target_env = "musl") {
+        "musl"
+    } else if cfg!(target_env = "msvc") {
+        "msvc"
+    } else {
+        "none"
+    };
+    format!("{}-{}-{env}", std::env::consts::ARCH, std::env::consts::OS)
+}
+
+fn line(name: &str, bytes: &[u8]) -> String {
+    format!("{name} {} {:016x}", bytes.len(), fnv1a64(bytes))
+}
+
+/// Three paper-style Gaussian components in three features.
+fn write_d3_input(path: &Path) {
+    let spec = SimulationSpec {
+        means: [
+            [vec![-1.0, -1.0, -0.5], vec![0.0, 0.0, 0.0]],
+            [vec![1.0, 1.0, 0.5], vec![0.0, 0.0, 0.0]],
+        ],
+        sigma: 1.0,
+        covs: None,
+        pr_u0: 0.5,
+        pr_s0_given_u: [0.3, 0.1],
+    };
+    let data = spec
+        .sample_dataset(400, &mut StdRng::seed_from_u64(2024))
+        .unwrap();
+    let file = std::fs::File::create(path).unwrap();
+    write_labelled_csv(std::io::BufWriter::new(file), &data).unwrap();
+}
+
+/// Run the corpus in `dir` and return the manifest it produces.
+fn recompute(dir: &Path) -> String {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci/fixtures");
+    let d3_input = dir.join(D3_INPUT);
+    write_d3_input(&d3_input);
+    let mut manifest = format!(
+        "# otrepair golden digests: name bytes fnv1a64\n# platform: {}\n{}\n",
+        platform(),
+        line(D3_INPUT, &std::fs::read(&d3_input).unwrap())
+    );
+    for (name, template) in CORPUS {
+        let out = dir.join(name);
+        let args: Vec<String> = template
+            .split_whitespace()
+            .map(|a| {
+                a.replace("{fix}", &fixtures.to_string_lossy())
+                    .replace("{dir}", &dir.to_string_lossy())
+                    .replace("{out}", &out.to_string_lossy())
+            })
+            .collect();
+        let run = Command::new(env!("CARGO_BIN_EXE_otrepair"))
+            .args(&args)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{name}: otrepair {template} failed: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let bytes = if template.contains("{out}") {
+            std::fs::read(&out).unwrap()
+        } else {
+            run.stdout
+        };
+        manifest += &line(name, &bytes);
+        manifest.push('\n');
+    }
+    manifest
+}
+
+#[test]
+fn cli_outputs_match_the_golden_manifest() {
+    let dir = std::env::temp_dir().join(format!("otrepair-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let got = recompute(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_digests.txt");
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    if got != want {
+        let moved: Vec<&str> = got
+            .lines()
+            .filter(|l| !want.lines().any(|w| w == *l))
+            .collect();
+        panic!(
+            "{} differs from this build's output in {} line(s):\n{}\n\nrecomputed manifest:\n{got}",
+            path.display(),
+            moved.len(),
+            moved.join("\n")
+        );
+    }
+}
