@@ -23,21 +23,19 @@ use otr_data::{Dataset, LabelledPoint};
 
 use crate::error::{RepairError, Result};
 
+/// Minimum observations per `(u, s)` group.
+const MIN_GROUP_SIZE: usize = 2;
+
 /// Configuration for the geometric repair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GeometricRepair {
     /// Geodesic position `t ∈ [0, 1]` (0.5 = the fair barycentre).
     pub t: f64,
-    /// Minimum observations per `(u, s)` group.
-    pub min_group_size: usize,
 }
 
 impl Default for GeometricRepair {
     fn default() -> Self {
-        Self {
-            t: 0.5,
-            min_group_size: 2,
-        }
+        Self { t: 0.5 }
     }
 }
 
@@ -120,12 +118,12 @@ impl GeometricRepair {
                     .collect(),
             ];
             for (s, ids) in idx.iter().enumerate() {
-                if ids.len() < self.min_group_size {
+                if ids.len() < MIN_GROUP_SIZE {
                     return Err(RepairError::InsufficientResearchData {
                         u,
                         s: s as u8,
                         found: ids.len(),
-                        needed: self.min_group_size,
+                        needed: MIN_GROUP_SIZE,
                     });
                 }
             }
@@ -239,12 +237,7 @@ mod tests {
         let spec = SimulationSpec::paper_defaults();
         let mut rng = StdRng::seed_from_u64(5);
         let data = spec.sample_dataset(300, &mut rng).unwrap();
-        let repaired = GeometricRepair {
-            t: 0.0,
-            min_group_size: 2,
-        }
-        .repair(&data)
-        .unwrap();
+        let repaired = GeometricRepair { t: 0.0 }.repair(&data).unwrap();
         for (orig, rep) in data.points().iter().zip(repaired.points()) {
             if orig.s == 0 {
                 assert_eq!(orig.x, rep.x, "s=0 must be untouched at t=0");
@@ -285,18 +278,26 @@ mod tests {
         let spec = SimulationSpec::paper_defaults();
         let mut rng = StdRng::seed_from_u64(17);
         let data = spec.sample_dataset(200, &mut rng).unwrap();
-        assert!(GeometricRepair {
-            t: 2.0,
-            min_group_size: 2
-        }
-        .repair(&data)
-        .is_err());
-        assert!(GeometricRepair {
-            t: 0.5,
-            min_group_size: 10_000
-        }
-        .repair(&data)
-        .is_err());
+        assert!(GeometricRepair { t: 2.0 }.repair(&data).is_err());
+        // Keep one observation of the (u = 1, s = 0) group.
+        let group = |p: &&LabelledPoint| (p.u, p.s) == (1, 0);
+        let mut points: Vec<_> = data
+            .points()
+            .iter()
+            .filter(|p| !group(p))
+            .cloned()
+            .collect();
+        points.extend(data.points().iter().find(group).cloned());
+        let lone = Dataset::from_points(points).unwrap();
+        assert!(matches!(
+            GeometricRepair::default().repair(&lone),
+            Err(RepairError::InsufficientResearchData {
+                u: 1,
+                s: 0,
+                found: 1,
+                needed: 2
+            })
+        ));
     }
 
     #[test]

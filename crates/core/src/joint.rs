@@ -41,7 +41,7 @@ use serde::{Deserialize, Serialize};
 use otr_data::{ColumnarDataset, Dataset, GroupKey, LabelledPoint};
 use otr_ot::{
     entropic_barycentre_grid_nd, BarycentreConfig, BarycentreDiagnostics, CostMatrix, EpsSchedule,
-    KernelChoice, OtPlan, SinkhornDuals, Solver1d as _, SolverBackend,
+    KernelChoice, OtPlan, Solver1d as _, SolverBackend,
 };
 use otr_par::{par_cols_mut, par_map_indexed, splitmix_seed, try_par_map_indexed};
 use otr_stats::dist::Categorical;
@@ -131,17 +131,11 @@ impl JointRepairConfig {
 /// One `u`-stratum of the joint plan.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct JointStratum {
-    /// Legacy 2-feature axis-grid fields. Still written (and read) for
-    /// `d = 2` plans so artifacts keep round-tripping with older
-    /// readers; empty for `d ≥ 3`. [`JointStratum::compile`] folds them
-    /// into [`axes`](Self::axes) when only they are present.
-    #[serde(default)]
-    gx: Vec<f64>,
-    #[serde(default)]
-    gy: Vec<f64>,
     /// Axis grids, one per feature (`d ≥ 2` entries). The product
     /// support is their Cartesian product, flattened row-major with the
-    /// **last axis fastest**.
+    /// **last axis fastest**. Defaulted on load so that a plan without
+    /// them (the 2-feature `gx`/`gy` artifacts that predate `d`-axis
+    /// plans) fails [`JointStratum::compile`] with its own reason.
     #[serde(default)]
     axes: Vec<Vec<f64>>,
     /// Flattened grid-point coordinates, `d` per state, in row-major
@@ -151,13 +145,6 @@ struct JointStratum {
     points: Vec<f64>,
     /// Per-`s` plans onto the barycentre.
     plans: [OtPlan; 2],
-    /// Converged Sinkhorn dual potentials of the solves that produced
-    /// `plans` (per `s`; `None` under the simplex backend). Part of the
-    /// artifact schema — `design --joint` writes them — but no repair or
-    /// design path reads them back: joint plans are never re-designed.
-    /// Absent in plan JSON written before they were recorded.
-    #[serde(default)]
-    duals: [Option<SinkhornDuals>; 2],
     /// Per-row alias samplers (derived; rebuilt by
     /// [`JointStratum::compile`]).
     #[serde(skip)]
@@ -173,23 +160,10 @@ impl JointStratum {
     /// deserialization; `JointRepairPlan::design` and
     /// [`JointRepairPlan::from_json`] do it automatically.
     fn compile(&mut self, u: u8) -> Result<()> {
-        if self.axes.is_empty() {
-            // Legacy 2-feature plan JSON carries `gx`/`gy` only.
-            if self.gx.is_empty() && self.gy.is_empty() {
-                return Err(RepairError::PlanMismatch(format!(
-                    "joint stratum u={u}: no axis grids (`axes` and legacy `gx`/`gy` all empty)"
-                )));
-            }
-            self.axes = vec![self.gx.clone(), self.gy.clone()];
-        } else if self.axes.len() == 2 && self.gx.is_empty() && self.gy.is_empty() {
-            // Keep the legacy pair coherent for 2-feature plans, so a
-            // re-serialized plan stays readable by older tooling.
-            self.gx = self.axes[0].clone();
-            self.gy = self.axes[1].clone();
-        }
         if self.axes.len() < 2 {
             return Err(RepairError::PlanMismatch(format!(
-                "joint stratum u={u}: needs at least 2 feature axes, got {}",
+                "joint stratum u={u}: needs at least 2 feature `axes`, got {}; \
+                 re-design the plan with `otrepair design --joint`",
                 self.axes.len()
             )));
         }
@@ -486,10 +460,9 @@ impl JointRepairPlan {
         // the entropic backend can factorize its kernel too.
         let cost = CostMatrix::squared_euclidean_grid_nd(&axis_refs)?;
         let mut plans: Vec<OtPlan> = Vec::with_capacity(2);
-        let mut duals: Vec<Option<SinkhornDuals>> = Vec::with_capacity(2);
         let mut plan_transport_cost = [0.0f64; 2];
         for (s, pmf) in pmfs.iter().enumerate() {
-            let (plan, d) = config.plan_solver().solve_with_cost_warm(
+            let (plan, _) = config.plan_solver().solve_with_cost_warm(
                 pmf,
                 &bary,
                 &cost,
@@ -499,22 +472,13 @@ impl JointRepairPlan {
             )?;
             plan_transport_cost[s] = plan.transport_cost(&cost)?;
             plans.push(plan);
-            duals.push(d);
         }
         let plans: [OtPlan; 2] = [plans.remove(0), plans.remove(0)];
-        let duals: [Option<SinkhornDuals>; 2] = [duals.remove(0), duals.remove(0)];
 
         let mut stratum = JointStratum {
-            // The legacy 2-feature fields stay populated at d = 2 so
-            // plan artifacts keep their old shape; compile() would
-            // back-fill them anyway, but being explicit here keeps the
-            // designed struct equal to its JSON round trip.
-            gx: if d == 2 { axes[0].clone() } else { Vec::new() },
-            gy: if d == 2 { axes[1].clone() } else { Vec::new() },
             axes,
             points: Vec::new(), // derived; compile() rebuilds it
             plans,
-            duals,
             samplers: [Vec::new(), Vec::new()],
         };
         stratum.compile(u)?;
@@ -815,9 +779,6 @@ mod tests {
             for (g, &v) in stratum.axes.iter().zip(&p.x) {
                 assert!(g.iter().any(|&q| (q - v).abs() < 1e-9));
             }
-            // The legacy pair mirrors the axes at d = 2.
-            assert_eq!(stratum.gx, stratum.axes[0]);
-            assert_eq!(stratum.gy, stratum.axes[1]);
         }
     }
 
@@ -932,12 +893,9 @@ mod tests {
         // grid (4 states) fed plans of the wrong dimension.
         let plan3 = OtPlan::from_dense(3, 3, vec![1.0 / 9.0; 9]).unwrap();
         let mut stratum = JointStratum {
-            gx: vec![0.0, 1.0],
-            gy: vec![0.0, 1.0],
-            axes: Vec::new(),
+            axes: vec![vec![0.0, 1.0]; 2],
             points: Vec::new(),
             plans: [plan3.clone(), plan3],
-            duals: [None, None],
             samplers: [Vec::new(), Vec::new()],
         };
         assert!(matches!(
@@ -947,31 +905,13 @@ mod tests {
         // Degenerate single-state axis grid.
         let plan2 = OtPlan::from_dense(2, 2, vec![0.25; 4]).unwrap();
         let mut stratum = JointStratum {
-            gx: vec![0.0],
-            gy: vec![0.0, 1.0],
-            axes: Vec::new(),
+            axes: vec![vec![0.0], vec![0.0, 1.0]],
             points: Vec::new(),
             plans: [plan2.clone(), plan2],
-            duals: [None, None],
             samplers: [Vec::new(), Vec::new()],
         };
         assert!(matches!(
             stratum.compile(1),
-            Err(RepairError::PlanMismatch(_))
-        ));
-        // No grids at all — neither `axes` nor the legacy pair.
-        let plan2 = OtPlan::from_dense(2, 2, vec![0.25; 4]).unwrap();
-        let mut stratum = JointStratum {
-            gx: Vec::new(),
-            gy: Vec::new(),
-            axes: Vec::new(),
-            points: Vec::new(),
-            plans: [plan2.clone(), plan2],
-            duals: [None, None],
-            samplers: [Vec::new(), Vec::new()],
-        };
-        assert!(matches!(
-            stratum.compile(0),
             Err(RepairError::PlanMismatch(_))
         ));
         // Each stratum is well formed on its own, but u = 0 repairs
@@ -980,12 +920,9 @@ mod tests {
             let n = 1 << d;
             let plan = OtPlan::from_dense(n, n, vec![1.0 / (n * n) as f64; n * n]).unwrap();
             JointStratum {
-                gx: Vec::new(),
-                gy: Vec::new(),
                 axes: vec![vec![0.0, 1.0]; d],
                 points: Vec::new(),
                 plans: [plan.clone(), plan],
-                duals: [None, None],
                 samplers: [Vec::new(), Vec::new()],
             }
         };
@@ -1011,13 +948,6 @@ mod tests {
         let back = JointRepairPlan::from_json(&json).unwrap();
         assert_eq!(back.n_q(), plan.n_q());
         assert_eq!(back.config().epsilon, plan.config().epsilon);
-        // Entropic design banks each solve's duals in the artifact.
-        for stratum in plan.strata.iter().chain(&back.strata) {
-            assert!(
-                stratum.duals.iter().all(Option::is_some),
-                "entropic joint design must bank duals"
-            );
-        }
         // Threads are machine-local runtime policy: never persisted.
         assert_eq!(back.config().threads, 0);
         // Identical repairs under the same seed (JSON costs one f64
@@ -1147,8 +1077,6 @@ mod tests {
         assert_eq!(repaired.len(), split.archive.len());
         for p in repaired.points() {
             let stratum = &plan.strata[p.u as usize];
-            // The legacy 2-feature grid pair is not faked at d = 3.
-            assert!(stratum.gx.is_empty() && stratum.gy.is_empty());
             assert_eq!(stratum.axes.len(), 3);
             for (g, &v) in stratum.axes.iter().zip(&p.x) {
                 assert!(g.iter().any(|&q| (q - v).abs() < 1e-9));
@@ -1213,19 +1141,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legacy_plan_json_without_axes_field_still_loads() {
-        // Pre-n-d joint plan artifacts carry `gx`/`gy` per stratum and
-        // no `axes` key. Strip the new key from a freshly designed
-        // 2-feature plan's JSON to reproduce that shape, and check the
-        // loaded plan repairs identically.
-        let spec = correlation_spec();
-        let mut rng = StdRng::seed_from_u64(24);
-        let split = spec.generate(500, 300, &mut rng).unwrap();
-        let mut cfg = JointRepairConfig::default();
-        cfg.n_q = 6;
-        let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
-        let mut v: serde_json::Value = serde_json::from_str(&plan.to_json().unwrap()).unwrap();
+    /// `json` (a joint plan) with every stratum object edited by `edit`.
+    fn edit_strata(
+        json: &str,
+        mut edit: impl FnMut(&mut Vec<(String, serde_json::Value)>),
+    ) -> String {
+        let mut v: serde_json::Value = serde_json::from_str(json).unwrap();
         let serde_json::Value::Obj(entries) = &mut v else {
             panic!("plan JSON must be an object");
         };
@@ -1237,22 +1158,61 @@ mod tests {
             let serde_json::Value::Obj(fields) = stratum else {
                 panic!("stratum must be an object");
             };
-            let before = fields.len();
-            fields.retain(|(k, _)| k != "axes");
-            assert_eq!(
-                fields.len(),
-                before - 1,
-                "freshly designed plans carry `axes`"
-            );
-            assert!(fields.iter().any(|(k, _)| k == "gx"));
-            assert!(fields.iter().any(|(k, _)| k == "gy"));
+            edit(fields);
         }
-        let legacy = serde_json::to_string(&v).unwrap();
-        let back = JointRepairPlan::from_json(&legacy).unwrap();
-        assert_eq!(back.dims(), 2);
+        serde_json::to_string(&v).unwrap()
+    }
+
+    #[test]
+    fn joint_plans_load_by_their_axes_alone() {
+        // Plans written before `gx`/`gy`/`duals` and the schedule's
+        // stage budget were dropped carry them next to `axes`: they load
+        // and repair byte-identically. Plans
+        // older still carry `gx`/`gy` without `axes`: they fail, naming
+        // the command that writes a loadable plan.
+        let spec = correlation_spec();
+        let mut rng = StdRng::seed_from_u64(24);
+        let split = spec.generate(500, 300, &mut rng).unwrap();
+        let mut cfg = JointRepairConfig::default();
+        cfg.n_q = 6;
+        let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
+        let json = plan.to_json().unwrap();
+        let axis = |fields: &[(String, serde_json::Value)], a: usize| {
+            let (_, axes) = fields.iter().find(|(k, _)| k == "axes").unwrap();
+            axes.as_arr().unwrap()[a].clone()
+        };
+        let duals = serde_json::Value::Obj(vec![
+            (
+                "f".into(),
+                serde_json::Value::Arr(vec![serde_json::Value::Num(0.5); 36]),
+            ),
+            (
+                "g".into(),
+                serde_json::Value::Arr(vec![serde_json::Value::Num(-0.5); 36]),
+            ),
+        ]);
+        let budget = r#""factor":0.25,"stage_iters":0,"stage_tol":0.0}"#;
+        assert!(json.contains(r#""factor":0.25}"#));
+        let parent = json.replacen(r#""factor":0.25}"#, budget, 1);
+        let parent = edit_strata(&parent, |fields| {
+            let (gx, gy) = (axis(fields, 0), axis(fields, 1));
+            fields.insert(0, ("gy".into(), gy));
+            fields.insert(0, ("gx".into(), gx));
+            fields.push((
+                "duals".into(),
+                serde_json::Value::Arr(vec![duals.clone(); 2]),
+            ));
+        });
+        let back = JointRepairPlan::from_json(&parent).unwrap();
+        assert_eq!(back.to_json().unwrap(), json);
         let a = plan.repair_dataset_par(&split.archive, 41).unwrap();
         let b = back.repair_dataset_par(&split.archive, 41).unwrap();
         assert_eq!(a.points(), b.points());
+
+        let legacy = edit_strata(&parent, |fields| fields.retain(|(k, _)| k != "axes"));
+        let err = JointRepairPlan::from_json(&legacy).unwrap_err();
+        assert!(matches!(err, RepairError::PlanMismatch(_)), "{err}");
+        assert!(err.to_string().contains("design --joint"), "{err}");
     }
 
     #[test]

@@ -95,15 +95,42 @@ impl FeaturePlan {
     /// # Errors
     /// Fails on an empty or non-finite support (JSON `1e999` parses to
     /// `+inf`; randomized repair outputs support states, so those stay
-    /// finite), on plans that are not `n_q × n_q`, and on a plan row with
-    /// zero mass (a zero marginal state, excluded by KDE positivity).
+    /// finite), on plans that are not `n_q × n_q`, on a marginal or
+    /// barycentre whose support is not bitwise `support` or whose masses
+    /// fail [`DiscreteDistribution::new`]'s checks (Monge repair and the
+    /// drift monitor read them), on duals that are not `n_q` finite
+    /// potentials per side (a warm re-design starts from them), and on a
+    /// plan row with zero mass (a zero marginal state, excluded by KDE
+    /// positivity).
     pub fn compile(&mut self) -> Result<()> {
-        let n = self.support.len();
+        let (n, u, k) = (self.support.len(), self.u, self.k);
         let ragged = self.plans.iter().any(|p| p.rows() != n || p.cols() != n);
         if n == 0 || ragged || self.support.iter().any(|v| !v.is_finite()) {
-            let (u, k) = (self.u, self.k);
             let msg = format!("feature plan (u={u}, k={k}) is mis-shaped or not finite");
             return Err(RepairError::PlanMismatch(msg));
+        }
+        for (what, dist) in [
+            ("s=0 marginal", &self.marginals[0]),
+            ("s=1 marginal", &self.marginals[1]),
+            ("barycentre", &self.barycentre),
+        ] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            if bits(dist.support()) != bits(&self.support) {
+                let msg =
+                    format!("feature plan (u={u}, k={k}): {what} support differs from `support`");
+                return Err(RepairError::PlanMismatch(msg));
+            }
+            DiscreteDistribution::new(dist.support().to_vec(), dist.masses().to_vec()).map_err(
+                |e| RepairError::PlanMismatch(format!("feature plan (u={u}, k={k}): {what}: {e}")),
+            )?;
+        }
+        for (s, duals) in self.duals.iter().enumerate() {
+            let bad = |v: &[f64]| v.len() != n || v.iter().any(|x| !x.is_finite());
+            if duals.as_ref().is_some_and(|d| bad(&d.f) || bad(&d.g)) {
+                let msg =
+                    format!("feature plan (u={u}, k={k}): s={s} duals are not {n} finite values");
+                return Err(RepairError::PlanMismatch(msg));
+            }
         }
         for s in 0..2 {
             let plan = &self.plans[s];
@@ -112,7 +139,7 @@ impl FeaturePlan {
                 let row = plan.row(i);
                 let cat = Categorical::new(row).map_err(|e| RepairError::InvalidParameter {
                     name: "plan row",
-                    reason: format!("(u={}, s={s}, k={}) row {i}: {e}", self.u, self.k),
+                    reason: format!("(u={u}, s={s}, k={k}) row {i}: {e}"),
                 })?;
                 rows.push(cat);
             }

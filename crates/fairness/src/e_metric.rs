@@ -19,24 +19,21 @@ use otr_stats::sym_kl_divergence;
 
 use crate::error::{FairnessError, Result};
 
+/// Grid padding in units of the larger Silverman bandwidth.
+const PADDING_BANDWIDTHS: f64 = 3.0;
+/// Minimum observations required in each `(u, s)` subgroup.
+const MIN_GROUP_SIZE: usize = 5;
+
 /// Configuration for the `E` estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConditionalDependence {
     /// Number of grid points for the shared KDE evaluation grid.
     pub grid_size: usize,
-    /// Grid padding in units of the larger Silverman bandwidth.
-    pub padding_bandwidths: f64,
-    /// Minimum observations required in each `(u, s)` subgroup.
-    pub min_group_size: usize,
 }
 
 impl Default for ConditionalDependence {
     fn default() -> Self {
-        Self {
-            grid_size: 512,
-            padding_bandwidths: 3.0,
-            min_group_size: 5,
-        }
+        Self { grid_size: 512 }
     }
 }
 
@@ -68,7 +65,7 @@ impl ConditionalDependence {
     ///
     /// # Errors
     /// * [`FairnessError::InsufficientGroup`] when an `(u, s)` subgroup has
-    ///   fewer than `min_group_size` observations or is degenerate (zero
+    ///   fewer than 5 observations or is degenerate (zero
     ///   spread, so no KDE bandwidth exists).
     /// * [`FairnessError::InvalidParameter`] for a grid of fewer than 8
     ///   points.
@@ -108,11 +105,11 @@ impl ConditionalDependence {
         let x0 = data.feature_column(GroupKey { u, s: 0 }, k)?;
         let x1 = data.feature_column(GroupKey { u, s: 1 }, k)?;
         for (s, xs) in [(0u8, &x0), (1u8, &x1)] {
-            if xs.len() < self.min_group_size {
+            if xs.len() < MIN_GROUP_SIZE {
                 return Err(FairnessError::InsufficientGroup {
                     group: format!("(u={u}, s={s}, k={k})"),
                     found: xs.len(),
-                    needed: self.min_group_size,
+                    needed: MIN_GROUP_SIZE,
                 });
             }
         }
@@ -120,8 +117,8 @@ impl ConditionalDependence {
         let kde1 = GaussianKde::fit(&x1, Bandwidth::Silverman)?;
 
         // Shared evaluation grid over the pooled range, padded by
-        // `padding_bandwidths` of the larger bandwidth.
-        let pad = self.padding_bandwidths * kde0.bandwidth().max(kde1.bandwidth());
+        // `PADDING_BANDWIDTHS` of the larger bandwidth.
+        let pad = PADDING_BANDWIDTHS * kde0.bandwidth().max(kde1.bandwidth());
         let lo = x0.iter().chain(&x1).copied().fold(f64::INFINITY, f64::min) - pad;
         let hi = x0
             .iter()
@@ -250,10 +247,7 @@ mod tests {
     fn rejects_tiny_grid() {
         let mut rng = StdRng::seed_from_u64(5);
         let data = build(&mut rng, 50, 0.0, 0.0);
-        let cd = ConditionalDependence {
-            grid_size: 4,
-            ..Default::default()
-        };
+        let cd = ConditionalDependence { grid_size: 4 };
         assert!(cd.evaluate(&data).is_err());
     }
 

@@ -17,24 +17,21 @@ use otr_stats::GaussianKdeNd;
 
 use crate::error::{FairnessError, Result};
 
+/// Grid padding in units of the larger per-dimension bandwidth.
+const PADDING_BANDWIDTHS: f64 = 3.0;
+/// Minimum observations per `(u, s)` subgroup.
+const MIN_GROUP_SIZE: usize = 10;
+
 /// Configuration for the joint `E` estimator (`d ≥ 2` feature data sets).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JointDependence {
     /// Grid points per dimension (total grid = `grid_size^d`).
     pub grid_size: usize,
-    /// Grid padding in units of the larger per-dimension bandwidth.
-    pub padding_bandwidths: f64,
-    /// Minimum observations per `(u, s)` subgroup.
-    pub min_group_size: usize,
 }
 
 impl Default for JointDependence {
     fn default() -> Self {
-        Self {
-            grid_size: 64,
-            padding_bandwidths: 3.0,
-            min_group_size: 10,
-        }
+        Self { grid_size: 64 }
     }
 }
 
@@ -81,11 +78,11 @@ impl JointDependence {
             for k in 0..d {
                 coords[s as usize].push(data.feature_column(GroupKey { u, s }, k)?);
             }
-            if coords[s as usize][0].len() < self.min_group_size {
+            if coords[s as usize][0].len() < MIN_GROUP_SIZE {
                 return Err(FairnessError::InsufficientGroup {
                     group: format!("(u={u}, s={s})"),
                     found: coords[s as usize][0].len(),
-                    needed: self.min_group_size,
+                    needed: MIN_GROUP_SIZE,
                 });
             }
         }
@@ -113,7 +110,7 @@ impl JointDependence {
         };
         let axes: Vec<Vec<f64>> = (0..d)
             .map(|k| {
-                let pad = self.padding_bandwidths * kde0.bandwidth()[k].max(kde1.bandwidth()[k]);
+                let pad = PADDING_BANDWIDTHS * kde0.bandwidth()[k].max(kde1.bandwidth()[k]);
                 grid_axis(k, pad)
             })
             .collect();
@@ -198,10 +195,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(11);
         let data = spec.sample_dataset(2_000, &mut rng).unwrap();
-        let cfg = JointDependence {
-            grid_size: 16,
-            ..JointDependence::default()
-        };
+        let cfg = JointDependence { grid_size: 16 };
         let dependent = cfg.evaluate(&data).unwrap();
         assert!(
             dependent > 0.1,

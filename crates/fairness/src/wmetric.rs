@@ -22,18 +22,12 @@ use otr_ot::DiscreteDistribution;
 
 use crate::error::{FairnessError, Result};
 
-/// Configuration for the Wasserstein dependence measure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WassersteinDependence {
-    /// Minimum observations per `(u, s)` subgroup.
-    pub min_group_size: usize,
-}
+/// Minimum observations per `(u, s)` subgroup.
+const MIN_GROUP_SIZE: usize = 2;
 
-impl Default for WassersteinDependence {
-    fn default() -> Self {
-        Self { min_group_size: 2 }
-    }
-}
+/// The Wasserstein dependence measure (it has no settings).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct WassersteinDependence;
 
 /// Result of a Wasserstein-dependence evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,11 +65,11 @@ impl WassersteinDependence {
                 let x0 = data.feature_column(GroupKey { u, s: 0 }, k)?;
                 let x1 = data.feature_column(GroupKey { u, s: 1 }, k)?;
                 for (s, xs) in [(0u8, &x0), (1u8, &x1)] {
-                    if xs.len() < self.min_group_size {
+                    if xs.len() < MIN_GROUP_SIZE {
                         return Err(FairnessError::InsufficientGroup {
                             group: format!("(u={u}, s={s}, k={k})"),
                             found: xs.len(),
-                            needed: self.min_group_size,
+                            needed: MIN_GROUP_SIZE,
                         });
                     }
                 }
@@ -140,7 +134,7 @@ mod tests {
             }
         }
         let data = Dataset::from_points(pts).unwrap();
-        let report = WassersteinDependence::default().evaluate(&data).unwrap();
+        let report = WassersteinDependence.evaluate(&data).unwrap();
         assert!((report.aggregate() - 2.0).abs() < 1e-9);
     }
 
@@ -152,7 +146,7 @@ mod tests {
         let spec = SimulationSpec::paper_defaults();
         let mut rng = StdRng::seed_from_u64(2);
         let data = spec.sample_dataset(3_000, &mut rng).unwrap();
-        let wd = WassersteinDependence::default();
+        let wd = WassersteinDependence;
         let before = wd.evaluate(&data).unwrap().aggregate();
         // Components are sqrt(2) apart; per-feature gap is 1.
         assert!(before > 0.5, "unrepaired W = {before}");
@@ -176,7 +170,7 @@ mod tests {
             }
         }
         let data = Dataset::from_points(pts).unwrap();
-        let report = WassersteinDependence::default().evaluate(&data).unwrap();
+        let report = WassersteinDependence.evaluate(&data).unwrap();
         // Sampling noise floor ~ n^{-1/2}.
         assert!(report.aggregate() < 0.15, "W = {}", report.aggregate());
     }
@@ -206,7 +200,7 @@ mod tests {
             },
         ];
         let data = Dataset::from_points(pts).unwrap();
-        let wd = WassersteinDependence { min_group_size: 5 };
+        let wd = WassersteinDependence;
         assert!(matches!(
             wd.evaluate(&data),
             Err(FairnessError::InsufficientGroup { .. })
@@ -218,7 +212,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let spec = SimulationSpec::paper_defaults();
         let data = spec.sample_dataset(2_000, &mut rng).unwrap();
-        let report = WassersteinDependence::default().evaluate(&data).unwrap();
+        let report = WassersteinDependence.evaluate(&data).unwrap();
         for k in 0..2 {
             let manual = report.pr_u[0] * report.w_uk[0][k] + report.pr_u[1] * report.w_uk[1][k];
             assert!((report.w_per_feature[k] - manual).abs() < 1e-12);

@@ -337,9 +337,10 @@ fn bregman_barycentre(
     let mut prev_eps: Option<f64> = None;
     for (si, &eps) in stages.iter().enumerate() {
         let last = si + 1 == stages.len();
-        let (max_iters, tol) = match (&config.eps_scaling, last) {
-            (Some(s), false) => (s.effective_stage_iters(), s.effective_stage_tol()),
-            _ => (config.max_iters, config.tol),
+        let (max_iters, tol) = if last {
+            (config.max_iters, config.tol)
+        } else {
+            (EpsSchedule::STAGE_ITERS, EpsSchedule::STAGE_TOL)
         };
         // Warm-start across the ε change: u = exp(φ/ε) for ε-free
         // potentials φ, so the previous stage's vectors carry over as

@@ -268,8 +268,6 @@ impl fmt::Display for SolverBackend {
                 epsilon,
                 eps_scaling: Some(s),
             } => {
-                // The CLI spelling covers eps0/factor; stage budgets
-                // keep their defaults on a round trip.
                 if *s == EpsSchedule::default() {
                     write!(f, "sinkhorn:{epsilon}:scaled")
                 } else {

@@ -74,14 +74,6 @@ const SEPARABLE_SCALING_MAX: f64 = 340.0;
 /// schedule jumps straight to the final ε.
 const MAX_STAGES: usize = 64;
 
-/// Default intermediate-stage iteration cap of [`EpsSchedule`]
-/// (`stage_iters = 0` = auto).
-const STAGE_ITERS_DEFAULT: usize = 200;
-
-/// Default intermediate-stage tolerance of [`EpsSchedule`]
-/// (`stage_tol = 0.0` = auto).
-const STAGE_TOL_DEFAULT: f64 = 1e-4;
-
 /// A deterministic geometric ε-annealing schedule: solve at
 /// `ε₀, ε₀·factor, ε₀·factor², …` (each stage warm-starting the next's
 /// dual potentials) until the sequence crosses the target ε, which is
@@ -90,8 +82,9 @@ const STAGE_TOL_DEFAULT: f64 = 1e-4;
 /// keep the bit-identical-for-any-thread-count contract.
 ///
 /// Intermediate stages only need to *warm the duals*, so they run under
-/// a loose tolerance and a small iteration cap; only the final stage
-/// enforces the caller's `tol`/`max_iters`.
+/// a loose tolerance and a small iteration cap
+/// ([`STAGE_TOL`](Self::STAGE_TOL), [`STAGE_ITERS`](Self::STAGE_ITERS));
+/// only the final stage enforces the caller's `tol`/`max_iters`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpsSchedule {
     /// Starting regularization `ε₀` (> the target ε for the schedule to
@@ -100,38 +93,25 @@ pub struct EpsSchedule {
     pub eps0: f64,
     /// Geometric decay factor per stage, strictly inside `(0, 1)`.
     pub factor: f64,
-    /// Iteration cap per intermediate stage; `0` = auto (200). The
-    /// final stage uses the solver's own budget.
-    #[serde(default)]
-    pub stage_iters: usize,
-    /// Convergence tolerance for intermediate stages; `0.0` = auto
-    /// (`1e-4`). The final stage uses the solver's own `tol`.
-    #[serde(default)]
-    pub stage_tol: f64,
 }
 
 impl Default for EpsSchedule {
     /// `ε₀ = 1.0`, factor `0.25`: for the paper's joint `ε = 0.05` this
-    /// anneals through `1.0 → 0.25 → 0.0625 → 0.05`. Stage budget at
-    /// auto.
+    /// anneals through `1.0 → 0.25 → 0.0625 → 0.05`.
     fn default() -> Self {
-        Self {
-            eps0: 1.0,
-            factor: 0.25,
-            stage_iters: 0,
-            stage_tol: 0.0,
-        }
+        Self::geometric(1.0, 0.25)
     }
 }
 
 impl EpsSchedule {
-    /// Schedule with the given start and decay, default stage budget.
+    /// Iteration cap of every intermediate stage.
+    pub const STAGE_ITERS: usize = 200;
+    /// Convergence tolerance of every intermediate stage.
+    pub const STAGE_TOL: f64 = 1e-4;
+
+    /// Schedule with the given start and decay.
     pub fn geometric(eps0: f64, factor: f64) -> Self {
-        Self {
-            eps0,
-            factor,
-            ..Self::default()
-        }
+        Self { eps0, factor }
     }
 
     /// Validate the schedule parameters.
@@ -151,33 +131,7 @@ impl EpsSchedule {
                 reason: format!("must lie strictly in (0, 1), got {}", self.factor),
             });
         }
-        if !(self.stage_tol >= 0.0) || !self.stage_tol.is_finite() {
-            return Err(OtError::InvalidParameter {
-                name: "eps_scaling.stage_tol",
-                reason: format!("must be non-negative and finite, got {}", self.stage_tol),
-            });
-        }
         Ok(())
-    }
-
-    /// The intermediate-stage iteration cap (`stage_iters`, or the
-    /// default 200 when left at `0` = auto).
-    pub fn effective_stage_iters(&self) -> usize {
-        if self.stage_iters == 0 {
-            STAGE_ITERS_DEFAULT
-        } else {
-            self.stage_iters
-        }
-    }
-
-    /// The intermediate-stage tolerance (`stage_tol`, or the default
-    /// `1e-4` when left at `0.0` = auto).
-    pub fn effective_stage_tol(&self) -> f64 {
-        if self.stage_tol == 0.0 {
-            STAGE_TOL_DEFAULT
-        } else {
-            self.stage_tol
-        }
     }
 
     /// The stage ε sequence down to (and always ending exactly at)
@@ -421,17 +375,13 @@ pub fn sinkhorn_warm(
         Some(schedule) => schedule.stages(config.epsilon),
         None => vec![config.epsilon],
     };
-    let (stage_iters, stage_tol) = match &config.eps_scaling {
-        Some(s) => (s.effective_stage_iters(), s.effective_stage_tol()),
-        None => (0, 0.0), // unused: a single stage is always final
-    };
     let mut solved = Vec::new();
     for (si, &eps) in stages.iter().enumerate() {
         let last = si + 1 == stages.len();
         let (cap, tol) = if last {
             (config.max_iters, config.tol)
         } else {
-            (stage_iters, stage_tol)
+            (EpsSchedule::STAGE_ITERS, EpsSchedule::STAGE_TOL)
         };
         if let Some(plan) = sub.run_stage(eps, cap, tol, &mut phi, &mut psi, last)? {
             solved = plan;
@@ -1765,12 +1715,13 @@ mod tests {
     }
 
     #[test]
-    fn schedule_serde_defaults_stage_budget() {
-        // A schedule persisted without the stage-budget fields (or
-        // written by hand) deserializes with the defaults.
-        let s: EpsSchedule = serde_json::from_str(r#"{"eps0":0.5,"factor":0.5}"#).unwrap();
-        assert_eq!(s.effective_stage_iters(), STAGE_ITERS_DEFAULT);
-        assert_eq!(s.effective_stage_tol(), STAGE_TOL_DEFAULT);
+    fn schedule_json_ignores_the_retired_stage_budget_keys() {
+        // Plans written before the stage budget became a constant carry
+        // `stage_iters`/`stage_tol`; they load as the same schedule.
+        let s: EpsSchedule =
+            serde_json::from_str(r#"{"eps0":0.5,"factor":0.5,"stage_iters":0,"stage_tol":0.0}"#)
+                .unwrap();
+        assert_eq!(s, EpsSchedule::geometric(0.5, 0.5));
         let round: EpsSchedule =
             serde_json::from_str(&serde_json::to_string(&EpsSchedule::default()).unwrap()).unwrap();
         assert_eq!(round, EpsSchedule::default());

@@ -1,7 +1,7 @@
 //! The daemon entry point shared by the `otrepaird` binary and the
-//! `otrepair serve` subcommand: flag parsing, startup logging, and the
-//! blocking serve loop. Knob semantics are documented in
-//! `docs/operations.md`.
+//! `otrepair serve` subcommand: startup logging and the blocking serve
+//! loop (both binaries parse their flags into [`DaemonArgs`] through one
+//! shared table). Knob semantics are documented in `docs/operations.md`.
 
 use std::path::PathBuf;
 
@@ -38,50 +38,6 @@ Options:
                        (removed again on clean shutdown)
   --help               print this help";
 
-impl DaemonArgs {
-    /// Parse daemon flags (everything after the binary/subcommand name).
-    ///
-    /// # Errors
-    /// A human-readable message for unknown flags, missing values, and
-    /// unparsable numbers.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut out = Self::default();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |what: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs {what}"))
-            };
-            match flag.as_str() {
-                "--bind" => out.config.bind = value("an address")?,
-                "--plans" => out.config.plans_dir = Some(PathBuf::from(value("a directory")?)),
-                "--threads" => {
-                    out.config.threads = parse_num(flag, &value("a thread count")?)?;
-                }
-                "--shards" => {
-                    out.config.shards = parse_num(flag, &value("a shard count")?)?;
-                }
-                "--max-conns" => {
-                    out.config.max_conns = parse_num(flag, &value("a connection cap")?)?;
-                }
-                "--deadline-ms" => {
-                    out.config.deadline_ms =
-                        parse_num(flag, &value("a millisecond count")?)? as u64;
-                }
-                "--port-file" => out.port_file = Some(PathBuf::from(value("a path")?)),
-                other => return Err(format!("unknown flag {other}")),
-            }
-        }
-        Ok(out)
-    }
-}
-
-fn parse_num(flag: &str, raw: &str) -> Result<usize, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag}: {raw:?} is not a non-negative integer"))
-}
-
 /// Bind, announce, and serve until killed (or until a
 /// [`ServerHandle::shutdown`] fires). On a *clean* return the
 /// `--port-file` is removed so it can't dangle at a dead port; a
@@ -114,13 +70,11 @@ pub fn run_with_handle(
     result
 }
 
-/// Print the startup banner and write the port file. Split from
-/// [`run`] so the CLI can bind and announce, then serve on its own
-/// terms.
+/// Print the startup banner and write the port file.
 ///
 /// # Errors
 /// Port-file write failures.
-pub fn announce(server: &Server, args: &DaemonArgs) -> std::io::Result<()> {
+fn announce(server: &Server, args: &DaemonArgs) -> std::io::Result<()> {
     let addr = server.local_addr()?;
     println!(
         "otrepaird listening on {addr} ({} plans loaded)",
@@ -138,25 +92,9 @@ pub fn announce(server: &Server, args: &DaemonArgs) -> std::io::Result<()> {
 
 /// Remove the `--port-file` after a clean shutdown (best-effort: a
 /// missing file is fine, and the serve result matters more than the
-/// unlink). Callers that bind/announce/serve by hand (the CLI's
-/// foreground path) should call this themselves once `Server::run`
-/// returns.
-pub fn cleanup(args: &DaemonArgs) {
+/// unlink).
+fn cleanup(args: &DaemonArgs) {
     if let Some(path) = &args.port_file {
         let _ = std::fs::remove_file(path);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unknown_and_removed_flags_are_errors() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
-        let parsed = DaemonArgs::parse(&args(&["--threads", "2", "--shards", "7"])).unwrap();
-        assert_eq!((parsed.config.threads, parsed.config.shards), (2, 7));
-        let err = DaemonArgs::parse(&args(&["--batch-rows", "64"])).unwrap_err();
-        assert!(err.contains("unknown flag --batch-rows"), "{err}");
     }
 }

@@ -168,36 +168,27 @@ impl GaussianKdeNd {
         let mut out = vec![0.0f64; total];
         let mut prefix = vec![0.0f64; lead];
         let mut next = vec![0.0f64; lead];
-        let unit = [1.0f64];
         for s in 0..n {
             // Outer-product expansion of the first d−1 axes into
-            // `prefix`: the empty product when d = 1, and at d = 2 row 0
-            // itself, borrowed rather than copied (the loop below would
-            // copy the same values). The expansion multiplies left to
-            // right in axis order, part of the order the pinned joint
-            // bytes depend on.
-            let row0 = &rows[0][s * axes[0].len()..(s + 1) * axes[0].len()];
-            let prefix: &[f64] = if d == 1 {
-                &unit
-            } else if d == 2 {
-                row0
-            } else {
-                let mut len = axes[0].len();
-                prefix[..len].copy_from_slice(row0);
-                for a in 1..d - 1 {
-                    let ga = axes[a].len();
-                    let row = &rows[a][s * ga..(s + 1) * ga];
-                    for i in 0..len {
-                        let v = prefix[i];
-                        for (j, &w) in row.iter().enumerate() {
-                            next[i * ga + j] = v * w;
-                        }
+            // `prefix`, from the empty product `[1.0]` (`1.0 · w == w`
+            // bit for bit). The expansion multiplies left to right in
+            // axis order, part of the order the pinned joint bytes
+            // depend on.
+            prefix[0] = 1.0;
+            let mut len = 1;
+            for a in 0..d - 1 {
+                let ga = axes[a].len();
+                let row = &rows[a][s * ga..(s + 1) * ga];
+                for i in 0..len {
+                    let v = prefix[i];
+                    for (j, &w) in row.iter().enumerate() {
+                        next[i * ga + j] = v * w;
                     }
-                    len *= ga;
-                    prefix[..len].copy_from_slice(&next[..len]);
                 }
-                &prefix[..len]
-            };
+                len *= ga;
+                prefix[..len].copy_from_slice(&next[..len]);
+            }
+            let prefix = &prefix[..len];
             let row_last = &rows[d - 1][s * last..(s + 1) * last];
             for (i, &vp) in prefix.iter().enumerate() {
                 if vp < 1e-300 {

@@ -21,6 +21,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
+use ot_fair_repair::cli::{flags, parse, Flags};
 use ot_fair_repair::prelude::*;
 use ot_fair_repair::repair::RepairError;
 
@@ -150,17 +151,8 @@ fn print_usage() {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// The flags one subcommand (or `client` action) reads, as
-/// space-separated names: `valued` flags take the next argument as their
-/// value, `switches` stand alone.
-struct Flags {
-    valued: &'static str,
-    switches: &'static str,
-}
-
-const fn flags(valued: &'static str, switches: &'static str) -> Flags {
-    Flags { valued, switches }
-}
+/// Where every usage error points.
+const HELP: &str = "otrepair --help";
 
 const DESIGN: Flags = flags(
     "--research --out --nq --t --solver --min-group --threads",
@@ -194,84 +186,6 @@ const CLIENT_ACTIONS: [(&str, Flags); 9] = [
     ("audit", flags("--name", "")),
 ];
 
-/// Flags that used to exist: the subcommand, the flag, and why it went.
-const REMOVED: [(&str, &str, &str); 2] = [
-    (
-        "design --joint",
-        "--kernel",
-        "joint design always runs the separable kernel",
-    ),
-    (
-        "apply",
-        "--batch-rows",
-        "batch height never changed the output",
-    ),
-];
-
-/// The parsed options of one subcommand.
-struct Opts<'a> {
-    values: Vec<(&'static str, &'a str)>,
-    switches: Vec<&'static str>,
-}
-
-impl<'a> Opts<'a> {
-    fn get(&self, flag: &str) -> Option<&'a str> {
-        self.values
-            .iter()
-            .find(|(f, _)| *f == flag)
-            .map(|&(_, v)| v)
-    }
-
-    fn required(&self, flag: &str) -> Result<&'a str, String> {
-        self.get(flag)
-            .ok_or_else(|| format!("missing required option `{flag} <value>`"))
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.switches.contains(&flag)
-    }
-}
-
-/// Check `args` against the flags `cmd` reads, before any file I/O. An
-/// unknown, removed, repeated or value-less flag, or a stray positional
-/// argument, is a one-line usage error naming the flag and `cmd`: a
-/// misspelled flag must fail, not quietly leave its default in place.
-fn parse<'a>(cmd: &str, args: &'a [String], tables: &[&Flags]) -> Result<Opts<'a>, String> {
-    let usage = |what: String| format!("{cmd}: {what} (see `otrepair --help`)");
-    let mut opts = Opts {
-        values: Vec::new(),
-        switches: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let arg = arg.as_str();
-        if opts.get(arg).is_some() || opts.has(arg) {
-            return Err(usage(format!("`{arg}` given twice")));
-        }
-        let find = |list: fn(&Flags) -> &'static str| {
-            tables
-                .iter()
-                .flat_map(|t| list(t).split_whitespace())
-                .find(|f| *f == arg)
-        };
-        if let Some(flag) = find(|t| t.valued) {
-            match it.next() {
-                Some(value) if !value.starts_with("--") => opts.values.push((flag, value)),
-                _ => return Err(usage(format!("`{flag}` needs a value"))),
-            }
-        } else if let Some(flag) = find(|t| t.switches) {
-            opts.switches.push(flag);
-        } else if let Some((_, _, why)) = REMOVED.iter().find(|r| (r.0, r.1) == (cmd, arg)) {
-            return Err(format!("{cmd}: {arg} was removed: {why}"));
-        } else if arg.starts_with('-') {
-            return Err(usage(format!("unknown flag `{arg}`")));
-        } else {
-            return Err(usage(format!("unexpected argument `{arg}`")));
-        }
-    }
-    Ok(opts)
-}
-
 fn load_dataset(path: &str) -> Result<Dataset, Box<dyn std::error::Error>> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     Ok(ot_fair_repair::data::read_labelled_csv(BufReader::new(
@@ -283,7 +197,7 @@ fn cmd_design(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--joint") {
         return cmd_design_joint(args);
     }
-    let args = parse("design", args, &[&DESIGN])?;
+    let args = parse("design", HELP, args, &[&DESIGN])?;
     let research_path = args.required("--research")?;
     let out_path = args.required("--out")?;
     let mut config = RepairConfig::with_n_q(args.get("--nq").map_or(Ok(50), str::parse)?);
@@ -355,7 +269,7 @@ fn parse_eps_scaling(spec: &str) -> Result<Option<EpsSchedule>, Box<dyn std::err
 }
 
 fn cmd_design_joint(args: &[String]) -> CliResult {
-    let args = parse("design --joint", args, &[&DESIGN_JOINT])?;
+    let args = parse("design --joint", HELP, args, &[&DESIGN_JOINT])?;
     let research_path = args.required("--research")?;
     let out_path = args.required("--out")?;
     let mut config = JointRepairConfig::default();
@@ -415,8 +329,8 @@ fn print_joint_report(report: &JointDesignReport) {
             s.eps0,
             report.epsilon,
             s.factor,
-            s.effective_stage_iters(),
-            s.effective_stage_tol()
+            EpsSchedule::STAGE_ITERS,
+            EpsSchedule::STAGE_TOL
         ),
         None => eprintln!(
             "  eps schedule: off (cold solve at eps = {})",
@@ -448,7 +362,7 @@ fn print_joint_report(report: &JointDesignReport) {
 }
 
 fn cmd_apply(args: &[String]) -> CliResult {
-    let args = parse("apply", args, &[&APPLY])?;
+    let args = parse("apply", HELP, args, &[&APPLY])?;
     let plan_path = args.required("--plan")?;
     let data_path = args.required("--data")?;
     let out_path = args.required("--out")?;
@@ -521,9 +435,9 @@ fn cmd_apply(args: &[String]) -> CliResult {
 
 fn cmd_evaluate(args: &[String]) -> CliResult {
     let args = if args.iter().any(|a| a == "--joint") {
-        parse("evaluate --joint", args, &[&EVALUATE_JOINT])?
+        parse("evaluate --joint", HELP, args, &[&EVALUATE_JOINT])?
     } else {
-        parse("evaluate", args, &[&EVALUATE])?
+        parse("evaluate", HELP, args, &[&EVALUATE])?
     };
     let data_path = args.required("--data")?;
     let data = load_dataset(data_path)?;
@@ -576,7 +490,7 @@ fn parse_floats(spec: &str) -> Result<Vec<f64>, Box<dyn std::error::Error>> {
 /// the injector ci/serve_session.sh uses to exercise the drift-aware
 /// plan lifecycle end to end.
 fn cmd_drift(args: &[String]) -> CliResult {
-    let args = parse("drift", args, &[&DRIFT])?;
+    let args = parse("drift", HELP, args, &[&DRIFT])?;
     let data_path = args.required("--data")?;
     let out_path = args.required("--out")?;
     let drift = match (
@@ -624,8 +538,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         );
         return Ok(());
     }
-    let parsed = daemon::DaemonArgs::parse(args)?;
-    daemon::run(&parsed)?;
+    daemon::run(&ot_fair_repair::cli::daemon_args("serve", HELP, args)?)?;
     Ok(())
 }
 
@@ -647,7 +560,12 @@ fn cmd_client(args: &[String]) -> CliResult {
         )
         .into());
     };
-    let rest = parse(&format!("client {action}"), &args[1..], &[&CLIENT, flags])?;
+    let rest = parse(
+        &format!("client {action}"),
+        HELP,
+        &args[1..],
+        &[&CLIENT, flags],
+    )?;
     let addr = rest.get("--addr").unwrap_or("127.0.0.1:7878");
     let mut policy = RetryPolicy::default();
     if let Some(retries) = rest.get("--retries") {

@@ -16,7 +16,8 @@
 
 use std::process::ExitCode;
 
-use ot_fair_repair::serve::daemon::{self, DaemonArgs};
+use ot_fair_repair::cli::daemon_args;
+use ot_fair_repair::serve::daemon;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,10 +28,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let parsed = match DaemonArgs::parse(&args) {
+    let parsed = match daemon_args("otrepaird", "otrepaird --help", &args) {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("otrepaird: error: {e} (try --help)");
+            eprintln!("otrepaird: error: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -18,6 +18,8 @@
 //!   the geometric on-sample baseline ([`otr_core`]).
 //! * [`serve`] — repair-as-a-service: the `otrepaird` daemon, its plan
 //!   registry, and the wire protocol ([`otr_serve`]).
+//! * [`cli`] — the flag tables and parser the `otrepair` and `otrepaird`
+//!   binaries share.
 //!
 //! ## Quickstart
 //!
@@ -44,6 +46,8 @@
 //! let after = cd.evaluate(&repaired).unwrap().aggregate();
 //! assert!(after < before);
 //! ```
+
+pub mod cli;
 
 pub use otr_core as repair;
 pub use otr_data as data;

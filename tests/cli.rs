@@ -2,7 +2,8 @@
 //! evaluate loop over real files in a temp directory.
 
 use std::io::Write;
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,6 +19,22 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("otrepair-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Run `cmd` to its end, or kill it after 20 s: a command that wrongly
+/// accepts its flags may start a daemon that never exits.
+fn output_within_20s(cmd: &mut Command) -> Output {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    child.wait_with_output().unwrap()
 }
 
 fn read_csv(path: &str) -> Dataset {
@@ -197,7 +214,9 @@ fn removed_flags_are_usage_errors() {
 /// Every subcommand rejects a misspelled flag and a repeated `--seed`
 /// (unknown where the subcommand reads no seed) with a one-line usage
 /// error naming the flag, before it reads or writes a file. The inputs
-/// are real, so a parser that skipped the flag would run and write.
+/// are real, so a parser that skipped the flag would run and write. The
+/// daemon, as `otrepair serve` and as `otrepaird`, rejects a repeated
+/// flag it reads before it binds.
 #[test]
 fn misspelled_and_repeated_flags_are_usage_errors() {
     let dir = tmp_dir("strict-flags");
@@ -246,7 +265,10 @@ fn misspelled_and_repeated_flags_are_usage_errors() {
         &out_s,
     ];
     let seed_twice: &[&str] = &["--seed", "1", "--seed", "2"];
-    let runs: [(&[&str], &[&str], &str); 17] = [
+    let (pf1, pf2) = (dir.join("pf1.txt"), dir.join("pf2.txt"));
+    let (pf1_s, pf2_s) = (pf1.to_string_lossy(), pf2.to_string_lossy());
+    let port_file_twice: &[&str] = &["--port-file", &pf1_s, "--port-file", &pf2_s];
+    let runs: [(&[&str], &[&str], &str); 18] = [
         (&design, &["--nq", "20", "--bogus"], "--bogus"),
         (&design, seed_twice, "--seed"),
         (&design, &["--eps", "0.1"], "--eps"),
@@ -262,17 +284,32 @@ fn misspelled_and_repeated_flags_are_usage_errors() {
         (&drift, seed_twice, "--seed"),
         (&serve, &["--bnid", "127.0.0.1:0"], "--bnid"),
         (&serve, seed_twice, "--seed"),
+        (&serve, port_file_twice, "--port-file"),
         (&repair, &["--sed", "9"], "--sed"),
         (&repair, seed_twice, "--seed"),
     ];
-    for (cmd, extra, flag) in runs {
-        let run = Command::new(bin()).args(cmd).args(extra).output().unwrap();
+    let daemon = env!("CARGO_BIN_EXE_otrepaird");
+    let runs = runs
+        .iter()
+        .map(|&(cmd, extra, flag)| (bin(), cmd, extra, flag));
+    let daemon_run = (
+        daemon,
+        &["--bind", "127.0.0.1:0"][..],
+        port_file_twice,
+        "--port-file",
+    );
+    for (bin, cmd, extra, flag) in runs.chain([daemon_run]) {
+        let run = output_within_20s(Command::new(bin).args(cmd).args(extra));
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(!run.status.success(), "{extra:?}: stderr: {stderr}");
         assert!(stderr.contains(flag), "{extra:?}: stderr: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{extra:?}: stderr: {stderr}");
         assert!(run.stdout.is_empty(), "{extra:?}: printed output");
         assert!(!out.exists(), "{cmd:?} {extra:?}: wrote {out_s}");
+        assert!(
+            !pf1.exists() && !pf2.exists(),
+            "{cmd:?} {extra:?}: wrote a port file"
+        );
     }
 }
 
@@ -423,6 +460,11 @@ fn joint_design_apply_loop_with_verbose_report() {
     assert!(stderr.contains("joint design report"), "report: {stderr}");
     assert!(stderr.contains("barycentre"), "report: {stderr}");
     assert!(stderr.contains("per-stage eps:iters"), "report: {stderr}");
+    // The intermediate-stage budget is a constant; the report names it.
+    assert!(
+        stderr.contains("200 iters / tol 1e-4 per stage"),
+        "report: {stderr}"
+    );
     assert!(stderr.contains("plan transport cost"), "report: {stderr}");
     assert!(std::fs::metadata(&plan).unwrap().len() > 1_000);
 

@@ -230,7 +230,7 @@ fn repair_drives_wasserstein_dependence_to_zero() {
         .design(&split.research)
         .unwrap();
     let repaired = plan.repair_dataset(&split.archive, &mut rng).unwrap();
-    let wd = WassersteinDependence::default();
+    let wd = WassersteinDependence;
     let before = wd.evaluate(&split.archive).unwrap().aggregate();
     let after = wd.evaluate(&repaired).unwrap().aggregate();
     assert!(before > 0.5, "unrepaired W = {before}");
@@ -255,7 +255,7 @@ fn kld_and_wasserstein_metrics_agree_on_ordering() {
         .unwrap();
     let full = plan.repair_dataset(&split.archive, &mut rng).unwrap();
     let cd = ConditionalDependence::default();
-    let wd = WassersteinDependence::default();
+    let wd = WassersteinDependence;
     let e = [
         cd.evaluate(&split.archive).unwrap().aggregate(),
         cd.evaluate(&half).unwrap().aggregate(),

@@ -4,8 +4,10 @@
 //! The corpus runs Algorithm 1 (`design`), Algorithm 2 (`apply`) and the
 //! `E` audit (`evaluate`) on `ci/fixtures`, plus a small `d = 3` joint
 //! design and repair on a CSV this test writes from a fixed-seed
-//! [`SimulationSpec`]. Every output file, and every `evaluate` stdout, is
-//! hashed with 64-bit FNV-1a and listed as a `name bytes digest` line;
+//! [`SimulationSpec`]. `evaluate` prints `E` to six decimals, so the
+//! audit's `f64` bits are pinned too, computed in process. Every output
+//! file, every `evaluate` stdout and each bit string is hashed with
+//! 64-bit FNV-1a and listed as a `name bytes digest` line;
 //! the lines must equal `tests/fixtures/golden_digests.txt`, whose header
 //! names the platform the digests were recorded on (`exp`, `ln` and
 //! `powf` come from the platform libm).
@@ -21,7 +23,8 @@ use std::process::Command;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ot_fair_repair::data::{write_labelled_csv, SimulationSpec};
+use ot_fair_repair::data::{read_labelled_csv, write_labelled_csv, SimulationSpec};
+use ot_fair_repair::fairness::{ConditionalDependence, JointDependence};
 
 /// The corpus, in manifest order after [`D3_INPUT`]: an entry's name
 /// and its `otrepair` arguments. `{fix}` is `ci/fixtures`, `{dir}` the
@@ -136,6 +139,25 @@ fn write_d3_input(path: &Path) {
     write_labelled_csv(std::io::BufWriter::new(file), &data).unwrap();
 }
 
+/// The little-endian `f64` bits of the `E` audit on `ci/fixtures/archive.csv`:
+/// every `e_uk` then every `e_per_feature` of `ConditionalDependence::default()`,
+/// and the joint `E` at 16 points per axis (what `evaluate --joint-grid 16`
+/// prints).
+fn e_bits(fixtures: &Path) -> [(&'static str, Vec<u8>); 2] {
+    let file = std::fs::File::open(fixtures.join("archive.csv")).unwrap();
+    let data = read_labelled_csv(std::io::BufReader::new(file)).unwrap();
+    let report = ConditionalDependence::default().evaluate(&data).unwrap();
+    let joint = JointDependence { grid_size: 16 }.evaluate(&data).unwrap();
+    let values = report.e_uk.iter().flatten().chain(&report.e_per_feature);
+    [
+        (
+            "e_bits.f64",
+            values.flat_map(|v| v.to_bits().to_le_bytes()).collect(),
+        ),
+        ("joint_e_bits.f64", joint.to_bits().to_le_bytes().to_vec()),
+    ]
+}
+
 /// Run the corpus in `dir` and return the manifest it produces.
 fn recompute(dir: &Path) -> String {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci/fixtures");
@@ -170,6 +192,10 @@ fn recompute(dir: &Path) -> String {
         } else {
             run.stdout
         };
+        manifest += &line(name, &bytes);
+        manifest.push('\n');
+    }
+    for (name, bytes) in e_bits(&fixtures) {
         manifest += &line(name, &bytes);
         manifest.push('\n');
     }

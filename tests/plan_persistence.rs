@@ -130,3 +130,22 @@ fn solver_backend_survives_persistence() {
     assert_eq!(restored.config.solver, SolverBackend::sinkhorn(0.1));
     assert_eq!(restored.config, plan.config);
 }
+
+/// Scalar plans written while the ε-schedule still serialized its
+/// intermediate-stage budget carry `stage_iters`/`stage_tol`: they load
+/// as the same plan.
+#[test]
+fn scaled_plan_with_the_retired_stage_budget_keys_loads_unchanged() {
+    let spec = SimulationSpec::paper_defaults();
+    let mut rng = StdRng::seed_from_u64(15);
+    let research = spec.sample_dataset(300, &mut rng).unwrap();
+    let mut cfg = RepairConfig::with_n_q(20);
+    cfg.solver = SolverBackend::sinkhorn_scaled(0.05, EpsSchedule::default());
+    let plan = RepairPlanner::new(cfg).design(&research).unwrap();
+    let json = plan.to_json().unwrap();
+    let budget = r#""factor":0.25,"stage_iters":0,"stage_tol":0.0}"#;
+    let old = json.replacen(r#""factor":0.25}"#, budget, 1);
+    assert_ne!(old, json);
+    let restored = RepairPlan::from_json(&old).unwrap();
+    assert_eq!(restored.to_json().unwrap(), json);
+}

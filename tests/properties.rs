@@ -163,7 +163,7 @@ proptest! {
         let spec = SimulationSpec::paper_defaults();
         let mut rng = StdRng::seed_from_u64(seed);
         let data = spec.sample_dataset(200, &mut rng).unwrap();
-        let repaired = GeometricRepair { t, min_group_size: 2 }.repair(&data).unwrap();
+        let repaired = GeometricRepair { t }.repair(&data).unwrap();
         prop_assert_eq!(repaired.len(), data.len());
         for (a, b) in repaired.points().iter().zip(data.points()) {
             prop_assert_eq!(a.s, b.s);

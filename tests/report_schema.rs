@@ -25,8 +25,6 @@ fn reference_report() -> JointDesignReport {
         eps_scaling: Some(EpsSchedule {
             eps0: 1.0,
             factor: 0.25,
-            stage_iters: 0,
-            stage_tol: 0.0,
         }),
         solver: "sinkhorn:0.05:scaled".to_string(),
         kernel: "separable".to_string(),
@@ -96,8 +94,8 @@ fn joint_design_report_schema_matches_checked_in_fixture() {
 /// `otrepaird` read back. The hand-written fixture (2×2×2 product grid,
 /// uniform 8×8 plans) pins the on-disk schema in both directions:
 /// `from_json` must keep accepting it, and re-serialization must
-/// reproduce it field-for-field (including the legacy `gx`/`gy` keys,
-/// empty at `d ≥ 3`, and the `axes` grids). A loaded fixture plan must
+/// reproduce it field-for-field (the `axes` grids and the per-`s`
+/// plans, nothing else). A loaded fixture plan must
 /// also actually repair: seed-deterministically, onto its stratum's
 /// product grid.
 #[test]

@@ -525,25 +525,32 @@ fn poison_first(json: &str, key: &str) -> String {
     format!("{}1e999{}", &json[..at], &json[end..])
 }
 
-/// `json` (a plan) with its top-level `key` array edited by `edit`
-/// (`features` of a scalar plan, `strata` of a joint one).
-fn edit_array(json: &str, key: &str, edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> String {
+/// `json` (a plan) with the array at `path` edited by `edit`; `path`
+/// steps through object keys and array indices, e.g. `["features", "0",
+/// "barycentre", "support"]`.
+fn edit_array(json: &str, path: &[&str], edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> String {
     let mut plan: serde_json::Value = serde_json::from_str(json).unwrap();
-    let serde_json::Value::Obj(fields) = &mut plan else {
-        panic!("plan JSON is not an object")
-    };
-    let Some((_, serde_json::Value::Arr(array))) = fields.iter_mut().find(|(k, _)| k == key) else {
-        panic!("plan JSON has no {key} array")
+    let target = path.iter().fold(&mut plan, |v, key| match v {
+        serde_json::Value::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        serde_json::Value::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+        _ => panic!("plan JSON has no {path:?}"),
+    });
+    let serde_json::Value::Arr(array) = target else {
+        panic!("plan JSON {path:?} is not an array")
     };
     edit(array);
     serde_json::to_string(&plan).unwrap()
 }
 
 /// A non-finite support (scalar) or axis (joint), a scalar plan whose
-/// `features` are not the `2 · dim` strata in slot order, and a joint
-/// plan whose two strata disagree on `d`, are rejected once, at load, as
-/// `PlanInvalid` — over the wire and from a `plans_dir`, each with its
-/// own reason — so no request can ever be served from them.
+/// `features` are not the `2 · dim` strata in slot order, a scalar plan
+/// whose marginal or barycentre has a negative mass or a support other
+/// than its stratum's or whose duals are not finite, a joint plan whose
+/// two strata disagree on `d`, and a joint plan with `gx`/`gy` but no
+/// `axes`, are rejected once, at load, as `PlanInvalid` — over the wire
+/// and from a `plans_dir`, each with its own reason — so no request can
+/// ever be served from them. `otrepair apply` refuses them with the
+/// same reason.
 #[test]
 fn non_finite_plan_supports_are_rejected_at_load() {
     let (research, _) = split_data(18, 400, 10);
@@ -552,8 +559,8 @@ fn non_finite_plan_supports_are_rejected_at_load() {
     let joint_json = joint_plan(&research).to_json().unwrap();
     let joint = poison_first(&joint_json, "axes");
     assert!(scalar.contains("1e999") && joint.contains("1e999"));
-    let cut = edit_array(&scalar_json, "features", |features| features.truncate(1));
-    let relabelled = edit_array(&scalar_json, "features", |features| {
+    let cut = edit_array(&scalar_json, &["features"], |features| features.truncate(1));
+    let relabelled = edit_array(&scalar_json, &["features"], |features| {
         let serde_json::Value::Obj(fields) = &mut features[1] else {
             panic!("feature plan is not an object")
         };
@@ -564,12 +571,39 @@ fn non_finite_plan_supports_are_rejected_at_load() {
     let mut d3_stratum = None;
     edit_array(
         include_str!("fixtures/joint_plan_3feature.json"),
-        "strata",
+        &["strata"],
         |strata| d3_stratum = strata.pop(),
     );
-    let mixed = edit_array(&joint_json, "strata", |strata| {
+    let mixed = edit_array(&joint_json, &["strata"], |strata| {
         strata[1] = d3_stratum.unwrap();
     });
+    let masses = ["features", "0", "marginals", "1", "masses"];
+    let negative = edit_array(&scalar_json, &masses, |m| {
+        m[1] = serde_json::Value::Num(-1e-3)
+    });
+    let support = ["features", "0", "marginals", "1", "support"];
+    let swapped = edit_array(&scalar_json, &support, |s| s.swap(0, 1));
+    let support = ["features", "2", "barycentre", "support"];
+    let truncated = edit_array(&scalar_json, &support, |s| s.truncate(s.len() - 1));
+    let mut config = RepairConfig::with_n_q(12);
+    config.solver = "sinkhorn:0.05".parse().unwrap();
+    let sinkhorn = RepairPlanner::new(config).design(&research).unwrap();
+    let duals = poison_first(&sinkhorn.to_json().unwrap(), "duals");
+    // The 2-feature joint format from before `d`-axis plans.
+    let legacy = edit_array(&joint_json, &["strata"], |strata| {
+        for stratum in strata {
+            let serde_json::Value::Obj(fields) = stratum else {
+                panic!("stratum is not an object")
+            };
+            let axes = fields.iter().position(|(k, _)| k == "axes").unwrap();
+            let (_, serde_json::Value::Arr(axes)) = fields.remove(axes) else {
+                panic!("axes is not an array")
+            };
+            fields.insert(0, ("gy".into(), axes[1].clone()));
+            fields.insert(0, ("gx".into(), axes[0].clone()));
+        }
+    });
+    let differs = "support differs from `support`";
     let cases = [
         ("scalar", PlanKind::Scalar, &scalar, "finite"),
         ("joint", PlanKind::Joint, &joint, "finite"),
@@ -586,6 +620,16 @@ fn non_finite_plan_supports_are_rejected_at_load() {
             &mixed,
             "u=0 has d = 2, u=1 has d = 3",
         ),
+        (
+            "negative",
+            PlanKind::Scalar,
+            &negative,
+            "-0.001 is negative",
+        ),
+        ("swapped", PlanKind::Scalar, &swapped, differs),
+        ("truncated", PlanKind::Scalar, &truncated, differs),
+        ("duals", PlanKind::Scalar, &duals, "duals are not 12 finite"),
+        ("legacy", PlanKind::Joint, &legacy, "design --joint"),
     ];
 
     let server = TestServer::start(ServeConfig::default());
@@ -601,11 +645,37 @@ fn non_finite_plan_supports_are_rejected_at_load() {
     }
     assert!(client.list_plans().unwrap().is_empty());
 
-    for (name, _, json, reason) in cases {
+    let archive = concat!(env!("CARGO_MANIFEST_DIR"), "/ci/fixtures/archive.csv");
+    for (name, kind, json, reason) in cases {
         let dir = std::env::temp_dir().join(format!("otrepaird-inf-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{name}.json")), json).unwrap();
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, json).unwrap();
+        let out = dir.join("out.csv");
+        let modes: &[&[&str]] = match kind {
+            PlanKind::Scalar => &[&[], &["--monge"]],
+            PlanKind::Joint => &[&["--joint"]],
+        };
+        for mode in modes {
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_otrepair"))
+                .args(["apply", "--data", archive])
+                .args(*mode)
+                .arg("--plan")
+                .arg(&path)
+                .arg("--out")
+                .arg(&out)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(!run.status.success(), "{name} {mode:?}: apply succeeded");
+            assert!(stderr.contains(reason), "{name} {mode:?}: {stderr}");
+            assert!(
+                !out.exists(),
+                "{name} {mode:?}: apply wrote {}",
+                out.display()
+            );
+        }
         let err = Server::bind(&ServeConfig {
             bind: "127.0.0.1:0".into(),
             plans_dir: Some(dir.clone()),
