@@ -44,11 +44,11 @@ use otr_ot::{
     KernelChoice, OtPlan, Solver1d as _, SolverBackend,
 };
 use otr_par::{par_cols_mut, par_map_indexed, splitmix_seed, try_par_map_indexed};
-use otr_stats::dist::Categorical;
+use otr_stats::dist::AliasTable;
 use otr_stats::GaussianKdeNd;
 
 use crate::error::{RepairError, Result};
-use crate::plan::check_out_fits;
+use crate::plan::{alias_tables, check_out_fits};
 
 /// Configuration of the joint repair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -145,15 +145,15 @@ struct JointStratum {
     points: Vec<f64>,
     /// Per-`s` plans onto the barycentre.
     plans: [OtPlan; 2],
-    /// Per-row alias samplers (derived; rebuilt by
+    /// Per-`s` alias tables of the plans' rows (derived; rebuilt by
     /// [`JointStratum::compile`]).
     #[serde(skip)]
-    samplers: [Vec<Categorical>; 2],
+    alias: [AliasTable; 2],
 }
 
 impl JointStratum {
     /// (Re)build the derived state — the flattened product support and
-    /// the per-row alias samplers — from the designed plan, validating
+    /// the plans' alias tables — from the designed plan, validating
     /// the stratum's shape first (deserialized plans are user-supplied
     /// files: a grid/plan mismatch must be a clean error here, never an
     /// out-of-bounds panic at repair time). Must run after
@@ -199,18 +199,7 @@ impl JointStratum {
                 idx[a] = 0;
             }
         }
-        for s in 0..2usize {
-            let mut rows = Vec::with_capacity(self.plans[s].rows());
-            for i in 0..self.plans[s].rows() {
-                rows.push(Categorical::new(self.plans[s].row(i)).map_err(|e| {
-                    RepairError::InvalidParameter {
-                        name: "joint plan row",
-                        reason: format!("(u={u}, s={s}) row {i}: {e}"),
-                    }
-                })?);
-            }
-            self.samplers[s] = rows;
-        }
+        self.alias = alias_tables(&self.plans, "joint plan row", |s| format!("(u={u}, s={s})"))?;
         Ok(())
     }
 }
@@ -479,7 +468,7 @@ impl JointRepairPlan {
             axes,
             points: Vec::new(), // derived; compile() rebuilds it
             plans,
-            samplers: [Vec::new(), Vec::new()],
+            alias: Default::default(),
         };
         stratum.compile(u)?;
         let report = Self::stratum_report(u, &diagnostics, plan_transport_cost);
@@ -523,7 +512,7 @@ impl JointRepairPlan {
     }
 
     /// Serialize the joint plan to JSON (the deployable artifact; the
-    /// derived alias samplers and product support are rebuilt on load).
+    /// derived alias tables and product support are rebuilt on load).
     ///
     /// # Errors
     /// Propagates serialization failures.
@@ -700,7 +689,7 @@ impl JointRepairPlan {
             row = row * g.len() + cell(g, v);
         }
         let mut rng = StdRng::seed_from_u64(row_seed);
-        let target = stratum.samplers[usize::from(s)][row].sample(&mut rng);
+        let target = stratum.alias[usize::from(s)].sample(row, &mut rng);
         let d = stratum.axes.len();
         &stratum.points[target * d..(target + 1) * d]
     }
@@ -896,7 +885,7 @@ mod tests {
             axes: vec![vec![0.0, 1.0]; 2],
             points: Vec::new(),
             plans: [plan3.clone(), plan3],
-            samplers: [Vec::new(), Vec::new()],
+            alias: Default::default(),
         };
         assert!(matches!(
             stratum.compile(0),
@@ -908,7 +897,7 @@ mod tests {
             axes: vec![vec![0.0], vec![0.0, 1.0]],
             points: Vec::new(),
             plans: [plan2.clone(), plan2],
-            samplers: [Vec::new(), Vec::new()],
+            alias: Default::default(),
         };
         assert!(matches!(
             stratum.compile(1),
@@ -923,7 +912,7 @@ mod tests {
                 axes: vec![vec![0.0, 1.0]; d],
                 points: Vec::new(),
                 plans: [plan.clone(), plan],
-                samplers: [Vec::new(), Vec::new()],
+                alias: Default::default(),
             }
         };
         let mixed = JointRepairPlan {

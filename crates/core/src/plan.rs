@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use otr_data::{ColumnarDataset, Dataset, GroupKey, LabelledPoint};
 use otr_ot::{quantile_barycentre, DiscreteDistribution, OtPlan, SinkhornDuals, Solver1d as _};
 use otr_par::{par_cols_mut, splitmix_seed, try_par_map_indexed};
-use otr_stats::dist::Categorical;
+use otr_stats::dist::AliasTable;
 use otr_stats::kde::GaussianKde;
 
 use crate::config::{MassSplit, RepairConfig};
@@ -59,16 +59,21 @@ pub struct FeaturePlan {
     /// existed (defaults to `[None, None]`, which re-designs cold).
     #[serde(default)]
     pub duals: [Option<SinkhornDuals>; 2],
-    /// Per-row alias samplers for Equation (15), compiled from `plans`
-    /// (not serialized; rebuilt by [`FeaturePlan::compile`]).
+    /// Per-`s` alias tables of the rows of `plans` for the draws of
+    /// Equation (15), and each row's barycentric projection for the
+    /// deterministic mass split (not serialized; rebuilt by
+    /// [`FeaturePlan::compile`]).
     #[serde(skip)]
-    samplers: [Vec<Categorical>; 2],
+    alias: [AliasTable; 2],
+    #[serde(skip)]
+    projections: [Vec<f64>; 2],
 }
 
 impl PartialEq for FeaturePlan {
     fn eq(&self, other: &Self) -> bool {
-        // Samplers are derived state, and duals are a solver warm-start
-        // hint; equality is over the designed plan semantics.
+        // Alias tables and projections are derived state, and duals are
+        // a solver warm-start hint; equality is over the designed plan
+        // semantics.
         self.u == other.u
             && self.k == other.k
             && self.support == other.support
@@ -88,8 +93,8 @@ impl FeaturePlan {
         (self.support[self.support.len() - 1] - self.support[0]) / (self.support.len() - 1) as f64
     }
 
-    /// (Re)build the per-row alias samplers from the OT plans. Must be
-    /// called after deserialization; `RepairPlanner::design` and
+    /// (Re)build the alias tables and projections from the OT plans.
+    /// Must be called after deserialization; `RepairPlanner::design` and
     /// `RepairPlan::from_json` do it automatically.
     ///
     /// # Errors
@@ -132,26 +137,40 @@ impl FeaturePlan {
                 return Err(RepairError::PlanMismatch(msg));
             }
         }
-        for s in 0..2 {
-            let plan = &self.plans[s];
-            let mut rows = Vec::with_capacity(plan.rows());
-            for i in 0..plan.rows() {
-                let row = plan.row(i);
-                let cat = Categorical::new(row).map_err(|e| RepairError::InvalidParameter {
-                    name: "plan row",
-                    reason: format!("(u={u}, s={s}, k={k}) row {i}: {e}"),
-                })?;
-                rows.push(cat);
-            }
-            self.samplers[s] = rows;
-        }
+        self.alias = alias_tables(&self.plans, "plan row", |s| {
+            format!("(u={u}, s={s}, k={k})")
+        })?;
+        // The alias tables refused massless rows, so every row has a
+        // projection; the cell's own state only keeps this total.
+        let projection = |s: usize| -> Vec<f64> {
+            let (plan, support) = (&self.plans[s], &self.support);
+            (0..n)
+                .map(|q| {
+                    plan.barycentric_projection(q, support)
+                        .unwrap_or(support[q])
+                })
+                .collect()
+        };
+        self.projections = [projection(0), projection(1)];
         Ok(())
     }
 
     /// True if [`FeaturePlan::compile`] has been run.
     pub fn is_compiled(&self) -> bool {
-        self.samplers[0].len() == self.plans[0].rows()
-            && self.samplers[1].len() == self.plans[1].rows()
+        self.alias
+            .iter()
+            .zip(&self.plans)
+            .all(|(t, p)| t.rows() == p.rows())
+    }
+
+    /// The refusal of every repair of an uncompiled plan.
+    fn check_compiled(&self) -> Result<()> {
+        if self.is_compiled() {
+            return Ok(());
+        }
+        Err(RepairError::PlanMismatch(
+            "feature plan is not compiled; call compile() after deserialization".into(),
+        ))
     }
 
     /// The boundary clamp shared by every quantization mode: `Some(0)` /
@@ -184,11 +203,7 @@ impl FeaturePlan {
                 "label s={s} outside {{0,1}}"
             )));
         }
-        if !self.is_compiled() {
-            return Err(RepairError::PlanMismatch(
-                "feature plan is not compiled; call compile() after deserialization".into(),
-            ));
-        }
+        self.check_compiled()?;
         let n_q = self.support.len();
 
         // Quantization with the fractional Bernoulli (Equation 14).
@@ -205,7 +220,7 @@ impl FeaturePlan {
         });
 
         // Multinomial draw from the selected plan row (Equation 15).
-        let j = self.samplers[s as usize][q].sample(rng);
+        let j = self.alias[s as usize].sample(q, rng);
         Ok(self.support[j])
     }
 
@@ -215,36 +230,19 @@ impl FeaturePlan {
     /// multinomial). Equal inputs repair equally.
     ///
     /// # Errors
-    /// Requires `s ∈ {0,1}`.
+    /// Requires a compiled plan and `s ∈ {0,1}`.
     pub fn repair_value_deterministic(&self, s: u8, x: f64) -> Result<f64> {
         if s > 1 {
             return Err(RepairError::PlanMismatch(format!(
                 "label s={s} outside {{0,1}}"
             )));
         }
+        self.check_compiled()?;
         let n_q = self.support.len();
         let q = self.boundary_cell(x).unwrap_or_else(|| {
             ((((x - self.support[0]) / self.step()) + 0.5).floor() as usize).min(n_q - 1)
         });
-        // A compiled plan row always carries mass, so the projection is
-        // defined; fall back to the cell's own state defensively.
-        Ok(self.plans[s as usize]
-            .barycentric_projection(q, &self.support)
-            .unwrap_or(self.support[q]))
-    }
-
-    /// Precompute the deterministic repair image of every grid cell —
-    /// `repair_value_deterministic` is then a pure quantize-and-gather,
-    /// which is what lets the columnar kernel run it RNG- and
-    /// branch-free over whole column slices.
-    fn projection_table(&self, s: usize) -> Vec<f64> {
-        (0..self.support.len())
-            .map(|q| {
-                self.plans[s]
-                    .barycentric_projection(q, &self.support)
-                    .unwrap_or(self.support[q])
-            })
-            .collect()
+        Ok(self.projections[s as usize][q])
     }
 
     /// Columnar randomized repair of one `(u, s)` row group within a
@@ -297,7 +295,7 @@ impl FeaturePlan {
                 tau.push(pos - b);
             }
         }
-        let samplers = &self.samplers[s];
+        let alias = &self.alias[s];
         for (j, &li) in rows.iter().enumerate() {
             let rng = &mut rngs[li as usize];
             let mut q = base[j] as usize;
@@ -310,23 +308,24 @@ impl FeaturePlan {
                 }
                 q = q.min(n_q - 1);
             }
-            let target = samplers[q].sample(rng);
+            let target = alias.sample(q, rng);
             col_out[li as usize] = self.support[target];
         }
         oob
     }
 
     /// Columnar deterministic repair of one `(u, s)` row group: nearest
-    /// grid cell, then a gather through the precomputed
-    /// [`Self::projection_table`]. RNG-free; single vectorizable pass.
-    /// Returns the group's out-of-range count.
+    /// grid cell, then a gather through the projections compiled with
+    /// the plan. RNG-free; single vectorizable pass. Returns the group's
+    /// out-of-range count.
     fn repair_rows_deterministic(
         &self,
+        s: usize,
         col_in: &[f64],
         col_out: &mut [f64],
         rows: &[u32],
-        proj: &[f64],
     ) -> u64 {
+        let proj = &self.projections[s];
         let n_q = self.support.len();
         let lo = self.support[0];
         let hi = self.support[n_q - 1];
@@ -494,43 +493,24 @@ impl RepairPlan {
         data: &ColumnarDataset,
         seed: u64,
     ) -> Result<ColumnarDataset> {
-        Ok(self.repair_columnar_shard(data, seed, 0)?.0)
-    }
-
-    /// Chunk-addressable columnar repair. Repairs `data` **as if** its
-    /// rows occupied absolute indices `row_offset .. row_offset +
-    /// data.len()` of a larger archive: row `i` of `data` draws from
-    /// `StdRng::seed_from_u64(splitmix_seed(seed, row_offset + i))`,
-    /// exactly the stream that row would own in a whole-archive
-    /// [`Self::repair_columnar_par`] call. Consequently, splitting an
-    /// archive into contiguous shards, repairing each shard with its
-    /// start row as `row_offset`, and concatenating the outputs in index
-    /// order is **byte-identical** to repairing the whole archive in one
-    /// call — for any shard layout, thread count, or batch size.
-    /// `row_offset = 0` *is* [`Self::repair_columnar_par`]. Returns the
-    /// repaired shard plus its out-of-range feature count (same strict
-    /// `x < lo || x > hi` test as the streaming counters).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches and uncompiled plans.
-    pub fn repair_columnar_shard(
-        &self,
-        data: &ColumnarDataset,
-        seed: u64,
-        row_offset: u64,
-    ) -> Result<(ColumnarDataset, u64)> {
         let mut out: Vec<Vec<f64>> = (0..data.dim()).map(|_| vec![0.0; data.len()]).collect();
-        let oob = self.repair_columnar_into(data, 0..data.len(), seed, row_offset, &mut out)?;
-        Ok((data.with_feature_columns(out)?, oob))
+        self.repair_columnar_into(data, 0..data.len(), seed, 0, &mut out)?;
+        Ok(data.with_feature_columns(out)?)
     }
 
     /// The in-place kernel under every columnar entry point: repairs rows
     /// `rows` of `data`, read in place, straight into `out` (one slice
     /// per feature, `rows.len()` long — e.g. one shard's range of a
-    /// response buffer), row `i` drawing `splitmix_seed(seed,
-    /// row_offset + i)` as in [`Self::repair_columnar_shard`]. Chunked
-    /// over `config.threads`; returns the out-of-range count. Outputs
-    /// are support states or their projections, which
+    /// response buffer), row `i` drawing from
+    /// `StdRng::seed_from_u64(splitmix_seed(seed, row_offset + i))`,
+    /// exactly the stream absolute row `row_offset + i` owns in a
+    /// whole-archive [`Self::repair_columnar_par`] call. So contiguous
+    /// shards repaired at their start rows and concatenated in index
+    /// order are **byte-identical** to one whole-archive call, for any
+    /// shard layout, thread count or batch size. Chunked over
+    /// `config.threads`; returns the out-of-range feature count (the
+    /// strict `x < lo || x > hi` test of the streaming counters).
+    /// Outputs are support states or their projections, which
     /// [`Self::from_json`] proves finite, so nothing rescans them.
     ///
     /// # Errors
@@ -552,30 +532,14 @@ impl RepairPlan {
             )));
         }
         check_out_fits(data, &rows, out)?;
-        // Mode-specific precomputation, and all fallibility, up front:
-        // the chunk workers below are infallible.
-        let proj: Option<Vec<[Vec<f64>; 2]>> = match self.config.mass_split {
-            MassSplit::Randomized => {
-                for fp in &self.features {
-                    if !fp.is_compiled() {
-                        return Err(RepairError::PlanMismatch(
-                            "feature plan is not compiled; call compile() after deserialization"
-                                .into(),
-                        ));
-                    }
-                }
-                None
-            }
-            MassSplit::Deterministic => Some(
-                self.features
-                    .iter()
-                    .map(|fp| [fp.projection_table(0), fp.projection_table(1)])
-                    .collect(),
-            ),
-        };
-        let (row0, proj) = (rows.start, proj.as_deref());
+        // All fallibility up front: the chunk workers below are
+        // infallible.
+        for fp in &self.features {
+            fp.check_compiled()?;
+        }
+        let row0 = rows.start;
         Ok(par_cols_mut(out, self.config.threads, |start, chunks| {
-            self.repair_columnar_chunk(data, seed, row_offset, row0 + start, chunks, proj)
+            self.repair_columnar_chunk(data, seed, row_offset, row0 + start, chunks)
         })
         .into_iter()
         .sum())
@@ -592,9 +556,9 @@ impl RepairPlan {
         row_offset: u64,
         row0: usize,
         cols_out: &mut [&mut [f64]],
-        proj: Option<&[[Vec<f64>; 2]]>,
     ) -> u64 {
         let d = self.dim;
+        let randomized = self.config.mass_split == MassSplit::Randomized;
         let chunk_rows = cols_out.first().map_or(0, |c| c.len());
         let batch = self
             .config
@@ -619,7 +583,7 @@ impl RepairPlan {
                 let slot = usize::from(u_col[i]) * 2 + usize::from(s_col[i]);
                 groups[slot].push(li as u32);
             }
-            if proj.is_none() {
+            if randomized {
                 // The per-row SplitMix64 streams of the determinism
                 // contract, seeded by absolute row index (shard offset
                 // plus position within this shard).
@@ -638,21 +602,17 @@ impl RepairPlan {
                         if rows.is_empty() {
                             continue;
                         }
-                        oob += match proj {
-                            None => fp.repair_rows_randomized(
+                        oob += if randomized {
+                            fp.repair_rows_randomized(
                                 s,
                                 col_in,
                                 col_out,
                                 rows,
                                 &mut rngs,
                                 &mut scratch,
-                            ),
-                            Some(tables) => fp.repair_rows_deterministic(
-                                col_in,
-                                col_out,
-                                rows,
-                                &tables[u * d + k][s],
-                            ),
+                            )
+                        } else {
+                            fp.repair_rows_deterministic(s, col_in, col_out, rows)
                         };
                     }
                 }
@@ -701,7 +661,8 @@ impl RepairPlan {
         serde_json::to_string(self).map_err(|e| RepairError::Persistence(e.to_string()))
     }
 
-    /// Load a plan from JSON and recompile its samplers.
+    /// Load a plan from JSON and recompile its alias tables and
+    /// projections.
     ///
     /// # Errors
     /// Propagates deserialization and recompilation failures, rejects
@@ -730,8 +691,8 @@ impl RepairPlan {
         }
         for fp in &mut plan.features {
             fp.compile()?;
-            let finite = |s| fp.projection_table(s).iter().all(|v: &f64| v.is_finite());
-            if plan.config.mass_split == MassSplit::Deterministic && !(finite(0) && finite(1)) {
+            let finite = fp.projections.iter().flatten().all(|v| v.is_finite());
+            if plan.config.mass_split == MassSplit::Deterministic && !finite {
                 return Err(RepairError::PlanMismatch(format!(
                     "feature plan (u={}, k={}) has non-finite projections",
                     fp.u, fp.k
@@ -740,6 +701,23 @@ impl RepairPlan {
         }
         Ok(plan)
     }
+}
+
+/// The alias tables of a stratum's two plans (both plan kinds). A bad
+/// row is a `name` error led by `at(s)`, the stratum's label.
+pub(crate) fn alias_tables(
+    plans: &[OtPlan; 2],
+    name: &'static str,
+    at: impl Fn(usize) -> String,
+) -> Result<[AliasTable; 2]> {
+    let table = |s: usize| {
+        let plan = &plans[s];
+        AliasTable::new((0..plan.rows()).map(|i| plan.row(i))).map_err(|(i, e)| {
+            let reason = format!("{} row {i}: {e}", at(s));
+            RepairError::InvalidParameter { name, reason }
+        })
+    };
+    Ok([table(0)?, table(1)?])
 }
 
 /// The shape contract of the in-place kernels (scalar and joint):
@@ -936,7 +914,8 @@ impl RepairPlanner {
             barycentre,
             plans,
             duals,
-            samplers: [Vec::new(), Vec::new()],
+            alias: Default::default(),
+            projections: Default::default(),
         };
         fp.compile()?;
         Ok(fp)
@@ -1231,7 +1210,10 @@ mod tests {
             .design(&data)
             .unwrap();
         let whole = plan.repair_columnar_par(&cols, 99).unwrap();
-        let (_, whole_oob) = plan.repair_columnar_shard(&cols, 99, 0).unwrap();
+        let columns = |rows: usize| vec![vec![0.0; rows]; cols.dim()];
+        let whole_oob = plan
+            .repair_columnar_into(&cols, 0..cols.len(), 99, 0, &mut columns(cols.len()))
+            .unwrap();
         // Any contiguous shard layout, reassembled in index order,
         // reproduces the whole-archive bytes — the serving contract.
         for shards in [1usize, 2, 7] {
@@ -1243,13 +1225,13 @@ mod tests {
             for sh in 0..shards {
                 let len = base + usize::from(sh < rem);
                 let slice = cols.slice_rows(start..start + len).unwrap();
-                let (out, oob) = plan
-                    .repair_columnar_shard(&slice, 99, start as u64)
+                let mut out = columns(len);
+                oob_total += plan
+                    .repair_columnar_into(&slice, 0..len, 99, start as u64, &mut out)
                     .unwrap();
-                for (k, col) in rebuilt.iter_mut().enumerate() {
-                    col.extend_from_slice(out.feature_column(k).unwrap());
+                for (col, part) in rebuilt.iter_mut().zip(&out) {
+                    col.extend_from_slice(part);
                 }
-                oob_total += oob;
                 start += len;
             }
             let rebuilt = cols.with_feature_columns(rebuilt).unwrap();
@@ -1266,10 +1248,12 @@ mod tests {
         let wrong_dim =
             ColumnarDataset::from_columns(vec![vec![0.0, 1.0]], vec![0, 1], vec![0, 1]).unwrap();
         assert!(plan.repair_columnar_par(&wrong_dim, 1).is_err());
-        // A freshly deserialized (uncompiled) plan is rejected, same as
-        // repair_value.
-        let raw: RepairPlan = serde_json::from_str(&plan.to_json().unwrap()).unwrap();
+        // A freshly deserialized (uncompiled) plan is rejected in either
+        // mass-split mode, same as repair_value.
+        let mut raw: RepairPlan = serde_json::from_str(&plan.to_json().unwrap()).unwrap();
         let cols = ColumnarDataset::from_dataset(&research(35, 50));
+        assert!(raw.repair_columnar_par(&cols, 1).is_err());
+        raw.config.mass_split = MassSplit::Deterministic;
         assert!(raw.repair_columnar_par(&cols, 1).is_err());
         assert!(plan.repair_columnar_par(&cols, 1).is_ok());
     }

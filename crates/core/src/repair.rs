@@ -12,8 +12,7 @@ use rand::{RngCore, SeedableRng};
 
 use otr_data::ColumnarDataset;
 
-use crate::config::MassSplit;
-use crate::error::{RepairError, Result};
+use crate::error::Result;
 use crate::plan::RepairPlan;
 
 /// Running statistics of a repair stream.
@@ -76,24 +75,17 @@ impl StreamingRepairer {
         if batch.is_empty() {
             return Ok(batch.clone());
         }
-        // All failure modes checked before consuming any randomness —
-        // atomicity of the RNG stream.
-        if batch.dim() != self.plan.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "dataset dimension {} vs plan dimension {}",
-                batch.dim(),
-                self.plan.dim
-            )));
-        }
-        if self.plan.config.mass_split == MassSplit::Randomized
-            && self.plan.feature_plans().iter().any(|fp| !fp.is_compiled())
-        {
-            return Err(RepairError::PlanMismatch(
-                "feature plan is not compiled; call compile() after deserialization".into(),
-            ));
-        }
-        let batch_seed = self.rng.next_u64();
-        let (repaired, oob) = self.plan.repair_columnar_shard(batch, batch_seed, 0)?;
+        // The kernel refuses a bad batch before it draws, and the owned
+        // RNG advances only with a repaired batch: the stream stays
+        // atomic.
+        let mut rng = self.rng.clone();
+        let mut out = vec![vec![0.0; batch.len()]; batch.dim()];
+        let seed = rng.next_u64();
+        let oob = self
+            .plan
+            .repair_columnar_into(batch, 0..batch.len(), seed, 0, &mut out)?;
+        let repaired = batch.with_feature_columns(out)?;
+        self.rng = rng;
         self.stats.repaired += batch.len() as u64;
         self.stats.out_of_range += oob;
         Ok(repaired)

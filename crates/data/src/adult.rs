@@ -21,7 +21,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use otr_stats::dist::{Bernoulli, Categorical, ContinuousDistribution, TruncatedNormal};
+use otr_stats::dist::{AliasTable, Bernoulli, ContinuousDistribution, TruncatedNormal};
 
 use crate::dataset::{Dataset, LabelledPoint, SplitData};
 use crate::error::{DataError, Result};
@@ -143,8 +143,8 @@ impl AdultSynth {
         // Mixture: a 40-hour heap (tight component) and the group-specific
         // spread component.
         let heap_p = self.pr_forty_hour_heap[si];
-        let heap = Categorical::new(&[heap_p, 1.0 - heap_p])?;
-        let hours = if heap.sample(rng) == 0 {
+        let heap = AliasTable::new([&[heap_p, 1.0 - heap_p][..]]).map_err(|(_, e)| e)?;
+        let hours = if heap.sample(0, rng) == 0 {
             // The 40-hour heap: a tight bump that integer rounding turns
             // into heavy ties at 39/40/41. We deliberately do NOT emit the
             // real file's exact single-value atom: a pure atom makes the

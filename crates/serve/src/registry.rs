@@ -10,7 +10,7 @@
 //!
 //! Plans pass the same structural validation the offline CLI applies
 //! ([`RepairPlan::from_json`] / [`JointRepairPlan::from_json`], which
-//! recompile derived samplers and reject malformed artifacts) before
+//! recompile derived alias tables and reject malformed artifacts) before
 //! they become visible to any client.
 
 use std::collections::BTreeMap;

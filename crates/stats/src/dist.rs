@@ -228,107 +228,126 @@ impl Bernoulli {
 }
 
 // ---------------------------------------------------------------------------
-// Categorical (alias method)
+// Alias tables
 // ---------------------------------------------------------------------------
 
-/// A categorical distribution over `{0, …, k−1}` with `O(1)` sampling via
-/// the Walker/Vose alias table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
-    probs: Vec<f64>,
-    // Alias table: per cell, the acceptance threshold and the alias index.
+/// Walker/Vose alias tables for the rows of a weight matrix: each row is
+/// a categorical distribution over its `cols` columns, drawn in `O(1)`.
+/// One flat threshold and one flat alias array serve every row, so a
+/// table costs 12 bytes per cell however many rows it holds.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AliasTable {
+    cols: usize,
+    // Per cell, row-major: the acceptance threshold and the alias column.
     threshold: Vec<f64>,
-    alias: Vec<usize>,
+    alias: Vec<u32>,
 }
 
-impl Categorical {
-    /// A categorical from non-negative weights (normalized internally).
+impl AliasTable {
+    /// The tables of `rows`, each a row of non-negative weights
+    /// (normalized internally) as long as the first.
     ///
     /// # Errors
-    /// Requires a non-empty weight vector with finite, non-negative
-    /// entries and strictly positive total mass.
-    pub fn new(weights: &[f64]) -> Result<Self> {
-        if weights.is_empty() {
-            return Err(StatsError::EmptyInput("categorical weights"));
-        }
-        let mut total = 0.0;
-        for (i, &w) in weights.iter().enumerate() {
-            if w < 0.0 || !w.is_finite() {
-                return Err(StatsError::InvalidProbabilities(format!(
-                    "weight[{i}] = {w} is negative or non-finite"
-                )));
+    /// The index of the first row that is empty, of another length than
+    /// the first or longer than `u32::MAX`, holds a negative or
+    /// non-finite weight or has no positive total, with the fault.
+    pub fn new<'a>(
+        rows: impl IntoIterator<Item = &'a [f64]>,
+    ) -> std::result::Result<Self, (usize, StatsError)> {
+        let mut rows = rows.into_iter().enumerate().peekable();
+        let cols = rows.peek().map_or(0, |(_, row)| row.len());
+        let cells = rows.size_hint().0 * cols;
+        let (mut threshold, mut alias) = (Vec::with_capacity(cells), Vec::with_capacity(cells));
+        let (mut small, mut large) = (Vec::with_capacity(cols), Vec::with_capacity(cols));
+        for (r, weights) in rows {
+            let total = row_total(weights, cols).map_err(|e| (r, e))?;
+            // Vose's stable construction. The row's thresholds hold the
+            // scaled masses while it runs: a cell leaves the stacks with
+            // its scaled mass as its threshold, and only cells still on a
+            // stack change.
+            let start = threshold.len();
+            threshold.extend(weights.iter().map(|w| (w / total) * cols as f64));
+            alias.resize(start + cols, 0);
+            let (scaled, to) = (&mut threshold[start..], &mut alias[start..]);
+            // Plain if/else pushes: pushing through an `if` that picks the
+            // stack measured twice as slow.
+            for (i, &s) in (0u32..).zip(scaled.iter()) {
+                if s < 1.0 {
+                    small.push(i);
+                } else {
+                    large.push(i);
+                }
             }
-            total += w;
-        }
-        if !(total > 0.0) {
-            return Err(StatsError::InvalidProbabilities(format!(
-                "total weight {total} is not positive"
-            )));
-        }
-        let k = weights.len();
-        let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
-
-        // Vose's stable alias-table construction.
-        let mut threshold = vec![0.0f64; k];
-        let mut alias = vec![0usize; k];
-        let mut scaled: Vec<f64> = probs.iter().map(|p| p * k as f64).collect();
-        let mut small: Vec<usize> = Vec::with_capacity(k);
-        let mut large: Vec<usize> = Vec::with_capacity(k);
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
+            while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+                small.pop();
+                large.pop();
+                to[s as usize] = l;
+                let rest = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+                scaled[l as usize] = rest;
+                if rest < 1.0 {
+                    small.push(l);
+                } else {
+                    large.push(l);
+                }
             }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            threshold[s] = scaled[s];
-            alias[s] = l;
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
+            for i in small.drain(..).chain(large.drain(..)) {
+                scaled[i as usize] = 1.0;
+                to[i as usize] = i;
             }
-        }
-        for &i in small.iter().chain(&large) {
-            threshold[i] = 1.0;
-            alias[i] = i;
         }
         Ok(Self {
-            probs,
+            cols,
             threshold,
             alias,
         })
     }
 
-    /// The normalized probabilities.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.threshold.len().checked_div(self.cols).unwrap_or(0)
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// True when there is exactly one category (`len` is never 0).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Draw one category index in `O(1)`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let k = self.probs.len();
-        let cell = rng.gen_range(0..k);
-        if rng.gen::<f64>() < self.threshold[cell] {
+    /// Draw a column of row `row` in `O(1)`: one uniform column, then
+    /// one uniform against its threshold.
+    pub fn sample<R: Rng + ?Sized>(&self, row: usize, rng: &mut R) -> usize {
+        let cell = rng.gen_range(0..self.cols);
+        let at = row * self.cols + cell;
+        if rng.gen::<f64>() < self.threshold[at] {
             cell
         } else {
-            self.alias[cell]
+            self.alias[at] as usize
         }
     }
+}
+
+/// The total of one alias-table row of `cols` finite, non-negative
+/// weights.
+fn row_total(weights: &[f64], cols: usize) -> Result<f64> {
+    if weights.is_empty() {
+        return Err(StatsError::EmptyInput("categorical weights"));
+    }
+    if weights.len() != cols || cols > u32::MAX as usize {
+        return Err(StatsError::LengthMismatch {
+            what: "alias-table row vs columns (at most u32::MAX)",
+            left: weights.len(),
+            right: cols,
+        });
+    }
+    let mut total = 0.0;
+    for (i, &w) in weights.iter().enumerate() {
+        if w < 0.0 || !w.is_finite() {
+            return Err(StatsError::InvalidProbabilities(format!(
+                "weight[{i}] = {w} is negative or non-finite"
+            )));
+        }
+        total += w;
+    }
+    if !(total > 0.0) {
+        return Err(StatsError::InvalidProbabilities(format!(
+            "total weight {total} is not positive"
+        )));
+    }
+    Ok(total)
 }
 
 // ---------------------------------------------------------------------------
@@ -386,6 +405,7 @@ impl MultivariateNormal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -440,26 +460,97 @@ mod tests {
     }
 
     #[test]
-    fn categorical_alias_matches_pmf() {
+    fn alias_table_matches_pmf() {
         let mut rng = StdRng::seed_from_u64(4);
         let weights = [0.5, 0.0, 1.5, 2.0];
-        let cat = Categorical::new(&weights).unwrap();
-        assert_eq!(cat.probs().len(), 4);
-        assert!((cat.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let table = AliasTable::new([&weights[..]]).unwrap();
+        assert_eq!(table.rows(), 1);
         let n = 200_000;
         let mut counts = [0usize; 4];
         for _ in 0..n {
-            counts[cat.sample(&mut rng)] += 1;
+            counts[table.sample(0, &mut rng)] += 1;
         }
         assert_eq!(counts[1], 0, "zero-mass category must never be drawn");
         for (i, &c) in counts.iter().enumerate() {
             let have = c as f64 / n as f64;
-            assert!((have - cat.probs()[i]).abs() < 0.01, "category {i}: {have}");
+            assert!(
+                (have - weights[i] / 4.0).abs() < 0.01,
+                "category {i}: {have}"
+            );
         }
-        assert!(Categorical::new(&[]).is_err());
-        assert!(Categorical::new(&[-0.1, 1.0]).is_err());
-        assert!(Categorical::new(&[0.0, 0.0]).is_err());
-        assert!(Categorical::new(&[f64::NAN]).is_err());
+        let fault = |rows: &[&[f64]]| AliasTable::new(rows.iter().copied()).unwrap_err();
+        assert!(matches!(fault(&[&[]]), (0, StatsError::EmptyInput(_))));
+        assert_eq!(fault(&[&[1.0], &[-0.1]]).0, 1);
+        assert_eq!(fault(&[&[1.0, 1.0], &[1.0, 1.0], &[0.0, 0.0]]).0, 2);
+        assert_eq!(fault(&[&[f64::NAN]]).0, 0);
+        assert_eq!(fault(&[&[1.0], &[1.0, 2.0]]).0, 1);
+        assert_eq!(AliasTable::default().rows(), 0);
+    }
+
+    #[test]
+    fn a_rows_draws_do_not_depend_on_the_other_rows() {
+        let rows: Vec<Vec<f64>> = (0..5)
+            .map(|r| (0..7).map(|c| ((r * 7 + c) % 4) as f64).collect())
+            .collect();
+        let table = AliasTable::new(rows.iter().map(Vec::as_slice)).unwrap();
+        assert_eq!(table.rows(), 5);
+        let draws = |t: &AliasTable, row: usize, seed: u64| -> Vec<usize> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..500).map(|_| t.sample(row, &mut rng)).collect()
+        };
+        for (r, row) in rows.iter().enumerate() {
+            let alone = AliasTable::new([row.as_slice()]).unwrap();
+            for seed in [0, 1, 7, 42, 1_000_003] {
+                assert_eq!(draws(&table, r, seed), draws(&alone, 0, seed), "row {r}");
+            }
+        }
+    }
+
+    /// The probability the table gives each column of `row`: the
+    /// column's own threshold share, plus the rejected share of every
+    /// cell aliased to it.
+    fn implied_pmf(table: &AliasTable, row: usize) -> Vec<f64> {
+        let k = table.cols;
+        let mut pmf = vec![0.0; k];
+        for c in 0..k {
+            let at = row * k + c;
+            pmf[c] += table.threshold[at] / k as f64;
+            pmf[table.alias[at] as usize] += (1.0 - table.threshold[at]) / k as f64;
+        }
+        pmf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every row's table gives each column exactly its normalized
+        /// weight, zero-weight columns included.
+        #[test]
+        fn alias_table_pmf_is_the_normalized_row(
+            cells in proptest::collection::vec((0.0f64..1.0, 0u8..3), 1..=800),
+            cols in 1usize..=200,
+        ) {
+            // One weight in three is exactly zero; whole rows only.
+            let cols = cols.min(cells.len());
+            let weights: Vec<f64> = cells[..cells.len() / cols * cols]
+                .iter()
+                .map(|&(w, z)| if z == 0 { 0.0 } else { w })
+                .collect();
+            let rows: Vec<&[f64]> = weights.chunks(cols).collect();
+            prop_assume!(rows.iter().all(|r| r.iter().sum::<f64>() > 0.0));
+            let table = AliasTable::new(rows.iter().copied()).unwrap();
+            prop_assert_eq!(table.rows(), rows.len());
+            for (r, row) in rows.iter().enumerate() {
+                let total: f64 = row.iter().sum();
+                for (j, (have, w)) in implied_pmf(&table, r).iter().zip(*row).enumerate() {
+                    prop_assert!(
+                        (have - w / total).abs() < 1e-12,
+                        "row {r} column {j}: {have} vs {}",
+                        w / total
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! * **Special functions** ([`special`]): `erf`, `erfc`, the standard-normal
 //!   CDF and its inverse (Acklam's algorithm refined by Halley iteration).
 //! * **Distributions** ([`dist`]): Gaussian (sampling via the Marsaglia polar
-//!   method), truncated Gaussian, Bernoulli, categorical (with an O(1) alias
-//!   sampler), and multivariate Gaussian (via our own Cholesky
-//!   factorization).
+//!   method), truncated Gaussian, Bernoulli, multi-row alias tables (an
+//!   O(1) categorical draw from any row of a weight matrix), and
+//!   multivariate Gaussian (via our own Cholesky factorization).
 //! * **Dense linear algebra** ([`linalg`]): the small dense-matrix type and
 //!   the Cholesky factorization the multivariate normal samples with.
 //! * **Kernel density estimation** ([`kde`], [`kde_nd`]): Gaussian-kernel
@@ -55,7 +55,7 @@ pub mod quantile;
 pub mod special;
 
 pub use describe::Welford;
-pub use dist::{Bernoulli, Categorical, MultivariateNormal, Normal, TruncatedNormal};
+pub use dist::{AliasTable, Bernoulli, MultivariateNormal, Normal, TruncatedNormal};
 pub use divergence::{kl_divergence, sym_kl_divergence};
 pub use em::{GaussianMixtureEm, GmmFit};
 pub use error::StatsError;

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_stats::dist::{Categorical, ContinuousDistribution, Normal};
+use otr_stats::dist::{AliasTable, ContinuousDistribution, Normal};
 use otr_stats::kde::{Bandwidth, GaussianKde};
 use otr_stats::{empirical_quantile, kl_divergence, sym_kl_divergence, Welford};
 
@@ -104,22 +104,18 @@ proptest! {
         prop_assert!((n.cdf(x) - p).abs() < 1e-9);
     }
 
-    /// Alias-table categorical matches its pmf in expectation.
+    /// An alias table's draws match its row's pmf in expectation.
     #[test]
     fn categorical_mean_index_matches_pmf(weights in arb_pmf(8), seed in 0u64..1_000) {
-        let cat = Categorical::new(&weights).unwrap();
-        let expected: f64 = cat
-            .probs()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| i as f64 * p)
-            .sum();
+        let table = AliasTable::new([weights.as_slice()]).unwrap();
+        let total: f64 = weights.iter().sum();
+        let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
+        let expected: f64 = probs.iter().enumerate().map(|(i, p)| i as f64 * p).sum();
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 20_000;
-        let mean: f64 = (0..n).map(|_| cat.sample(&mut rng) as f64).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| table.sample(0, &mut rng) as f64).sum::<f64>() / n as f64;
         // 5-sigma tolerance on the sample mean of a bounded variable.
-        let var: f64 = cat
-            .probs()
+        let var: f64 = probs
             .iter()
             .enumerate()
             .map(|(i, p)| (i as f64 - expected).powi(2) * p)

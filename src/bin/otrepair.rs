@@ -27,17 +27,31 @@ use ot_fair_repair::repair::RepairError;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` or `-h` anywhere prints the usage, before any flag check
+    // or file I/O.
+    let help = args.iter().any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
+        Some("serve") if help => {
+            println!(
+                "otrepair serve — run the otrepaird daemon\n\n{}",
+                ot_fair_repair::serve::daemon::USAGE
+            );
+            Ok(())
+        }
+        Some("help") | None => {
+            print_usage();
+            Ok(())
+        }
+        _ if help => {
+            print_usage();
+            Ok(())
+        }
         Some("design") => cmd_design(&args[1..]),
         Some("apply") => cmd_apply(&args[1..]),
         Some("evaluate") => cmd_evaluate(&args[1..]),
         Some("drift") => cmd_drift(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
-        Some("--help" | "-h" | "help") | None => {
-            print_usage();
-            Ok(())
-        }
         Some(other) => Err(format!("unknown command `{other}` (try --help)").into()),
     };
     match result {
@@ -531,13 +545,6 @@ fn cmd_drift(args: &[String]) -> CliResult {
 /// `otrepair serve`: the otrepaird daemon, in-process (identical flags).
 fn cmd_serve(args: &[String]) -> CliResult {
     use ot_fair_repair::serve::daemon;
-    if args.iter().any(|a| a == "--help") {
-        println!(
-            "otrepair serve — run the otrepaird daemon\n\n{}",
-            daemon::USAGE
-        );
-        return Ok(());
-    }
     daemon::run(&ot_fair_repair::cli::daemon_args("serve", HELP, args)?)?;
     Ok(())
 }

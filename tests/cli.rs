@@ -15,10 +15,27 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_otrepair")
 }
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
+/// A test's scratch directory, removed when the test ends, whether it
+/// passes or fails.
+struct TmpDir(std::path::PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmp_dir(tag: &str) -> TmpDir {
     let dir = std::env::temp_dir().join(format!("otrepair-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TmpDir(dir)
 }
 
 /// Run `cmd` to its end, or kill it after 20 s: a command that wrongly
@@ -782,4 +799,55 @@ fn help_prints_usage() {
         assert!(!text.contains(gone), "usage offers {gone}");
         assert!(!serve.contains(gone), "serve usage offers {gone}");
     }
+}
+
+/// `--help` and `-h` print the usage and exit 0 after every subcommand
+/// and every `client` action, wherever they stand and whatever else is
+/// on the line: the files named here do not exist, so any read would
+/// fail with "cannot".
+#[test]
+fn help_works_on_every_subcommand_before_any_file_io() {
+    let dir = tmp_dir("help");
+    let missing = dir.join("missing.csv").to_string_lossy().into_owned();
+    let out = dir.join("out");
+    let out_s = out.to_string_lossy().into_owned();
+    let mut runs: Vec<(Vec<&str>, &str)> = vec![
+        (
+            vec!["design", "--research", &missing, "--out", &out_s],
+            "USAGE",
+        ),
+        (vec!["design", "--joint", "--research", &missing], "USAGE"),
+        (
+            vec!["apply", "--plan", &missing, "--data", &missing],
+            "USAGE",
+        ),
+        (vec!["apply", "--joint", "--monge"], "USAGE"),
+        (vec!["evaluate", "--data", &missing], "USAGE"),
+        (vec!["drift", "--data", &missing], "USAGE"),
+        (vec!["serve", "--bind", "127.0.0.1:0"], "--port-file"),
+    ];
+    for action in [
+        "ping", "info", "plans", "load", "evict", "repair", "watch", "drift", "audit",
+    ] {
+        runs.push((vec!["client", action, "--addr", "127.0.0.1:1"], "USAGE"));
+    }
+    for (cmd, want) in runs {
+        for help in ["--help", "-h"] {
+            let run = output_within_20s(Command::new(bin()).args(&cmd).arg(help));
+            let (stdout, stderr) = (
+                String::from_utf8_lossy(&run.stdout),
+                String::from_utf8_lossy(&run.stderr),
+            );
+            assert!(run.status.success(), "{cmd:?} {help}: stderr: {stderr}");
+            assert!(stdout.contains(want), "{cmd:?} {help}: stdout: {stdout}");
+            assert!(stderr.is_empty(), "{cmd:?} {help}: stderr: {stderr}");
+            assert!(!out.exists(), "{cmd:?} {help}: wrote {out_s}");
+        }
+    }
+    // Before the subcommand's own flags too.
+    let run = Command::new(bin())
+        .args(["apply", "-h", "--plan", &missing])
+        .output()
+        .unwrap();
+    assert!(run.status.success() && run.stderr.is_empty());
 }

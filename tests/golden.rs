@@ -67,6 +67,11 @@ const CORPUS: &[(&str, &str)] = &[
         "apply --plan {dir}/design_exact.json --data {fix}/archive.csv --out {out} --seed 7 \
          --monge",
     ),
+    (
+        "apply_deterministic.csv",
+        "apply --plan {dir}/design_deterministic.json --data {fix}/archive.csv --out {out} \
+         --seed 7",
+    ),
     ("evaluate.txt", "evaluate --data {fix}/archive.csv"),
     (
         "design_joint.json",
@@ -139,6 +144,16 @@ fn write_d3_input(path: &Path) {
     write_labelled_csv(std::io::BufWriter::new(file), &data).unwrap();
 }
 
+/// `design` has no flag for the deterministic mass split, so its entry
+/// repairs through a copy of the exact plan with the mode rewritten.
+fn write_deterministic_plan(exact: &Path, path: &Path) {
+    let json = std::fs::read_to_string(exact).unwrap();
+    let randomized = r#""mass_split":"Randomized""#;
+    assert!(json.contains(randomized));
+    let json = json.replacen(randomized, r#""mass_split":"Deterministic""#, 1);
+    std::fs::write(path, json).unwrap();
+}
+
 /// The little-endian `f64` bits of the `E` audit on `ci/fixtures/archive.csv`:
 /// every `e_uk` then every `e_per_feature` of `ConditionalDependence::default()`,
 /// and the joint `E` at 16 points per axis (what `evaluate --joint-grid 16`
@@ -194,6 +209,9 @@ fn recompute(dir: &Path) -> String {
         };
         manifest += &line(name, &bytes);
         manifest.push('\n');
+        if *name == "design_exact.json" {
+            write_deterministic_plan(&out, &dir.join("design_deterministic.json"));
+        }
     }
     for (name, bytes) in e_bits(&fixtures) {
         manifest += &line(name, &bytes);

@@ -91,7 +91,7 @@ fn feature_plan_requires_explicit_recompilation_after_raw_deserialize() {
     let fp = plan.feature_plan(0, 0).unwrap();
     let json = serde_json::to_string(fp).unwrap();
 
-    // Raw serde deserialization skips the derived samplers...
+    // Raw serde deserialization skips the derived alias tables...
     let mut raw: FeaturePlan = serde_json::from_str(&json).unwrap();
     assert!(!raw.is_compiled());
     let mut rng = StdRng::seed_from_u64(3);
@@ -99,6 +99,7 @@ fn feature_plan_requires_explicit_recompilation_after_raw_deserialize() {
         raw.repair_value(0, 0.0, &mut rng).is_err(),
         "an uncompiled plan must refuse to repair"
     );
+    assert!(raw.repair_value_deterministic(0, 0.0).is_err());
 
     // ...and compile() restores full function.
     raw.compile().unwrap();

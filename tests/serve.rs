@@ -101,6 +101,10 @@ fn served_repair_is_byte_identical_to_offline_across_shard_counts() {
             .unwrap()
             .feature_columns(),
     );
+    let mut columns = vec![vec![0.0; archive.len()]; archive.dim()];
+    let oob = plan
+        .repair_columnar_into(&archive, 0..archive.len(), seed, 0, &mut columns)
+        .unwrap();
 
     for shards in [1usize, 2, 7] {
         let server = TestServer::start(ServeConfig {
@@ -119,7 +123,6 @@ fn served_repair_is_byte_identical_to_offline_across_shard_counts() {
         );
         // The out-of-range count is part of the contract too: it must
         // not depend on the shard layout.
-        let (_, oob) = plan.repair_columnar_shard(&archive, seed, 0).unwrap();
         assert_eq!(served.out_of_range, oob, "oob drifted at {shards} shards");
     }
 }
@@ -545,9 +548,11 @@ fn edit_array(json: &str, path: &[&str], edit: impl FnOnce(&mut Vec<serde_json::
 /// A non-finite support (scalar) or axis (joint), a scalar plan whose
 /// `features` are not the `2 · dim` strata in slot order, a scalar plan
 /// whose marginal or barycentre has a negative mass or a support other
-/// than its stratum's or whose duals are not finite, a joint plan whose
-/// two strata disagree on `d`, and a joint plan with `gx`/`gy` but no
-/// `axes`, are rejected once, at load, as `PlanInvalid` — over the wire
+/// than its stratum's or whose duals are not finite, a plan of either
+/// kind with a row no draw can come from (a negative or infinite mass,
+/// or none at all), a joint plan whose two strata disagree on `d`, and a
+/// joint plan with `gx`/`gy` but no `axes`, are rejected once, at load,
+/// as `PlanInvalid` — over the wire
 /// and from a `plans_dir`, each with its own reason — so no request can
 /// ever be served from them. `otrepair apply` refuses them with the
 /// same reason.
@@ -603,6 +608,15 @@ fn non_finite_plan_supports_are_rejected_at_load() {
             fields.insert(0, ("gx".into(), axes[0].clone()));
         }
     });
+    let (num, zero) = (serde_json::Value::Num, serde_json::Value::Num(0.0));
+    let mass = ["features", "1", "plans", "1", "mass"];
+    let negative_row = edit_array(&scalar_json, &mass, |m| m[5] = num(-1.0));
+    let infinite_row = poison_first(&scalar_json, "mass");
+    let empty_row = edit_array(&scalar_json, &mass, |m| m[12..24].fill(zero.clone()));
+    let mass = ["strata", "1", "plans", "0", "mass"];
+    let joint_negative_row = edit_array(&joint_json, &mass, |m| m[68] = num(-1.0));
+    let joint_empty_row = edit_array(&joint_json, &mass, |m| m[64..128].fill(zero.clone()));
+    let bad_row = |at: &str, why: &str| format!("{at}: invalid probabilities: {why}");
     let differs = "support differs from `support`";
     let cases = [
         ("scalar", PlanKind::Scalar, &scalar, "finite"),
@@ -629,6 +643,36 @@ fn non_finite_plan_supports_are_rejected_at_load() {
         ("swapped", PlanKind::Scalar, &swapped, differs),
         ("truncated", PlanKind::Scalar, &truncated, differs),
         ("duals", PlanKind::Scalar, &duals, "duals are not 12 finite"),
+        (
+            "negative-row",
+            PlanKind::Scalar,
+            &negative_row,
+            &bad_row("(u=0, s=1, k=1) row 0", "weight[5] = -1 is negative"),
+        ),
+        (
+            "infinite-row",
+            PlanKind::Scalar,
+            &infinite_row,
+            &bad_row("(u=0, s=0, k=0) row 0", "weight[0] = inf is negative"),
+        ),
+        (
+            "empty-row",
+            PlanKind::Scalar,
+            &empty_row,
+            &bad_row("(u=0, s=1, k=1) row 1", "total weight 0 is not positive"),
+        ),
+        (
+            "joint-negative-row",
+            PlanKind::Joint,
+            &joint_negative_row,
+            &bad_row("(u=1, s=0) row 1", "weight[4] = -1 is negative"),
+        ),
+        (
+            "joint-empty-row",
+            PlanKind::Joint,
+            &joint_empty_row,
+            &bad_row("(u=1, s=0) row 1", "total weight 0 is not positive"),
+        ),
         ("legacy", PlanKind::Joint, &legacy, "design --joint"),
     ];
 
