@@ -36,7 +36,7 @@ echo "== design a plan and produce the offline reference =="
 "$BIN" apply --plan "$WORK/plan.json" --data "$FIXTURES/archive.csv" \
     --out "$WORK/offline.csv" --seed "$SEED"
 "$BIN" design --joint --research "$FIXTURES/research.csv" --out "$WORK/joint.json"
-"$BIN" apply --joint --plan "$WORK/joint.json" --data "$FIXTURES/archive.csv" \
+"$BIN" apply --plan "$WORK/joint.json" --data "$FIXTURES/archive.csv" \
     --out "$WORK/joint-offline.csv" --seed "$SEED"
 
 echo "== boot otrepaird on an ephemeral loopback port =="
@@ -75,8 +75,8 @@ grep -qi 'UnknownPlan' "$WORK/err"
 echo "== serving determinism: served bytes == offline apply bytes =="
 cmp "$WORK/offline.csv" "$WORK/served.csv"
 
-echo "== joint plan: served bytes == offline apply --joint bytes =="
-"$BIN" client load --addr "$ADDR" --plan "$WORK/joint.json" --name ci-joint --joint
+echo "== joint plan: served bytes == offline apply bytes, no kind flag anywhere =="
+"$BIN" client load --addr "$ADDR" --plan "$WORK/joint.json" --name ci-joint | grep -q '(joint)'
 "$BIN" client plans --addr "$ADDR" | grep -q 'ci-joint@1  joint  dim=2'
 "$BIN" client repair --addr "$ADDR" --name ci-joint \
     --data "$FIXTURES/archive.csv" --out "$WORK/joint-served.csv" --seed "$SEED"

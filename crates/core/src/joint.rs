@@ -606,7 +606,7 @@ impl JointRepairPlan {
 
     /// Columnar joint repair of every row of `data`, row `i` drawing from
     /// `splitmix_seed(seed, i)` — the joint analogue of
-    /// [`crate::RepairPlan::repair_columnar_par`] (`apply --joint`),
+    /// [`crate::RepairPlan::repair_columnar_par`] (`otrepair apply`),
     /// bit-identical for any `config.threads` setting.
     ///
     /// # Errors

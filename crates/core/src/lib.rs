@@ -33,8 +33,8 @@
 //!   (the paper's priority future-work direction, Section VI): posterior
 //!   `Pr[s|x,u]` from the plan's own interpolated marginals, a
 //!   posterior draw of `ŝ` per row, then the shared columnar kernel.
-//! * [`joint`] — the 2-D joint repair for correlation-borne dependence
-//!   (Section VI's intra-feature-correlation caveat).
+//! * [`joint`] — joint repair of all `d ≥ 2` features for correlation-borne
+//!   dependence (Section VI's intra-feature-correlation caveat).
 //!
 //! Every seeded dataset-scale entry point gives row `i` its own
 //! SplitMix64 RNG stream, so its output is **bit-identical for any

@@ -13,12 +13,33 @@ pub const MARGINAL_TOL: f64 = 1e-8;
 
 /// A dense transport plan `π ∈ ℝ^{n×m}`, with row marginal `µ` (source)
 /// and column marginal `ν` (target).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OtPlan {
     rows: usize,
     cols: usize,
     /// Row-major joint masses.
     mass: Vec<f64>,
+}
+
+/// A deserialized plan holds `rows × cols` masses, the shape every
+/// reader indexes by; what the masses may be is left to the reader.
+impl Deserialize for OtPlan {
+    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            rows: usize,
+            cols: usize,
+            mass: Vec<f64>,
+        }
+        let Raw { rows, cols, mass } = Raw::from_value(value)?;
+        if rows.checked_mul(cols) != Some(mass.len()) {
+            let n = mass.len();
+            return Err(serde::Error::custom(format!(
+                "plan of {rows}×{cols} holds {n} masses"
+            )));
+        }
+        Ok(Self { rows, cols, mass })
+    }
 }
 
 impl OtPlan {

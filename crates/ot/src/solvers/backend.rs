@@ -281,7 +281,7 @@ impl fmt::Display for SolverBackend {
 impl FromStr for SolverBackend {
     type Err = OtError;
 
-    /// Parse the CLI spelling: `exact` (or `monotone`), `simplex`,
+    /// Parse the CLI spelling: `exact`, `simplex`,
     /// `sinkhorn:<eps>`, or the ε-scaled forms
     /// `sinkhorn:<eps>:scaled` (default schedule) and
     /// `sinkhorn:<eps>:scaled:<eps0>:<factor>`.
@@ -293,7 +293,7 @@ impl FromStr for SolverBackend {
             })
         };
         let backend = match s {
-            "exact" | "monotone" => SolverBackend::ExactMonotone,
+            "exact" => SolverBackend::ExactMonotone,
             "simplex" => SolverBackend::Simplex,
             _ => match s.strip_prefix("sinkhorn:") {
                 Some(rest) => {
@@ -431,6 +431,33 @@ mod tests {
             (got - exact).abs() < 1e-9 * (1.0 + exact),
             "fallback must hit the exact optimum: {got} vs {exact}"
         );
+        // The same Sinkhorn failure with every kernel chunked (a short
+        // budget fails the same way), and the same simplex plan at every
+        // thread count.
+        let bits = |plan: &OtPlan| {
+            let cells = (0..mu.len()).flat_map(|i| (0..nu.len()).map(move |j| (i, j)));
+            cells
+                .map(|(i, j)| plan.get(i, j).to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let failure = |threads: usize| {
+            let config = SinkhornConfig {
+                epsilon: 1e-12,
+                max_iters: 400,
+                threads,
+                parallel_min_cells: Some(1),
+                ..SinkhornConfig::default()
+            };
+            match sinkhorn_warm(mu.masses(), nu.masses(), &cost, config, None) {
+                Err(OtError::NoConvergence { residual, .. }) => residual.to_bits(),
+                other => panic!("threads = {threads}: expected NoConvergence, got {other:?}"),
+            }
+        };
+        for threads in [2usize, 3, 7] {
+            assert_eq!(failure(threads), failure(1), "threads = {threads}");
+            let (again, _) = backend.solve_1d_warm(&mu, &nu, threads, None).unwrap();
+            assert_eq!(bits(&again), bits(&plan), "threads = {threads}");
+        }
     }
 
     #[test]
@@ -477,10 +504,6 @@ mod tests {
     fn parses_and_displays_cli_spellings() {
         assert_eq!(
             "exact".parse::<SolverBackend>().unwrap(),
-            SolverBackend::ExactMonotone
-        );
-        assert_eq!(
-            "monotone".parse::<SolverBackend>().unwrap(),
             SolverBackend::ExactMonotone
         );
         assert_eq!(

@@ -1646,6 +1646,88 @@ mod tests {
         }
     }
 
+    /// `v` scaled to unit mass, as `sinkhorn_warm` normalizes its
+    /// marginals.
+    fn normalized(v: &[f64]) -> Vec<f64> {
+        let total: f64 = v.iter().sum();
+        v.iter().map(|x| x / total).collect()
+    }
+
+    /// `sinkhorn_warm` solves `(a, b, cost)` at `eps` within the default
+    /// `tol` (the final stage errs otherwise) and returns the same plan
+    /// and dual bits at 1, 2, 3 and 7 threads, every kernel chunked.
+    fn assert_converges_bitwise_at_any_thread_count(
+        a: &[f64],
+        b: &[f64],
+        cost: &CostMatrix,
+        eps: f64,
+    ) {
+        let solve = |threads: usize| {
+            let config = SinkhornConfig {
+                epsilon: eps,
+                threads,
+                parallel_min_cells: Some(1),
+                ..SinkhornConfig::default()
+            };
+            let (plan, duals) = sinkhorn_warm(a, b, cost, config, None).unwrap();
+            plan.validate_marginals(a, b).unwrap();
+            let mass = (0..a.len()).flat_map(|i| (0..b.len()).map(move |j| (i, j)));
+            let mass: Vec<f64> = mass.map(|(i, j)| plan.get(i, j)).collect();
+            [mass, duals.f, duals.g].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
+        };
+        let one = solve(1);
+        for threads in [2usize, 3, 7] {
+            assert!(solve(threads) == one, "eps = {eps}, threads = {threads}");
+        }
+    }
+
+    /// The separable standard domain carries the full duals in its
+    /// scalings. Give [`product_grid_problem`] two cells of mass 1e-200,
+    /// as a KDE marginal has far out in its tails, and at ε = 0.05 those
+    /// scalings pass `SEPARABLE_SCALING_MAX` at the first check: the
+    /// domain returns `Unstable`, and the solve falls back to the log
+    /// domain, which still converges, with the same bytes at every thread
+    /// count.
+    #[test]
+    fn separable_fallback_converges_bitwise_at_any_thread_count() {
+        let (_, _, mut a, b, cost) = product_grid_problem();
+        let last = a.len() - 1;
+        (a[0], a[last]) = (1e-200, 1e-200);
+        let (a, b) = (normalized(&a), normalized(&b));
+        let sub = SubProblem {
+            separable: cost.grid_nd(),
+            ..full_sub(&cost, &a, &b, 1)
+        };
+        let (mut phi, mut psi) = (vec![0.0f64; a.len()], vec![0.0f64; b.len()]);
+        let outcome = sub.iterate_separable(0.05, 20_000, 1e-6, &mut phi, &mut psi, true);
+        assert!(matches!(outcome, StandardOutcome::Unstable));
+        assert_converges_bitwise_at_any_thread_count(&a, &b, &cost, 0.05);
+    }
+
+    /// The dense standard domain absorbs drifting scalings into its
+    /// kernel, but on two bumps over a 20-point support at ε = 0.003 its
+    /// residual stalls: it returns `Unstable`, and the solve falls back
+    /// to the log domain, which still converges, with the same bytes at
+    /// every thread count.
+    #[test]
+    fn dense_fallback_converges_bitwise_at_any_thread_count() {
+        let support: Vec<f64> = (0..20).map(|i| -3.0 + 6.0 * i as f64 / 19.0).collect();
+        let bump = |m: f64| {
+            let pmf: Vec<f64> = support
+                .iter()
+                .map(|x| (-(x - m) * (x - m) / 0.5).exp())
+                .collect();
+            normalized(&pmf.iter().map(|p| p + 1e-6).collect::<Vec<f64>>())
+        };
+        let (a, b) = (bump(-1.0), bump(1.0));
+        let cost = CostMatrix::squared_euclidean(&support, &support).unwrap();
+        let sub = full_sub(&cost, &a, &b, 1);
+        let (mut phi, mut psi) = (vec![0.0f64; a.len()], vec![0.0f64; b.len()]);
+        let outcome = sub.iterate_standard(0.003, 20_000, 1e-6, &mut phi, &mut psi, true);
+        assert!(matches!(outcome, StandardOutcome::Unstable));
+        assert_converges_bitwise_at_any_thread_count(&a, &b, &cost, 0.003);
+    }
+
     #[test]
     fn log_domain_reports_a_nan_residual_as_no_convergence() {
         // A NaN warm dual turns every iterate NaN. NaN compares false

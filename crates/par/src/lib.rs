@@ -45,6 +45,7 @@
 //! assert_eq!(out, (0..10).map(|i| 2 * i).collect::<Vec<_>>());
 //! ```
 
+use std::convert::Infallible;
 use std::ops::Range;
 
 /// Environment variable overriding the auto thread count.
@@ -119,29 +120,41 @@ fn chunk_bounds(n: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `worker` over the chunked index range on scoped threads and
-/// return the per-chunk results **in chunk order**. The single-chunk
-/// case runs inline on the caller (no spawn overhead for tiny inputs or
+/// Run `work` on every job, each on its own scoped thread, and return
+/// the results **in job order**: the one split-and-join every executor
+/// here shares, each of them only building its jobs. A single job runs
+/// inline on the caller (no spawn overhead for tiny inputs or
 /// `threads = 1`). Worker panics propagate to the caller.
-fn run_chunked<R: Send>(
-    n: usize,
-    threads: usize,
-    worker: impl Fn(Range<usize>) -> R + Sync,
+fn run_jobs<J: Send, R: Send>(
+    jobs: impl IntoIterator<Item = J, IntoIter: ExactSizeIterator>,
+    work: impl Fn(J) -> R + Sync,
 ) -> Vec<R> {
-    let bounds = chunk_bounds(n, thread_count(threads));
-    if bounds.len() <= 1 {
-        return bounds.into_iter().map(worker).collect();
+    let jobs = jobs.into_iter();
+    if jobs.len() <= 1 {
+        return jobs.map(work).collect();
     }
-    let worker = &worker;
+    let work = &work;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .into_iter()
-            .map(|range| scope.spawn(move || worker(range)))
-            .collect();
+        let handles: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
+    })
+}
+
+/// Cut `data` into consecutive pieces of `width · range.len()` elements,
+/// one per range of `bounds`, each paired with its range.
+fn split_at_bounds<T>(
+    data: &mut [T],
+    bounds: Vec<Range<usize>>,
+    width: usize,
+) -> impl ExactSizeIterator<Item = (Range<usize>, &mut [T])> {
+    let mut rest = data;
+    bounds.into_iter().map(move |range| {
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * width);
+        rest = tail;
+        (range, chunk)
     })
 }
 
@@ -153,14 +166,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut chunks = run_chunked(n, threads, |range| range.map(&f).collect::<Vec<T>>());
-    if chunks.len() == 1 {
-        return chunks.pop().unwrap(); // skip the reassembly copy
-    }
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
+    let Ok(out) = try_par_map_indexed(n, threads, |i| Ok::<T, Infallible>(f(i)));
     out
 }
 
@@ -174,7 +180,7 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let mut chunks = run_chunked(n, threads, |range| {
+    let mut chunks = run_jobs(chunk_bounds(n, thread_count(threads)), |range| {
         let mut out = Vec::with_capacity(range.len());
         for i in range {
             match f(i) {
@@ -205,7 +211,8 @@ where
     R: Send,
     F: Fn(usize, &[I]) -> R + Sync,
 {
-    run_chunked(items.len(), threads, |range| f(range.start, &items[range]))
+    let bounds = chunk_bounds(items.len(), thread_count(threads));
+    run_jobs(bounds, |range| f(range.start, &items[range]))
 }
 
 /// Parallel in-place map over disjoint contiguous chunks of `out`:
@@ -222,24 +229,8 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     let bounds = chunk_bounds(out.len(), thread_count(threads));
-    if bounds.len() <= 1 {
-        if let Some(range) = bounds.into_iter().next() {
-            f(range.start, &mut out[range]);
-        }
-        return;
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut handles = Vec::with_capacity(bounds.len());
-        for range in bounds {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            handles.push(scope.spawn(move || f(range.start, chunk)));
-        }
-        for h in handles {
-            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
+    run_jobs(split_at_bounds(out, bounds, 1), |(range, chunk)| {
+        f(range.start, chunk)
     });
 }
 
@@ -268,41 +259,39 @@ where
     R: Send,
     F: Fn(usize, &mut [&mut [T]]) -> R + Sync,
 {
+    let jobs = split_cols(cols, thread_count(threads));
+    run_jobs(jobs, |(rows, mut chunk)| f(rows.start, &mut chunk))
+}
+
+/// Cut each of the equal-length `cols` at the same row boundaries into
+/// at most `chunks` contiguous, near-equal, non-empty row ranges covering
+/// every row in order: one job per range, holding the range and its
+/// slice of every column (no job at all for zero rows). [`par_cols_mut`]
+/// runs on this layout; a caller that wants more jobs than threads (the
+/// repair daemon's shards) splits here and runs the jobs itself.
+///
+/// # Panics
+/// All columns must have the same length.
+pub fn split_cols<T, C: AsMut<[T]>>(
+    cols: &mut [C],
+    chunks: usize,
+) -> Vec<(Range<usize>, Vec<&mut [T]>)> {
     let mut rests: Vec<&mut [T]> = cols.iter_mut().map(AsMut::as_mut).collect();
     let rows = rests.first().map_or(0, |c| c.len());
     for (k, col) in rests.iter().enumerate() {
-        assert_eq!(col.len(), rows, "par_cols_mut: column {k} length");
+        assert_eq!(col.len(), rows, "split_cols: column {k} length");
     }
-    let bounds = chunk_bounds(rows, thread_count(threads));
-    if bounds.len() <= 1 {
-        // Zero rows (no chunk) or one chunk spanning every row.
-        return bounds.iter().map(|_| f(0, &mut rests)).collect();
-    }
-    // Pre-split every column at the shared chunk boundaries, so each
-    // scoped thread owns one disjoint row range across all columns.
-    let mut jobs: Vec<(usize, Vec<&mut [T]>)> = Vec::with_capacity(bounds.len());
-    for range in bounds {
-        let mut chunk_cols = Vec::with_capacity(rests.len());
-        let mut tails = Vec::with_capacity(rests.len());
-        for rest in rests {
-            let (head, tail) = rest.split_at_mut(range.len());
-            chunk_cols.push(head);
-            tails.push(tail);
-        }
-        rests = tails;
-        jobs.push((range.start, chunk_cols));
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(start, mut chunk_cols)| scope.spawn(move || f(start, &mut chunk_cols)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+    chunk_bounds(rows, chunks)
+        .into_iter()
+        .map(|range| {
+            let (heads, tails) = std::mem::take(&mut rests)
+                .into_iter()
+                .map(|col| col.split_at_mut(range.len()))
+                .unzip();
+            rests = tails;
+            (range, heads)
+        })
+        .collect()
 }
 
 /// Tile edge of the blocked [`par_transpose`] loops: 64 × 64 `f64` tiles
@@ -330,9 +319,6 @@ where
 {
     assert_eq!(src.len(), rows * cols, "par_transpose: src shape");
     assert_eq!(dst.len(), rows * cols, "par_transpose: dst shape");
-    if rows == 0 || cols == 0 {
-        return;
-    }
     // Chunk whole destination rows (length `rows` each) across threads;
     // inside a chunk, walk source rows in TILE-sized blocks so the
     // strided source reads of one tile stay cache-resident while the
@@ -350,24 +336,8 @@ where
             }
         }
     };
-    if bounds.len() <= 1 {
-        if let Some(range) = bounds.into_iter().next() {
-            transpose_chunk(range, dst);
-        }
-        return;
-    }
-    let transpose_chunk = &transpose_chunk;
-    std::thread::scope(|scope| {
-        let mut rest = dst;
-        let mut handles = Vec::with_capacity(bounds.len());
-        for range in bounds {
-            let (chunk, tail) = rest.split_at_mut(range.len() * rows);
-            rest = tail;
-            handles.push(scope.spawn(move || transpose_chunk(range, chunk)));
-        }
-        for h in handles {
-            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
+    run_jobs(split_at_bounds(dst, bounds, rows), |(range, chunk)| {
+        transpose_chunk(range, chunk)
     });
 }
 
@@ -391,27 +361,9 @@ where
     assert_eq!(matrix.len() % cols, 0, "flat matrix length vs cols");
     let rows = matrix.len() / cols;
     let bounds = chunk_bounds(rows, thread_count(threads));
-    if bounds.len() <= 1 {
-        for (i, row) in matrix.chunks_mut(cols).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = matrix;
-        let mut handles = Vec::with_capacity(bounds.len());
-        for range in bounds {
-            let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-            rest = tail;
-            handles.push(scope.spawn(move || {
-                for (off, row) in chunk.chunks_mut(cols).enumerate() {
-                    f(range.start + off, row);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+    run_jobs(split_at_bounds(matrix, bounds, cols), |(range, chunk)| {
+        for (off, row) in chunk.chunks_mut(cols).enumerate() {
+            f(range.start + off, row);
         }
     });
 }

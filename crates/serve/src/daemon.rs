@@ -18,41 +18,13 @@ pub struct DaemonArgs {
     pub port_file: Option<PathBuf>,
 }
 
-/// One-line-per-flag usage text (shared by both binaries' `--help`).
-pub const USAGE: &str = "\
-Options:
-  --bind <addr>        listen address (default 127.0.0.1:7878; port 0 = OS-assigned)
-  --plans <dir>        preload every *.json plan artifact in <dir>
-                       (name.json loads as name@1, name@3.json as name@3)
-  --threads <n>        worker threads for sharded repair (default 0 = auto:
-                       OTR_THREADS if set, else available parallelism)
-  --shards <n>         row shards per repair request (default 0 = auto: the
-                       resolved thread count)
-  --max-conns <n>      connection cap: connections past <n> are rejected
-                       with an Overloaded error frame (default 256; 0 = off)
-  --deadline-ms <n>    per-frame deadline: a frame's bytes (and each
-                       response write) must progress within <n> ms or the
-                       connection is killed DeadlineExceeded
-                       (default 30000; 0 = off)
-  --port-file <path>   write the bound host:port to <path> once listening
-                       (removed again on clean shutdown)
-  --help               print this help";
-
-/// Bind, announce, and serve until killed (or until a
-/// [`ServerHandle::shutdown`] fires). On a *clean* return the
+/// Bind, announce, hand the server's [`ServerHandle`] to `on_ready` (how
+/// in-process callers such as tests arrange their own shutdown; the
+/// binaries pass `|_| {}`), and serve until killed or until a
+/// [`ServerHandle::shutdown`] fires. On a *clean* return the
 /// `--port-file` is removed so it can't dangle at a dead port; a
-/// `SIGKILL`'d daemon can't clean up, which is why readers should
-/// treat a connection-refused port file as stale.
-///
-/// # Errors
-/// Bind/preload failures and fatal accept-loop errors.
-pub fn run(args: &DaemonArgs) -> std::io::Result<()> {
-    run_with_handle(args, |_| {})
-}
-
-/// Like [`run`], but hands the server's [`ServerHandle`] to `on_ready`
-/// just before the blocking serve loop starts — how in-process callers
-/// (tests, embedders) arrange their own shutdown trigger.
+/// `SIGKILL`'d daemon can't clean up, which is why readers should treat a
+/// connection-refused port file as stale.
 ///
 /// # Errors
 /// Bind/preload failures and fatal accept-loop errors.
@@ -64,8 +36,10 @@ pub fn run_with_handle(
     announce(&server, args)?;
     on_ready(server.handle()?);
     let result = server.run();
-    if result.is_ok() {
-        cleanup(args);
+    // Best-effort: a missing port file is fine, and the serve result
+    // matters more than the unlink.
+    if let (Ok(()), Some(path)) = (&result, &args.port_file) {
+        let _ = std::fs::remove_file(path);
     }
     result
 }
@@ -88,13 +62,4 @@ fn announce(server: &Server, args: &DaemonArgs) -> std::io::Result<()> {
         std::fs::rename(&tmp, path)?;
     }
     Ok(())
-}
-
-/// Remove the `--port-file` after a clean shutdown (best-effort: a
-/// missing file is fine, and the serve result matters more than the
-/// unlink).
-fn cleanup(args: &DaemonArgs) {
-    if let Some(path) = &args.port_file {
-        let _ = std::fs::remove_file(path);
-    }
 }

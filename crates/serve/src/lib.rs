@@ -1,6 +1,6 @@
 //! Repair-as-a-service: the `otrepaird` server, its plan registry, and
-//! the wire protocol — OT fairness repair (Langbridge, Quinn &
-//! Shawe-Taylor, ICDE 2024) behind a socket.
+//! the wire protocol — OT fairness repair (Langbridge, Quinn & Shorten,
+//! ICDE 2024) behind a socket.
 //!
 //! The offline flow designs a [`otr_core::RepairPlan`] once from
 //! research data, then applies it to archives with `otrepair apply`.
@@ -42,5 +42,7 @@ pub use protocol::{
     AuditRecord, AuditStratum, DriftReport, DriftStratum, ErrorCode, PlanInfo, PlanKind,
     ProtoError, ServerInfo, PROTOCOL_VERSION,
 };
-pub use registry::{persist_plan, unpersist_plan, PlanRegistry, RegisteredPlan, RegistryError};
+pub use registry::{
+    artifact_kind, persist_plan, unpersist_plan, PlanRegistry, RegisteredPlan, RegistryError,
+};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -9,9 +9,11 @@
 //! forever. Replacement is explicit: evict, then load.
 //!
 //! Plans pass the same structural validation the offline CLI applies
-//! ([`RepairPlan::from_json`] / [`JointRepairPlan::from_json`], which
-//! recompile derived alias tables and reject malformed artifacts) before
-//! they become visible to any client.
+//! ([`RegisteredPlan::from_json`]: the artifact's own kind, read by
+//! [`artifact_kind`], picks [`RepairPlan::from_json`] or
+//! [`JointRepairPlan::from_json`], which recompile derived alias tables
+//! and reject malformed artifacts) before they become visible to any
+//! client.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -19,7 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use otr_core::{JointRepairPlan, RepairPlan};
+use otr_core::{JointRepairPlan, RepairError, RepairPlan};
 use otr_data::ColumnarDataset;
 
 use crate::protocol::{ErrorCode, PlanInfo, PlanKind};
@@ -84,6 +86,18 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
+/// The kind of plan artifact `json` holds: joint artifacts carry a
+/// `strata` key, which the scalar schema (`features`) never does. The
+/// one place the kind is decided; the plans directory, `otrepair apply`
+/// and `otrepair client load` all read it here.
+pub fn artifact_kind(json: &str) -> PlanKind {
+    if json.contains("\"strata\"") {
+        PlanKind::Joint
+    } else {
+        PlanKind::Scalar
+    }
+}
+
 /// A validated, execution-ready plan of either kind.
 #[derive(Debug)]
 pub enum RegisteredPlan {
@@ -92,6 +106,28 @@ pub enum RegisteredPlan {
 }
 
 impl RegisteredPlan {
+    /// Load a plan artifact through the validating loader of the kind
+    /// [`artifact_kind`] reads from it.
+    ///
+    /// # Errors
+    /// That loader's error: malformed JSON, or an artifact that fails its
+    /// kind's validation.
+    pub fn from_json(json: &str) -> Result<Self, RepairError> {
+        Ok(match artifact_kind(json) {
+            PlanKind::Scalar => Self::Scalar(RepairPlan::from_json(json)?),
+            PlanKind::Joint => Self::Joint(JointRepairPlan::from_json(json)?),
+        })
+    }
+
+    /// Set the worker threads the plan repairs with (`0` = auto);
+    /// execution policy only, never the repaired bytes.
+    pub fn set_threads(&mut self, threads: usize) {
+        match self {
+            Self::Scalar(p) => p.config.threads = threads,
+            Self::Joint(p) => p.set_threads(threads),
+        }
+    }
+
     /// Which kind this entry holds.
     pub fn kind(&self) -> PlanKind {
         match self {
@@ -234,11 +270,14 @@ impl PlanRegistry {
     }
 
     /// Validate `json` as a plan of `kind` and register it under
-    /// `name@version`, returning its listing entry.
+    /// `name@version`, returning its listing entry. `kind` is what the
+    /// request declares; an artifact of the other kind is refused before
+    /// it is parsed.
     ///
     /// # Errors
-    /// Bad name/version, artifacts that fail structural validation, and
-    /// version collisions; on any error the registry is unchanged.
+    /// Bad name/version, a declared kind the artifact disagrees with,
+    /// artifacts that fail structural validation, and version
+    /// collisions; on any error the registry is unchanged.
     pub fn load(
         &self,
         name: &str,
@@ -252,21 +291,18 @@ impl PlanRegistry {
         if version == 0 {
             return Err(RegistryError::InvalidVersion);
         }
-        let plan = match kind {
-            PlanKind::Scalar => {
-                let mut plan = RepairPlan::from_json(json)
-                    .map_err(|e| RegistryError::Invalid(e.to_string()))?;
-                plan.config.threads = self.plan_threads;
-                plan.config.batch_rows = self.batch_rows;
-                RegisteredPlan::Scalar(plan)
-            }
-            PlanKind::Joint => {
-                let mut plan = JointRepairPlan::from_json(json)
-                    .map_err(|e| RegistryError::Invalid(e.to_string()))?;
-                plan.set_threads(self.plan_threads);
-                RegisteredPlan::Joint(plan)
-            }
-        };
+        let artifact = artifact_kind(json);
+        if artifact != kind {
+            return Err(RegistryError::Invalid(format!(
+                "declared a {kind} plan, but the artifact is a {artifact} plan"
+            )));
+        }
+        let mut plan =
+            RegisteredPlan::from_json(json).map_err(|e| RegistryError::Invalid(e.to_string()))?;
+        plan.set_threads(self.plan_threads);
+        if let RegisteredPlan::Scalar(plan) = &mut plan {
+            plan.config.batch_rows = self.batch_rows;
+        }
         self.register(name, version, Arc::new(plan))
     }
 
@@ -389,10 +425,9 @@ impl PlanRegistry {
 
     /// Preload every `*.json` artifact in `dir`. File names map to
     /// registry keys: `census.json` loads as `census@1`,
-    /// `census@3.json` as `census@3`. The plan kind is picked from the
-    /// artifact before validation: joint plans carry a `strata` key,
-    /// which the scalar schema (`features`) never does. Returns the
-    /// loaded entries in directory-sorted order.
+    /// `census@3.json` as `census@3`. The plan kind is the artifact's
+    /// own ([`artifact_kind`]). Returns the loaded entries in
+    /// directory-sorted order.
     ///
     /// # Errors
     /// Unreadable directory/files, unparsable stems, artifacts that fail
@@ -426,11 +461,7 @@ impl PlanRegistry {
             };
             let json = std::fs::read_to_string(&path)
                 .map_err(|e| RegistryError::Io(format!("{}: {e}", path.display())))?;
-            let kind = if json.contains("\"strata\"") {
-                PlanKind::Joint
-            } else {
-                PlanKind::Scalar
-            };
+            let kind = artifact_kind(&json);
             let info = self.load(name, version, kind, &json).map_err(|e| {
                 let reason = match e {
                     RegistryError::Invalid(msg) => msg,
@@ -591,9 +622,17 @@ mod tests {
             assert!(matches!(err, RegistryError::Invalid(_)), "{bad:?}: {err}");
             assert_eq!(err.code(), ErrorCode::PlanInvalid);
         }
-        // A valid scalar artifact declared as joint is still invalid.
+        // A valid scalar artifact declared as joint is still invalid, and
+        // the error names both kinds rather than a field the other
+        // kind's schema misses.
         let json = scalar_plan_json();
-        assert!(reg.load("p", 1, PlanKind::Joint, &json).is_err());
+        let err = reg.load("p", 1, PlanKind::Joint, &json).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::PlanInvalid);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("declared a joint plan") && msg.contains("a scalar plan"),
+            "{msg}"
+        );
         // Version 0 is a selector, not a loadable version.
         assert!(matches!(
             reg.load("p", 0, PlanKind::Scalar, &json),

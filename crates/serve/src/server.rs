@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use otr_core::{plan_group_divergences, DriftConfig, DriftMonitor, RepairPlanner};
 use otr_data::{ColumnarDataset, Dataset, LabelledPoint};
-use otr_par::{par_chunks_mut, thread_count};
+use otr_par::{par_chunks_mut, split_cols, thread_count};
 
 use crate::protocol::{
     decode_header, write_frame, AuditRecord, AuditStratum, DriftReport, DriftStratum, ErrorCode,
@@ -978,17 +978,9 @@ fn swap_plan(name: &str, w: &mut WatchState, ctx: &ConnCtx) {
     ctx.shared.swaps.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Start row of shard `c` when `n` rows split into `chunks` contiguous
-/// shards (first `n % chunks` shards get one extra row — the same
-/// layout `otr-par` itself chunks by).
-fn shard_start(n: usize, chunks: usize, c: usize) -> usize {
-    let base = n / chunks;
-    let rem = n % chunks;
-    c * base + c.min(rem)
-}
-
-/// Allocate the response columns once, cut them at the shard bounds,
-/// and repair every shard in place into its own row range.
+/// Allocate the response columns once, cut them at the shard bounds
+/// (`otr-par`'s row layout, [`split_cols`]), and repair every shard in
+/// place into its own row range.
 fn repair_sharded(
     plan: &RegisteredPlan,
     archive: &ColumnarDataset,
@@ -996,19 +988,18 @@ fn repair_sharded(
     ctx: &ConnCtx,
 ) -> Result<(u64, Vec<Vec<f64>>), String> {
     let n = archive.len();
-    let shards = ctx.shards.clamp(1, n.max(1));
     let mut columns: Vec<Vec<f64>> = (0..archive.dim()).map(|_| vec![0.0; n]).collect();
-    // One job per shard: its rows and their slice of every column.
-    let mut rest: Vec<&mut [f64]> = columns.iter_mut().map(Vec::as_mut_slice).collect();
-    let mut jobs = Vec::with_capacity(shards);
-    for c in 0..shards {
-        let rows = shard_start(n, shards, c)..shard_start(n, shards, c + 1);
-        let (out, tail): (Vec<_>, Vec<_>) = rest
-            .into_iter()
-            .map(|col| col.split_at_mut(rows.len()))
-            .unzip();
-        rest = tail;
-        jobs.push((rows, out, Ok(0)));
+    // One job per shard: its rows, their slice of every column, and its
+    // result.
+    let mut jobs: Vec<_> = split_cols(&mut columns, ctx.shards)
+        .into_iter()
+        .map(|(rows, out)| (rows, out, Ok(0)))
+        .collect();
+    if jobs.is_empty() {
+        // A 0-row archive makes no shard; the plan still checks it, so
+        // a dimension mismatch fails as it does with rows.
+        let out_of_range = plan.repair_into(archive, 0..n, seed, 0, &mut columns)?;
+        return Ok((out_of_range, columns));
     }
     par_chunks_mut(&mut jobs, ctx.threads, |_, jobs| {
         for (rows, out, result) in jobs {
@@ -1027,20 +1018,6 @@ fn repair_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_bounds_partition_exactly() {
-        for n in [0usize, 1, 2, 7, 100, 101] {
-            for chunks in [1usize, 2, 3, 7, 16] {
-                assert_eq!(shard_start(n, chunks, 0), 0);
-                assert_eq!(shard_start(n, chunks, chunks), n);
-                for c in 0..chunks {
-                    let len = shard_start(n, chunks, c + 1) - shard_start(n, chunks, c);
-                    assert!(len >= n / chunks && len <= n / chunks + 1, "n={n} c={c}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn frame_clock_arms_on_first_byte_and_expires() {

@@ -16,16 +16,14 @@
 
 use std::process::ExitCode;
 
-use ot_fair_repair::cli::daemon_args;
+use ot_fair_repair::cli::{daemon_args, render, DAEMON};
 use ot_fair_repair::serve::daemon;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "otrepaird — repair-as-a-service daemon\n\nUSAGE:\n  otrepaird [options]\n\n{}",
-            daemon::USAGE
-        );
+        let usage = render("otrepaird", &[&DAEMON], true);
+        print!("otrepaird — repair-as-a-service daemon\n\nUSAGE:\n{usage}");
         return ExitCode::SUCCESS;
     }
     let parsed = match daemon_args("otrepaird", "otrepaird --help", &args) {
@@ -35,7 +33,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match daemon::run(&parsed) {
+    match daemon::run_with_handle(&parsed, |_| {}) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("otrepaird: error: {e}");

@@ -191,38 +191,49 @@ fn apply_monge_mode_and_partial_conflict() {
     assert!(!stderr.contains("repairing"), "stderr: {stderr}");
 }
 
-/// The removed `apply --batch-rows` (every mode) and `design --joint
-/// --kernel` are usage errors naming the removal, caught before any file
-/// is touched: the files named here do not exist, so any read would fail
-/// with "cannot".
+/// The removed `apply --batch-rows` (every mode), `design --joint
+/// --kernel`, and `apply --joint` and `client load --joint` (the artifact
+/// says which kind it is) are usage errors naming the removal, caught
+/// before any file is touched: the files named here do not exist, so any
+/// read would fail with "cannot", and no daemon listens at the address.
 #[test]
 fn removed_flags_are_usage_errors() {
     let dir = tmp_dir("removed-flags");
     let missing = dir.join("missing.csv").to_string_lossy().into_owned();
     let out = dir.join("out");
-    let apply = ["apply", "--plan", &missing, "--data", &missing];
-    let design = ["design", "--joint", "--research", &missing];
-    let runs: [(&[&str], &[&str]); 5] = [
+    let out_s = out.to_string_lossy().into_owned();
+    let apply = [
+        "apply", "--plan", &missing, "--data", &missing, "--out", &out_s,
+    ];
+    let design = ["design", "--joint", "--research", &missing, "--out", &out_s];
+    let load = [
+        "client",
+        "load",
+        "--addr",
+        "127.0.0.1:1",
+        "--plan",
+        &missing,
+        "--name",
+        "p",
+    ];
+    let runs: [(&[&str], &[&str]); 7] = [
         (&apply, &["--batch-rows", "64"]),
         (&apply, &["--batch-rows", "64", "--partial", "0.4"]),
         (&apply, &["--batch-rows", "64", "--monge"]),
         (&apply, &["--batch-rows", "64", "--joint"]),
+        (&apply, &["--joint"]),
         (&design, &["--kernel", "dense"]),
+        (&load, &["--joint"]),
     ];
     for (cmd, extra) in runs {
-        let run = Command::new(bin())
-            .args(cmd)
-            .arg("--out")
-            .arg(&out)
-            .args(extra)
-            .output()
-            .unwrap();
+        let run = Command::new(bin()).args(cmd).args(extra).output().unwrap();
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(!run.status.success(), "{extra:?}: stderr: {stderr}");
         assert!(
             stderr.contains(&format!("{} was removed", extra[0])),
             "{extra:?}: stderr: {stderr}"
         );
+        assert!(!stderr.contains("missing field"), "{extra:?}: {stderr}");
         assert!(!stderr.contains("cannot"), "{extra:?}: stderr: {stderr}");
         assert!(!out.exists(), "{extra:?}: wrote {}", out.display());
     }
@@ -489,10 +500,7 @@ fn joint_design_apply_loop_with_verbose_report() {
     let mut outputs = Vec::new();
     for threads in ["1", "2", "7"] {
         assert!(Command::new(bin())
-            .args([
-                "apply", "--joint", "--plan", &plan, "--data", &archive, "--out", &out, "--seed",
-                "5",
-            ])
+            .args(["apply", "--plan", &plan, "--data", &archive, "--out", &out, "--seed", "5",])
             .env("OTR_THREADS", threads)
             .status()
             .unwrap()
@@ -520,14 +528,19 @@ fn joint_design_apply_loop_with_verbose_report() {
         }
     }
 
-    // Joint apply rejects the 1-D-only modes.
-    let conflicted = Command::new(bin())
-        .args([
-            "apply", "--joint", "--plan", &plan, "--data", &archive, "--out", &out, "--monge",
-        ])
-        .output()
-        .unwrap();
-    assert!(!conflicted.status.success());
+    // A joint plan rejects the 1-D-only modes, before the archive is
+    // read.
+    for mode in [&["--monge"][..], &["--partial", "0.5"]] {
+        let conflicted = Command::new(bin())
+            .args(["apply", "--plan", &plan, "--data", &archive, "--out", &out])
+            .args(mode)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&conflicted.stderr);
+        assert!(!conflicted.status.success(), "{mode:?}: {stderr}");
+        assert!(stderr.contains("a joint plan supports neither"), "{stderr}");
+        assert!(!stderr.contains("repairing"), "{mode:?}: {stderr}");
+    }
     // An invalid --eps-scaling spelling is a parse error, not a design.
     let bad = Command::new(bin())
         .args([
@@ -731,6 +744,58 @@ fn served_repair_matches_offline_apply_byte_for_byte() {
     assert!(run(&["info"]).contains("1 plans"));
     run(&["evict", "--name", "cli-plan", "--version", "2"]);
     assert!(run(&["plans"]).contains("no plans registered"));
+
+    // A joint plan loads with no kind flag (its artifact says which),
+    // lists as joint, and serves the bytes of an offline apply.
+    let joint = dir.join("joint.json").to_string_lossy().into_owned();
+    let joint_offline = dir.join("joint-offline.csv").to_string_lossy().into_owned();
+    let joint_served = dir.join("joint-served.csv").to_string_lossy().into_owned();
+    assert!(Command::new(bin())
+        .args([
+            "design",
+            "--joint",
+            "--research",
+            &research,
+            "--out",
+            &joint
+        ])
+        .args(["--nq", "10", "--eps", "0.1"])
+        .status()
+        .unwrap()
+        .success());
+    let apply = [
+        "apply",
+        "--plan",
+        &joint,
+        "--data",
+        &archive,
+        "--out",
+        &joint_offline,
+    ];
+    assert!(Command::new(bin())
+        .args(apply)
+        .args(["--seed", "13"])
+        .status()
+        .unwrap()
+        .success());
+    assert!(run(&["load", "--plan", &joint, "--name", "cli-joint"]).contains("(joint)"));
+    assert!(run(&["plans"]).contains("cli-joint@1  joint  dim=2"));
+    run(&[
+        "repair",
+        "--name",
+        "cli-joint",
+        "--data",
+        &archive,
+        "--out",
+        &joint_served,
+        "--seed",
+        "13",
+    ]);
+    assert_eq!(
+        std::fs::read(&joint_offline).unwrap(),
+        std::fs::read(&joint_served).unwrap(),
+        "served joint CSV must be byte-identical to offline apply"
+    );
 
     // A client error is an exit failure with the server's code named.
     let missing = Command::new(bin())

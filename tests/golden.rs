@@ -79,8 +79,7 @@ const CORPUS: &[(&str, &str)] = &[
     ),
     (
         "apply_joint.csv",
-        "apply --joint --plan {dir}/design_joint.json --data {fix}/archive.csv --out {out} \
-         --seed 7",
+        "apply --plan {dir}/design_joint.json --data {fix}/archive.csv --out {out} --seed 7",
     ),
     (
         "evaluate_joint.txt",
@@ -92,8 +91,7 @@ const CORPUS: &[(&str, &str)] = &[
     ),
     (
         "d3_apply_joint.csv",
-        "apply --joint --plan {dir}/d3_design_joint.json --data {dir}/d3_input.csv --out {out} \
-         --seed 7",
+        "apply --plan {dir}/d3_design_joint.json --data {dir}/d3_input.csv --out {out} --seed 7",
     ),
 ];
 

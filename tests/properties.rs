@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ot_fair_repair::prelude::*;
+use ot_fair_repair::serve::{ErrorCode, PlanKind, PlanRegistry, RegisteredPlan};
 
 /// Random but well-posed simulation specs (components separated enough to
 /// avoid degenerate groups, probabilities bounded away from 0/1).
@@ -198,5 +199,161 @@ proptest! {
                 prop_assert!((va - vb).abs() < 1e-9);
             }
         }
+    }
+}
+
+/// A small scalar plan and a small joint plan (`nQ = 6`, `d = 2`), as
+/// their JSON artifacts, designed once.
+fn base_artifacts() -> &'static [String; 2] {
+    static ARTIFACTS: std::sync::OnceLock<[String; 2]> = std::sync::OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(23);
+        let research = SimulationSpec::paper_defaults()
+            .sample_dataset(300, &mut rng)
+            .unwrap();
+        let scalar = RepairPlanner::new(RepairConfig::with_n_q(6))
+            .design(&research)
+            .unwrap();
+        let config = JointRepairConfig {
+            n_q: 6,
+            epsilon: 0.1,
+            ..JointRepairConfig::default()
+        };
+        let joint = JointRepairPlan::design(&research, config).unwrap();
+        [scalar.to_json().unwrap(), joint.to_json().unwrap()]
+    })
+}
+
+/// The `n`-th node of `value` (preorder) that `pick` accepts, counting
+/// down `n`.
+fn nth_node<'a>(
+    value: &'a mut serde_json::Value,
+    pick: &dyn Fn(&serde_json::Value) -> bool,
+    n: &mut usize,
+) -> Option<&'a mut serde_json::Value> {
+    if pick(value) {
+        if *n == 0 {
+            return Some(value);
+        }
+        *n -= 1;
+    }
+    match value {
+        serde_json::Value::Arr(items) => items.iter_mut().find_map(|v| nth_node(v, pick, n)),
+        serde_json::Value::Obj(fields) => fields.iter_mut().find_map(|(_, v)| nth_node(v, pick, n)),
+        _ => None,
+    }
+}
+
+/// How many nodes of `value` `pick` accepts.
+fn count_nodes(value: &serde_json::Value, pick: &dyn Fn(&serde_json::Value) -> bool) -> usize {
+    let below = match value {
+        serde_json::Value::Arr(items) => items.iter().map(|v| count_nodes(v, pick)).sum(),
+        serde_json::Value::Obj(fields) => fields.iter().map(|(_, v)| count_nodes(v, pick)).sum(),
+        _ => 0,
+    };
+    usize::from(pick(value)) + below
+}
+
+/// `json` with one mutation: `what` 0 replaces a number with `1e999`,
+/// `-1e999`, `-1` or `0` (by `how`), 1 drops an array element, 2 drops a
+/// key and 3 renames one; `at` and `how` pick the node and the element,
+/// modulo what there is.
+fn mutate(json: &str, what: u8, at: usize, how: usize) -> String {
+    use serde_json::Value;
+    let mut plan: Value = serde_json::from_str(json).unwrap();
+    let pick: &dyn Fn(&Value) -> bool = match what {
+        0 => &|v| matches!(v, Value::Num(_)),
+        1 => &|v| matches!(v, Value::Arr(items) if !items.is_empty()),
+        _ => &|v| matches!(v, Value::Obj(fields) if !fields.is_empty()),
+    };
+    let mut n = at % count_nodes(&plan, pick);
+    // A number no artifact holds, swapped for the replacement's text
+    // after writing, since the writer has no spelling for ±∞.
+    const MARK: f64 = 7.77e-77;
+    match nth_node(&mut plan, pick, &mut n).unwrap() {
+        Value::Num(x) => *x = MARK,
+        Value::Arr(items) => {
+            items.remove(how % items.len());
+        }
+        Value::Obj(fields) if what == 2 => {
+            fields.remove(how % fields.len());
+        }
+        Value::Obj(fields) => {
+            let at = how % fields.len();
+            fields[at].0.push_str("_renamed");
+        }
+        _ => unreachable!("picked a number, an array or an object"),
+    }
+    let replacement = ["1e999", "-1e999", "-1", "0"][how % 4];
+    serde_json::to_string(&plan)
+        .unwrap()
+        .replace(&format!("{MARK:?}"), replacement)
+}
+
+/// Load `json` through the one kind decision and through the registry
+/// under both declared kinds; whatever loads must repair a 3-row archive.
+/// Any of these may fail, a load only as `PlanInvalid`, and none may
+/// panic.
+fn load_and_repair(json: &str) {
+    let archive = ColumnarDataset::from_columns(
+        vec![vec![-2.0, 0.3, 5.0], vec![1.0, -0.7, 0.0]],
+        vec![0, 1, 1],
+        vec![0, 0, 1],
+    )
+    .unwrap();
+    let registry = PlanRegistry::new(1, None);
+    for kind in [PlanKind::Scalar, PlanKind::Joint] {
+        if let Err(e) = registry.load("p", 1, kind, json) {
+            assert_eq!(e.code(), ErrorCode::PlanInvalid, "{e}");
+        }
+    }
+    let loaded = registry.get("p", 1).ok();
+    let direct = RegisteredPlan::from_json(json).ok();
+    assert_eq!(
+        loaded.is_some(),
+        direct.is_some(),
+        "the registry and the loader disagree"
+    );
+    if let Some(plan) = direct {
+        let _ = plan.repair_shard(&archive, 7, 0);
+        if let RegisteredPlan::Scalar(plan) = &plan {
+            let _ = MongeRepair::from_plan(plan).repair_columnar(&archive);
+            let _ = plan.repair_columnar_partial(&archive, 0.5, 7);
+        }
+    }
+}
+
+/// A joint artifact whose `strata` key is dropped or renamed reads as a
+/// scalar artifact, and fails as one.
+#[test]
+fn joint_artifacts_without_their_strata_key_are_refused() {
+    let joint = &base_artifacts()[1];
+    let Ok(serde_json::Value::Obj(fields)) = serde_json::from_str(joint) else {
+        panic!("a plan artifact is an object")
+    };
+    let at = fields.iter().position(|(k, _)| k == "strata").unwrap();
+    // Drop the key, then rename it; the top-level object is node 0.
+    for what in [2, 3] {
+        let json = mutate(joint, what, 0, at);
+        assert!(!json.contains("\"strata\""));
+        assert!(RegisteredPlan::from_json(&json).is_err());
+        load_and_repair(&json);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One random mutation of a valid plan artifact of either kind loads
+    /// or fails as `PlanInvalid`, never panics, and whatever loads
+    /// repairs without panicking.
+    #[test]
+    fn mutated_plan_artifacts_load_or_fail_but_never_panic(
+        joint in 0usize..2,
+        what in 0u8..4,
+        at in 0usize..1_000_000,
+        how in 0usize..1_000_000,
+    ) {
+        load_and_repair(&mutate(&base_artifacts()[joint], what, at, how));
     }
 }

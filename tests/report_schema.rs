@@ -90,7 +90,7 @@ fn joint_design_report_schema_matches_checked_in_fixture() {
 }
 
 /// Golden-file schema test for the `d = 3` joint-plan artifact — the
-/// JSON `otrepair design --joint --out` writes and `apply --joint` /
+/// JSON `otrepair design --joint --out` writes and `apply` /
 /// `otrepaird` read back. The hand-written fixture (2×2×2 product grid,
 /// uniform 8×8 plans) pins the on-disk schema in both directions:
 /// `from_json` must keep accepting it, and re-serialization must

@@ -155,6 +155,19 @@ fn served_joint_repair_matches_offline() {
     // Labels pass through repair untouched.
     assert_eq!(served.s(), archive.s());
     assert_eq!(served.u(), archive.u());
+
+    // A 1-feature archive with no rows still fails the plan's dimension
+    // check, and a joint artifact declared scalar is refused by kind.
+    let empty = ColumnarDataset::from_columns(vec![vec![]], vec![], vec![]).unwrap();
+    let err = client.repair_archive("joint", 0, seed, &empty).unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::RepairFailed), "{err}");
+    let err = client
+        .load_plan(PlanKind::Scalar, "joint", 2, &json)
+        .unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::PlanInvalid), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("declared a scalar plan, but the artifact is a joint plan"));
+    assert!(!msg.contains("missing field"), "{msg}");
 }
 
 /// The `d = 3` joint path through the service, end to end: a 3-feature
@@ -162,7 +175,7 @@ fn served_joint_repair_matches_offline() {
 /// registry's kind-sniffing loader (a `strata` key picks the joint
 /// schema) on the n-d plan schema — and (b) loaded over the wire,
 /// and both must serve bytes byte-identical to offline
-/// `repair_dataset_par` (the `apply --joint` path). The registry
+/// `repair_dataset_par` (the `apply` path of a joint plan). The registry
 /// listing must report the plan's true dimensionality, not assume
 /// joint means 2.
 #[test]
@@ -353,6 +366,21 @@ fn plan_lifecycle_and_registry_errors_over_the_wire() {
             .unwrap();
     let err = client.repair("census", 0, 1, &skinny).unwrap_err();
     assert_eq!(err.server_code(), Some(ErrorCode::RepairFailed), "{err}");
+    // So is a mismatched archive with no rows: no shard holds a row, and
+    // the plan still checks it.
+    let empty = ColumnarDataset::from_columns(vec![vec![]], vec![], vec![]).unwrap();
+    let err = client.repair("census", 0, 1, &empty).unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::RepairFailed), "{err}");
+
+    // A declared kind the artifact contradicts → PlanInvalid naming both
+    // kinds, not the schema error of the other kind's parser.
+    let err = client
+        .load_plan(PlanKind::Joint, "census", 9, &json)
+        .unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::PlanInvalid), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("declared a joint plan, but the artifact is a scalar plan"));
+    assert!(!msg.contains("missing field"), "{msg}");
 
     // Evict; the evicted version is gone, the other remains, and
     // version 0 now resolves to it.
@@ -699,7 +727,7 @@ fn non_finite_plan_supports_are_rejected_at_load() {
         let out = dir.join("out.csv");
         let modes: &[&[&str]] = match kind {
             PlanKind::Scalar => &[&[], &["--monge"]],
-            PlanKind::Joint => &[&["--joint"]],
+            PlanKind::Joint => &[&[]],
         };
         for mode in modes {
             let run = std::process::Command::new(env!("CARGO_BIN_EXE_otrepair"))
