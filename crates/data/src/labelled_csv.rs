@@ -14,12 +14,14 @@
 //!   it at the last line end, parses the newline-aligned pieces in
 //!   parallel and appends them to the columns in piece order;
 //! * the writer formats blocks of rows into one buffer per thread and
-//!   writes the buffers in row order.
+//!   writes the buffers in row order. Each thread keeps, per column, a
+//!   small direct-mapped cache of `Display` forms keyed on the value's
+//!   bits, so a repaired column, which repeats a few support states,
+//!   formats each of them about once per thread.
 //!
 //! Neither the parsed bits, the error reported for a bad file, nor the
 //! written bytes depend on the thread count or the block size.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::ops::Range;
 
@@ -289,23 +291,64 @@ pub fn read_labelled_csv_columnar<R: BufRead>(reader: R) -> Result<ColumnarDatas
     read_blocks(reader, BLOCK, otr_par::thread_count(0))
 }
 
-/// Format `rows` of `data` as CSV lines into `out` (cleared first).
-fn format_rows(out: &mut String, data: &ColumnarDataset, rows: Range<usize>) -> std::fmt::Result {
-    // Grow a String owned by this thread's stack: the per-thread buffers
+/// Slots per column in the writer's cache of `Display` forms.
+const FORM_SLOTS: usize = 512;
+
+/// One slot of the writer's direct-mapped cache: the bits of a value
+/// and its `Display` form. No form is empty, so `len == 0` marks an
+/// empty slot; a form longer than `text` is never cached.
+#[derive(Clone, Copy, Default)]
+struct Form {
+    bits: u64,
+    len: u8,
+    text: [u8; 23],
+}
+
+/// The cache slot of a value's bits (Fibonacci hashing).
+fn form_slot(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FORM_SLOTS.trailing_zeros())) as usize
+}
+
+/// Append the `Display` form of `v` to `buf`, from `forms` when its
+/// slot holds the form of the same bits, else formatted and cached.
+fn push_form(buf: &mut Vec<u8>, v: f64, forms: &mut [Form]) {
+    let bits = v.to_bits();
+    let slot = &mut forms[form_slot(bits)];
+    if slot.len > 0 && slot.bits == bits {
+        buf.extend_from_slice(&slot.text[..usize::from(slot.len)]);
+        return;
+    }
+    let start = buf.len();
+    write!(buf, "{v}").expect("writing into a Vec cannot fail");
+    let form = &buf[start..];
+    if form.len() <= slot.text.len() {
+        slot.text[..form.len()].copy_from_slice(form);
+        slot.len = form.len() as u8;
+        slot.bits = bits;
+    }
+}
+
+/// Format `rows` of `data` as CSV lines into `out.0` (cleared first),
+/// each column through its own slots of the cache `out.1`, which the
+/// thread keeps from block to block.
+fn format_rows(out: &mut (Vec<u8>, Vec<Form>), data: &ColumnarDataset, rows: Range<usize>) {
+    // Grow buffers owned by this thread's stack: the per-thread buffers
     // sit side by side in one `Vec`, and updating their lengths in place
     // would bounce that cache line between the threads on every value.
-    let mut buf = std::mem::take(out);
+    let (mut buf, mut forms) = std::mem::take(out);
     buf.clear();
     let (s, u, cols) = (data.s(), data.u(), data.feature_columns());
+    forms.resize(FORM_SLOTS * cols.len(), Form::default());
     for i in rows {
-        write!(buf, "{},{}", s[i], u[i])?;
-        for col in cols {
-            write!(buf, ",{}", col[i])?;
+        // Labels are 0 or 1, a single digit.
+        buf.extend_from_slice(&[b'0' + s[i], b',', b'0' + u[i]]);
+        for (col, forms) in cols.iter().zip(forms.chunks_exact_mut(FORM_SLOTS)) {
+            buf.push(b',');
+            push_form(&mut buf, col[i], forms);
         }
-        buf.push('\n');
+        buf.push(b'\n');
     }
-    *out = buf;
-    Ok(())
+    *out = (buf, forms);
 }
 
 /// The block writer behind [`write_labelled_csv_columnar`], with its
@@ -326,17 +369,16 @@ fn write_blocks<W: Write>(
     let rows = (block / (4 + 20 * data.dim())).max(1);
     let n = data.len();
     let threads = threads.min(n.div_ceil(rows)).max(1);
-    let mut bufs = vec![String::new(); threads];
+    let mut bufs = vec![(Vec::new(), Vec::new()); threads];
     for round in (0..n).step_by(rows * threads) {
         otr_par::par_chunks_mut(&mut bufs, threads, |first, chunk| {
             for (b, buf) in chunk.iter_mut().enumerate() {
                 let start = (round + (first + b) * rows).min(n);
-                format_rows(buf, data, start..(start + rows).min(n))
-                    .expect("formatting into a String cannot fail");
+                format_rows(buf, data, start..(start + rows).min(n));
             }
         });
-        for buf in &bufs {
-            writer.write_all(buf.as_bytes())?;
+        for (buf, _) in &bufs {
+            writer.write_all(buf)?;
         }
     }
     writer.flush()?;
@@ -659,6 +701,74 @@ mod tests {
             );
             let clean = read_blocks(BufReader::new(Failing(b"s,u,x0\n0,1,2\n0,1")), 3, threads);
             assert_eq!(clean.unwrap_err().to_string(), "I/O error: disk gone");
+        }
+    }
+
+    /// Every written field is the `Display` form of its value, whatever
+    /// the cache of forms does: hit, miss, evict and re-fill, or skip a
+    /// form too long for a slot.
+    #[test]
+    fn written_fields_are_the_display_forms_of_their_values() {
+        // Three times as many distinct values as slots, twice over, so
+        // that evicted forms come back.
+        let many: Vec<f64> = (0..3 * FORM_SLOTS)
+            .map(|i| i as f64 * 0.37 - 100.0)
+            .collect();
+        // Two values that share a slot, to alternate in one column.
+        let a = 0.25f64;
+        let b = (1..)
+            .map(|i| a + f64::from(i) * 1e-3)
+            .find(|b| form_slot(b.to_bits()) == form_slot(a.to_bits()))
+            .unwrap();
+        // Forms that differ only in sign, subnormals, forms of 23 bytes
+        // (cached) and 24 bytes (not), and forms of hundreds of digits.
+        let specials = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            -f64::MAX,
+            1e300,
+            1e-300,
+            -1.2345678901234567e-4,
+            -1.2345678901234567e-5,
+            1.5,
+            -1.5,
+        ];
+        let lens: Vec<usize> = specials.iter().map(|v| format!("{v}").len()).collect();
+        assert!(lens.contains(&23) && lens.contains(&24), "{lens:?}");
+        let rows = 2 * many.len();
+        let columns = vec![
+            (0..rows).map(|i| many[i % many.len()]).collect(),
+            (0..rows).map(|i| if i % 2 == 0 { a } else { b }).collect(),
+            (0..rows).map(|i| specials[i % specials.len()]).collect(),
+        ];
+        let s = (0..rows).map(|i| (i % 2) as u8).collect();
+        let u = (0..rows).map(|i| (i / 3 % 2) as u8).collect();
+        let data = ColumnarDataset::from_columns(columns, s, u).unwrap();
+        for block in [1, 2, 7, 64, 1 << 16, BLOCK] {
+            for threads in [1, 2, 7] {
+                let mut out = Vec::new();
+                write_blocks(&mut out, &data, block, threads).unwrap();
+                let text = String::from_utf8(out).unwrap();
+                let mut lines = text.lines();
+                assert_eq!(lines.next(), Some("s,u,x0,x1,x2"));
+                let mut written = 0;
+                for (i, line) in lines.enumerate() {
+                    let mut want = format!("{},{}", data.s()[i], data.u()[i]);
+                    for col in data.feature_columns() {
+                        want.push_str(&format!(",{}", col[i]));
+                    }
+                    assert!(
+                        line == want,
+                        "block {block}, threads {threads}, row {i}:\n got {line}\nwant {want}"
+                    );
+                    written += 1;
+                }
+                assert_eq!(written, rows, "block {block}, threads {threads}");
+            }
         }
     }
 

@@ -6,7 +6,6 @@
 //! feature standardization; adequate for the 2-feature experimental
 //! settings of the paper and deliberately free of external dependencies.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use otr_data::Dataset;
@@ -217,9 +216,17 @@ impl LogisticRegression {
         }
         Ok(correct as f64 / data.len() as f64)
     }
+}
 
-    /// Generate a linearly separable toy problem (for tests/examples).
-    pub fn toy_problem<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (Vec<Vec<f64>>, Vec<u8>) {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A linearly separable problem: `y = 1` iff `x₀ + x₁ > 0` on the
+    /// square `[−2, 2)²`.
+    fn toy_problem<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (Vec<Vec<f64>>, Vec<u8>) {
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
         for _ in 0..n {
@@ -230,18 +237,11 @@ impl LogisticRegression {
         }
         (xs, ys)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn learns_linearly_separable_problem() {
         let mut rng = StdRng::seed_from_u64(1);
-        let (xs, ys) = LogisticRegression::toy_problem(2_000, &mut rng);
+        let (xs, ys) = toy_problem(2_000, &mut rng);
         let model = LogisticRegression::fit(&xs, &ys, LogisticConfig::default()).unwrap();
         let correct = xs
             .iter()
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn probabilities_are_calibrated_direction() {
         let mut rng = StdRng::seed_from_u64(2);
-        let (xs, ys) = LogisticRegression::toy_problem(2_000, &mut rng);
+        let (xs, ys) = toy_problem(2_000, &mut rng);
         let model = LogisticRegression::fit(&xs, &ys, LogisticConfig::default()).unwrap();
         let deep_pos = model.predict_proba(&[2.0, 2.0]).unwrap();
         let deep_neg = model.predict_proba(&[-2.0, -2.0]).unwrap();
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn predict_rejects_wrong_dimension() {
         let mut rng = StdRng::seed_from_u64(3);
-        let (xs, ys) = LogisticRegression::toy_problem(100, &mut rng);
+        let (xs, ys) = toy_problem(100, &mut rng);
         let model = LogisticRegression::fit(&xs, &ys, LogisticConfig::default()).unwrap();
         assert!(model.predict(&[1.0]).is_err());
     }
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn standardization_makes_scale_irrelevant() {
         let mut rng = StdRng::seed_from_u64(4);
-        let (xs, ys) = LogisticRegression::toy_problem(2_000, &mut rng);
+        let (xs, ys) = toy_problem(2_000, &mut rng);
         let scaled: Vec<Vec<f64>> = xs
             .iter()
             .map(|x| vec![x[0] * 1000.0, x[1] * 0.001])
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let mut rng = StdRng::seed_from_u64(5);
-        let (xs, ys) = LogisticRegression::toy_problem(200, &mut rng);
+        let (xs, ys) = toy_problem(200, &mut rng);
         let model = LogisticRegression::fit(&xs, &ys, LogisticConfig::default()).unwrap();
         let json = serde_json::to_string(&model).unwrap();
         let back: LogisticRegression = serde_json::from_str(&json).unwrap();

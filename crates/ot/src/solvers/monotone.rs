@@ -104,21 +104,16 @@ pub fn solve_monotone_1d(mu: &DiscreteDistribution, nu: &DiscreteDistribution) -
     Ok(plan)
 }
 
-/// Exact 1-D squared-`W₂` between two discrete distributions via the
-/// monotone coupling (convenience wrapper used in tests and damage
-/// metrics).
-///
-/// # Errors
-/// Propagates solver failures.
-pub fn monotone_w2_squared(mu: &DiscreteDistribution, nu: &DiscreteDistribution) -> Result<f64> {
-    let plan = solve_monotone_1d(mu, nu)?;
-    let cost = crate::cost::CostMatrix::squared_euclidean(mu.support(), nu.support())?;
-    plan.transport_cost(&cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Squared `W₂` as the cost of the monotone coupling.
+    fn monotone_w2_squared(mu: &DiscreteDistribution, nu: &DiscreteDistribution) -> Result<f64> {
+        let plan = solve_monotone_1d(mu, nu)?;
+        let cost = crate::cost::CostMatrix::squared_euclidean(mu.support(), nu.support())?;
+        plan.transport_cost(&cost)
+    }
 
     fn dd(support: &[f64], masses: &[f64]) -> DiscreteDistribution {
         DiscreteDistribution::new(support.to_vec(), masses.to_vec()).unwrap()

@@ -4,8 +4,8 @@
 //! `W_p^p(µ, ν) = ∫₀¹ |F_µ⁻¹(q) − F_ν⁻¹(q)|^p dq`,
 //! which we evaluate exactly for discrete measures by sweeping the merged
 //! CDF breakpoints — no solver needed. It doubles as an oracle for the
-//! monotone/simplex/Sinkhorn solvers in tests, and as the data-damage
-//! metric of the partial-repair ablation.
+//! monotone/simplex/Sinkhorn solvers in tests, and for the sorted
+//! matching that `otr-core`'s data-damage report computes.
 
 use crate::discrete::DiscreteDistribution;
 use crate::error::{OtError, Result};

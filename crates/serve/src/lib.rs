@@ -31,13 +31,11 @@
 
 pub mod client;
 pub mod daemon;
-pub mod faults;
 pub mod protocol;
 pub mod registry;
 pub mod server;
 
 pub use client::{Client, ClientError, Repaired, RetryPolicy, RetryingClient};
-pub use faults::{Fault, FaultProxy, Span};
 pub use protocol::{
     AuditRecord, AuditStratum, DriftReport, DriftStratum, ErrorCode, PlanInfo, PlanKind,
     ProtoError, ServerInfo, PROTOCOL_VERSION,

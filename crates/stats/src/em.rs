@@ -78,11 +78,6 @@ pub struct GaussianMixtureEm {
 }
 
 impl GaussianMixtureEm {
-    /// Create with custom configuration.
-    pub fn with_config(config: EmConfig) -> Self {
-        Self { config }
-    }
-
     /// Fit with explicit initial parameters `(weight0, means, sds)` —
     /// typically moments of the labelled research data, which anchors the
     /// component identities to the true `s` labels.

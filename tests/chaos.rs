@@ -22,9 +22,12 @@ use ot_fair_repair::data::{ColumnarDataset, Dataset, SimulationSpec};
 use ot_fair_repair::repair::{RepairConfig, RepairPlan, RepairPlanner};
 use ot_fair_repair::serve::protocol::{self, Request};
 use ot_fair_repair::serve::{
-    Client, ClientError, ErrorCode, Fault, FaultProxy, PlanKind, RetryPolicy, RetryingClient,
-    ServeConfig, Server, ServerHandle, Span,
+    Client, ClientError, ErrorCode, PlanKind, RetryPolicy, RetryingClient, ServeConfig, Server,
+    ServerHandle,
 };
+
+mod faults;
+use faults::{Fault, FaultProxy, Span};
 
 /// A running server on an OS-assigned loopback port.
 struct TestServer {

@@ -10,11 +10,6 @@
 //! alone. `tests/chaos.rs` leans on this to assert the daemon survives
 //! every scripted fault *and* that any repair which succeeds through
 //! the proxy is byte-identical to an offline apply.
-//!
-//! The proxy is test infrastructure, not a production component: it
-//! ships in the library (rather than `#[cfg(test)]`) so integration
-//! tests and downstream crates can reuse it, but nothing in the daemon
-//! references it.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
