@@ -5,7 +5,11 @@
 //! `E` audit (`evaluate`) on `ci/fixtures`, plus a small `d = 3` joint
 //! design and repair on a CSV this test writes from a fixed-seed
 //! [`SimulationSpec`]. `evaluate` prints `E` to six decimals, so the
-//! audit's `f64` bits are pinned too, computed in process. Every output
+//! audit's `f64` bits are pinned too, computed in process. The corpus's
+//! Sinkhorn solves all finish in the standard domains, so more in-process
+//! entries pin the plan and dual bits of every other entropic path: the
+//! absorbing dense domain, both log-domain fallbacks, the factored kernel,
+//! a rectangular dense problem and the barycentre. Every output
 //! file, every `evaluate` stdout and each bit string is hashed with
 //! 64-bit FNV-1a and listed as a `name bytes digest` line;
 //! the lines must equal `tests/fixtures/golden_digests.txt`, whose header
@@ -25,6 +29,10 @@ use rand::SeedableRng;
 
 use ot_fair_repair::data::{read_labelled_csv, write_labelled_csv, SimulationSpec};
 use ot_fair_repair::fairness::{ConditionalDependence, JointDependence};
+use ot_fair_repair::ot::{
+    entropic_barycentre_grid_nd, sinkhorn_warm, BarycentreConfig, CostMatrix, EpsSchedule,
+    SinkhornConfig,
+};
 
 /// The corpus, in manifest order after [`D3_INPUT`]: an entry's name
 /// and its `otrepair` arguments. `{fix}` is `ci/fixtures`, `{dir}` the
@@ -171,6 +179,136 @@ fn e_bits(fixtures: &Path) -> [(&'static str, Vec<u8>); 2] {
     ]
 }
 
+fn le_bytes<'a>(values: impl IntoIterator<Item = &'a f64>) -> Vec<u8> {
+    values
+        .into_iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect()
+}
+
+fn normalized(v: &[f64]) -> Vec<f64> {
+    let total: f64 = v.iter().sum();
+    v.iter().map(|x| x / total).collect()
+}
+
+/// One cold `sinkhorn_warm` solve at the default budget: marginals,
+/// cost, ε and ε-schedule.
+type Solve<'a> = (
+    &'a [f64],
+    &'a [f64],
+    &'a CostMatrix,
+    f64,
+    Option<EpsSchedule>,
+);
+
+/// The plan cells (row-major), then the duals `f` and `g`, of each solve
+/// in turn.
+fn sinkhorn_bits(solves: &[Solve]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for &(a, b, cost, epsilon, eps_scaling) in solves {
+        let config = SinkhornConfig {
+            epsilon,
+            eps_scaling,
+            ..SinkhornConfig::default()
+        };
+        let (plan, duals) = sinkhorn_warm(a, b, cost, config, None).unwrap();
+        let cells = (0..plan.rows()).flat_map(|i| plan.row(i));
+        bytes.extend(le_bytes(cells.chain(&duals.f).chain(&duals.g)));
+    }
+    bytes
+}
+
+/// `n` grid points `lo + step · i`.
+fn axis(n: usize, lo: f64, step: f64) -> Vec<f64> {
+    (0..n).map(|i| lo + step * i as f64).collect()
+}
+
+fn grid_cost(axes: &[&[f64]]) -> CostMatrix {
+    CostMatrix::squared_euclidean_grid_nd(axes).unwrap()
+}
+
+/// In-process bit strings of the entropic paths the CLI corpus never
+/// takes, one entry per path, each solve's bits concatenated in order:
+/// * the dense standard domain against its absorbed kernel: a 23-point
+///   self-support at ε = 1e-4, cold, then with the default ε-schedule
+///   (whose stages rebuild the kernel around their warm duals, and two of
+///   which exhaust their budget), then two bumps at ε = 0.01, whose
+///   drifting scalings are absorbed three times before convergence;
+/// * the same two bumps at ε = 0.003, where the dense domain absorbs,
+///   stalls and falls back to the log domain;
+/// * the factored `K₁ ⊗ … ⊗ K_d` domain: a `6 × 5` grid at ε = 0.08, then
+///   a `5 × 4 × 3` grid with the default schedule;
+/// * the factored domain outgrowing its scaling range into the log
+///   domain: the `6 × 5` grid with two cells at 1e-200, at ε = 0.05;
+/// * a rectangular `23 × 17` dense problem at ε = 0.05, then 2e-3;
+/// * the barycentre masses on the `6 × 5` grid, weights ½/½, ε = 0.05,
+///   cold, then with the default schedule.
+fn solver_path_bits() -> [(&'static str, Vec<u8>); 6] {
+    let scheduled = Some(EpsSchedule::default());
+    let support = axis(23, 0.0, 0.31);
+    let masses: Vec<f64> = (0..23).map(|i| 1.0 + ((i * 5) % 7) as f64).collect();
+    let self_cost = CostMatrix::squared_euclidean(&support, &support).unwrap();
+    let support: Vec<f64> = (0..20).map(|i| -3.0 + 6.0 * i as f64 / 19.0).collect();
+    let bump = |m: f64| {
+        let pmf = support.iter().map(|x| (-(x - m) * (x - m) / 0.5).exp());
+        normalized(&pmf.map(|p| p + 1e-6).collect::<Vec<f64>>())
+    };
+    let (left, right) = (bump(-1.0), bump(1.0));
+    let bumps_cost = CostMatrix::squared_euclidean(&support, &support).unwrap();
+    let absorbing = sinkhorn_bits(&[
+        (&masses, &masses, &self_cost, 1e-4, None),
+        (&masses, &masses, &self_cost, 1e-4, scheduled),
+        (&left, &right, &bumps_cost, 0.01, None),
+    ]);
+    let dense_to_log = sinkhorn_bits(&[(&left, &right, &bumps_cost, 0.003, None)]);
+
+    let (gx, gy) = (axis(6, -1.0, 0.4), axis(5, 0.1, 0.35));
+    let a: Vec<f64> = (0..30).map(|i| 0.2 + ((i * 7) % 5) as f64).collect();
+    let b: Vec<f64> = (0..30).map(|i| 0.3 + ((i * 3) % 4) as f64).collect();
+    let cost_2d = grid_cost(&[&gx, &gy]);
+    let (g1, g2, g3) = (axis(5, -1.0, 0.4), axis(4, 0.1, 0.35), axis(3, -0.2, 0.5));
+    let a3: Vec<f64> = (0..60).map(|i| 0.2 + ((i * 7) % 5) as f64).collect();
+    let b3: Vec<f64> = (0..60).map(|i| 0.3 + ((i * 3) % 4) as f64).collect();
+    let factored = sinkhorn_bits(&[
+        (&a, &b, &cost_2d, 0.08, None),
+        (&a3, &b3, &grid_cost(&[&g1, &g2, &g3]), 0.08, scheduled),
+    ]);
+    let mut tails = a.clone();
+    (tails[0], tails[29]) = (1e-200, 1e-200);
+    let (tails, b_unit) = (normalized(&tails), normalized(&b));
+    let factored_to_log = sinkhorn_bits(&[(&tails, &b_unit, &cost_2d, 0.05, None)]);
+
+    let a_rect: Vec<f64> = (0..23).map(|i| 1.0 + ((i * 7) % 5) as f64).collect();
+    let b_rect: Vec<f64> = (0..17).map(|i| 1.0 + ((i * 3) % 4) as f64).collect();
+    let cost_rect =
+        CostMatrix::squared_euclidean(&axis(23, 0.0, 0.031), &axis(17, 0.01, 0.04)).unwrap();
+    let rectangular = sinkhorn_bits(&[
+        (&a_rect, &b_rect, &cost_rect, 0.05, None),
+        (&a_rect, &b_rect, &cost_rect, 2e-3, None),
+    ]);
+
+    let a_unit = normalized(&a);
+    let mut barycentre = Vec::new();
+    for eps_scaling in [None, scheduled] {
+        let config = BarycentreConfig {
+            eps_scaling,
+            ..BarycentreConfig::new(0.05, 5_000)
+        };
+        let marginals = [a_unit.as_slice(), b_unit.as_slice()];
+        let (masses, _) =
+            entropic_barycentre_grid_nd(&marginals, &[0.5, 0.5], &[&gx, &gy], &config).unwrap();
+        barycentre.extend(le_bytes(&masses));
+    }
+    [
+        ("sinkhorn_absorbing.f64", absorbing),
+        ("sinkhorn_dense_to_log.f64", dense_to_log),
+        ("sinkhorn_factored.f64", factored),
+        ("sinkhorn_factored_to_log.f64", factored_to_log),
+        ("sinkhorn_rectangular.f64", rectangular),
+        ("barycentre.f64", barycentre),
+    ]
+}
+
 /// Run the corpus in `dir` and return the manifest it produces.
 fn recompute(dir: &Path) -> String {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci/fixtures");
@@ -211,7 +349,7 @@ fn recompute(dir: &Path) -> String {
             write_deterministic_plan(&out, &dir.join("design_deterministic.json"));
         }
     }
-    for (name, bytes) in e_bits(&fixtures) {
+    for (name, bytes) in e_bits(&fixtures).into_iter().chain(solver_path_bits()) {
         manifest += &line(name, &bytes);
         manifest.push('\n');
     }
