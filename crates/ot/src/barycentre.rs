@@ -15,9 +15,9 @@
 //!    higher dimensions (the joint design's target); tested to agree with
 //!    (1) at small `ε` on one axis.
 
-use crate::discrete::DiscreteDistribution;
+use crate::discrete::{mass_total, normalized_mass, DiscreteDistribution};
 use crate::error::{OtError, Result};
-use crate::kernel::{KernelChoice, KernelRep};
+use crate::kernel::{KernelChoice, KernelRep, SCALING_FLOOR};
 use crate::solvers::sinkhorn::EpsSchedule;
 
 /// Exact 1-D `W₂` barycentre `ν_t` of `(1−t)·µ₀ ⊕ t·µ₁` projected onto
@@ -201,12 +201,14 @@ pub struct BarycentreDiagnostics {
 /// bit-identical for any [`BarycentreConfig::threads`] setting.
 ///
 /// # Errors
-/// Validation failures (an empty axis, fewer than two marginals, a
-/// `lambda` of another length or without positive weight, a
-/// non-positive `ε`, a malformed ε-schedule, a marginal without one mass
-/// per product-grid cell), or [`OtError::NoConvergence`] if the
-/// fixed-point iteration does not stabilize (the error's `residual`
-/// reports the final L1 delta, its `iterations` the exhausted budget).
+/// Validation failures, all before any kernel is built: an empty axis,
+/// fewer than two marginals, a `lambda` of another length, a weight or
+/// a marginal mass that is negative or NaN, a `lambda` or a marginal
+/// whose total is not positive and finite, a non-positive `ε`, a
+/// malformed ε-schedule, or a marginal without one mass per product-grid
+/// cell. [`OtError::NoConvergence`] if the fixed-point iteration does
+/// not stabilize (the error's `residual` reports the final L1 delta, its
+/// `iterations` the exhausted budget).
 pub fn entropic_barycentre_grid_nd(
     marginals: &[&[f64]],
     lambda: &[f64],
@@ -217,7 +219,7 @@ pub fn entropic_barycentre_grid_nd(
         return Err(OtError::EmptyInput("barycentre grid axis"));
     }
     let n: usize = axes.iter().map(|g| g.len()).product();
-    for m in marginals {
+    for (s, m) in marginals.iter().enumerate() {
         if m.len() != n {
             return Err(OtError::LengthMismatch {
                 what: "marginal vs product support",
@@ -225,6 +227,9 @@ pub fn entropic_barycentre_grid_nd(
                 right: n,
             });
         }
+        // Checked, never rescaled: the joint design passes normalized
+        // pmfs, and dividing by a total of 1 ± ulp would move its bits.
+        mass_total(m, &format!("marginals[{s}]"))?;
     }
     let lambda = validated_lambda(marginals.len(), lambda, config)?;
     if config.kernel.resolve(true) {
@@ -283,11 +288,7 @@ fn validated_lambda(k: usize, lambda: &[f64], config: &BarycentreConfig) -> Resu
     if let Some(schedule) = &config.eps_scaling {
         schedule.validate()?;
     }
-    let lam_total: f64 = lambda.iter().sum();
-    if lambda.iter().any(|&l| l < 0.0) || lam_total <= 0.0 {
-        return Err(OtError::InvalidMass("lambda weights".into()));
-    }
-    Ok(lambda.iter().map(|l| l / lam_total).collect())
+    normalized_mass(lambda, "lambda")
 }
 
 /// The shared iterative-Bregman core: `k ≥ 2` flat pmfs against a
@@ -323,9 +324,10 @@ fn bregman_barycentre(
     // geometric mean and the u update) — one matvec saved per marginal.
     let mut kv = vec![vec![0.0f64; n]; k];
     let mut bary = vec![1.0 / n as f64; n];
+    let mut prev = vec![0.0f64; n];
+    let mut log_b = vec![0.0f64; n];
     let mut tmp = vec![0.0f64; n];
     let mut scratch = vec![0.0f64; n];
-    const FLOOR: f64 = 1e-300;
 
     let stages = match &config.eps_scaling {
         Some(schedule) => schedule.stages(config.eps),
@@ -349,7 +351,7 @@ fn bregman_barycentre(
             let ratio = pe / eps;
             for us in u.iter_mut() {
                 for x in us.iter_mut() {
-                    *x = x.powf(ratio).max(FLOOR);
+                    *x = x.powf(ratio).max(SCALING_FLOOR);
                 }
             }
         }
@@ -364,20 +366,22 @@ fn bregman_barycentre(
         delta = f64::INFINITY;
         while iterations < max_iters {
             iterations += 1;
-            let prev = bary.clone();
+            // `prev` takes the last iterate; `bary` is overwritten below.
+            std::mem::swap(&mut prev, &mut bary);
             // v_s <- a_s / K^T u_s  (kernel symmetric => K^T = K).
             for s in 0..k {
                 kernel.matvec(&u[s], &mut tmp, &mut scratch, threads);
                 for i in 0..n {
-                    v[s][i] = marginals[s][i] / tmp[i].max(FLOOR);
+                    v[s][i] = marginals[s][i] / tmp[i].max(SCALING_FLOOR);
                 }
                 kernel.matvec(&v[s], &mut kv[s], &mut scratch, threads);
             }
             // bary <- prod_s (u_s * K v_s)^{lambda_s}, computed in logs.
-            let mut log_b = vec![0.0f64; n];
+            log_b.fill(0.0);
             for s in 0..k {
                 for i in 0..n {
-                    log_b[i] += lambda[s] * (u[s][i].max(FLOOR) * kv[s][i].max(FLOOR)).ln();
+                    log_b[i] +=
+                        lambda[s] * (u[s][i].max(SCALING_FLOOR) * kv[s][i].max(SCALING_FLOOR)).ln();
                 }
             }
             let mx = log_b.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -392,7 +396,7 @@ fn bregman_barycentre(
             // u_s <- bary / K v_s.
             for s in 0..k {
                 for i in 0..n {
-                    u[s][i] = bary[i] / kv[s][i].max(FLOOR);
+                    u[s][i] = bary[i] / kv[s][i].max(SCALING_FLOOR);
                 }
             }
             delta = bary.iter().zip(&prev).map(|(a, b)| (a - b).abs()).sum();
@@ -543,6 +547,32 @@ mod tests {
         assert!(entropic_1d(&[&a, &a], &[0.5], &q, &cfg).is_err());
         let zero_eps = BarycentreConfig::new(0.0, 100);
         assert!(entropic_1d(&[&a, &a], &[0.5, 0.5], &q, &zero_eps).is_err());
+        // Non-finite weights and bad masses are rejected up front, not
+        // iterated into a NaN residual or floored away.
+        let pmf = a.masses();
+        let with = |i: usize, x: f64| {
+            let mut m = pmf.to_vec();
+            m[i] = x;
+            m
+        };
+        let (negative, nan, infinite) = (with(3, -0.1), with(2, f64::NAN), with(5, f64::INFINITY));
+        let zero = vec![0.0; pmf.len()];
+        let cases: [([&[f64]; 2], [f64; 2]); 7] = [
+            ([pmf, pmf], [f64::NAN, f64::NAN]),
+            ([pmf, pmf], [f64::INFINITY, 1.0]),
+            ([pmf, pmf], [f64::NAN, 1.0]),
+            ([pmf, &negative], [0.5, 0.5]),
+            ([&nan, pmf], [0.5, 0.5]),
+            ([pmf, &infinite], [0.5, 0.5]),
+            ([&zero, pmf], [0.5, 0.5]),
+        ];
+        for (marginals, lambda) in cases {
+            let got = entropic_barycentre_grid_nd(&marginals, &lambda, &[&q], &cfg);
+            assert!(
+                matches!(got, Err(OtError::InvalidMass(_))),
+                "lambda {lambda:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

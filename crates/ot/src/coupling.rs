@@ -5,6 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostMatrix;
+use crate::discrete::mass_total;
 use crate::error::{OtError, Result};
 
 /// Tolerance used when validating that a plan's marginals match the
@@ -60,18 +61,7 @@ impl OtPlan {
                 right: rows * cols,
             });
         }
-        let mut total = 0.0;
-        for (k, &m) in mass.iter().enumerate() {
-            if m < 0.0 || m.is_nan() {
-                return Err(OtError::InvalidMass(format!(
-                    "plan mass[{k}] = {m} is negative or NaN"
-                )));
-            }
-            total += m;
-        }
-        if total <= 0.0 || !total.is_finite() {
-            return Err(OtError::InvalidMass(format!("plan total mass {total}")));
-        }
+        mass_total(&mass, "plan mass")?;
         Ok(Self { rows, cols, mass })
     }
 

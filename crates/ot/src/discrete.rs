@@ -6,6 +6,33 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{OtError, Result};
 
+/// The total of the mass vector `masses`, named `name` in the error.
+///
+/// # Errors
+/// [`OtError::InvalidMass`] on a negative or NaN entry, or on a total that
+/// is not positive and finite.
+pub(crate) fn mass_total(masses: &[f64], name: &str) -> Result<f64> {
+    let mut total = 0.0;
+    for (i, &x) in masses.iter().enumerate() {
+        if x < 0.0 || x.is_nan() {
+            return Err(OtError::InvalidMass(format!(
+                "{name}[{i}] = {x} is negative or NaN"
+            )));
+        }
+        total += x;
+    }
+    if total <= 0.0 || !total.is_finite() {
+        return Err(OtError::InvalidMass(format!("{name} total {total}")));
+    }
+    Ok(total)
+}
+
+/// `masses` scaled to unit total, checked as by [`mass_total`].
+pub(crate) fn normalized_mass(masses: &[f64], name: &str) -> Result<Vec<f64>> {
+    let total = mass_total(masses, name)?;
+    Ok(masses.iter().map(|x| x / total).collect())
+}
+
 /// A discrete probability distribution: strictly increasing support points
 /// with matching normalized masses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,18 +71,7 @@ impl DiscreteDistribution {
                 return Err(OtError::UnsortedSupport("support"));
             }
         }
-        let mut total = 0.0;
-        for (i, &m) in masses.iter().enumerate() {
-            if m < 0.0 || m.is_nan() {
-                return Err(OtError::InvalidMass(format!(
-                    "mass[{i}] = {m} is negative or NaN"
-                )));
-            }
-            total += m;
-        }
-        if total <= 0.0 || !total.is_finite() {
-            return Err(OtError::InvalidMass(format!("total mass {total}")));
-        }
+        let total = mass_total(&masses, "mass")?;
         let masses = masses.into_iter().map(|m| m / total).collect();
         Ok(Self { support, masses })
     }

@@ -52,6 +52,11 @@ use serde::{Deserialize, Serialize};
 
 use otr_par::{par_chunks_mut, par_rows_mut};
 
+/// Floor on the kernel products a scaling update divides by, and on the
+/// scalings whose logs the entropic solvers take, so an underflowed
+/// `(K v)_i` never divides by zero.
+pub(crate) const SCALING_FLOOR: f64 = 1e-300;
+
 /// Which Gibbs-kernel representation an entropic solve uses on
 /// separable (product-grid squared-Euclidean) costs.
 ///
@@ -198,19 +203,7 @@ impl KernelRep {
         assert_eq!(out.len(), n, "kernel matvec: output length");
         assert_eq!(scratch.len(), n, "kernel matvec: scratch length");
         match self {
-            KernelRep::Dense { k, n } => {
-                let n = *n;
-                par_chunks_mut(out, threads, |start, chunk| {
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        let row = &k[(start + off) * n..(start + off + 1) * n];
-                        let mut acc = 0.0;
-                        for (kij, vj) in row.iter().zip(v) {
-                            acc += kij * vj;
-                        }
-                        *slot = acc;
-                    }
-                });
-            }
+            KernelRep::Dense { k, n } => dense_matvec(k, *n, v, out, threads),
             KernelRep::SeparableNd { axes } => {
                 let d = axes.len();
                 assert!(d > 0, "kernel matvec: SeparableNd needs ≥ 1 axis");
@@ -277,6 +270,22 @@ impl KernelRep {
             }
         }
     }
+}
+
+/// `out_i = Σ_j k[i·cols + j] · x_j` for the row-major `out.len() × cols`
+/// matrix `k`, chunked over rows. Each output is accumulated from zero in
+/// column order by one thread, so the bytes never depend on `threads`.
+pub(crate) fn dense_matvec(k: &[f64], cols: usize, x: &[f64], out: &mut [f64], threads: usize) {
+    par_chunks_mut(out, threads, |start, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            let row = &k[(start + off) * cols..(start + off + 1) * cols];
+            let mut acc = 0.0;
+            for (kij, xj) in row.iter().zip(x) {
+                acc += kij * xj;
+            }
+            *slot = acc;
+        }
+    });
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 
 use crate::cost::CostMatrix;
 use crate::coupling::OtPlan;
+use crate::discrete::normalized_mass;
 use crate::error::{OtError, Result};
 
 /// Reduced-cost optimality tolerance, scaled by the largest cost entry.
@@ -49,23 +50,8 @@ pub fn solve_transportation_simplex(a: &[f64], b: &[f64], cost: &CostMatrix) -> 
             right: cost.rows() * cost.cols(),
         });
     }
-    let normalize = |v: &[f64], name: &str| -> Result<Vec<f64>> {
-        let mut total = 0.0;
-        for (i, &x) in v.iter().enumerate() {
-            if x < 0.0 || x.is_nan() {
-                return Err(OtError::InvalidMass(format!(
-                    "{name}[{i}] = {x} is negative or NaN"
-                )));
-            }
-            total += x;
-        }
-        if total <= 0.0 || !total.is_finite() {
-            return Err(OtError::InvalidMass(format!("{name} total {total}")));
-        }
-        Ok(v.iter().map(|x| x / total).collect())
-    };
-    let mut a = normalize(a, "a")?;
-    let mut b = normalize(b, "b")?;
+    let mut a = normalized_mass(a, "a")?;
+    let mut b = normalized_mass(b, "b")?;
 
     // --- Phase 0: north-west-corner initial basic feasible solution with
     // exactly n + m − 1 basis cells (degenerate zeros included).

@@ -2,17 +2,19 @@
 //! (Cuturi 2013, the paper's reference \[35\]), built around three
 //! coordinated performance ideas:
 //!
-//! * an **absorption-stabilized standard domain** — scaling vectors
-//!   `u, v` against the *absorbed* Gibbs kernel
-//!   `K̃ = exp((φ_i + ψ_j − C_ij)/ε)`, one multiply-add per cell per
-//!   iteration; whenever the scalings drift too far from 1 their logs
-//!   are absorbed into the dual potentials `φ, ψ` and the kernel is
-//!   rebuilt (Schmitzer 2019's stabilization), so the fast path now
-//!   serves *any* `ε` instead of only `max(C)/ε ≤ 500`;
+//! * one **standard-domain scaling loop** — `u = a / (K v)`,
+//!   `v = b / (Kᵀ u)` — over the Gibbs kernel in one of two
+//!   representations: the dense *absorbed* kernel
+//!   `K̃ = exp((φ_i + ψ_j − C_ij)/ε)`, whose drifting scalings are
+//!   absorbed into the dual potentials `φ, ψ` and the kernel rebuilt
+//!   (Schmitzer 2019's stabilization), so it serves *any* `ε` instead of
+//!   only `max(C)/ε ≤ 500`; or, on a product-grid cost, the factorized
+//!   `K₁ ⊗ … ⊗ K_d`, applied one axis at a time, which cannot absorb and
+//!   gives up past a fixed scaling range;
 //! * a **log-domain fallback** — dual potentials updated through
-//!   log-sum-exp — entered only if the standard iteration turns
-//!   non-finite or stalls (a pure function of the iterates, so the
-//!   switch is deterministic);
+//!   log-sum-exp against the dense cost — entered only if the standard
+//!   loop turns non-finite, stalls or gives up (a pure function of the
+//!   iterates, so the switch is deterministic);
 //! * an optional **ε-scaling schedule with warm-started duals**
 //!   ([`EpsSchedule`]): anneal geometrically from `ε₀` down to the
 //!   target `ε`, carrying the converged potentials of each stage into
@@ -21,7 +23,7 @@
 //!   list is a pure function of the config, so scheduling never breaks
 //!   the determinism contract below.
 //!
-//! The hot loops chunk their row/column scaling updates over
+//! The hot loops chunk their row and column passes over
 //! [`otr_par::par_chunks_mut`] once the kernel crosses the
 //! [`otr_par::kernel_threads`] size threshold, and the **column phase
 //! reads a transposed kernel copy** ([`otr_par::par_transpose`]),
@@ -42,8 +44,9 @@ use otr_par::{par_chunks_mut, par_rows_mut, par_transpose};
 
 use crate::cost::{fold_grid_row, CostMatrix};
 use crate::coupling::OtPlan;
+use crate::discrete::normalized_mass;
 use crate::error::{OtError, Result};
-use crate::kernel::{KernelChoice, KernelRep};
+use crate::kernel::{dense_matvec, KernelChoice, KernelRep, SCALING_FLOOR};
 
 /// Iterations between convergence / absorption checks: the `O(n²)`
 /// residual amortizes to noise at this cadence.
@@ -300,23 +303,8 @@ pub fn sinkhorn_warm(
         }
     }
 
-    let normalize = |v: &[f64], name: &str| -> Result<Vec<f64>> {
-        let mut total = 0.0;
-        for (i, &x) in v.iter().enumerate() {
-            if x < 0.0 || x.is_nan() {
-                return Err(OtError::InvalidMass(format!(
-                    "{name}[{i}] = {x} is negative or NaN"
-                )));
-            }
-            total += x;
-        }
-        if total <= 0.0 || !total.is_finite() {
-            return Err(OtError::InvalidMass(format!("{name} total {total}")));
-        }
-        Ok(v.iter().map(|x| x / total).collect())
-    };
-    let a = normalize(a, "a")?;
-    let b = normalize(b, "b")?;
+    let a = normalized_mass(a, "a")?;
+    let b = normalized_mass(b, "b")?;
 
     // Zero-mass atoms break the scaling updates; since a zero-mass row
     // or column carries no transport anyway, solve on the positive
@@ -424,10 +412,159 @@ enum StandardOutcome {
     /// Iteration cap exhausted with finite iterates; the duals hold the
     /// absorbed final scalings (fine for an intermediate stage).
     Exhausted,
-    /// Non-finite iterates or a stalled residual; the duals hold the
-    /// last healthy absorption. The caller should fall back to the
-    /// log domain.
+    /// Non-finite iterates, a stalled residual, or factored scalings
+    /// past their drift bound; the duals hold the warm start or the last
+    /// healthy absorption. The caller should fall back to the log
+    /// domain.
     Unstable,
+}
+
+/// The Gibbs kernel a standard-domain stage scales against, in one of
+/// two representations.
+enum ScalingKernel {
+    /// The dense absorbed kernel `K̃_ij = exp((φ_i + ψ_j − C_ij)/ε)`,
+    /// row-major `np × mp`, and its transpose for the column phase.
+    Absorbed { k: Vec<f64>, kt: Vec<f64> },
+    /// The factorized kernel `K₁ ⊗ … ⊗ K_d` of a grid-separable cost,
+    /// `d` axis passes of `O(n·nᵢ)` per matvec. Rebuilding it around the
+    /// duals would destroy the product structure, so the scalings
+    /// `U = exp((φ − shift)/ε)`, `V = exp((ψ + shift)/ε)` carry the full
+    /// duals, less the free dual constant `shift`.
+    Factored {
+        kernel: KernelRep,
+        scratch: Vec<f64>,
+        shift: f64,
+    },
+}
+
+impl ScalingKernel {
+    /// The stage's kernel and its first scalings `(u, v)`, warm-started
+    /// from the cost-unit duals; `None` when the duals overflow the
+    /// factored domain's scalings.
+    fn warm_start(
+        sub: &SubProblem,
+        eps: f64,
+        phi: &[f64],
+        psi: &[f64],
+    ) -> Option<(Self, Vec<f64>, Vec<f64>)> {
+        let Some(axes) = sub.separable else {
+            let (mut k, mut kt) = (vec![0.0f64; sub.np * sub.mp], vec![0.0f64; sub.np * sub.mp]);
+            sub.build_absorbed_kernel(eps, phi, psi, &mut k, &mut kt);
+            let (u, v) = (vec![1.0; sub.np], vec![1.0; sub.mp]);
+            return Some((Self::Absorbed { k, kt }, u, v));
+        };
+        let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
+        let kernel = KernelRep::separable_grid_nd(&axis_refs, eps);
+        // Spend the free dual constant (φ ↦ φ − s, ψ ↦ ψ + s leaves every
+        // π_ij = exp((φ_i + ψ_j − C_ij)/ε) unchanged) on centring the two
+        // exponent ranges around a common mean.
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let shift = (mean(phi) - mean(psi)) / 2.0;
+        let u: Vec<f64> = phi.iter().map(|p| ((p - shift) / eps).exp()).collect();
+        let v: Vec<f64> = psi.iter().map(|p| ((p + shift) / eps).exp()).collect();
+        if u.iter().chain(&v).any(|x| !x.is_finite() || *x <= 0.0) {
+            return None;
+        }
+        let scratch = vec![0.0f64; sub.np];
+        let factored = Self::Factored {
+            kernel,
+            scratch,
+            shift,
+        };
+        Some((factored, u, v))
+    }
+
+    /// `out = K x`, or `Kᵀ x` when `transpose`. Each output element is
+    /// written by one thread and accumulated in a fixed order, so the
+    /// bytes never depend on the chunking.
+    fn apply(&mut self, sub: &SubProblem, x: &[f64], out: &mut [f64], transpose: bool) {
+        match self {
+            Self::Absorbed { k, .. } if !transpose => dense_matvec(k, sub.mp, x, out, sub.threads),
+            Self::Absorbed { kt, .. } => dense_matvec(kt, sub.np, x, out, sub.threads),
+            // The kernel of a self-grid cost is symmetric, so the same
+            // axis passes serve the transpose.
+            Self::Factored {
+                kernel, scratch, ..
+            } => kernel.matvec(x, out, scratch, sub.sep_threads),
+        }
+    }
+
+    /// Largest scaling drift `max(|ln u|, |ln v|)` this kernel iterates
+    /// at.
+    fn drift_bound(&self) -> f64 {
+        match self {
+            Self::Absorbed { .. } => ABSORB_DRIFT,
+            Self::Factored { .. } => SEPARABLE_SCALING_MAX,
+        }
+    }
+
+    /// Past the drift bound: absorb the scalings into the duals, rebuild
+    /// the kernel around them and restart from unit scalings. `false`
+    /// when the kernel cannot absorb (the factored one), and the stage
+    /// gives up.
+    fn absorb(
+        &mut self,
+        sub: &SubProblem,
+        eps: f64,
+        phi: &mut [f64],
+        psi: &mut [f64],
+        u: &mut [f64],
+        v: &mut [f64],
+    ) -> bool {
+        let Self::Absorbed { k, kt } = self else {
+            return false;
+        };
+        absorb_scalings(eps, phi, psi, u, v);
+        sub.build_absorbed_kernel(eps, phi, psi, k, kt);
+        u.fill(1.0);
+        v.fill(1.0);
+        true
+    }
+
+    /// Fold the stage's final scalings into the cost-unit duals.
+    fn write_duals(&self, eps: f64, phi: &mut [f64], psi: &mut [f64], u: &[f64], v: &[f64]) {
+        match self {
+            Self::Absorbed { .. } => absorb_scalings(eps, phi, psi, u, v),
+            Self::Factored { shift, .. } => {
+                for (p, ui) in phi.iter_mut().zip(u) {
+                    *p = eps * ui.max(SCALING_FLOOR).ln() + shift;
+                }
+                for (p, vj) in psi.iter_mut().zip(v) {
+                    *p = eps * vj.max(SCALING_FLOOR).ln() - shift;
+                }
+            }
+        }
+    }
+
+    /// The stage's plan `π_ij = u_i K_ij v_j` on the positive
+    /// sub-support.
+    fn materialize(&self, sub: &SubProblem, u: &[f64], v: &[f64]) -> Vec<f64> {
+        match self {
+            Self::Absorbed { k, .. } => {
+                let mp = sub.mp;
+                let mut plan = vec![0.0f64; sub.np * mp];
+                par_chunks_mut(&mut plan, sub.threads, |start, chunk| {
+                    for (off, slot) in chunk.iter_mut().enumerate() {
+                        let idx = start + off;
+                        *slot = u[idx / mp] * k[idx] * v[idx % mp];
+                    }
+                });
+                plan
+            }
+            Self::Factored { kernel, .. } => sub.materialize_separable(kernel, u, v),
+        }
+    }
+}
+
+/// Absorb the scalings into the cost-unit duals: `φ += ε ln u`,
+/// `ψ += ε ln v`.
+fn absorb_scalings(eps: f64, phi: &mut [f64], psi: &mut [f64], u: &[f64], v: &[f64]) {
+    for (p, ui) in phi.iter_mut().zip(u) {
+        *p += eps * ui.ln();
+    }
+    for (p, vj) in psi.iter_mut().zip(v) {
+        *p += eps * vj.ln();
+    }
 }
 
 /// The strictly-positive sub-problem a [`sinkhorn`] call reduces to,
@@ -477,9 +614,9 @@ impl SubProblem<'_> {
         })
     }
 
-    /// One ε-stage: try the absorption-stabilized standard domain, fall
-    /// back to the log domain if it turns non-finite or stalls. `phi` /
-    /// `psi` (cost-unit duals) are the warm-start input and the stage's
+    /// One ε-stage: try the standard domain, fall back to the log domain
+    /// if it turns non-finite, stalls or gives up. `phi` / `psi`
+    /// (cost-unit duals) are the warm-start input and the stage's
     /// output. Only the final stage (`last`) materializes a plan and
     /// treats an exhausted budget as [`OtError::NoConvergence`];
     /// intermediate stages exist solely to warm the duals.
@@ -492,12 +629,7 @@ impl SubProblem<'_> {
         psi: &mut [f64],
         last: bool,
     ) -> Result<Option<Vec<f64>>> {
-        let standard = if self.separable.is_some() {
-            self.iterate_separable(eps, max_iters, tol, phi, psi, last)
-        } else {
-            self.iterate_standard(eps, max_iters, tol, phi, psi, last)
-        };
-        match standard {
+        match self.iterate_standard(eps, max_iters, tol, phi, psi, last) {
             StandardOutcome::Converged(plan) => Ok(plan),
             StandardOutcome::Exhausted if !last => Ok(None),
             // Final-stage exhaustion or instability: the log-sum-exp
@@ -508,124 +640,6 @@ impl SubProblem<'_> {
                 self.iterate_log(eps, max_iters, tol, phi, psi, last)
             }
         }
-    }
-
-    /// Standard-domain Sinkhorn against the **factorized** kernel
-    /// `K₁ ⊗ … ⊗ K_d` of a grid-separable cost: every scaling update
-    /// contracts one axis at a time (d `O(n·nᵢ)` passes through
-    /// [`KernelRep::matvec`]) instead of sweeping the `O(n²)` dense
-    /// kernel.
-    ///
-    /// Unlike [`SubProblem::iterate_standard`] this domain cannot
-    /// absorb drifting scalings into the kernel — rebuilding
-    /// `exp((φ_i + ψ_j − C_ij)/ε)` cell-wise would destroy the product
-    /// structure — so the scaling vectors `U = exp(φ/ε)·u`,
-    /// `V = exp(ψ/ε)·v` carry the *full* duals (warm-started via the
-    /// one free dual constant, which centres the two exponent ranges).
-    /// If they drift past [`SEPARABLE_SCALING_MAX`] or turn non-finite
-    /// the stage returns [`StandardOutcome::Unstable`] and the caller
-    /// falls back to the (dense) log domain — a pure function of the
-    /// iterates, so determinism is unaffected. Update order matches the
-    /// other domains (row scaling, column scaling, residual on rows).
-    fn iterate_separable(
-        &self,
-        eps: f64,
-        max_iters: usize,
-        tol: f64,
-        phi: &mut [f64],
-        psi: &mut [f64],
-        materialize: bool,
-    ) -> StandardOutcome {
-        let axes = self.separable.expect("separable axes");
-        let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
-        let kernel = KernelRep::separable_grid_nd(&axis_refs, eps);
-        let n = self.np;
-        let threads = self.sep_threads;
-        const FLOOR: f64 = 1e-300;
-
-        // Warm start: fold the duals into the scalings, spending the
-        // free dual constant (φ ↦ φ − s, ψ ↦ ψ + s leaves every
-        // π_ij = exp((φ_i + ψ_j − C_ij)/ε) unchanged) on centring the
-        // two exponent ranges around a common mean.
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let shift = (mean(phi) - mean(psi)) / 2.0;
-        let mut u: Vec<f64> = phi.iter().map(|p| ((p - shift) / eps).exp()).collect();
-        let mut v: Vec<f64> = psi.iter().map(|p| ((p + shift) / eps).exp()).collect();
-        if u.iter().chain(&v).any(|x| !x.is_finite() || *x <= 0.0) {
-            // The warm duals themselves exceed the factored domain's
-            // range; let the log domain handle this stage.
-            return StandardOutcome::Unstable;
-        }
-        let write_duals = |phi: &mut [f64], psi: &mut [f64], u: &[f64], v: &[f64]| {
-            for (p, ui) in phi.iter_mut().zip(u) {
-                *p = eps * ui.max(FLOOR).ln() + shift;
-            }
-            for (p, vj) in psi.iter_mut().zip(v) {
-                *p = eps * vj.max(FLOOR).ln() - shift;
-            }
-        };
-
-        let mut kv = vec![0.0f64; n];
-        let mut ku = vec![0.0f64; n];
-        let mut scratch = vec![0.0f64; n];
-        let mut iterations = 0;
-        let mut best_residual = f64::INFINITY;
-        let mut stalled_checks = 0;
-        while iterations < max_iters {
-            iterations += 1;
-            // U_i = a_i / (K V)_i (row marginals exact after this).
-            kernel.matvec(&v, &mut kv, &mut scratch, threads);
-            for i in 0..n {
-                u[i] = self.a_pos[i] / kv[i].max(FLOOR);
-            }
-            // V_j = b_j / (Kᵀ U)_j; the kernel is symmetric (self-grid
-            // cost), so the same two axis passes serve the transpose.
-            kernel.matvec(&u, &mut ku, &mut scratch, threads);
-            for j in 0..n {
-                v[j] = self.b_pos[j] / ku[j].max(FLOOR);
-            }
-
-            // Convergence / stability checks on the standard cadence.
-            // The residual matvec and the sequential folds mirror the
-            // dense domain: every cross-row reduction happens on the
-            // calling thread, so the outcome is thread-count-free.
-            if iterations % CHECK_CADENCE == 0 || iterations == max_iters {
-                kernel.matvec(&v, &mut kv, &mut scratch, threads);
-                let mut residual = 0.0;
-                for i in 0..n {
-                    residual += (u[i] * kv[i] - self.a_pos[i]).abs();
-                }
-                if !residual.is_finite() {
-                    return StandardOutcome::Unstable;
-                }
-                if residual < tol {
-                    let plan = materialize.then(|| self.materialize_separable(&kernel, &u, &v));
-                    write_duals(phi, psi, &u, &v);
-                    return StandardOutcome::Converged(plan);
-                }
-                if residual >= best_residual * 0.999 {
-                    stalled_checks += 1;
-                    if stalled_checks >= STALL_CHECKS {
-                        return StandardOutcome::Unstable;
-                    }
-                } else {
-                    stalled_checks = 0;
-                }
-                best_residual = best_residual.min(residual);
-
-                // Factored-domain overflow guard (see the method docs).
-                let drift = u
-                    .iter()
-                    .chain(&v)
-                    .map(|x| x.ln().abs())
-                    .fold(0.0f64, f64::max);
-                if !drift.is_finite() || drift > SEPARABLE_SCALING_MAX {
-                    return StandardOutcome::Unstable;
-                }
-            }
-        }
-        write_duals(phi, psi, &u, &v);
-        StandardOutcome::Exhausted
     }
 
     /// Materialize `π_rc = ((U_r · K₁[r₁, c₁]) · … · K_d[r_d, c_d]) · V_c`
@@ -672,12 +686,16 @@ impl SubProblem<'_> {
         par_transpose(kernel, self.np, mp, kernel_t, self.threads);
     }
 
-    /// Standard-domain Sinkhorn against the absorbed kernel, with
-    /// periodic absorption of drifting scalings into `phi`/`psi`.
-    ///
-    /// Update order matches the log-domain path (row scaling, then
-    /// column scaling, residual measured on rows), so both paths
-    /// converge on the same cadence.
+    /// Standard-domain Sinkhorn: scaling vectors `u, v` against a
+    /// [`ScalingKernel`], which keeps them inside f64 range its own way.
+    /// Each iteration sets `u = a / (K v)` (row marginals exact), then
+    /// `v = b / (Kᵀ u)`; every [`CHECK_CADENCE`] iterations the row
+    /// residual is measured (columns are exact), a run of
+    /// [`STALL_CHECKS`] non-improving checks is a stall, and the kernel
+    /// judges the scaling drift. Every cross-row reduction (residual sum,
+    /// drift max) is folded in row order on the calling thread, so the
+    /// outcome is thread-count-free. The update order matches the log
+    /// domain's, so both converge on the same cadence.
     fn iterate_standard(
         &self,
         eps: f64,
@@ -687,125 +705,65 @@ impl SubProblem<'_> {
         psi: &mut [f64],
         materialize: bool,
     ) -> StandardOutcome {
-        let (np, mp) = (self.np, self.mp);
-        let mut kernel = vec![0.0f64; np * mp];
-        let mut kernel_t = vec![0.0f64; np * mp];
-        self.build_absorbed_kernel(eps, phi, psi, &mut kernel, &mut kernel_t);
-
-        const FLOOR: f64 = 1e-300;
-        let absorb = |phi: &mut [f64], psi: &mut [f64], u: &[f64], v: &[f64]| {
-            for (p, ui) in phi.iter_mut().zip(u) {
-                *p += eps * ui.ln();
-            }
-            for (p, vj) in psi.iter_mut().zip(v) {
-                *p += eps * vj.ln();
-            }
+        let Some((mut kernel, mut u, mut v)) = ScalingKernel::warm_start(self, eps, phi, psi)
+        else {
+            // The warm duals themselves exceed the factored domain's
+            // range; let the log domain handle this stage.
+            return StandardOutcome::Unstable;
         };
-
-        let mut u = vec![1.0f64; np];
-        let mut v = vec![1.0f64; mp];
-        let mut iterations = 0;
-        let mut row_res = vec![0.0f64; np];
+        let mut kv = vec![0.0f64; self.np];
+        let mut ktu = vec![0.0f64; self.mp];
         let mut best_residual = f64::INFINITY;
         let mut stalled_checks = 0;
-        while iterations < max_iters {
-            iterations += 1;
-            // u_i = a_i / Σ_j K̃_ij v_j (row marginals exact after this).
-            par_chunks_mut(&mut u, self.threads, |start, chunk| {
-                for (off, ui) in chunk.iter_mut().enumerate() {
-                    let pi = start + off;
-                    let row = &kernel[pi * mp..(pi + 1) * mp];
-                    let mut acc = 0.0;
-                    for (kij, vj) in row.iter().zip(&v) {
-                        acc += kij * vj;
-                    }
-                    *ui = self.a_pos[pi] / acc.max(FLOOR);
-                }
-            });
-            // v_j = b_j / Σ_i K̃_ij u_i (column marginals exact after
-            // this), read as row pj of the transposed copy.
-            let u_ref = &u;
-            par_chunks_mut(&mut v, self.threads, |start, chunk| {
-                for (off, vj) in chunk.iter_mut().enumerate() {
-                    let pj = start + off;
-                    let col = &kernel_t[pj * np..(pj + 1) * np];
-                    let mut acc = 0.0;
-                    for (kij, ui) in col.iter().zip(u_ref) {
-                        acc += kij * ui;
-                    }
-                    *vj = self.b_pos[pj] / acc.max(FLOOR);
-                }
-            });
+        for iterations in 1..=max_iters {
+            kernel.apply(self, &v, &mut kv, false);
+            for ((ui, ai), kvi) in u.iter_mut().zip(&self.a_pos).zip(&kv) {
+                *ui = ai / kvi.max(SCALING_FLOOR);
+            }
+            kernel.apply(self, &u, &mut ktu, true);
+            for ((vj, bj), ktuj) in v.iter_mut().zip(&self.b_pos).zip(&ktu) {
+                *vj = bj / ktuj.max(SCALING_FLOOR);
+            }
+            if iterations % CHECK_CADENCE != 0 && iterations != max_iters {
+                continue;
+            }
 
-            // Convergence / absorption checks every few iterations to
-            // amortize their O(n²) / O(n) cost. Per-row contributions
-            // are computed elementwise in parallel; every cross-row
-            // reduction (residual sum, drift max) stays sequential so
-            // the outcome is thread-count-independent.
-            if iterations % CHECK_CADENCE == 0 || iterations == max_iters {
-                par_chunks_mut(&mut row_res, self.threads, |start, chunk| {
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        let pi = start + off;
-                        let row = &kernel[pi * mp..(pi + 1) * mp];
-                        let mut acc = 0.0;
-                        for (kij, vj) in row.iter().zip(&v) {
-                            acc += kij * vj;
-                        }
-                        *slot = (u[pi] * acc - self.a_pos[pi]).abs();
-                    }
-                });
-                let residual: f64 = row_res.iter().sum();
-                if !residual.is_finite() {
+            kernel.apply(self, &v, &mut kv, false);
+            let mut residual = 0.0;
+            for ((ui, kvi), ai) in u.iter().zip(&kv).zip(&self.a_pos) {
+                residual += (ui * kvi - ai).abs();
+            }
+            if !residual.is_finite() {
+                return StandardOutcome::Unstable;
+            }
+            if residual < tol {
+                let plan = materialize.then(|| kernel.materialize(self, &u, &v));
+                kernel.write_duals(eps, phi, psi, &u, &v);
+                return StandardOutcome::Converged(plan);
+            }
+            if residual >= best_residual * 0.999 {
+                stalled_checks += 1;
+                if stalled_checks >= STALL_CHECKS {
                     return StandardOutcome::Unstable;
                 }
-                if residual < tol {
-                    // Materialize π_ij = u_i K̃_ij v_j before the final
-                    // absorption folds the scalings away.
-                    let plan = materialize.then(|| {
-                        let mut plan = vec![0.0f64; np * mp];
-                        let kernel_ref = &kernel;
-                        let (u_ref, v_ref) = (&u, &v);
-                        par_chunks_mut(&mut plan, self.threads, |start, chunk| {
-                            for (off, slot) in chunk.iter_mut().enumerate() {
-                                let idx = start + off;
-                                *slot = u_ref[idx / mp] * kernel_ref[idx] * v_ref[idx % mp];
-                            }
-                        });
-                        plan
-                    });
-                    absorb(phi, psi, &u, &v);
-                    return StandardOutcome::Converged(plan);
-                }
-                if residual >= best_residual * 0.999 {
-                    stalled_checks += 1;
-                    if stalled_checks >= STALL_CHECKS {
-                        return StandardOutcome::Unstable;
-                    }
-                } else {
-                    stalled_checks = 0;
-                }
-                best_residual = best_residual.min(residual);
+            } else {
+                stalled_checks = 0;
+            }
+            best_residual = best_residual.min(residual);
 
-                // Absorb drifting scalings into the duals and rebuild
-                // the kernel around them, keeping every product the
-                // iteration forms inside f64 range.
-                let drift = u
-                    .iter()
-                    .chain(&v)
-                    .map(|x| x.ln().abs())
-                    .fold(0.0f64, f64::max);
-                if !drift.is_finite() {
-                    return StandardOutcome::Unstable;
-                }
-                if drift > ABSORB_DRIFT {
-                    absorb(phi, psi, &u, &v);
-                    self.build_absorbed_kernel(eps, phi, psi, &mut kernel, &mut kernel_t);
-                    u.fill(1.0);
-                    v.fill(1.0);
-                }
+            let drift = u
+                .iter()
+                .chain(&v)
+                .map(|x| x.ln().abs())
+                .fold(0.0f64, f64::max);
+            if !drift.is_finite()
+                || (drift > kernel.drift_bound()
+                    && !kernel.absorb(self, eps, phi, psi, &mut u, &mut v))
+            {
+                return StandardOutcome::Unstable;
             }
         }
-        absorb(phi, psi, &u, &v);
+        kernel.write_duals(eps, phi, psi, &u, &v);
         StandardOutcome::Exhausted
     }
 
@@ -1699,7 +1657,7 @@ mod tests {
             ..full_sub(&cost, &a, &b, 1)
         };
         let (mut phi, mut psi) = (vec![0.0f64; a.len()], vec![0.0f64; b.len()]);
-        let outcome = sub.iterate_separable(0.05, 20_000, 1e-6, &mut phi, &mut psi, true);
+        let outcome = sub.iterate_standard(0.05, 20_000, 1e-6, &mut phi, &mut psi, true);
         assert!(matches!(outcome, StandardOutcome::Unstable));
         assert_converges_bitwise_at_any_thread_count(&a, &b, &cost, 0.05);
     }
