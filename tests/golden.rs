@@ -35,10 +35,16 @@ use ot_fair_repair::ot::{
 };
 
 /// The corpus, in manifest order after [`D3_INPUT`]: an entry's name
-/// and its `otrepair` arguments. `{fix}` is `ci/fixtures`, `{dir}` the
-/// test's temporary directory holding earlier entries' outputs, and
-/// `{out}` the entry's own output file; an entry without `{out}` is
-/// digested by its stdout.
+/// and its `otrepair` arguments. `{fix}` is `ci/fixtures`, `{pinned}`
+/// is `tests/fixtures`, `{dir}` the test's temporary directory holding
+/// earlier entries' outputs, and `{out}` the entry's own output file; an
+/// entry without `{out}` is digested by its stdout.
+///
+/// `apply_joint_dense.csv` repairs through `tests/fixtures/joint_plan_dense.json`,
+/// a `d = 2`, `nQ = 5` joint plan whose strata store dense plans:
+/// `otrepair design --joint --research ci/fixtures/research.csv --nq 5` as
+/// written before strata stored Sinkhorn scalings. It pins that artifacts
+/// of that form still load and repair to the same bytes.
 const CORPUS: &[(&str, &str)] = &[
     (
         "design_exact.json",
@@ -100,6 +106,10 @@ const CORPUS: &[(&str, &str)] = &[
     (
         "d3_apply_joint.csv",
         "apply --plan {dir}/d3_design_joint.json --data {dir}/d3_input.csv --out {out} --seed 7",
+    ),
+    (
+        "apply_joint_dense.csv",
+        "apply --plan {pinned}/joint_plan_dense.json --data {fix}/archive.csv --out {out} --seed 7",
     ),
 ];
 
@@ -312,6 +322,7 @@ fn solver_path_bits() -> [(&'static str, Vec<u8>); 6] {
 /// Run the corpus in `dir` and return the manifest it produces.
 fn recompute(dir: &Path) -> String {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci/fixtures");
+    let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let d3_input = dir.join(D3_INPUT);
     write_d3_input(&d3_input);
     let mut manifest = format!(
@@ -325,6 +336,7 @@ fn recompute(dir: &Path) -> String {
             .split_whitespace()
             .map(|a| {
                 a.replace("{fix}", &fixtures.to_string_lossy())
+                    .replace("{pinned}", &pinned.to_string_lossy())
                     .replace("{dir}", &dir.to_string_lossy())
                     .replace("{out}", &out.to_string_lossy())
             })
