@@ -28,9 +28,15 @@
 //! though, so the default (`KernelChoice::Auto`) runs every entropic
 //! matvec as `d` axis passes — `O(nQ^d · d·nQ)` work against the dense
 //! `O(nQ^{2d})` — which is what makes a 3-feature `nQ = 16` design
-//! (16.8M-cell dense kernel) tractable. The `ablation_joint` experiment
+//! (16.8M-cell dense kernel) tractable. The artifact follows suit: a
+//! stratum whose two plans both converged in that factored domain
+//! stores the `7 · nQ^d` numbers that fix them (its marginals, the
+//! barycentre and each plan's final Sinkhorn scalings) instead of
+//! `2 · nQ^{2d}` plan cells, and loading rebuilds the plans bit for bit
+//! through the solver's own code. The `ablation_joint` experiment
 //! measures both sides of the marginal-vs-joint trade.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -40,15 +46,15 @@ use serde::{Deserialize, Serialize};
 
 use otr_data::{ColumnarDataset, Dataset, GroupKey, LabelledPoint};
 use otr_ot::{
-    entropic_barycentre_grid_nd, BarycentreConfig, BarycentreDiagnostics, CostMatrix, EpsSchedule,
-    KernelChoice, OtPlan, Solver1d as _, SolverBackend,
+    entropic_barycentre_grid_nd, plan_from_scalings, BarycentreConfig, BarycentreDiagnostics,
+    CostMatrix, EpsSchedule, FactoredScalings, KernelChoice, OtPlan, Solver1d as _, SolverBackend,
 };
 use otr_par::{par_cols_mut, par_map_indexed, splitmix_seed, try_par_map_indexed};
 use otr_stats::dist::AliasTable;
 use otr_stats::GaussianKdeNd;
 
 use crate::error::{RepairError, Result};
-use crate::plan::{alias_tables, check_out_fits};
+use crate::plan::{alias_table, check_out_fits};
 
 /// Configuration of the joint repair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -128,8 +134,13 @@ impl JointRepairConfig {
     }
 }
 
-/// One `u`-stratum of the joint plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One `u`-stratum of the joint plan. Its two plans are stored in one of
+/// two forms, exactly one per stratum: `factored` when both are Sinkhorn
+/// solves that converged in the factored domain, dense `plans` otherwise
+/// (a log-domain fallback, the simplex backend, a dense kernel, a
+/// filtered support) and in every artifact written before the factored
+/// form existed.
+#[derive(Debug, Clone, Deserialize)]
 struct JointStratum {
     /// Axis grids, one per feature (`d ≥ 2` entries). The product
     /// support is their Cartesian product, flattened row-major with the
@@ -138,28 +149,62 @@ struct JointStratum {
     /// plans) fails [`JointStratum::compile`] with its own reason.
     #[serde(default)]
     axes: Vec<Vec<f64>>,
+    /// Per-`s` dense plans onto the barycentre.
+    #[serde(default)]
+    plans: Option<[OtPlan; 2]>,
+    /// What produced the per-`s` plans, when both are factored solves.
+    #[serde(default)]
+    factored: Option<FactoredPlans>,
     /// Flattened grid-point coordinates, `d` per state, in row-major
     /// state order (derived from the axis grids; rebuilt by
     /// [`JointStratum::compile`]).
     #[serde(skip)]
     points: Vec<f64>,
-    /// Per-`s` plans onto the barycentre.
-    plans: [OtPlan; 2],
     /// Per-`s` alias tables of the plans' rows (derived; rebuilt by
     /// [`JointStratum::compile`]).
     #[serde(skip)]
     alias: [AliasTable; 2],
 }
 
+/// The two factored Sinkhorn solves of a stratum on an `n`-state grid:
+/// `7n` numbers where its dense plans hold `2n²`. With the stratum's axes
+/// and the plan solver's ε they fix both plans bit for bit
+/// ([`plan_from_scalings`]).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct FactoredPlans {
+    /// The `s = 0` and `s = 1` pmfs the plans transport.
+    marginals: [Vec<f64>; 2],
+    /// The barycentre both plans transport onto.
+    barycentre: Vec<f64>,
+    /// Each plan's final Sinkhorn scalings.
+    scalings: [FactoredScalings; 2],
+}
+
+/// The axes, then the one form the stratum holds, so a dense stratum
+/// writes the keys dense artifacts have always held.
+impl Serialize for JointStratum {
+    fn to_value(&self) -> serde::Value {
+        let mut entries = vec![("axes".to_string(), self.axes.to_value())];
+        if let Some(plans) = &self.plans {
+            entries.push(("plans".into(), plans.to_value()));
+        }
+        if let Some(factored) = &self.factored {
+            entries.push(("factored".into(), factored.to_value()));
+        }
+        serde::Value::Obj(entries)
+    }
+}
+
 impl JointStratum {
     /// (Re)build the derived state — the flattened product support and
-    /// the plans' alias tables — from the designed plan, validating
-    /// the stratum's shape first (deserialized plans are user-supplied
-    /// files: a grid/plan mismatch must be a clean error here, never an
-    /// out-of-bounds panic at repair time). Must run after
-    /// deserialization; `JointRepairPlan::design` and
-    /// [`JointRepairPlan::from_json`] do it automatically.
-    fn compile(&mut self, u: u8) -> Result<()> {
+    /// the plans' alias tables — from the stored plans, validating the
+    /// stratum first (deserialized plans are user-supplied files: a
+    /// malformed stratum must be a clean error here, never an
+    /// out-of-bounds panic at repair time). A factored stratum's plans
+    /// are rebuilt one at a time, each freed once its table is built.
+    /// Must run after deserialization; [`JointRepairPlan::from_json`]
+    /// does it automatically.
+    fn compile(&mut self, u: u8, config: &JointRepairConfig) -> Result<()> {
         if self.axes.len() < 2 {
             return Err(RepairError::PlanMismatch(format!(
                 "joint stratum u={u}: needs at least 2 feature `axes`, got {}; \
@@ -174,34 +219,109 @@ impl JointStratum {
                 "joint stratum u={u}: axis {k} needs at least 2 finite states, got {g:?}"
             )));
         }
-        let n: usize = self.axes.iter().map(Vec::len).product();
-        for (s, plan) in self.plans.iter().enumerate() {
-            if plan.rows() != n || plan.cols() != n {
-                return Err(RepairError::PlanMismatch(format!(
-                    "joint stratum u={u}, s={s}: plan is {}×{} but the product grid has {n} states",
-                    plan.rows(),
-                    plan.cols()
-                )));
-            }
-        }
-        let d = self.axes.len();
-        self.points = Vec::with_capacity(n * d);
-        let mut idx = vec![0usize; d];
-        for _ in 0..n {
-            for (a, &i) in idx.iter().enumerate() {
-                self.points.push(self.axes[a][i]);
-            }
-            for a in (0..d).rev() {
-                idx[a] += 1;
-                if idx[a] < self.axes[a].len() {
-                    break;
-                }
-                idx[a] = 0;
-            }
-        }
-        self.alias = alias_tables(&self.plans, "joint plan row", |s| format!("(u={u}, s={s})"))?;
+        let table = |s: usize| {
+            let plan = self.plan(u, s, config)?;
+            alias_table(&plan, "joint plan row", &format!("(u={u}, s={s})"))
+        };
+        self.alias = [table(0)?, table(1)?];
+        self.points = product_points(&self.axes);
         Ok(())
     }
+
+    /// The `s` plan: the stored dense one, or the factored solve's plan
+    /// rebuilt at the plan solver's ε, either checked against the
+    /// stratum's product grid first.
+    fn plan(&self, u: u8, s: usize, config: &JointRepairConfig) -> Result<Cow<'_, OtPlan>> {
+        let mismatch = |why: String| {
+            Err(RepairError::PlanMismatch(format!(
+                "joint stratum u={u}{why}"
+            )))
+        };
+        let Some(n) = self
+            .axes
+            .iter()
+            .try_fold(1usize, |n, g| n.checked_mul(g.len()))
+        else {
+            return mismatch(": the product grid has more states than a usize counts".into());
+        };
+        match (&self.plans, &self.factored) {
+            (Some(plans), None) => {
+                let plan = &plans[s];
+                if plan.rows() != n || plan.cols() != n {
+                    return mismatch(format!(
+                        ", s={s}: plan is {}×{} but the product grid has {n} states",
+                        plan.rows(),
+                        plan.cols()
+                    ));
+                }
+                Ok(Cow::Borrowed(plan))
+            }
+            (None, Some(factored)) => {
+                let SolverBackend::Sinkhorn { epsilon, .. } = config.plan_solver() else {
+                    return mismatch(format!(
+                        ": `factored` plans need a Sinkhorn plan solver, the config names `{}`",
+                        config.plan_solver()
+                    ));
+                };
+                let scalings = &factored.scalings[s];
+                let fields = [
+                    (format!("marginals[{s}]"), &factored.marginals[s]),
+                    ("barycentre".into(), &factored.barycentre),
+                    (format!("scalings[{s}].u"), &scalings.u),
+                    (format!("scalings[{s}].v"), &scalings.v),
+                ];
+                for (field, values) in fields {
+                    if values.len() != n {
+                        return mismatch(format!(
+                            ": `factored.{field}` holds {} values but the product grid has {n} \
+                             states",
+                            values.len()
+                        ));
+                    }
+                    if let Some((i, x)) = values
+                        .iter()
+                        .enumerate()
+                        .find(|(_, x)| !(x.is_finite() && **x > 0.0))
+                    {
+                        return mismatch(format!(
+                            ": `factored.{field}[{i}]` = {x} is not a positive finite number"
+                        ));
+                    }
+                }
+                let axes: Vec<&[f64]> = self.axes.iter().map(Vec::as_slice).collect();
+                let (a, b) = (&factored.marginals[s], &factored.barycentre);
+                plan_from_scalings(a, b, &axes, epsilon, scalings, config.threads)
+                    .map(Cow::Owned)
+                    .or_else(|e| mismatch(format!(", s={s}: `factored` plan: {e}")))
+            }
+            (Some(_), Some(_)) => {
+                mismatch(": holds both dense `plans` and `factored` plans".into())
+            }
+            (None, None) => mismatch(": holds neither dense `plans` nor `factored` plans".into()),
+        }
+    }
+}
+
+/// The flattened coordinates of the product grid `axes`, `d` per state,
+/// states in row-major order (last axis fastest).
+fn product_points(axes: &[Vec<f64>]) -> Vec<f64> {
+    let d = axes.len();
+    let n: usize = axes.iter().map(Vec::len).product();
+    let mut points = Vec::with_capacity(n * d);
+    let mut idx = vec![0usize; d];
+    for _ in 0..n {
+        for (a, &i) in idx.iter().enumerate() {
+            points.push(axes[a][i]);
+        }
+        for a in (0..d).rev() {
+            idx[a] += 1;
+            if idx[a] < axes[a].len() {
+                break;
+            }
+            idx[a] = 0;
+        }
+    }
+    points
 }
 
 /// Convergence record of one stage of the entropic-barycentre
@@ -404,8 +524,7 @@ impl JointRepairPlan {
         let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
 
         // d-variate KDE pmfs with a positivity floor (cf. plan.rs).
-        let mut pmfs: Vec<Vec<f64>> = Vec::with_capacity(2);
-        for s in 0..2usize {
+        let pmf = |s: usize| -> Result<Vec<f64>> {
             let col_refs: Vec<&[f64]> = cols[s].iter().map(Vec::as_slice).collect();
             let kde = GaussianKdeNd::fit(&col_refs)?;
             let mut pmf = kde.pmf_on_grid(&axis_refs)?;
@@ -417,8 +536,9 @@ impl JointRepairPlan {
             for p in &mut pmf {
                 *p /= total;
             }
-            pmfs.push(pmf);
-        }
+            Ok(pmf)
+        };
+        let pmfs = [pmf(0)?, pmf(1)?];
 
         // Entropic W2 barycentre on the fixed product support (iterative
         // Bregman projections, annealed along the configured ε-schedule
@@ -446,13 +566,14 @@ impl JointRepairPlan {
         // structure and owns the Sinkhorn fallback policy); the solver's
         // in-kernel scaling updates ride the same thread setting, and
         // the product-grid cost constructor records the axis grids so
-        // the entropic backend can factorize its kernel too.
+        // the entropic backend can factorize its kernel too. The dense
+        // cost lives only as long as the solves and the report's
+        // transport costs need it.
         let cost = CostMatrix::squared_euclidean_grid_nd(&axis_refs)?;
-        let mut plans: Vec<OtPlan> = Vec::with_capacity(2);
         let mut plan_transport_cost = [0.0f64; 2];
-        for (s, pmf) in pmfs.iter().enumerate() {
-            let (plan, _) = config.plan_solver().solve_with_cost_warm(
-                pmf,
+        let mut solve = |s: usize| -> Result<(OtPlan, Option<FactoredScalings>)> {
+            let (plan, duals) = config.plan_solver().solve_with_cost_warm(
+                &pmfs[s],
                 &bary,
                 &cost,
                 config.threads,
@@ -460,17 +581,43 @@ impl JointRepairPlan {
                 None,
             )?;
             plan_transport_cost[s] = plan.transport_cost(&cost)?;
-            plans.push(plan);
-        }
-        let plans: [OtPlan; 2] = [plans.remove(0), plans.remove(0)];
-
-        let mut stratum = JointStratum {
-            axes,
-            points: Vec::new(), // derived; compile() rebuilds it
-            plans,
-            alias: Default::default(),
+            Ok((plan, duals.and_then(|d| d.scalings)))
         };
-        stratum.compile(u)?;
+        let [(plan0, scalings0), (plan1, scalings1)] = [solve(0)?, solve(1)?];
+        drop(cost);
+
+        let table = |s: usize, plan: &OtPlan| {
+            alias_table(plan, "joint plan row", &format!("(u={u}, s={s})"))
+        };
+        let (plans, factored, alias) = match (scalings0, scalings1) {
+            // The tables are built from the plans the solves returned,
+            // the plans `compile` rebuilds from the scalings; each plan
+            // is freed as soon as its table is built.
+            (Some(s0), Some(s1)) => {
+                let alias0 = table(0, &plan0)?;
+                drop(plan0);
+                let alias1 = table(1, &plan1)?;
+                drop(plan1);
+                let factored = FactoredPlans {
+                    marginals: pmfs,
+                    barycentre: bary,
+                    scalings: [s0, s1],
+                };
+                (None, Some(factored), [alias0, alias1])
+            }
+            _ => {
+                let plans = [plan0, plan1];
+                let alias = [table(0, &plans[0])?, table(1, &plans[1])?];
+                (Some(plans), None, alias)
+            }
+        };
+        let stratum = JointStratum {
+            points: product_points(&axes),
+            axes,
+            plans,
+            factored,
+            alias,
+        };
         let report = Self::stratum_report(u, &diagnostics, plan_transport_cost);
         Ok((stratum, report))
     }
@@ -535,7 +682,7 @@ impl JointRepairPlan {
             )));
         }
         for (u, stratum) in plan.strata.iter_mut().enumerate() {
-            stratum.compile(u as u8)?;
+            stratum.compile(u as u8, &plan.config)?;
         }
         let (d0, d1) = (plan.strata[0].axes.len(), plan.strata[1].axes.len());
         if d0 != d1 {
@@ -555,7 +702,9 @@ impl JointRepairPlan {
 
     /// Expected squared-Euclidean transport cost of the `(u, s)` plan —
     /// the design-time estimate of how far that subgroup's mass moves
-    /// (a joint-repair damage diagnostic).
+    /// (a joint-repair damage diagnostic). A factored stratum rebuilds
+    /// the plan for the call, and every stratum builds the dense grid
+    /// cost: both are `nQ^{2d}` cells, freed on return.
     ///
     /// # Errors
     /// Rejects labels outside `{0, 1}`.
@@ -566,9 +715,10 @@ impl JointRepairPlan {
             )));
         }
         let stratum = &self.strata[u as usize];
+        let plan = stratum.plan(u, s as usize, &self.config)?;
         let axis_refs: Vec<&[f64]> = stratum.axes.iter().map(Vec::as_slice).collect();
         let cost = CostMatrix::squared_euclidean_grid_nd(&axis_refs)?;
-        Ok(stratum.plans[s as usize].transport_cost(&cost)?)
+        Ok(plan.transport_cost(&cost)?)
     }
 
     /// Repair an entire data set jointly: draws **one** `u64` seed from
@@ -881,14 +1031,16 @@ mod tests {
         // Shape mismatch straight at the compile layer: a 2×2 product
         // grid (4 states) fed plans of the wrong dimension.
         let plan3 = OtPlan::from_dense(3, 3, vec![1.0 / 9.0; 9]).unwrap();
+        let config = JointRepairConfig::default();
         let mut stratum = JointStratum {
             axes: vec![vec![0.0, 1.0]; 2],
             points: Vec::new(),
-            plans: [plan3.clone(), plan3],
+            plans: Some([plan3.clone(), plan3]),
+            factored: None,
             alias: Default::default(),
         };
         assert!(matches!(
-            stratum.compile(0),
+            stratum.compile(0, &config),
             Err(RepairError::PlanMismatch(_))
         ));
         // Degenerate single-state axis grid.
@@ -896,11 +1048,12 @@ mod tests {
         let mut stratum = JointStratum {
             axes: vec![vec![0.0], vec![0.0, 1.0]],
             points: Vec::new(),
-            plans: [plan2.clone(), plan2],
+            plans: Some([plan2.clone(), plan2]),
+            factored: None,
             alias: Default::default(),
         };
         assert!(matches!(
-            stratum.compile(1),
+            stratum.compile(1, &config),
             Err(RepairError::PlanMismatch(_))
         ));
         // Each stratum is well formed on its own, but u = 0 repairs
@@ -911,7 +1064,8 @@ mod tests {
             JointStratum {
                 axes: vec![vec![0.0, 1.0]; d],
                 points: Vec::new(),
-                plans: [plan.clone(), plan],
+                plans: Some([plan.clone(), plan]),
+                factored: None,
                 alias: Default::default(),
             }
         };
@@ -1202,6 +1356,158 @@ mod tests {
         let err = JointRepairPlan::from_json(&legacy).unwrap_err();
         assert!(matches!(err, RepairError::PlanMismatch(_)), "{err}");
         assert!(err.to_string().contains("design --joint"), "{err}");
+    }
+
+    /// The bits of every repaired coordinate.
+    fn repaired_bits(plan: &JointRepairPlan, archive: &Dataset) -> Vec<u64> {
+        let out = plan.repair_dataset_par(archive, 37).unwrap();
+        out.points()
+            .iter()
+            .flat_map(|p| p.x.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn factored_strata_reload_to_the_designed_bits() {
+        // Both strata of these designs end in the factored domain, so the
+        // artifact holds scalings, not plans. Reloaded, each plan is
+        // rebuilt to the designed bits: its transport cost is the
+        // report's, bit for bit, and it repairs to the same bytes at any
+        // thread count.
+        for (spec, n_q) in [(correlation_spec(), 8), (correlation_spec_3d(), 6)] {
+            let mut rng = StdRng::seed_from_u64(25);
+            let split = spec.generate(600, 300, &mut rng).unwrap();
+            let config = JointRepairConfig {
+                n_q,
+                epsilon: 0.1,
+                ..JointRepairConfig::default()
+            };
+            let (mut plan, report) =
+                JointRepairPlan::design_with_report(&split.research, config).unwrap();
+            let json = plan.to_json().unwrap();
+            assert!(!json.contains("\"plans\""), "d = {}", plan.dims());
+            let mut back = JointRepairPlan::from_json(&json).unwrap();
+            assert_eq!(back.to_json().unwrap(), json);
+            for (u, stratum) in report.strata.iter().enumerate() {
+                for s in 0..2 {
+                    let cost = back.expected_transport_cost(u as u8, s as u8).unwrap();
+                    assert_eq!(cost.to_bits(), stratum.plan_transport_cost[s].to_bits());
+                }
+            }
+            for threads in [1usize, 2, 7] {
+                plan.set_threads(threads);
+                back.set_threads(threads);
+                assert!(
+                    repaired_bits(&back, &split.archive) == repaired_bits(&plan, &split.archive),
+                    "d = {}, threads = {threads}",
+                    plan.dims()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn factored_artifacts_grow_with_the_states_not_the_cells() {
+        // From nQ = 6 to 12 at d = 2 the states grow 4× and the cells
+        // 16×: a dense artifact grows about 16×, a factored one about 4×.
+        let mut rng = StdRng::seed_from_u64(23);
+        let research = correlation_spec()
+            .generate(600, 300, &mut rng)
+            .unwrap()
+            .research;
+        let bytes = |n_q: usize| {
+            let config = JointRepairConfig {
+                n_q,
+                epsilon: 0.1,
+                ..JointRepairConfig::default()
+            };
+            let plan = JointRepairPlan::design(&research, config).unwrap();
+            plan.to_json().unwrap().len()
+        };
+        let (coarse, fine) = (bytes(6), bytes(12));
+        assert!(fine < 8 * coarse, "{coarse} -> {fine} bytes");
+    }
+
+    #[test]
+    fn factored_strata_are_checked_before_any_rebuild() {
+        // What a factored stratum holds is user-supplied too: a bad
+        // scaling, mass or length, both forms or neither, and a plan
+        // solver with no ε to rebuild at are clean errors naming the
+        // stratum and the field.
+        let mut rng = StdRng::seed_from_u64(10);
+        let research = correlation_spec()
+            .generate(600, 300, &mut rng)
+            .unwrap()
+            .research;
+        let config = JointRepairConfig {
+            n_q: 6,
+            epsilon: 0.1,
+            ..JointRepairConfig::default()
+        };
+        let plan = JointRepairPlan::design(&research, config).unwrap();
+        let stratum = &plan.strata[1];
+        assert!(stratum.factored.is_some() && stratum.plans.is_none());
+        let compile = |edit: &dyn Fn(&mut JointStratum), config: &JointRepairConfig| {
+            let mut bad = stratum.clone();
+            edit(&mut bad);
+            bad.compile(1, config).unwrap_err().to_string()
+        };
+        let scaling = |x: f64| {
+            move |st: &mut JointStratum| st.factored.as_mut().unwrap().scalings[0].u[4] = x
+        };
+        for x in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = compile(&scaling(x), &config);
+            let want = format!("u=1: `factored.scalings[0].u[4]` = {x} is not a positive finite");
+            assert!(err.contains(&want), "{err}");
+        }
+        let err = compile(
+            &|st| {
+                st.factored.as_mut().unwrap().scalings[1].v.pop();
+            },
+            &config,
+        );
+        assert!(
+            err.contains("u=1: `factored.scalings[1].v` holds 35 values"),
+            "{err}"
+        );
+        let err = compile(
+            &|st| st.factored.as_mut().unwrap().barycentre[2] = -1e-3,
+            &config,
+        );
+        assert!(
+            err.contains("u=1: `factored.barycentre[2]` = -0.001"),
+            "{err}"
+        );
+        let err = compile(
+            &|st| st.factored.as_mut().unwrap().marginals[1][0] = f64::NAN,
+            &config,
+        );
+        assert!(
+            err.contains("u=1: `factored.marginals[1][0]` = NaN"),
+            "{err}"
+        );
+        let dense = OtPlan::from_dense(36, 36, vec![1.0; 36 * 36]).unwrap();
+        let err = compile(
+            &|st| st.plans = Some([dense.clone(), dense.clone()]),
+            &config,
+        );
+        assert!(err.contains("u=1: holds both"), "{err}");
+        let err = compile(&|st| st.factored = None, &config);
+        assert!(err.contains("u=1: holds neither"), "{err}");
+        let simplex = JointRepairConfig {
+            solver: Some(SolverBackend::Simplex),
+            ..config
+        };
+        let err = compile(&|_| {}, &simplex);
+        assert!(
+            err.contains("u=1: `factored` plans need a Sinkhorn plan solver"),
+            "{err}"
+        );
+        // Untouched, the stratum compiles to the tables it was designed with.
+        let mut same = stratum.clone();
+        same.compile(1, &config).unwrap();
+        assert_eq!(same.alias, stratum.alias);
+        assert_eq!(same.points, stratum.points);
     }
 
     #[test]

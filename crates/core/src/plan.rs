@@ -703,21 +703,26 @@ impl RepairPlan {
     }
 }
 
-/// The alias tables of a stratum's two plans (both plan kinds). A bad
-/// row is a `name` error led by `at(s)`, the stratum's label.
+/// The alias table of a plan's rows (both plan kinds). A bad row is a
+/// `name` error led by `at`, the plan's label.
+pub(crate) fn alias_table(plan: &OtPlan, name: &'static str, at: &str) -> Result<AliasTable> {
+    AliasTable::new((0..plan.rows()).map(|i| plan.row(i))).map_err(|(i, e)| {
+        let reason = format!("{at} row {i}: {e}");
+        RepairError::InvalidParameter { name, reason }
+    })
+}
+
+/// The alias tables of a stratum's two plans, the `s` one labelled
+/// `at(s)`.
 pub(crate) fn alias_tables(
     plans: &[OtPlan; 2],
     name: &'static str,
     at: impl Fn(usize) -> String,
 ) -> Result<[AliasTable; 2]> {
-    let table = |s: usize| {
-        let plan = &plans[s];
-        AliasTable::new((0..plan.rows()).map(|i| plan.row(i))).map_err(|(i, e)| {
-            let reason = format!("{} row {i}: {e}", at(s));
-            RepairError::InvalidParameter { name, reason }
-        })
-    };
-    Ok([table(0)?, table(1)?])
+    Ok([
+        alias_table(&plans[0], name, &at(0))?,
+        alias_table(&plans[1], name, &at(1))?,
+    ])
 }
 
 /// The shape contract of the in-place kernels (scalar and joint):

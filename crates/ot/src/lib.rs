@@ -79,5 +79,8 @@ pub use kernel::{AxisKernel, KernelChoice, KernelRep};
 pub use solvers::backend::{Solver1d, SolverBackend};
 pub use solvers::monotone::solve_monotone_1d;
 pub use solvers::simplex::solve_transportation_simplex;
-pub use solvers::sinkhorn::{sinkhorn, sinkhorn_warm, EpsSchedule, SinkhornConfig, SinkhornDuals};
+pub use solvers::sinkhorn::{
+    plan_from_scalings, sinkhorn, sinkhorn_warm, EpsSchedule, FactoredScalings, SinkhornConfig,
+    SinkhornDuals,
+};
 pub use wasserstein::{wasserstein_1d, wasserstein_from_plan};

@@ -240,6 +240,25 @@ pub struct SinkhornDuals {
     pub f: Vec<f64>,
     /// Column potential `g`, one entry per target atom.
     pub g: Vec<f64>,
+    /// The same duals as the final scalings of a solve whose last stage
+    /// converged in the factored domain, from which [`plan_from_scalings`]
+    /// rebuilds the plan bit for bit; `None` after any other solve.
+    /// Never serialized, and ignored as a warm start.
+    #[serde(skip)]
+    pub scalings: Option<FactoredScalings>,
+}
+
+/// The final scalings `u`, `v` of a Sinkhorn solve on a self-product grid
+/// whose last stage converged in the factored `K₁ ⊗ … ⊗ K_d` domain: its
+/// plan is `round(diag(u) · (K₁ ⊗ … ⊗ K_d) · diag(v))`, so these, the
+/// solve's two marginals, the grid and the final ε fix it
+/// ([`plan_from_scalings`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FactoredScalings {
+    /// Row scaling, one entry per product-grid state.
+    pub u: Vec<f64>,
+    /// Column scaling, one entry per product-grid state.
+    pub v: Vec<f64>,
 }
 
 /// Solve entropic OT `min ⟨π, C⟩ − ε H(π)` subject to the coupling
@@ -363,7 +382,7 @@ pub fn sinkhorn_warm(
         Some(schedule) => schedule.stages(config.epsilon),
         None => vec![config.epsilon],
     };
-    let mut solved = Vec::new();
+    let mut solved = StagePlan::default();
     for (si, &eps) in stages.iter().enumerate() {
         let last = si + 1 == stages.len();
         let (cap, tol) = if last {
@@ -375,7 +394,7 @@ pub fn sinkhorn_warm(
             solved = plan;
         }
     }
-    let rounded = sub.round_to_feasible(solved);
+    let rounded = round_to_feasible(solved.cells, &sub.a_pos, &sub.b_pos, sub.threads);
     let (rows_pos, cols_pos) = (&sub.rows_pos, &sub.cols_pos);
 
     // Embed the plan and the duals into the full support. An unfiltered
@@ -394,6 +413,7 @@ pub fn sinkhorn_warm(
     let mut duals = SinkhornDuals {
         f: vec![0.0f64; n],
         g: vec![0.0f64; m],
+        scalings: solved.scalings,
     };
     for (pi, &i) in rows_pos.iter().enumerate() {
         duals.f[i] = phi[pi];
@@ -404,11 +424,90 @@ pub fn sinkhorn_warm(
     Ok((OtPlan::from_dense(n, m, mass)?, duals))
 }
 
+/// Rebuild the plan [`sinkhorn_warm`] returned for marginals `a`, `b` on
+/// the self-product grid `axes` (flattened row-major, last axis fastest)
+/// when its final stage, at `epsilon`, converged in the factored domain
+/// with [`SinkhornDuals::scalings`] `scalings`. It runs the solver's own
+/// materialization and feasibility rounding, so the plan has the same
+/// bits, at any `threads`.
+///
+/// # Errors
+/// * [`OtError::InvalidParameter`] for an `epsilon` that is not positive
+///   and finite, a scaling that is not a positive finite number, or a
+///   grid whose plan has more cells than a `usize` counts;
+/// * [`OtError::EmptyInput`] for an empty grid;
+/// * [`OtError::LengthMismatch`] for a marginal or scaling that is not
+///   one entry per grid state;
+/// * [`OtError::InvalidMass`] for a marginal with a negative or NaN mass
+///   or no positive finite total.
+pub fn plan_from_scalings(
+    a: &[f64],
+    b: &[f64],
+    axes: &[&[f64]],
+    epsilon: f64,
+    scalings: &FactoredScalings,
+    threads: usize,
+) -> Result<OtPlan> {
+    if !(epsilon > 0.0) || !epsilon.is_finite() {
+        return Err(OtError::InvalidParameter {
+            name: "epsilon",
+            reason: format!("must be positive and finite, got {epsilon}"),
+        });
+    }
+    let states = axes
+        .iter()
+        .try_fold(1usize, |n, axis| n.checked_mul(axis.len()));
+    if axes.is_empty() || states == Some(0) {
+        return Err(OtError::EmptyInput("product grid"));
+    }
+    let Some((n, cells)) = states.and_then(|n| Some((n, n.checked_mul(n)?))) else {
+        return Err(OtError::InvalidParameter {
+            name: "axes",
+            reason: "the product grid's plan has more cells than a usize counts".into(),
+        });
+    };
+    let FactoredScalings { u, v } = scalings;
+    for (what, len) in [
+        ("row marginal vs product grid", a.len()),
+        ("column marginal vs product grid", b.len()),
+        ("row scaling vs product grid", u.len()),
+        ("column scaling vs product grid", v.len()),
+    ] {
+        if len != n {
+            return Err(OtError::LengthMismatch {
+                what,
+                left: len,
+                right: n,
+            });
+        }
+    }
+    let a = normalized_mass(a, "a")?;
+    let b = normalized_mass(b, "b")?;
+    if let Some(x) = u.iter().chain(v).find(|x| !(x.is_finite() && **x > 0.0)) {
+        return Err(OtError::InvalidParameter {
+            name: "scalings",
+            reason: format!("must be positive and finite, got {x}"),
+        });
+    }
+    let kernel = KernelRep::separable_grid_nd(axes, epsilon);
+    let threads = otr_par::kernel_threads(threads, cells, None);
+    let plan = materialize_separable(&kernel, u, v, threads);
+    OtPlan::from_dense(n, n, round_to_feasible(plan, &a, &b, threads))
+}
+
+/// A final stage's plan on the positive sub-support, before rounding:
+/// its cells, and its scalings when the factored kernel made it.
+#[derive(Default)]
+struct StagePlan {
+    cells: Vec<f64>,
+    scalings: Option<FactoredScalings>,
+}
+
 /// Outcome of a standard-domain stage attempt.
 enum StandardOutcome {
     /// Residual fell below the stage tolerance (plan present when the
     /// stage was asked to materialize).
-    Converged(Option<Vec<f64>>),
+    Converged(Option<StagePlan>),
     /// Iteration cap exhausted with finite iterates; the duals hold the
     /// absorbed final scalings (fine for an intermediate stage).
     Exhausted,
@@ -537,8 +636,8 @@ impl ScalingKernel {
     }
 
     /// The stage's plan `π_ij = u_i K_ij v_j` on the positive
-    /// sub-support.
-    fn materialize(&self, sub: &SubProblem, u: &[f64], v: &[f64]) -> Vec<f64> {
+    /// sub-support, keeping the scalings when they fix it.
+    fn materialize(&self, sub: &SubProblem, u: Vec<f64>, v: Vec<f64>) -> StagePlan {
         match self {
             Self::Absorbed { k, .. } => {
                 let mp = sub.mp;
@@ -549,9 +648,15 @@ impl ScalingKernel {
                         *slot = u[idx / mp] * k[idx] * v[idx % mp];
                     }
                 });
-                plan
+                StagePlan {
+                    cells: plan,
+                    scalings: None,
+                }
             }
-            Self::Factored { kernel, .. } => sub.materialize_separable(kernel, u, v),
+            Self::Factored { kernel, .. } => StagePlan {
+                cells: materialize_separable(kernel, &u, &v, sub.threads),
+                scalings: Some(FactoredScalings { u, v }),
+            },
         }
     }
 }
@@ -628,7 +733,7 @@ impl SubProblem<'_> {
         phi: &mut [f64],
         psi: &mut [f64],
         last: bool,
-    ) -> Result<Option<Vec<f64>>> {
+    ) -> Result<Option<StagePlan>> {
         match self.iterate_standard(eps, max_iters, tol, phi, psi, last) {
             StandardOutcome::Converged(plan) => Ok(plan),
             StandardOutcome::Exhausted if !last => Ok(None),
@@ -637,32 +742,13 @@ impl SubProblem<'_> {
             // reporting failure. The fallback decision is a pure
             // function of the iterates, so determinism is unaffected.
             StandardOutcome::Exhausted | StandardOutcome::Unstable => {
-                self.iterate_log(eps, max_iters, tol, phi, psi, last)
+                let plan = self.iterate_log(eps, max_iters, tol, phi, psi, last)?;
+                Ok(plan.map(|cells| StagePlan {
+                    cells,
+                    scalings: None,
+                }))
             }
         }
-    }
-
-    /// Materialize `π_rc = ((U_r · K₁[r₁, c₁]) · … · K_d[r_d, c_d]) · V_c`
-    /// from the factorized kernel (the plan itself is dense — `O(n²)`
-    /// cells once, vs the per-iteration savings of the axis-pass
-    /// matvecs). Rows are built contiguously from prefix products
-    /// ([`fold_grid_row`]) and chunked over the `n²`-cell thread count;
-    /// every cell multiplies left to right, so the bits do not depend on
-    /// the row walk or the thread count.
-    fn materialize_separable(&self, kernel: &KernelRep, u: &[f64], v: &[f64]) -> Vec<f64> {
-        let KernelRep::SeparableNd { axes } = kernel else {
-            unreachable!("separable materialization needs a factorized kernel")
-        };
-        let n = self.np;
-        let tables: Vec<(&[f64], usize)> = axes.iter().map(|ax| (ax.k.as_slice(), ax.n)).collect();
-        let mut plan = vec![0.0f64; n * n];
-        par_rows_mut(&mut plan, n, self.threads, |r, row| {
-            fold_grid_row(&tables, r, u[r], |acc, k| acc * k, row);
-            for (slot, vc) in row.iter_mut().zip(v) {
-                *slot *= vc;
-            }
-        });
-        plan
     }
 
     /// Build the absorbed Gibbs kernel `K̃_ij = exp((φ_i + ψ_j − C_ij)/ε)`
@@ -737,9 +823,10 @@ impl SubProblem<'_> {
                 return StandardOutcome::Unstable;
             }
             if residual < tol {
-                let plan = materialize.then(|| kernel.materialize(self, &u, &v));
                 kernel.write_duals(eps, phi, psi, &u, &v);
-                return StandardOutcome::Converged(plan);
+                return StandardOutcome::Converged(
+                    materialize.then(|| kernel.materialize(self, u, v)),
+                );
             }
             if residual >= best_residual * 0.999 {
                 stalled_checks += 1;
@@ -888,67 +975,90 @@ impl SubProblem<'_> {
         });
         Ok(Some(plan))
     }
+}
 
-    /// Round to the exact feasible polytope (Altschuler–Weed–Rigollet,
-    /// NeurIPS 2017): scale down over-full rows, then over-full columns,
-    /// then restore the tiny missing mass with a rank-one correction. The
-    /// result satisfies the coupling constraints to machine precision, so a
-    /// Sinkhorn plan is a drop-in replacement for an exact plan downstream.
-    /// Row/column passes are chunk-parallel (each output owned by one
-    /// thread, accumulated in fixed order); the scalar mass totals are
-    /// summed sequentially — thread-count-independent throughout.
-    fn round_to_feasible(&self, mut sub: Vec<f64>) -> Vec<f64> {
-        let (np, mp) = (self.np, self.mp);
-        let (a_pos, b_pos) = (&self.a_pos, &self.b_pos);
-        // Over-full rows: whole rows are chunk units, so each thread
-        // computes its rows' sums and rescales them locally.
-        par_rows_mut(&mut sub, mp, self.threads, |pi, row| {
-            let r: f64 = row.iter().sum();
-            if r > a_pos[pi] && r > 0.0 {
-                let scale = a_pos[pi] / r;
-                for v in row {
-                    *v *= scale;
-                }
-            }
-        });
-        // Over-full columns.
-        let col_scale: Vec<f64> = col_sums(&sub, mp, self.threads)
-            .iter()
-            .zip(b_pos)
-            .map(|(&c, &b)| if c > b && c > 0.0 { b / c } else { 1.0 })
-            .collect();
-        par_rows_mut(&mut sub, mp, self.threads, |_, row| {
-            for (v, s) in row.iter_mut().zip(&col_scale) {
-                *v *= s;
-            }
-        });
-        // Missing row/column mass after the down-scaling.
-        let mut err_a = vec![0.0f64; np];
-        par_chunks_mut(&mut err_a, self.threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let pi = start + off;
-                let r: f64 = sub[pi * mp..(pi + 1) * mp].iter().sum();
-                *slot = (a_pos[pi] - r).max(0.0);
-            }
-        });
-        let err_b: Vec<f64> = col_sums(&sub, mp, self.threads)
-            .iter()
-            .zip(b_pos)
-            .map(|(c, b)| b - c)
-            .collect();
-        let err_total: f64 = err_a.iter().sum();
-        if err_total > 0.0 {
-            par_rows_mut(&mut sub, mp, self.threads, |pi, row| {
-                if err_a[pi] == 0.0 {
-                    return;
-                }
-                for (v, eb) in row.iter_mut().zip(&err_b) {
-                    *v += err_a[pi] * eb.max(0.0) / err_total;
-                }
-            });
+/// Materialize `π_rc = ((U_r · K₁[r₁, c₁]) · … · K_d[r_d, c_d]) · V_c`
+/// from the factorized kernel (the plan itself is dense — `O(n²)` cells
+/// once, vs the per-iteration savings of the axis-pass matvecs). Rows are
+/// built contiguously from prefix products ([`fold_grid_row`]) and
+/// chunked over `threads`; every cell multiplies left to right, so the
+/// bits do not depend on the row walk or the thread count.
+fn materialize_separable(kernel: &KernelRep, u: &[f64], v: &[f64], threads: usize) -> Vec<f64> {
+    let KernelRep::SeparableNd { axes } = kernel else {
+        unreachable!("separable materialization needs a factorized kernel")
+    };
+    let n = u.len();
+    let tables: Vec<(&[f64], usize)> = axes.iter().map(|ax| (ax.k.as_slice(), ax.n)).collect();
+    let mut plan = vec![0.0f64; n * n];
+    par_rows_mut(&mut plan, n, threads, |r, row| {
+        fold_grid_row(&tables, r, u[r], |acc, k| acc * k, row);
+        for (slot, vc) in row.iter_mut().zip(v) {
+            *slot *= vc;
         }
-        sub
+    });
+    plan
+}
+
+/// Round the row-major `a_pos.len() × b_pos.len()` plan `sub` to the
+/// exact feasible polytope of marginals `a_pos`, `b_pos`
+/// (Altschuler–Weed–Rigollet,
+/// NeurIPS 2017): scale down over-full rows, then over-full columns,
+/// then restore the tiny missing mass with a rank-one correction. The
+/// result satisfies the coupling constraints to machine precision, so a
+/// Sinkhorn plan is a drop-in replacement for an exact plan downstream.
+/// Row/column passes are chunk-parallel over `threads` (each output
+/// owned by one thread, accumulated in fixed order); the scalar mass
+/// totals are summed sequentially — thread-count-independent throughout.
+fn round_to_feasible(mut sub: Vec<f64>, a_pos: &[f64], b_pos: &[f64], threads: usize) -> Vec<f64> {
+    let (np, mp) = (a_pos.len(), b_pos.len());
+    // Over-full rows: whole rows are chunk units, so each thread
+    // computes its rows' sums and rescales them locally.
+    par_rows_mut(&mut sub, mp, threads, |pi, row| {
+        let r: f64 = row.iter().sum();
+        if r > a_pos[pi] && r > 0.0 {
+            let scale = a_pos[pi] / r;
+            for v in row {
+                *v *= scale;
+            }
+        }
+    });
+    // Over-full columns.
+    let col_scale: Vec<f64> = col_sums(&sub, mp, threads)
+        .iter()
+        .zip(b_pos)
+        .map(|(&c, &b)| if c > b && c > 0.0 { b / c } else { 1.0 })
+        .collect();
+    par_rows_mut(&mut sub, mp, threads, |_, row| {
+        for (v, s) in row.iter_mut().zip(&col_scale) {
+            *v *= s;
+        }
+    });
+    // Missing row/column mass after the down-scaling.
+    let mut err_a = vec![0.0f64; np];
+    par_chunks_mut(&mut err_a, threads, |start, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            let pi = start + off;
+            let r: f64 = sub[pi * mp..(pi + 1) * mp].iter().sum();
+            *slot = (a_pos[pi] - r).max(0.0);
+        }
+    });
+    let err_b: Vec<f64> = col_sums(&sub, mp, threads)
+        .iter()
+        .zip(b_pos)
+        .map(|(c, b)| b - c)
+        .collect();
+    let err_total: f64 = err_a.iter().sum();
+    if err_total > 0.0 {
+        par_rows_mut(&mut sub, mp, threads, |pi, row| {
+            if err_a[pi] == 0.0 {
+                return;
+            }
+            for (v, eb) in row.iter_mut().zip(&err_b) {
+                *v += err_a[pi] * eb.max(0.0) / err_total;
+            }
+        });
     }
+    sub
 }
 
 /// Column sums of the row-major `rows × cols` matrix `m`. The columns
@@ -1099,6 +1209,7 @@ mod tests {
         let bad_duals = SinkhornDuals {
             f: vec![0.0; 3],
             g: vec![0.0; 1],
+            scalings: None,
         };
         assert!(sinkhorn_warm(
             &[1.0],
@@ -1271,7 +1382,7 @@ mod tests {
         let mut phi = vec![0.0f64; np];
         let mut psi = vec![0.0f64; mp];
         let standard = match sub.iterate_standard(eps, 200_000, 1e-9, &mut phi, &mut psi, true) {
-            StandardOutcome::Converged(Some(plan)) => plan,
+            StandardOutcome::Converged(Some(plan)) => plan.cells,
             other => panic!(
                 "standard domain should converge on stable inputs, got {}",
                 match other {
@@ -1315,7 +1426,7 @@ mod tests {
             let sub = full_sub(&cost, &a, &b, threads);
             let (mut phi, mut psi) = (vec![0.0f64; np], vec![0.0f64; mp]);
             let standard = match sub.iterate_standard(eps, 50_000, 1e-9, &mut phi, &mut psi, true) {
-                StandardOutcome::Converged(Some(plan)) => plan,
+                StandardOutcome::Converged(Some(plan)) => plan.cells,
                 _ => panic!("standard domain did not converge at eps = {eps}"),
             };
             let (mut f, mut g) = (vec![0.0f64; np], vec![0.0f64; mp]);
@@ -1567,13 +1678,126 @@ mod tests {
                 })
                 .collect();
             for threads in [1usize, 2, 7] {
-                let got = full_sub(&cost, &u, &v, threads).materialize_separable(&kernel, &u, &v);
+                let got = materialize_separable(&kernel, &u, &v, threads);
                 let first_diff = got
                     .iter()
                     .zip(&oracle)
                     .position(|(x, y)| x.to_bits() != y.to_bits());
                 assert_eq!(first_diff, None, "d = {d}, threads = {threads}");
             }
+        }
+    }
+
+    /// A factored solve's plan, rebuilt by [`plan_from_scalings`] from the
+    /// solve's marginals, grid, final ε and final scalings, has the bits
+    /// `sinkhorn_warm` returned, at 1, 2, 3 and 7 threads: on
+    /// [`product_grid_problem`] at ε = 0.08, and on
+    /// [`product_grid_problem_3d`] with the default schedule.
+    #[test]
+    fn plan_from_scalings_rebuilds_the_factored_plan_bitwise() {
+        let (gx, gy, a, b, cost) = product_grid_problem();
+        let (axes_3d, a3, b3, cost_3d) = product_grid_problem_3d();
+        let cases = [
+            (vec![gx, gy], a, b, cost, None),
+            (axes_3d, a3, b3, cost_3d, Some(EpsSchedule::default())),
+        ];
+        let bits = |plan: &OtPlan| {
+            let cells = (0..plan.rows()).flat_map(|i| plan.row(i).iter());
+            cells.map(|x| x.to_bits()).collect::<Vec<u64>>()
+        };
+        for (axes, a, b, cost, eps_scaling) in &cases {
+            let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
+            for threads in [1usize, 2, 3, 7] {
+                let config = SinkhornConfig {
+                    epsilon: 0.08,
+                    eps_scaling: *eps_scaling,
+                    threads,
+                    parallel_min_cells: Some(1),
+                    ..SinkhornConfig::default()
+                };
+                let (plan, duals) = sinkhorn_warm(a, b, cost, config, None).unwrap();
+                let scalings = duals.scalings.expect("the factored domain converged");
+                let rebuilt = plan_from_scalings(a, b, &axis_refs, 0.08, &scalings, threads);
+                assert!(
+                    bits(&rebuilt.unwrap()) == bits(&plan),
+                    "d = {}, threads = {threads}",
+                    axes.len()
+                );
+            }
+        }
+        // A dense or log-domain plan leaves no scalings to rebuild it from.
+        let dense = SinkhornConfig {
+            epsilon: 0.08,
+            kernel: KernelChoice::Dense,
+            ..SinkhornConfig::default()
+        };
+        let (_, _, a, b, cost) = product_grid_problem();
+        let (_, duals) = sinkhorn_warm(&a, &b, &cost, dense, None).unwrap();
+        assert_eq!(duals.scalings, None);
+    }
+
+    /// Every input `plan_from_scalings` cannot rebuild from is an error,
+    /// never a panic.
+    #[test]
+    fn plan_from_scalings_rejects_what_it_cannot_rebuild() {
+        let (gx, gy, a, b, cost) = product_grid_problem();
+        let config = SinkhornConfig::with_epsilon(0.08);
+        let (plan, duals) = sinkhorn_warm(&a, &b, &cost, config, None).unwrap();
+        let scalings = duals.scalings.unwrap();
+        let axes = [gx.as_slice(), gy.as_slice()];
+        let rebuild = |a: &[f64], b: &[f64], s: &FactoredScalings| {
+            plan_from_scalings(a, b, &axes, 0.08, s, 1)
+        };
+        assert_eq!(rebuild(&a, &b, &scalings).unwrap(), plan);
+        let short = |v: &[f64]| v[1..].to_vec();
+        let short_u = FactoredScalings {
+            u: short(&scalings.u),
+            ..scalings.clone()
+        };
+        let short_v = FactoredScalings {
+            v: short(&scalings.v),
+            ..scalings.clone()
+        };
+        for err in [
+            rebuild(&short(&a), &b, &scalings),
+            rebuild(&a, &short(&b), &scalings),
+            rebuild(&a, &b, &short_u),
+            rebuild(&a, &b, &short_v),
+        ] {
+            assert!(
+                matches!(err, Err(OtError::LengthMismatch { .. })),
+                "{err:?}"
+            );
+        }
+        for bad in [-0.1, f64::NAN] {
+            let mut worse = a.clone();
+            worse[4] = bad;
+            let err = rebuild(&worse, &b, &scalings);
+            assert!(matches!(err, Err(OtError::InvalidMass(_))), "{err:?}");
+            let err = rebuild(&a, &worse, &scalings);
+            assert!(matches!(err, Err(OtError::InvalidMass(_))), "{err:?}");
+        }
+        let err = rebuild(&vec![0.0; a.len()], &b, &scalings);
+        assert!(matches!(err, Err(OtError::InvalidMass(_))), "{err:?}");
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let mut worse = scalings.clone();
+            worse.v[7] = bad;
+            let err = rebuild(&a, &b, &worse);
+            assert!(
+                matches!(err, Err(OtError::InvalidParameter { .. })),
+                "{err:?}"
+            );
+        }
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = plan_from_scalings(&a, &b, &axes, eps, &scalings, 1);
+            assert!(
+                matches!(err, Err(OtError::InvalidParameter { .. })),
+                "{err:?}"
+            );
+        }
+        for grid in [&[][..], &[gx.as_slice(), &[]][..]] {
+            let err = plan_from_scalings(&a, &b, grid, 0.08, &scalings, 1);
+            assert!(matches!(err, Err(OtError::EmptyInput(_))), "{err:?}");
         }
     }
 

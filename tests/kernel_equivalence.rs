@@ -222,10 +222,21 @@ fn joint_design_transport_costs_agree_across_kernels() {
     }
 }
 
+/// The bits of every coordinate `plan` repairs `archive` to, at seed 29.
+fn repaired_bits(plan: &JointRepairPlan, archive: &Dataset) -> Vec<u64> {
+    let out = plan.repair_dataset_par(archive, 29).unwrap();
+    out.points()
+        .iter()
+        .flat_map(|p| p.x.iter().map(|v| v.to_bits()))
+        .collect()
+}
+
 /// The acceptance pin: an `nQ = 24` joint design + repair with the
 /// separable kernel forced on — `24⁴ = 331 776` logical kernel cells,
 /// every matvec running as two axis passes — is **byte-identical**
-/// across `OTR_THREADS ∈ {1, 2, 7}`.
+/// across `OTR_THREADS ∈ {1, 2, 7}`, and so is the repair through the
+/// plan reloaded from its JSON under the same `OTR_THREADS`, whose
+/// factored strata rebuild their plans at that thread count.
 #[test]
 fn separable_joint_repair_byte_identical_across_otr_threads_env() {
     let _env = OTR_THREADS_ENV_LOCK
@@ -248,12 +259,17 @@ fn separable_joint_repair_byte_identical_across_otr_threads_env() {
     for threads in ["1", "2", "7"] {
         std::env::set_var("OTR_THREADS", threads);
         let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
-        let out = plan.repair_dataset_par(&split.archive, 29).unwrap();
-        let bytes: Vec<u64> = out
-            .points()
-            .iter()
-            .flat_map(|p| p.x.iter().map(|v| v.to_bits()))
-            .collect();
+        let bytes = repaired_bits(&plan, &split.archive);
+        let json = plan.to_json().unwrap();
+        assert!(
+            !json.contains("\"plans\""),
+            "both strata store factored plans"
+        );
+        let reloaded = JointRepairPlan::from_json(&json).unwrap();
+        assert!(
+            repaired_bits(&reloaded, &split.archive) == bytes,
+            "reloaded, OTR_THREADS = {threads}"
+        );
         match &reference {
             None => reference = Some(bytes),
             Some(r) => assert_eq!(&bytes, r, "OTR_THREADS = {threads}"),
@@ -304,12 +320,7 @@ fn separable_nd_3feature_joint_repair_byte_identical_across_otr_threads_env() {
         let (plan, report) = JointRepairPlan::design_with_report(&split.research, cfg).unwrap();
         assert_eq!(report.dims, 3);
         assert_eq!(report.kernel, "separable");
-        let out = plan.repair_dataset_par(&split.archive, 29).unwrap();
-        let bytes: Vec<u64> = out
-            .points()
-            .iter()
-            .flat_map(|p| p.x.iter().map(|v| v.to_bits()))
-            .collect();
+        let bytes = repaired_bits(&plan, &split.archive);
         match &reference {
             None => reference = Some(bytes),
             Some(r) => assert_eq!(&bytes, r, "OTR_THREADS = {threads}"),

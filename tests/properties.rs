@@ -202,10 +202,12 @@ proptest! {
     }
 }
 
-/// A small scalar plan and a small joint plan (`nQ = 6`, `d = 2`), as
-/// their JSON artifacts, designed once.
-fn base_artifacts() -> &'static [String; 2] {
-    static ARTIFACTS: std::sync::OnceLock<[String; 2]> = std::sync::OnceLock::new();
+/// A small scalar plan, a small joint plan (`nQ = 6`, `d = 2`) whose
+/// strata store factored plans, both designed once, and the joint plan
+/// with dense plans in `tests/fixtures/joint_plan_dense.json`, as their
+/// JSON artifacts.
+fn base_artifacts() -> &'static [String; 3] {
+    static ARTIFACTS: std::sync::OnceLock<[String; 3]> = std::sync::OnceLock::new();
     ARTIFACTS.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(23);
         let research = SimulationSpec::paper_defaults()
@@ -219,8 +221,16 @@ fn base_artifacts() -> &'static [String; 2] {
             epsilon: 0.1,
             ..JointRepairConfig::default()
         };
-        let joint = JointRepairPlan::design(&research, config).unwrap();
-        [scalar.to_json().unwrap(), joint.to_json().unwrap()]
+        let joint = JointRepairPlan::design(&research, config)
+            .unwrap()
+            .to_json()
+            .unwrap();
+        assert!(
+            !joint.contains("\"plans\""),
+            "both strata store factored plans"
+        );
+        let dense = include_str!("fixtures/joint_plan_dense.json").to_string();
+        [scalar.to_json().unwrap(), joint, dense]
     })
 }
 
@@ -344,16 +354,16 @@ fn joint_artifacts_without_their_strata_key_are_refused() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// One random mutation of a valid plan artifact of either kind loads
-    /// or fails as `PlanInvalid`, never panics, and whatever loads
-    /// repairs without panicking.
+    /// One random mutation of a valid plan artifact of either kind, and
+    /// of either joint form, loads or fails as `PlanInvalid`, never
+    /// panics, and whatever loads repairs without panicking.
     #[test]
     fn mutated_plan_artifacts_load_or_fail_but_never_panic(
-        joint in 0usize..2,
+        base in 0usize..3,
         what in 0u8..4,
         at in 0usize..1_000_000,
         how in 0usize..1_000_000,
     ) {
-        load_and_repair(&mutate(&base_artifacts()[joint], what, at, how));
+        load_and_repair(&mutate(&base_artifacts()[base], what, at, how));
     }
 }

@@ -578,12 +578,16 @@ fn edit_array(json: &str, path: &[&str], edit: impl FnOnce(&mut Vec<serde_json::
 /// whose marginal or barycentre has a negative mass or a support other
 /// than its stratum's or whose duals are not finite, a plan of either
 /// kind with a row no draw can come from (a negative or infinite mass,
-/// or none at all), a joint plan whose two strata disagree on `d`, and a
-/// joint plan with `gx`/`gy` but no `axes`, are rejected once, at load,
-/// as `PlanInvalid` — over the wire
-/// and from a `plans_dir`, each with its own reason — so no request can
-/// ever be served from them. `otrepair apply` refuses them with the
-/// same reason.
+/// or none at all), a joint plan whose two strata disagree on `d`, a
+/// joint plan with `gx`/`gy` but no `axes`, a factored joint stratum
+/// with a scaling that is infinite, zero, negative or one entry short or
+/// with a negative barycentre mass, and a joint stratum with both dense
+/// and factored plans or with neither, are rejected once, at load, as
+/// `PlanInvalid` — over the wire and from a `plans_dir`, each with its
+/// own reason — so no request can ever be served from them. `otrepair
+/// apply` refuses them with the same reason. The dense-row cases edit
+/// `tests/fixtures/joint_plan_dense.json`, since a fresh joint design
+/// stores factored plans.
 #[test]
 fn non_finite_plan_supports_are_rejected_at_load() {
     let (research, _) = split_data(18, 400, 10);
@@ -641,9 +645,41 @@ fn non_finite_plan_supports_are_rejected_at_load() {
     let negative_row = edit_array(&scalar_json, &mass, |m| m[5] = num(-1.0));
     let infinite_row = poison_first(&scalar_json, "mass");
     let empty_row = edit_array(&scalar_json, &mass, |m| m[12..24].fill(zero.clone()));
+    let dense_json = include_str!("fixtures/joint_plan_dense.json");
     let mass = ["strata", "1", "plans", "0", "mass"];
-    let joint_negative_row = edit_array(&joint_json, &mass, |m| m[68] = num(-1.0));
-    let joint_empty_row = edit_array(&joint_json, &mass, |m| m[64..128].fill(zero.clone()));
+    let joint_negative_row = edit_array(dense_json, &mass, |m| m[29] = num(-1.0));
+    let joint_empty_row = edit_array(dense_json, &mass, |m| m[25..50].fill(zero.clone()));
+    // Stratum u = 1 of this design stores factored plans.
+    assert!(joint_json.find("\"plans\"") < joint_json.find("\"factored\""));
+    let u_0 = ["strata", "1", "factored", "scalings", "0", "u"];
+    let infinite_scaling = poison_first(&joint_json, "u");
+    let zero_scaling = edit_array(&joint_json, &u_0, |u| u[3] = zero.clone());
+    let negative_scaling = edit_array(&joint_json, &u_0, |u| u[3] = num(-1.0));
+    let v_1 = ["strata", "1", "factored", "scalings", "1", "v"];
+    let short_scaling = edit_array(&joint_json, &v_1, |v| {
+        v.pop();
+    });
+    let barycentre = ["strata", "1", "factored", "barycentre"];
+    let negative_barycentre = edit_array(&joint_json, &barycentre, |b| b[5] = num(-1e-3));
+    // Stratum u = 1 of the dense fixture with the factored plans of a
+    // fresh design's u = 1 too, then with neither.
+    let parsed: serde_json::Value = serde_json::from_str(&joint_json).unwrap();
+    let factored = parsed.get("strata").unwrap().as_arr().unwrap()[1]
+        .get("factored")
+        .unwrap()
+        .clone();
+    let both_forms = edit_array(dense_json, &["strata"], |strata| {
+        let serde_json::Value::Obj(fields) = &mut strata[1] else {
+            panic!("stratum is not an object")
+        };
+        fields.push(("factored".into(), factored));
+    });
+    let neither_form = edit_array(dense_json, &["strata"], |strata| {
+        let serde_json::Value::Obj(fields) = &mut strata[1] else {
+            panic!("stratum is not an object")
+        };
+        fields.retain(|(k, _)| k != "plans");
+    });
     let bad_row = |at: &str, why: &str| format!("{at}: invalid probabilities: {why}");
     let differs = "support differs from `support`";
     let cases = [
@@ -702,6 +738,50 @@ fn non_finite_plan_supports_are_rejected_at_load() {
             &bad_row("(u=1, s=0) row 1", "total weight 0 is not positive"),
         ),
         ("legacy", PlanKind::Joint, &legacy, "design --joint"),
+        (
+            "infinite-scaling",
+            PlanKind::Joint,
+            &infinite_scaling,
+            "joint stratum u=1: `factored.scalings[0].u[0]` = inf is not a positive finite number",
+        ),
+        (
+            "zero-scaling",
+            PlanKind::Joint,
+            &zero_scaling,
+            "joint stratum u=1: `factored.scalings[0].u[3]` = 0 is not a positive finite number",
+        ),
+        (
+            "negative-scaling",
+            PlanKind::Joint,
+            &negative_scaling,
+            "joint stratum u=1: `factored.scalings[0].u[3]` = -1 is not a positive finite number",
+        ),
+        (
+            "short-scaling",
+            PlanKind::Joint,
+            &short_scaling,
+            "joint stratum u=1: `factored.scalings[1].v` holds 63 values but the product grid \
+             has 64 states",
+        ),
+        (
+            "negative-barycentre",
+            PlanKind::Joint,
+            &negative_barycentre,
+            "joint stratum u=1: `factored.barycentre[5]` = -0.001 is not a positive finite \
+             number",
+        ),
+        (
+            "both-forms",
+            PlanKind::Joint,
+            &both_forms,
+            "joint stratum u=1: holds both dense `plans` and `factored` plans",
+        ),
+        (
+            "neither-form",
+            PlanKind::Joint,
+            &neither_form,
+            "joint stratum u=1: holds neither dense `plans` nor `factored` plans",
+        ),
     ];
 
     let server = TestServer::start(ServeConfig::default());
