@@ -137,9 +137,14 @@ impl FeaturePlan {
                 return Err(RepairError::PlanMismatch(msg));
             }
         }
-        self.alias = alias_tables(&self.plans, "plan row", |s| {
-            format!("(u={u}, s={s}, k={k})")
-        })?;
+        let table = |s: usize| {
+            alias_table(
+                &self.plans[s],
+                "plan row",
+                &format!("(u={u}, s={s}, k={k})"),
+            )
+        };
+        self.alias = [table(0)?, table(1)?];
         // The alias tables refused massless rows, so every row has a
         // projection; the cell's own state only keeps this total.
         let projection = |s: usize| -> Vec<f64> {
@@ -710,19 +715,6 @@ pub(crate) fn alias_table(plan: &OtPlan, name: &'static str, at: &str) -> Result
         let reason = format!("{at} row {i}: {e}");
         RepairError::InvalidParameter { name, reason }
     })
-}
-
-/// The alias tables of a stratum's two plans, the `s` one labelled
-/// `at(s)`.
-pub(crate) fn alias_tables(
-    plans: &[OtPlan; 2],
-    name: &'static str,
-    at: impl Fn(usize) -> String,
-) -> Result<[AliasTable; 2]> {
-    Ok([
-        alias_table(&plans[0], name, &at(0))?,
-        alias_table(&plans[1], name, &at(1))?,
-    ])
 }
 
 /// The shape contract of the in-place kernels (scalar and joint):
