@@ -134,6 +134,20 @@ impl JointRepairConfig {
     }
 }
 
+/// The most cells a joint plan may have: `n²` on an `n`-state product
+/// grid. A factored stratum's `7n` numbers rebuild two `n²`-cell plans
+/// and their tables (8 and 12 bytes a cell), so this cap, not the
+/// artifact's size, bounds what loading one allocates: a stratum at the
+/// cap compiles into 768 MiB of tables. It admits `nQ ≤ 76` at `d = 2`,
+/// `nQ ≤ 17` at `d = 3` and `nQ ≤ 8` at `d = 4`.
+const MAX_PLAN_CELLS: usize = 1 << 25;
+
+/// Whether plans on `n` product states fit under [`MAX_PLAN_CELLS`].
+fn plan_fits(n: usize) -> bool {
+    n.checked_mul(n)
+        .is_some_and(|cells| cells <= MAX_PLAN_CELLS)
+}
+
 /// One `u`-stratum of the joint plan. Its two plans are stored in one of
 /// two forms, exactly one per stratum: `factored` when both are Sinkhorn
 /// solves that converged in the factored domain, dense `plans` otherwise
@@ -202,8 +216,8 @@ impl JointStratum {
     /// malformed stratum must be a clean error here, never an
     /// out-of-bounds panic at repair time). A factored stratum's plans
     /// are rebuilt one at a time, each freed once its table is built.
-    /// Must run after deserialization; [`JointRepairPlan::from_json`]
-    /// does it automatically.
+    /// Must run after deserialization; `JointRepairPlan::design` and
+    /// [`JointRepairPlan::from_json`] do it automatically.
     fn compile(&mut self, u: u8, config: &JointRepairConfig) -> Result<()> {
         if self.axes.len() < 2 {
             return Err(RepairError::PlanMismatch(format!(
@@ -224,7 +238,22 @@ impl JointStratum {
             alias_table(&plan, "joint plan row", &format!("(u={u}, s={s})"))
         };
         self.alias = [table(0)?, table(1)?];
-        self.points = product_points(&self.axes);
+        let d = self.axes.len();
+        let n: usize = self.axes.iter().map(Vec::len).product();
+        self.points = Vec::with_capacity(n * d);
+        let mut idx = vec![0usize; d];
+        for _ in 0..n {
+            for (a, &i) in idx.iter().enumerate() {
+                self.points.push(self.axes[a][i]);
+            }
+            for a in (0..d).rev() {
+                idx[a] += 1;
+                if idx[a] < self.axes[a].len() {
+                    break;
+                }
+                idx[a] = 0;
+            }
+        }
         Ok(())
     }
 
@@ -257,6 +286,14 @@ impl JointStratum {
                 Ok(Cow::Borrowed(plan))
             }
             (None, Some(factored)) => {
+                // Checked before anything else: here `n` comes from the
+                // axes alone, and the rebuild allocates `n²` cells.
+                if !plan_fits(n) {
+                    return mismatch(format!(
+                        ": `factored` plans on the {n}-state product grid would rebuild {n}² \
+                         cells each, over the {MAX_PLAN_CELLS} a joint plan may hold"
+                    ));
+                }
                 let SolverBackend::Sinkhorn { epsilon, .. } = config.plan_solver() else {
                     return mismatch(format!(
                         ": `factored` plans need a Sinkhorn plan solver, the config names `{}`",
@@ -300,28 +337,6 @@ impl JointStratum {
             (None, None) => mismatch(": holds neither dense `plans` nor `factored` plans".into()),
         }
     }
-}
-
-/// The flattened coordinates of the product grid `axes`, `d` per state,
-/// states in row-major order (last axis fastest).
-fn product_points(axes: &[Vec<f64>]) -> Vec<f64> {
-    let d = axes.len();
-    let n: usize = axes.iter().map(Vec::len).product();
-    let mut points = Vec::with_capacity(n * d);
-    let mut idx = vec![0usize; d];
-    for _ in 0..n {
-        for (a, &i) in idx.iter().enumerate() {
-            points.push(axes[a][i]);
-        }
-        for a in (0..d).rev() {
-            idx[a] += 1;
-            if idx[a] < axes[a].len() {
-                break;
-            }
-            idx[a] = 0;
-        }
-    }
-    points
 }
 
 /// Convergence record of one stage of the entropic-barycentre
@@ -419,6 +434,20 @@ impl JointRepairPlan {
             return Err(RepairError::InvalidParameter {
                 name: "n_q",
                 reason: format!("must be at least 4, got {}", config.n_q),
+            });
+        }
+        let states = u32::try_from(research.dim())
+            .ok()
+            .and_then(|d| config.n_q.checked_pow(d));
+        if !states.is_some_and(plan_fits) {
+            return Err(RepairError::InvalidParameter {
+                name: "n_q",
+                reason: format!(
+                    "{} states per axis on {} axes make plans of over the {MAX_PLAN_CELLS} cells \
+                     a joint plan may hold",
+                    config.n_q,
+                    research.dim()
+                ),
             });
         }
         if !(config.epsilon > 0.0) {
@@ -586,38 +615,28 @@ impl JointRepairPlan {
         let [(plan0, scalings0), (plan1, scalings1)] = [solve(0)?, solve(1)?];
         drop(cost);
 
-        let table = |s: usize, plan: &OtPlan| {
-            alias_table(plan, "joint plan row", &format!("(u={u}, s={s})"))
-        };
-        let (plans, factored, alias) = match (scalings0, scalings1) {
-            // The tables are built from the plans the solves returned,
-            // the plans `compile` rebuilds from the scalings; each plan
-            // is freed as soon as its table is built.
+        let (plans, factored) = match (scalings0, scalings1) {
             (Some(s0), Some(s1)) => {
-                let alias0 = table(0, &plan0)?;
-                drop(plan0);
-                let alias1 = table(1, &plan1)?;
-                drop(plan1);
+                // `compile` rebuilds these bit for bit from the scalings,
+                // one at a time, as a load does.
+                drop((plan0, plan1));
                 let factored = FactoredPlans {
                     marginals: pmfs,
                     barycentre: bary,
                     scalings: [s0, s1],
                 };
-                (None, Some(factored), [alias0, alias1])
+                (None, Some(factored))
             }
-            _ => {
-                let plans = [plan0, plan1];
-                let alias = [table(0, &plans[0])?, table(1, &plans[1])?];
-                (Some(plans), None, alias)
-            }
+            _ => (Some([plan0, plan1]), None),
         };
-        let stratum = JointStratum {
-            points: product_points(&axes),
+        let mut stratum = JointStratum {
             axes,
             plans,
             factored,
-            alias,
+            points: Vec::new(), // derived; compile() rebuilds it
+            alias: Default::default(),
         };
+        stratum.compile(u, config)?;
         let report = Self::stratum_report(u, &diagnostics, plan_transport_cost);
         Ok((stratum, report))
     }
@@ -1494,6 +1513,17 @@ mod tests {
         assert!(err.contains("u=1: holds both"), "{err}");
         let err = compile(&|st| st.factored = None, &config);
         assert!(err.contains("u=1: holds neither"), "{err}");
+        // Axes of 77 points make 5929² cells, over the cap, refused before
+        // anything is rebuilt; 76 points (5776² cells) are under it and
+        // reach the length checks.
+        let axes = |k: usize| move |st: &mut JointStratum| st.axes = vec![vec![0.0; k]; 2];
+        let err = compile(&axes(77), &config);
+        assert!(
+            err.contains("u=1: `factored` plans on the 5929-state product grid would rebuild"),
+            "{err}"
+        );
+        let err = compile(&axes(76), &config);
+        assert!(err.contains("has 5776 states"), "{err}");
         let simplex = JointRepairConfig {
             solver: Some(SolverBackend::Simplex),
             ..config
@@ -1527,5 +1557,21 @@ mod tests {
         let mut cfg = JointRepairConfig::default();
         cfg.min_group_size = 10_000;
         assert!(JointRepairPlan::design(&research, cfg).is_err());
+        // A grid whose plans no load may rebuild is refused before any
+        // work: 77² states at d = 2, 18³ at d = 3.
+        let mut cfg = JointRepairConfig::default();
+        cfg.n_q = 77;
+        let err = JointRepairPlan::design(&research, cfg).unwrap_err();
+        assert!(
+            err.to_string().contains("77 states per axis on 2 axes"),
+            "{err}"
+        );
+        let research = correlation_spec_3d().sample_dataset(300, &mut rng).unwrap();
+        cfg.n_q = 18;
+        let err = JointRepairPlan::design(&research, cfg).unwrap_err();
+        assert!(
+            err.to_string().contains("18 states per axis on 3 axes"),
+            "{err}"
+        );
     }
 }

@@ -580,11 +580,13 @@ fn edit_array(json: &str, path: &[&str], edit: impl FnOnce(&mut Vec<serde_json::
 /// kind with a row no draw can come from (a negative or infinite mass,
 /// or none at all), a joint plan whose two strata disagree on `d`, a
 /// joint plan with `gx`/`gy` but no `axes`, a factored joint stratum
-/// with a scaling that is infinite, zero, negative or one entry short or
-/// with a negative barycentre mass, and a joint stratum with both dense
-/// and factored plans or with neither, are rejected once, at load, as
+/// with a scaling that is infinite, zero, negative or one entry short,
+/// with a negative barycentre mass or whose axes declare more plan cells
+/// than a load may rebuild, and a joint stratum with both dense and
+/// factored plans or with neither, are rejected once, at load, as
 /// `PlanInvalid` — over the wire and from a `plans_dir`, each with its
-/// own reason — so no request can ever be served from them. `otrepair
+/// own reason, the daemon still answering afterwards — so no request can
+/// ever be served from them. `otrepair
 /// apply` refuses them with the same reason. The dense-row cases edit
 /// `tests/fixtures/joint_plan_dense.json`, since a fresh joint design
 /// stores factored plans.
@@ -661,6 +663,11 @@ fn non_finite_plan_supports_are_rejected_at_load() {
     });
     let barycentre = ["strata", "1", "factored", "barycentre"];
     let negative_barycentre = edit_array(&joint_json, &barycentre, |b| b[5] = num(-1e-3));
+    // Two 1000-point axes: a 10¹²-cell plan declared in a few kilobytes.
+    let huge_grid = edit_array(&joint_json, &["strata", "1", "axes"], |axes| {
+        let axis = serde_json::Value::Arr((0..1000).map(|i| num(f64::from(i))).collect());
+        *axes = vec![axis.clone(), axis];
+    });
     // Stratum u = 1 of the dense fixture with the factored plans of a
     // fresh design's u = 1 too, then with neither.
     let parsed: serde_json::Value = serde_json::from_str(&joint_json).unwrap();
@@ -771,6 +778,13 @@ fn non_finite_plan_supports_are_rejected_at_load() {
              number",
         ),
         (
+            "huge-grid",
+            PlanKind::Joint,
+            &huge_grid,
+            "joint stratum u=1: `factored` plans on the 1000000-state product grid would \
+             rebuild 1000000² cells each, over the 33554432 a joint plan may hold",
+        ),
+        (
             "both-forms",
             PlanKind::Joint,
             &both_forms,
@@ -795,6 +809,7 @@ fn non_finite_plan_supports_are_rejected_at_load() {
         );
         assert!(err.to_string().contains(reason), "{name}: {err}");
     }
+    client.ping().unwrap();
     assert!(client.list_plans().unwrap().is_empty());
 
     let archive = concat!(env!("CARGO_MANIFEST_DIR"), "/ci/fixtures/archive.csv");
