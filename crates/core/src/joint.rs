@@ -215,10 +215,17 @@ impl JointStratum {
     /// stratum first (deserialized plans are user-supplied files: a
     /// malformed stratum must be a clean error here, never an
     /// out-of-bounds panic at repair time). A factored stratum's plans
-    /// are rebuilt one at a time, each freed once its table is built.
-    /// Must run after deserialization; `JointRepairPlan::design` and
+    /// are rebuilt one at a time, each freed once its table is built,
+    /// unless `solved` holds them: a design passes the plans its solves
+    /// returned, which the rebuild would reproduce bit for bit. Must run
+    /// after deserialization; `JointRepairPlan::design` and
     /// [`JointRepairPlan::from_json`] do it automatically.
-    fn compile(&mut self, u: u8, config: &JointRepairConfig) -> Result<()> {
+    fn compile(
+        &mut self,
+        u: u8,
+        config: &JointRepairConfig,
+        solved: Option<[OtPlan; 2]>,
+    ) -> Result<()> {
         if self.axes.len() < 2 {
             return Err(RepairError::PlanMismatch(format!(
                 "joint stratum u={u}: needs at least 2 feature `axes`, got {}; \
@@ -233,11 +240,15 @@ impl JointStratum {
                 "joint stratum u={u}: axis {k} needs at least 2 finite states, got {g:?}"
             )));
         }
-        let table = |s: usize| {
-            let plan = self.plan(u, s, config)?;
+        let table = |s: usize, solved: Option<OtPlan>| {
+            let plan = match solved {
+                Some(plan) => Cow::Owned(plan),
+                None => self.plan(u, s, config)?,
+            };
             alias_table(&plan, "joint plan row", &format!("(u={u}, s={s})"))
         };
-        self.alias = [table(0)?, table(1)?];
+        let [solved0, solved1] = solved.map_or([None, None], |[p0, p1]| [Some(p0), Some(p1)]);
+        self.alias = [table(0, solved0)?, table(1, solved1)?];
         let d = self.axes.len();
         let n: usize = self.axes.iter().map(Vec::len).product();
         self.points = Vec::with_capacity(n * d);
@@ -291,7 +302,7 @@ impl JointStratum {
                 if !plan_fits(n) {
                     return mismatch(format!(
                         ": `factored` plans on the {n}-state product grid would rebuild {n}² \
-                         cells each, over the {MAX_PLAN_CELLS} a joint plan may hold"
+                         cells each, more than the {MAX_PLAN_CELLS} a joint plan may hold"
                     ));
                 }
                 let SolverBackend::Sinkhorn { epsilon, .. } = config.plan_solver() else {
@@ -443,8 +454,8 @@ impl JointRepairPlan {
             return Err(RepairError::InvalidParameter {
                 name: "n_q",
                 reason: format!(
-                    "{} states per axis on {} axes make plans of over the {MAX_PLAN_CELLS} cells \
-                     a joint plan may hold",
+                    "{} states per axis on {} axes make plans of more than the \
+                     {MAX_PLAN_CELLS} cells a joint plan may hold",
                     config.n_q,
                     research.dim()
                 ),
@@ -615,19 +626,16 @@ impl JointRepairPlan {
         let [(plan0, scalings0), (plan1, scalings1)] = [solve(0)?, solve(1)?];
         drop(cost);
 
-        let (plans, factored) = match (scalings0, scalings1) {
+        let (plans, factored, solved) = match (scalings0, scalings1) {
             (Some(s0), Some(s1)) => {
-                // `compile` rebuilds these bit for bit from the scalings,
-                // one at a time, as a load does.
-                drop((plan0, plan1));
                 let factored = FactoredPlans {
                     marginals: pmfs,
                     barycentre: bary,
                     scalings: [s0, s1],
                 };
-                (None, Some(factored))
+                (None, Some(factored), Some([plan0, plan1]))
             }
-            _ => (Some([plan0, plan1]), None),
+            _ => (Some([plan0, plan1]), None, None),
         };
         let mut stratum = JointStratum {
             axes,
@@ -636,7 +644,7 @@ impl JointRepairPlan {
             points: Vec::new(), // derived; compile() rebuilds it
             alias: Default::default(),
         };
-        stratum.compile(u, config)?;
+        stratum.compile(u, config, solved)?;
         let report = Self::stratum_report(u, &diagnostics, plan_transport_cost);
         Ok((stratum, report))
     }
@@ -701,7 +709,7 @@ impl JointRepairPlan {
             )));
         }
         for (u, stratum) in plan.strata.iter_mut().enumerate() {
-            stratum.compile(u as u8, &plan.config)?;
+            stratum.compile(u as u8, &plan.config, None)?;
         }
         let (d0, d1) = (plan.strata[0].axes.len(), plan.strata[1].axes.len());
         if d0 != d1 {
@@ -1059,7 +1067,7 @@ mod tests {
             alias: Default::default(),
         };
         assert!(matches!(
-            stratum.compile(0, &config),
+            stratum.compile(0, &config, None),
             Err(RepairError::PlanMismatch(_))
         ));
         // Degenerate single-state axis grid.
@@ -1072,7 +1080,7 @@ mod tests {
             alias: Default::default(),
         };
         assert!(matches!(
-            stratum.compile(1, &config),
+            stratum.compile(1, &config, None),
             Err(RepairError::PlanMismatch(_))
         ));
         // Each stratum is well formed on its own, but u = 0 repairs
@@ -1469,7 +1477,7 @@ mod tests {
         let compile = |edit: &dyn Fn(&mut JointStratum), config: &JointRepairConfig| {
             let mut bad = stratum.clone();
             edit(&mut bad);
-            bad.compile(1, config).unwrap_err().to_string()
+            bad.compile(1, config, None).unwrap_err().to_string()
         };
         let scaling = |x: f64| {
             move |st: &mut JointStratum| st.factored.as_mut().unwrap().scalings[0].u[4] = x
@@ -1533,9 +1541,10 @@ mod tests {
             err.contains("u=1: `factored` plans need a Sinkhorn plan solver"),
             "{err}"
         );
-        // Untouched, the stratum compiles to the tables it was designed with.
+        // Untouched, the rebuilt plans compile to the tables design built
+        // from the plans its solves returned.
         let mut same = stratum.clone();
-        same.compile(1, &config).unwrap();
+        same.compile(1, &config, None).unwrap();
         assert_eq!(same.alias, stratum.alias);
         assert_eq!(same.points, stratum.points);
     }

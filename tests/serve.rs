@@ -782,7 +782,7 @@ fn non_finite_plan_supports_are_rejected_at_load() {
             PlanKind::Joint,
             &huge_grid,
             "joint stratum u=1: `factored` plans on the 1000000-state product grid would \
-             rebuild 1000000² cells each, over the 33554432 a joint plan may hold",
+             rebuild 1000000² cells each, more than the 33554432 a joint plan may hold",
         ),
         (
             "both-forms",
