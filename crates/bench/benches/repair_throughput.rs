@@ -26,15 +26,14 @@
 //!      to a run under `OTR_THREADS=1`;
 //!   2. `plan_design` — the Algorithm-1 design rate at `nQ = 50`;
 //!   3. `joint_repair` — `nQ = 24` ε-scaled joint design + repair
-//!      through the separable kernel under `OTR_THREADS=1` and `4`
-//!      (bytes identical), the `1`-vs-`4` ratio, and the ratio to a
-//!      dense-kernel run; also writes the design report
-//!      `BENCH_joint_report.json`;
+//!      through the factorized kernel under `OTR_THREADS=1` and `4`
+//!      (bytes identical) and the `1`-vs-`4` ratio; also writes the
+//!      design report `BENCH_joint_report.json`;
 //!   4. `serve` — rows/s through a live `otrepaird` on loopback under
 //!      four concurrent clients, for a scalar and a joint plan, served
 //!      bytes equal to offline repair;
 //!   5. `joint3` — `d = 3`, `nQ = 16`-per-axis joint design + repair
-//!      through the forced `SeparableNd` kernel, bytes identical across
+//!      through the factorized kernel, bytes identical across
 //!      `OTR_THREADS ∈ {1, 2, 7}`;
 //!   6. `redesign` — cold entropic design on drifted research data vs a
 //!      warm re-design seeded from the stale plan's banked Sinkhorn
@@ -49,8 +48,7 @@ use rand::SeedableRng;
 
 use otr_bench::{gate, Metric};
 use otr_core::{
-    JointDesignReport, JointRepairConfig, JointRepairPlan, KernelChoice, RepairConfig, RepairPlan,
-    RepairPlanner,
+    JointDesignReport, JointRepairConfig, JointRepairPlan, RepairConfig, RepairPlan, RepairPlanner,
 };
 use otr_data::{
     read_labelled_csv_columnar, write_labelled_csv_columnar, ColumnarDataset, Dataset,
@@ -247,19 +245,19 @@ fn quick_plan_design() -> Vec<Metric> {
     )]
 }
 
-/// Leg 3 — joint design + repair at `nQ = 24` (`nQ⁴`-cell
-/// Sinkhorn/barycentre kernels, ε-scaled by default) through the
-/// separable kernel, best of 3 under `OTR_THREADS=1` and under `4`,
-/// with the two outputs asserted byte-identical; a dense-kernel run
-/// measures what the separable kernel saves. The `1`-vs-`4` ratio is
-/// recorded only on a multicore runner: four threads on one core is
-/// oversubscription, and its ratio is scheduler noise. Also writes the
-/// design report (`BENCH_joint_report.json`): barycentre convergence
-/// per stratum plus per-stage ε-schedule stats.
+/// Leg 3 — joint design + repair at `nQ = 24` (`nQ⁴`-cell logical
+/// Sinkhorn/barycentre kernels, factorized, ε-scaled by default),
+/// alternating `OTR_THREADS=1` and `4` run by run, best of 5 each, with
+/// every pair of outputs asserted byte-identical. Alternating puts host
+/// drift on both sides of the `1`-vs-`4` ratio rather than between two
+/// blocks of runs. The ratio is recorded only on a multicore runner:
+/// four threads on one core is oversubscription, and its ratio is
+/// scheduler noise. Also writes the design report
+/// (`BENCH_joint_report.json`): barycentre convergence per stratum plus
+/// per-stage ε-schedule stats.
 fn quick_joint(multicore: bool) -> Vec<Metric> {
     let cfg = JointRepairConfig {
         n_q: 24,
-        kernel: KernelChoice::Separable,
         threads: 0, // auto: driven through OTR_THREADS
         ..JointRepairConfig::default()
     };
@@ -267,26 +265,29 @@ fn quick_joint(multicore: bool) -> Vec<Metric> {
     let mut rng = StdRng::seed_from_u64(3);
     let split = spec.generate(300, 2_000, &mut rng).unwrap();
 
-    let (t1, (bytes1, report)) = best_of(3, || joint_run(&split, cfg, "1"));
-    let (t4, (bytes4, _)) = best_of(3, || joint_run(&split, cfg, "4"));
-    assert!(
-        bytes1 == bytes4,
-        "joint repair output depends on OTR_THREADS — determinism contract broken"
-    );
-    let dense = JointRepairConfig {
-        kernel: KernelChoice::Dense,
-        ..cfg
-    };
-    let (dense_t1, _) = best_of(1, || joint_run(&split, dense, "1"));
+    let (mut t1, mut t4, mut report) = (f64::INFINITY, f64::INFINITY, None);
+    for _ in 0..5 {
+        let (s1, (bytes1, r)) = best_of(1, || joint_run(&split, cfg, "1"));
+        let (s4, (bytes4, _)) = best_of(1, || joint_run(&split, cfg, "4"));
+        assert!(
+            bytes1 == bytes4,
+            "joint repair output depends on OTR_THREADS — determinism contract broken"
+        );
+        (t1, t4) = (t1.min(s1), t4.min(s4));
+        report.get_or_insert(r);
+    }
 
     let report_path = workspace_root().join("BENCH_joint_report.json");
+    let report = report.expect("five runs");
     std::fs::write(&report_path, serde_json::to_string_pretty(&report).unwrap())
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", report_path.display()));
 
-    let mut rows = vec![
-        Metric::new("joint_repair", "runs_per_sec", 1.0 / t1, "runs/s"),
-        Metric::new("joint_repair", "kernel_speedup", dense_t1 / t1, "x"),
-    ];
+    let mut rows = vec![Metric::new(
+        "joint_repair",
+        "runs_per_sec",
+        1.0 / t1,
+        "runs/s",
+    )];
     if multicore {
         rows.push(Metric::new("joint_repair", "speedup", t1 / t4, "x"));
     }
@@ -389,18 +390,13 @@ fn quick_serve() -> Vec<Metric> {
 }
 
 /// Leg 5 — the `d = 3` joint workload: `nQ = 16` per axis (4096 product
-/// states) through the **forced** `SeparableNd` kernel. No dense
-/// ablation runs here: at this size the dense kernel is a
-/// 16.8M-cell / 134 MB matrix per entropic solve, which is what the
-/// Kronecker factorization exists to avoid (leg 3 measures the ratio at
-/// `d = 2`). The `OTR_THREADS=1` run is timed, and its bytes are
-/// asserted equal to runs under `OTR_THREADS ∈ {2, 7}`.
+/// states) through the factorized kernel; a dense kernel at this size
+/// would be a 16.8M-cell / 134 MB matrix per entropic solve. The
+/// `OTR_THREADS=1` run is timed, and its bytes are asserted equal to
+/// runs under `OTR_THREADS ∈ {2, 7}`.
 fn quick_joint3() -> Vec<Metric> {
     let cfg = JointRepairConfig {
         n_q: 16,
-        // Forced (not auto): a silent dense fallback would make this
-        // leg measure the wrong thing, and blow the smoke job's budget.
-        kernel: KernelChoice::Separable,
         threads: 0, // auto: driven through OTR_THREADS
         ..JointRepairConfig::default()
     };
@@ -428,11 +424,6 @@ fn quick_joint3() -> Vec<Metric> {
              determinism contract broken"
         );
     }
-    assert_eq!(
-        report.kernel, "separable",
-        "forced SeparableNd resolved to {:?} — the n-d factorization seam broke",
-        report.kernel
-    );
     assert_eq!(report.dims, 3);
     vec![Metric::new("joint3", "runs_per_sec", 1.0 / t1, "runs/s")]
 }

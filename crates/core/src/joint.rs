@@ -21,14 +21,14 @@
 //! 5. repair by nearest-cell lookup + the same multinomial row draw as
 //!    Algorithm 2 (Equation 15), now over joint grid states.
 //!
-//! Cost: the support grows from `nQ` to `nQ^d` states, so the **dense**
-//! design is practical only at coarse resolutions — exactly the
+//! Cost: the support grows from `nQ` to `nQ^d` states, so a **dense**
+//! design would be practical only at coarse resolutions — exactly the
 //! curse-of-dimension trade-off the paper cites for its per-feature
 //! design. The squared-Euclidean cost on a product grid factorizes,
-//! though, so the default (`KernelChoice::Auto`) runs every entropic
-//! matvec as `d` axis passes — `O(nQ^d · d·nQ)` work against the dense
-//! `O(nQ^{2d})` — which is what makes a 3-feature `nQ = 16` design
-//! (16.8M-cell dense kernel) tractable. The artifact follows suit: a
+//! though, so every entropic matvec runs as `d` axis passes —
+//! `O(nQ^d · d·nQ)` work against a dense `O(nQ^{2d})` — which is what
+//! makes a 3-feature `nQ = 16` design (a 16.8M-cell dense kernel)
+//! tractable. The artifact follows suit: a
 //! stratum whose two plans both converged in that factored domain
 //! stores the `7 · nQ^d` numbers that fix them (its marginals, the
 //! barycentre and each plan's final Sinkhorn scalings) instead of
@@ -90,15 +90,13 @@ pub struct JointRepairConfig {
     pub eps_scaling: Option<EpsSchedule>,
     /// Gibbs-kernel representation of the design's entropic solves
     /// (barycentre + Sinkhorn plans). The joint cost is squared
-    /// Euclidean on the `d`-axis self-product grid, so it factorizes
-    /// as `K₁ ⊗ … ⊗ K_d`: `Auto` (the default) runs every kernel matvec
-    /// as `d` `O(nQ^d · nQ)` axis passes instead of the `O(nQ^{2d})`
-    /// dense sweep — the joint design's dominant cost after ε-scaling,
-    /// and the only representation that fits in memory beyond coarse
-    /// `d = 3` grids. `Dense` is the reference the tests compare it
-    /// against. Either representation stays byte-identical across
-    /// thread counts; the two representations group sums differently,
-    /// so they agree to solver tolerance, not bitwise.
+    /// Euclidean on the `d`-axis self-product grid, so it always
+    /// factorizes as `K₁ ⊗ … ⊗ K_d`, and every kernel matvec runs as `d`
+    /// `O(nQ^d · nQ)` axis passes instead of an `O(nQ^{2d})` dense
+    /// sweep. `Auto` (the default) and `Separable` design alike, and a
+    /// designed plan records `Auto` for both; a design asking for
+    /// `Dense` is refused before any work. Loading a plan never reads
+    /// this field.
     #[serde(default)]
     pub kernel: KernelChoice,
     /// Worker threads for stratum design and parallel dataset repair
@@ -151,9 +149,8 @@ fn plan_fits(n: usize) -> bool {
 /// One `u`-stratum of the joint plan. Its two plans are stored in one of
 /// two forms, exactly one per stratum: `factored` when both are Sinkhorn
 /// solves that converged in the factored domain, dense `plans` otherwise
-/// (a log-domain fallback, the simplex backend, a dense kernel, a
-/// filtered support) and in every artifact written before the factored
-/// form existed.
+/// (a log-domain fallback, the simplex backend, a filtered support) and
+/// in every artifact written before the factored form existed.
 #[derive(Debug, Clone, Deserialize)]
 struct JointStratum {
     /// Axis grids, one per feature (`d ≥ 2` entries). The product
@@ -395,9 +392,8 @@ pub struct JointDesignReport {
     pub eps_scaling: Option<EpsSchedule>,
     /// CLI spelling of the backend that designed the plans.
     pub solver: String,
-    /// The Gibbs-kernel representation the design's entropic solves
-    /// resolved to (`"separable"` or `"dense"` — `auto` is resolved
-    /// before it gets here).
+    /// The Gibbs-kernel representation the design's entropic solves ran
+    /// on: always `"separable"`, since product grids always factorize.
     pub kernel: String,
     /// Wall-clock seconds the design took (KDE + barycentres + plans).
     pub design_secs: f64,
@@ -419,7 +415,8 @@ impl JointRepairPlan {
     /// Algorithm 1 over all of the data's features).
     ///
     /// # Errors
-    /// Requires `dim ≥ 2`, valid config, adequately sized groups, and
+    /// Requires `dim ≥ 2`, valid config (a `Dense` kernel choice is
+    /// refused before any work), adequately sized groups, and
     /// non-degenerate feature spreads.
     pub fn design(research: &Dataset, config: JointRepairConfig) -> Result<Self> {
         Self::design_with_report(research, config).map(|(plan, _)| plan)
@@ -485,6 +482,13 @@ impl JointRepairPlan {
                     .into(),
             });
         }
+        config.kernel.validate()?;
+        // `Auto` and `Separable` design alike, so the plan records one
+        // spelling and both write the same bytes.
+        let config = JointRepairConfig {
+            kernel: KernelChoice::Auto,
+            ..config
+        };
 
         // The two u-strata are independent (separate KDEs, barycentres,
         // and Sinkhorn solves — the expensive part of joint design);
@@ -506,13 +510,7 @@ impl JointRepairPlan {
             epsilon: config.epsilon,
             eps_scaling: config.eps_scaling,
             solver: config.plan_solver().to_string(),
-            // The joint cost is always grid-separable, so the resolved
-            // representation is a pure function of the config.
-            kernel: if config.kernel.resolve(true) {
-                "separable".into()
-            } else {
-                "dense".into()
-            },
+            kernel: "separable".into(),
             design_secs,
             strata: stratum_reports,
         };
@@ -582,10 +580,9 @@ impl JointRepairPlan {
 
         // Entropic W2 barycentre on the fixed product support (iterative
         // Bregman projections, annealed along the configured ε-schedule
-        // — see otr_ot::barycentre). The grid_nd entry point lets the
-        // kernel choice factorize the Gibbs matvecs as d O(nQ^d·nQ)
-        // axis passes (`Auto`, the default) instead of O(nQ^{2d}) dense
-        // sweeps, chunked over config.threads either way.
+        // — see otr_ot::barycentre). The grid_nd entry point factorizes
+        // the Gibbs matvecs as d O(nQ^d·nQ) axis passes, chunked over
+        // config.threads.
         let (bary, diagnostics) = entropic_barycentre_grid_nd(
             &[&pmfs[0], &pmfs[1]],
             &[1.0 - config.t, config.t],

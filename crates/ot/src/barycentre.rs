@@ -131,13 +131,10 @@ pub struct BarycentreConfig {
     /// Minimum kernel size (cells) before the matvecs chunk across
     /// threads; `None` = [`otr_par::KERNEL_CELLS_DEFAULT`].
     pub parallel_min_cells: Option<usize>,
-    /// Gibbs-kernel representation on separable (product-grid) costs —
-    /// honored by [`entropic_barycentre_grid_nd`], where `Auto` (the
-    /// default) factorizes the kernel as `K₁ ⊗ … ⊗ K_d` and `Dense`
-    /// keeps the dense one. Part of the solve's definition (separable
-    /// and dense group the matvec sums differently, so their outputs
-    /// agree to ~1e-12 relative but not bitwise), like
-    /// [`eps_scaling`](Self::eps_scaling).
+    /// Gibbs-kernel representation. The product grid always factorizes
+    /// as `K₁ ⊗ … ⊗ K_d`, so `Auto` (the default) and `Separable` solve
+    /// alike, and [`entropic_barycentre_grid_nd`] refuses `Dense` before
+    /// any work ([`KernelChoice::validate`]).
     pub kernel: KernelChoice,
 }
 
@@ -188,35 +185,45 @@ pub struct BarycentreDiagnostics {
 /// (flattened row-major, last axis fastest) under squared-Euclidean
 /// cost — the joint-repair hot path.
 /// On this support the Gibbs kernel factorizes as `K₁ ⊗ … ⊗ K_d`, so
-/// the default `Auto` choice runs every matvec as d `O(n·nᵢ)` axis
-/// passes instead of one `O(n²)` dense sweep; at d = 3 the dense kernel
-/// (`nQ⁶` cells) is infeasible beyond toy sizes, so the separable
-/// representation is what makes deeper joint design possible at all.
+/// every matvec runs as d `O(n·nᵢ)` axis passes instead of one `O(n²)`
+/// dense sweep; at d = 3 a dense kernel (`nQ⁶` cells) is infeasible
+/// beyond toy sizes, so the factorization is what makes deeper joint
+/// design possible at all.
 ///
 /// The contract: on `Ok`, `diagnostics.final_delta < config.tol` and
 /// `diagnostics.iterations` is the number of Bregman iterations spent;
 /// a budget exhausted before stabilizing is an
 /// [`OtError::NoConvergence`] carrying the final delta — never a
-/// silently unconverged distribution. Either kernel representation is
-/// bit-identical for any [`BarycentreConfig::threads`] setting.
+/// silently unconverged distribution. The masses are bit-identical for
+/// any [`BarycentreConfig::threads`] setting.
 ///
 /// # Errors
-/// Validation failures, all before any kernel is built: an empty axis,
-/// fewer than two marginals, a `lambda` of another length, a weight or
-/// a marginal mass that is negative or NaN, a `lambda` or a marginal
-/// whose total is not positive and finite, a non-positive `ε`, a
-/// malformed ε-schedule, or a marginal without one mass per product-grid
-/// cell. [`OtError::NoConvergence`] if the fixed-point iteration does
-/// not stabilize (the error's `residual` reports the final L1 delta, its
-/// `iterations` the exhausted budget).
+/// Validation failures, all before any kernel is built: a `Dense`
+/// kernel choice (checked first), an empty axis, a NaN
+/// or infinite axis value, fewer than two marginals, a `lambda` of
+/// another length, a weight or a marginal mass that is negative or NaN,
+/// a `lambda` or a marginal whose total is not positive and finite, a
+/// non-positive `ε`, a malformed ε-schedule, or a marginal without one
+/// mass per product-grid cell. [`OtError::NoConvergence`] if the
+/// fixed-point iteration does not stabilize (the error's `residual`
+/// reports the final L1 delta, its `iterations` the exhausted budget).
 pub fn entropic_barycentre_grid_nd(
     marginals: &[&[f64]],
     lambda: &[f64],
     axes: &[&[f64]],
     config: &BarycentreConfig,
 ) -> Result<(Vec<f64>, BarycentreDiagnostics)> {
+    config.kernel.validate()?;
     if axes.is_empty() || axes.iter().any(|g| g.is_empty()) {
         return Err(OtError::EmptyInput("barycentre grid axis"));
+    }
+    // A non-finite axis value turns kernel cells NaN, which the scaling
+    // floors then silently flatten into a uniform barycentre.
+    if axes.iter().flat_map(|g| g.iter()).any(|x| !x.is_finite()) {
+        return Err(OtError::InvalidParameter {
+            name: "axes",
+            reason: "contains non-finite grid values".into(),
+        });
     }
     let n: usize = axes.iter().map(|g| g.len()).product();
     for (s, m) in marginals.iter().enumerate() {
@@ -232,40 +239,13 @@ pub fn entropic_barycentre_grid_nd(
         mass_total(m, &format!("marginals[{s}]"))?;
     }
     let lambda = validated_lambda(marginals.len(), lambda, config)?;
-    if config.kernel.resolve(true) {
-        let work = n * axes.iter().map(|g| g.len()).sum::<usize>();
-        return bregman_barycentre(marginals, &lambda, n, config, work, |eps, _| {
-            KernelRep::separable_grid_nd(axes, eps)
-        });
-    }
-    // Dense fallback: decode the flattened multi-indices once and feed
-    // the axis-ordered squared distance.
-    let d = axes.len();
-    let mut coords = vec![0.0f64; n * d];
-    for i in 0..n {
-        let mut r = i;
-        for a in (0..d).rev() {
-            let na = axes[a].len();
-            coords[i * d + a] = axes[a][r % na];
-            r /= na;
-        }
-    }
-    bregman_barycentre(marginals, &lambda, n, config, n * n, |eps, threads| {
-        KernelRep::dense_square(n, eps, threads, |i, j| {
-            let ci = &coords[i * d..(i + 1) * d];
-            let cj = &coords[j * d..(j + 1) * d];
-            let mut acc = 0.0;
-            for (x, y) in ci.iter().zip(cj) {
-                let dd = x - y;
-                acc += dd * dd;
-            }
-            acc
-        })
+    bregman_barycentre(marginals, &lambda, n, config, |eps| {
+        KernelRep::separable_grid_nd(axes, eps)
     })
 }
 
-/// Validate the barycentre inputs that gate the `O(n²)` kernel build —
-/// marginal count, `ε`, and the weight vector — and return the
+/// Validate the barycentre inputs that gate the kernel build — marginal
+/// count, `ε`, and the weight vector — and return the
 /// normalized weights, so invalid calls are rejected before any
 /// expensive work.
 fn validated_lambda(k: usize, lambda: &[f64], config: &BarycentreConfig) -> Result<Vec<f64>> {
@@ -291,8 +271,8 @@ fn validated_lambda(k: usize, lambda: &[f64], config: &BarycentreConfig) -> Resu
     normalized_mass(lambda, "lambda")
 }
 
-/// The shared iterative-Bregman core: `k ≥ 2` flat pmfs against a
-/// symmetric Gibbs [`KernelRep`] (built per ε-stage by `build_kernel`),
+/// The iterative-Bregman core: `k ≥ 2` flat pmfs against a symmetric
+/// Gibbs [`KernelRep`] (built per ε-stage by `build_kernel`),
 /// with `lambda` already validated and normalized
 /// ([`validated_lambda`]). When the config carries an [`EpsSchedule`],
 /// the fixed point is approached through a decreasing ε sequence, each
@@ -302,21 +282,18 @@ fn validated_lambda(k: usize, lambda: &[f64], config: &BarycentreConfig) -> Resu
 /// loose budget and only the final stage enforces `config.tol` /
 /// `config.max_iters`.
 ///
-/// `work_cells` is the matrix cells one matvec touches (`n²` dense,
-/// `n·Σnᵢ` separable) — what the in-kernel parallelism threshold
-/// compares against. The kernel matvecs are chunk-parallel over output
-/// rows; every `O(n)` reduction (barycentre normalization, convergence
-/// delta) is summed sequentially on the calling thread, keeping the
-/// output bit-identical for any thread count.
+/// The kernel matvecs are chunk-parallel over output rows once the
+/// kernel's [`KernelRep::work_cells`] cross the in-kernel parallelism
+/// threshold; every `O(n)` reduction (barycentre normalization,
+/// convergence delta) is summed sequentially on the calling thread,
+/// keeping the output bit-identical for any thread count.
 fn bregman_barycentre(
     marginals: &[&[f64]],
     lambda: &[f64],
     n: usize,
     config: &BarycentreConfig,
-    work_cells: usize,
-    build_kernel: impl Fn(f64, usize) -> KernelRep,
+    build_kernel: impl Fn(f64) -> KernelRep,
 ) -> Result<(Vec<f64>, BarycentreDiagnostics)> {
-    let threads = otr_par::kernel_threads(config.threads, work_cells, config.parallel_min_cells);
     let k = marginals.len();
     let mut u = vec![vec![1.0f64; n]; k];
     let mut v = vec![vec![1.0f64; n]; k];
@@ -356,11 +333,15 @@ fn bregman_barycentre(
             }
         }
         prev_eps = Some(eps);
-        // out = K v through the representation seam: dense rows or two
-        // separable axis passes, either way chunked so each output
-        // element is written by one thread in a fixed accumulation
-        // order (bytes never depend on the chunking).
-        let kernel = build_kernel(eps, threads);
+        // out = K v as d axis passes, chunked so each output element is
+        // written by one thread in a fixed accumulation order (bytes
+        // never depend on the chunking).
+        let kernel = build_kernel(eps);
+        let threads = otr_par::kernel_threads(
+            config.threads,
+            kernel.work_cells(),
+            config.parallel_min_cells,
+        );
 
         let mut iterations = 0;
         delta = f64::INFINITY;
@@ -429,6 +410,8 @@ fn bregman_barycentre(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostMatrix;
+    use crate::kernel::AxisKernel;
 
     fn grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         (0..n)
@@ -613,11 +596,11 @@ mod tests {
         // so the final check must still fail the NaN delta.
         let marginals: [&[f64]; 2] = [&[0.5, 0.5], &[0.25, 0.75]];
         let config = BarycentreConfig::new(0.1, 20);
-        let result = bregman_barycentre(&marginals, &[0.5, 0.5], 2, &config, 4, |_, _| {
-            KernelRep::Dense {
+        let result = bregman_barycentre(&marginals, &[0.5, 0.5], 2, &config, |_| KernelRep {
+            axes: vec![AxisKernel {
                 k: vec![0.0, 1e300, 1e-300, 0.0],
                 n: 2,
-            }
+            }],
         });
         match result {
             Err(OtError::NoConvergence { residual, .. }) => assert!(residual.is_nan()),
@@ -723,6 +706,53 @@ mod tests {
         pmf
     }
 
+    /// The entropic barycentre of `marginals` (weights ½/½) on the
+    /// product grid `axes` at `eps`, from a plain dense Gibbs matrix and
+    /// the textbook Bregman loop, run until the L1 change falls below
+    /// `tol`: the reference the factorized solve is checked against.
+    fn dense_reference_barycentre(
+        marginals: [&[f64]; 2],
+        axes: &[&[f64]],
+        eps: f64,
+        tol: f64,
+    ) -> Vec<f64> {
+        let cost = CostMatrix::squared_euclidean_grid_nd(axes).unwrap();
+        let n = cost.rows();
+        let k: Vec<f64> = (0..n * n)
+            .map(|idx| (-cost.get(idx / n, idx % n) / eps).exp())
+            .collect();
+        let matvec = |x: &[f64]| -> Vec<f64> {
+            k.chunks_exact(n)
+                .map(|row| row.iter().zip(x).map(|(kij, xj)| kij * xj).sum())
+                .collect()
+        };
+        let mut u = [vec![1.0; n], vec![1.0; n]];
+        let mut bary = vec![1.0 / n as f64; n];
+        for _ in 0..100_000 {
+            let kv: Vec<Vec<f64>> = (0..2)
+                .map(|s| {
+                    let ktu = matvec(&u[s]);
+                    let v: Vec<f64> = marginals[s].iter().zip(&ktu).map(|(m, x)| m / x).collect();
+                    matvec(&v)
+                })
+                .collect();
+            let mut next: Vec<f64> = (0..n)
+                .map(|i| ((u[0][i] * kv[0][i]).ln() * 0.5 + (u[1][i] * kv[1][i]).ln() * 0.5).exp())
+                .collect();
+            let total: f64 = next.iter().sum();
+            next.iter_mut().for_each(|b| *b /= total);
+            for s in 0..2 {
+                u[s] = next.iter().zip(&kv[s]).map(|(b, x)| b / x).collect();
+            }
+            let delta: f64 = next.iter().zip(&bary).map(|(a, b)| (a - b).abs()).sum();
+            bary = next;
+            if delta < tol {
+                return bary;
+            }
+        }
+        panic!("the dense reference barycentre did not converge");
+    }
+
     #[test]
     fn grid2d_separable_agrees_with_dense() {
         // Separable and dense group the matvec sums differently, so the
@@ -736,18 +766,9 @@ mod tests {
             tol: 1e-12,
             ..BarycentreConfig::new(0.15, 20_000)
         };
-        let dense_cfg = BarycentreConfig {
-            kernel: KernelChoice::Dense,
-            ..base
-        };
-        let sep_cfg = BarycentreConfig {
-            kernel: KernelChoice::Separable,
-            ..base
-        };
-        let (dense, _) =
-            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&gx, &gy], &dense_cfg).unwrap();
+        let dense = dense_reference_barycentre([&a, &b], &[&gx, &gy], 0.15, base.tol);
         let (sep, diag) =
-            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&gx, &gy], &sep_cfg).unwrap();
+            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&gx, &gy], &base).unwrap();
         assert!(diag.final_delta < base.tol);
         let l1: f64 = dense.iter().zip(&sep).map(|(x, y)| (x - y).abs()).sum();
         assert!(l1 < 1e-9, "separable vs dense barycentre L1 = {l1:e}");
@@ -817,18 +838,9 @@ mod tests {
             tol: 1e-12,
             ..BarycentreConfig::new(0.15, 20_000)
         };
-        let dense_cfg = BarycentreConfig {
-            kernel: KernelChoice::Dense,
-            ..base
-        };
-        let sep_cfg = BarycentreConfig {
-            kernel: KernelChoice::Separable,
-            ..base
-        };
-        let (dense, _) =
-            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &axes, &dense_cfg).unwrap();
+        let dense = dense_reference_barycentre([&a, &b], &axes, 0.15, base.tol);
         let (sep, diag) =
-            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &axes, &sep_cfg).unwrap();
+            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &axes, &base).unwrap();
         assert!(diag.final_delta < base.tol);
         let l1: f64 = dense.iter().zip(&sep).map(|(x, y)| (x - y).abs()).sum();
         assert!(l1 < 1e-9, "d=3 separable vs dense barycentre L1 = {l1:e}");
@@ -877,6 +889,20 @@ mod tests {
             entropic_barycentre_grid_nd(&[&ok, &ok], &[0.5, 0.5], &[&g1, &[], &g3], &cfg).is_err()
         );
         assert!(entropic_barycentre_grid_nd(&[&ok], &[1.0], &axes, &cfg).is_err());
+        // A non-finite axis value is refused before any kernel is built,
+        // not flattened into a uniform barycentre by the scaling floors.
+        let (a, b) = (
+            [0.2, 0.1, 0.3, 0.1, 0.2, 0.1],
+            [0.1, 0.3, 0.1, 0.2, 0.1, 0.2],
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let got =
+                entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&[0.0, bad, 1.0], &g3], &cfg);
+            assert!(
+                matches!(got, Err(OtError::InvalidParameter { name: "axes", .. })),
+                "axis value {bad}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Gibbs-kernel representations — the `KernelRep` seam behind every
-//! entropic matvec in the workspace.
+//! The factorized Gibbs kernel — the `KernelRep` behind every
+//! product-grid entropic matvec in the workspace.
 //!
 //! The entropic solvers (Sinkhorn scaling updates, Bregman-barycentre
 //! projections) spend essentially all of their time computing
@@ -17,8 +17,8 @@
 //! ⇒ K = K₁ ⊗ … ⊗ K_d,   Kₐ[i, j] = exp(−(Qₐ[i] − Qₐ[j])²/ε)
 //! ```
 //!
-//! so [`KernelRep::SeparableNd`] contracts one axis per pass, the last
-//! axis first; at d = 2:
+//! so [`KernelRep`] contracts one axis per pass, the last axis first; at
+//! d = 2:
 //!
 //! ```text
 //! tmp[k, j] = Σ_l K₂[j,l] · v[k, l]      (contract axis 2)
@@ -27,70 +27,84 @@
 //!
 //! That is `O(n·Σnᵢ)` per matvec instead of `O(n²)`, where `n = Πnᵢ`:
 //! two `O(nQ³)` passes instead of one `O(nQ⁴)` sweep at d = 2 (12× less
-//! work at `nQ = 24`). At `d = 3`, `nQ = 16` the dense kernel is `nQ⁶ ≈
-//! 1.7e7` cells (134 MB — infeasible to iterate), while the separable
-//! matvec touches `n·3nQ ≈ 2.0e5` cells: separability is the enabling
-//! representation, not an optimization.
+//! work at `nQ = 24`). At `d = 3`, `nQ = 16` a dense kernel would be
+//! `nQ⁶ ≈ 1.7e7` cells (134 MB — infeasible to iterate), while the
+//! factorized matvec touches `n·3nQ ≈ 2.0e5` cells: factorization is the
+//! enabling representation, not an optimization, so product grids always
+//! factorize. Only the Sinkhorn solver keeps a dense kernel, for costs
+//! that carry no grid (scalar supports, filtered product supports).
 //!
 //! **Determinism.** Each pass writes every output element from exactly
 //! one thread ([`otr_par::par_rows_mut`] chunks whole rows of the outer
 //! axis) and accumulates its contraction in a fixed sequential order
-//! (`l` ascending, then `k` ascending), so the separable matvec is
-//! **bit-identical for any thread count** — the same contract the dense
-//! matvec honours. Separable and dense outputs *group the same sum
-//! differently*, so they agree to rounding (~1e-12 relative; pinned at
-//! 1e-9 by `tests/kernel_equivalence.rs`) but are not bitwise equal:
-//! the kernel representation is part of the solve's definition, like an
-//! ε-schedule, not a free runtime knob.
+//! (`l` ascending, then `k` ascending), so the matvec is
+//! **bit-identical for any thread count**. A dense matvec over the same
+//! cells *groups the same sum differently*, so the two agree to rounding
+//! (~1e-12 relative; pinned at 1e-9 against a plain dense matrix by
+//! `tests/kernel_equivalence.rs`) but are not bitwise equal.
 //!
-//! [`KernelChoice`] is the selection policy, a field of the solve's
-//! config: `Dense` forces the dense kernel (the reference the tests
-//! compare against), `Auto` (the default) and `Separable` pick the
-//! separable one whenever the cost is grid-separable.
+//! [`KernelChoice`] survives as a config field whose values no longer
+//! change a solve: `Auto` (the default) and `Separable` both mean the
+//! factorized kernel, and `Dense`, the removed dense product-grid
+//! kernel, is refused by [`KernelChoice::validate`].
 
 use serde::{Deserialize, Serialize};
 
 use otr_par::{par_chunks_mut, par_rows_mut};
+
+use crate::error::{OtError, Result};
 
 /// Floor on the kernel products a scaling update divides by, and on the
 /// scalings whose logs the entropic solvers take, so an underflowed
 /// `(K v)_i` never divides by zero.
 pub(crate) const SCALING_FLOOR: f64 = 1e-300;
 
-/// Which Gibbs-kernel representation an entropic solve uses on
-/// separable (product-grid squared-Euclidean) costs.
+/// The Gibbs-kernel representation a config asks its entropic solves to
+/// use on product grids. Product grids always factorize, so `Auto` and
+/// `Separable` mean the same kernel and `Dense` is refused.
 ///
 /// Serialized like the other config enums (`"Auto"`, `"Dense"`,
 /// `"Separable"`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelChoice {
-    /// Pick separable whenever the cost is grid-separable — the same
-    /// rule as [`KernelChoice::Separable`]. The default, and what joint
+    /// The factorized `K₁ ⊗ … ⊗ K_d` kernel. The default, and what joint
     /// plan JSON records.
     #[default]
     Auto,
-    /// Always the dense `n × n` kernel, even on product grids.
+    /// The dense product-grid kernel, which was removed. A plan that
+    /// names it still loads (loading never reads the choice), but a
+    /// design, a barycentre or a solve asking for it is refused by
+    /// [`KernelChoice::validate`].
     Dense,
-    /// Prefer the factorized `K₁ ⊗ … ⊗ K_d` kernel; solves whose cost is not
-    /// grid-separable (or whose support was filtered) fall back to
-    /// dense — the preference is never an error.
+    /// The factorized `K₁ ⊗ … ⊗ K_d` kernel, the same as
+    /// [`KernelChoice::Auto`].
     Separable,
 }
 
 impl KernelChoice {
-    /// Resolve the choice for one solve: `true` = use the separable
-    /// representation. `separable_available` says whether the solve's
-    /// cost actually factorizes (product-grid squared-Euclidean support,
-    /// no zero-mass filtering); an unavailable preference degrades to
-    /// dense rather than erroring.
-    pub fn resolve(self, separable_available: bool) -> bool {
-        self != KernelChoice::Dense && separable_available
+    /// Refuse the removed dense product-grid kernel: the one check every
+    /// joint design, barycentre and solve runs on its choice before any
+    /// work.
+    ///
+    /// # Errors
+    /// [`OtError::InvalidParameter`] naming `kernel` for
+    /// [`KernelChoice::Dense`].
+    pub fn validate(self) -> Result<()> {
+        if self == KernelChoice::Dense {
+            return Err(OtError::InvalidParameter {
+                name: "kernel",
+                reason: "the dense product-grid kernel was removed: product grids always \
+                         factorize as K₁ ⊗ … ⊗ K_d; use `Auto`"
+                    .into(),
+            });
+        }
+        Ok(())
     }
 }
 
-/// One axis factor of a [`KernelRep::SeparableNd`] kernel: the Gibbs
-/// kernel of the squared-Euclidean cost restricted to a single grid
-/// axis, `K[i,j] = exp(−(g[i]−g[j])²/ε)`.
+/// One axis factor of a [`KernelRep`]: the Gibbs kernel of the
+/// squared-Euclidean cost restricted to a single grid axis,
+/// `K[i,j] = exp(−(g[i]−g[j])²/ε)`.
 #[derive(Debug, Clone)]
 pub struct AxisKernel {
     /// Axis kernel cells, row-major `n × n`.
@@ -114,62 +128,30 @@ impl AxisKernel {
     }
 }
 
-/// A symmetric Gibbs kernel in one of two representations, behind one
-/// [`matvec`](KernelRep::matvec).
+/// The factorized Gibbs kernel `K₁ ⊗ … ⊗ K_d` of a squared-Euclidean
+/// cost on a d-axis product grid, flattened row-major with the **last
+/// axis fastest**, behind one [`matvec`](KernelRep::matvec). Each
+/// factor is symmetric, so the kernel is too.
 #[derive(Debug, Clone)]
-pub enum KernelRep {
-    /// The dense `n × n` kernel, row-major.
-    Dense {
-        /// Kernel cells `exp(−C_ij/ε)`, row-major `n × n`.
-        k: Vec<f64>,
-        /// Side length.
-        n: usize,
-    },
-    /// The factorized kernel `K₁ ⊗ … ⊗ K_d` of a squared-Euclidean cost
-    /// on a d-axis product grid, flattened row-major with the **last
-    /// axis fastest**.
-    SeparableNd {
-        /// Per-axis kernels, outermost (slowest-varying) axis first.
-        axes: Vec<AxisKernel>,
-    },
+pub struct KernelRep {
+    /// Per-axis kernels, outermost (slowest-varying) axis first.
+    pub axes: Vec<AxisKernel>,
 }
 
 impl KernelRep {
-    /// Build the dense `n × n` kernel `exp(−sq_dist(i,j)/ε)`,
-    /// chunk-parallel over cells (cells are disjoint, so the bytes are
-    /// thread-count-independent).
-    pub fn dense_square(
-        n: usize,
-        eps: f64,
-        threads: usize,
-        sq_dist: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> Self {
-        let mut k = vec![0.0f64; n * n];
-        par_chunks_mut(&mut k, threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let idx = start + off;
-                *slot = (-sq_dist(idx / n, idx % n) / eps).exp();
-            }
-        });
-        KernelRep::Dense { k, n }
-    }
-
     /// Build the factorized kernel of the squared-Euclidean cost on the
     /// d-axis product grid `axes[0] × … × axes[d−1]` (flattened
     /// row-major, last axis fastest): d tiny axis kernels, `Σnᵢ²` cells
-    /// total where the dense build would be `(Πnᵢ)²`.
+    /// total where a dense kernel would be `(Πnᵢ)²`.
     pub fn separable_grid_nd(axes: &[&[f64]], eps: f64) -> Self {
-        KernelRep::SeparableNd {
+        KernelRep {
             axes: axes.iter().map(|g| AxisKernel::from_grid(g, eps)).collect(),
         }
     }
 
     /// Number of support points the kernel acts on.
     pub fn len(&self) -> usize {
-        match self {
-            KernelRep::Dense { n, .. } => *n,
-            KernelRep::SeparableNd { axes } => axes.iter().map(|a| a.n).product(),
-        }
+        self.axes.iter().map(|a| a.n).product()
     }
 
     /// True when the kernel acts on an empty support.
@@ -177,96 +159,88 @@ impl KernelRep {
         self.len() == 0
     }
 
-    /// Matrix cells one matvec actually touches — the work measure the
-    /// [`otr_par::kernel_threads`] parallelism threshold compares against
-    /// (`n²` dense; `n·Σnᵢ` separable).
+    /// Matrix cells one matvec actually touches, `n·Σnᵢ` — the work
+    /// measure the [`otr_par::kernel_threads`] parallelism threshold
+    /// compares against.
     pub fn work_cells(&self) -> usize {
-        match self {
-            KernelRep::Dense { n, .. } => n * n,
-            KernelRep::SeparableNd { axes } => self.len() * axes.iter().map(|a| a.n).sum::<usize>(),
-        }
+        self.len() * self.axes.iter().map(|a| a.n).sum::<usize>()
     }
 
     /// `out = K v` (the kernel is symmetric, so this also serves `Kᵀ v`).
-    /// `scratch` must hold `len()` slots (used by the separable passes;
-    /// the dense path ignores it).
+    /// `scratch` must hold `len()` slots for the intermediate passes.
     ///
     /// Deterministic for any `threads`: every output element is written
     /// by exactly one thread and accumulated in an order fixed by the
-    /// representation, never by the chunking.
+    /// axes, never by the chunking.
     ///
     /// # Panics
-    /// `v`, `out`, and `scratch` must all hold `len()` elements.
+    /// `v`, `out`, and `scratch` must all hold `len()` elements, and the
+    /// kernel needs at least one axis.
     pub fn matvec(&self, v: &[f64], out: &mut [f64], scratch: &mut [f64], threads: usize) {
         let n = self.len();
         assert_eq!(v.len(), n, "kernel matvec: input length");
         assert_eq!(out.len(), n, "kernel matvec: output length");
         assert_eq!(scratch.len(), n, "kernel matvec: scratch length");
-        match self {
-            KernelRep::Dense { k, n } => dense_matvec(k, *n, v, out, threads),
-            KernelRep::SeparableNd { axes } => {
-                let d = axes.len();
-                assert!(d > 0, "kernel matvec: SeparableNd needs ≥ 1 axis");
-                // suffix[a] = Π axes[a..].n, so suffix[a + 1] is the
-                // row length R of the contraction over axis a.
-                let mut suffix = vec![1usize; d + 1];
-                for a in (0..d).rev() {
-                    suffix[a] = suffix[a + 1] * axes[a].n;
-                }
-                // One contraction pass over axis `a`, viewing the flat
-                // tensor as (P, n_a, R) with R = suffix[a + 1]. The
-                // accumulation order inside each output row is fixed by
-                // the representation (l / k ascending), never by the
-                // chunking, so the output is bit-identical across
-                // thread counts.
-                let contract = |a: usize, src: &[f64], dst: &mut [f64]| {
-                    let ax = &axes[a];
-                    let na = ax.n;
-                    if a == d - 1 {
-                        // Last axis: contiguous rows of length n_d; per
-                        // output j a dot product over l ascending.
-                        par_rows_mut(dst, na, threads, |r, dst_row| {
-                            let src_row = &src[r * na..(r + 1) * na];
-                            for (j, slot) in dst_row.iter_mut().enumerate() {
-                                let k_row = &ax.k[j * na..(j + 1) * na];
-                                let mut acc = 0.0;
-                                for (kjl, vl) in k_row.iter().zip(src_row) {
-                                    acc += kjl * vl;
-                                }
-                                *slot = acc;
-                            }
-                        });
-                    } else {
-                        // Earlier axis: rows of length R, strided by
-                        // n_a·R between the k-slices of one (p, ·, R)
-                        // block; axpy over k ascending per output row.
-                        let r_len = suffix[a + 1];
-                        par_rows_mut(dst, r_len, threads, |r, dst_row| {
-                            let (p, i) = (r / na, r % na);
-                            dst_row.fill(0.0);
-                            let k_row = &ax.k[i * na..(i + 1) * na];
-                            for (k, &w) in k_row.iter().enumerate() {
-                                let base = (p * na + k) * r_len;
-                                let src_row = &src[base..base + r_len];
-                                for (slot, t) in dst_row.iter_mut().zip(src_row) {
-                                    *slot += w * t;
-                                }
-                            }
-                        });
+        let axes = &self.axes;
+        let d = axes.len();
+        assert!(d > 0, "kernel matvec: needs ≥ 1 axis");
+        // suffix[a] = Π axes[a..].n, so suffix[a + 1] is the row length R
+        // of the contraction over axis a.
+        let mut suffix = vec![1usize; d + 1];
+        for a in (0..d).rev() {
+            suffix[a] = suffix[a + 1] * axes[a].n;
+        }
+        // One contraction pass over axis `a`, viewing the flat tensor as
+        // (P, n_a, R) with R = suffix[a + 1]. The accumulation order
+        // inside each output row is fixed by the representation (l / k
+        // ascending), never by the chunking, so the output is
+        // bit-identical across thread counts.
+        let contract = |a: usize, src: &[f64], dst: &mut [f64]| {
+            let ax = &axes[a];
+            let na = ax.n;
+            if a == d - 1 {
+                // Last axis: contiguous rows of length n_d; per output j
+                // a dot product over l ascending.
+                par_rows_mut(dst, na, threads, |r, dst_row| {
+                    let src_row = &src[r * na..(r + 1) * na];
+                    for (j, slot) in dst_row.iter_mut().enumerate() {
+                        let k_row = &ax.k[j * na..(j + 1) * na];
+                        let mut acc = 0.0;
+                        for (kjl, vl) in k_row.iter().zip(src_row) {
+                            acc += kjl * vl;
+                        }
+                        *slot = acc;
                     }
-                };
-                // Contract last axis first; ping-pong between the two
-                // buffers so the final pass always lands in `out`
-                // (even d starts in `scratch`, odd d in `out`).
-                for (step, a) in (0..d).rev().enumerate() {
-                    let dst_is_out = (d - step) % 2 == 1;
-                    match (step == 0, dst_is_out) {
-                        (true, true) => contract(a, v, out),
-                        (true, false) => contract(a, v, scratch),
-                        (false, true) => contract(a, scratch, out),
-                        (false, false) => contract(a, out, scratch),
+                });
+            } else {
+                // Earlier axis: rows of length R, strided by n_a·R
+                // between the k-slices of one (p, ·, R) block; axpy over
+                // k ascending per output row.
+                let r_len = suffix[a + 1];
+                par_rows_mut(dst, r_len, threads, |r, dst_row| {
+                    let (p, i) = (r / na, r % na);
+                    dst_row.fill(0.0);
+                    let k_row = &ax.k[i * na..(i + 1) * na];
+                    for (k, &w) in k_row.iter().enumerate() {
+                        let base = (p * na + k) * r_len;
+                        let src_row = &src[base..base + r_len];
+                        for (slot, t) in dst_row.iter_mut().zip(src_row) {
+                            *slot += w * t;
+                        }
                     }
-                }
+                });
+            }
+        };
+        // Contract last axis first; ping-pong between the two buffers so
+        // the final pass always lands in `out` (even d starts in
+        // `scratch`, odd d in `out`).
+        for (step, a) in (0..d).rev().enumerate() {
+            let dst_is_out = (d - step) % 2 == 1;
+            match (step == 0, dst_is_out) {
+                (true, true) => contract(a, v, out),
+                (true, false) => contract(a, v, scratch),
+                (false, true) => contract(a, scratch, out),
+                (false, false) => contract(a, out, scratch),
             }
         }
     }
@@ -298,11 +272,12 @@ mod tests {
             .collect()
     }
 
-    /// Dense kernel over a flattened d-axis product grid (last axis
-    /// fastest), for comparison.
-    fn dense_of_grid_nd(axes: &[&[f64]], eps: f64) -> KernelRep {
+    /// The dense Gibbs matrix over a flattened d-axis product grid (last
+    /// axis fastest), row-major `n × n`: the reference the factorized
+    /// kernel is checked against.
+    fn dense_of_grid_nd(axes: &[&[f64]], eps: f64) -> Vec<f64> {
         let n: usize = axes.iter().map(|g| g.len()).product();
-        KernelRep::dense_square(n, eps, 1, |i, j| {
+        let sq_dist = |i: usize, j: usize| {
             let (mut ri, mut rj) = (i, j);
             let mut acc = 0.0;
             for g in axes.iter().rev() {
@@ -312,7 +287,10 @@ mod tests {
                 rj /= g.len();
             }
             acc
-        })
+        };
+        (0..n * n)
+            .map(|idx| (-sq_dist(idx / n, idx % n) / eps).exp())
+            .collect()
     }
 
     #[test]
@@ -335,11 +313,13 @@ mod tests {
                 let dense = dense_of_grid_nd(axes, eps);
                 let sep = KernelRep::separable_grid_nd(axes, eps);
                 assert_eq!(sep.len(), n);
-                assert!(sep.work_cells() < dense.work_cells());
-                let mut a = vec![0.0; n];
+                assert!(sep.work_cells() < n * n);
+                let a: Vec<f64> = dense
+                    .chunks_exact(n)
+                    .map(|row| row.iter().zip(&v).map(|(k, x)| k * x).sum())
+                    .collect();
                 let mut b = vec![0.0; n];
                 let mut scratch = vec![0.0; n];
-                dense.matvec(&v, &mut a, &mut scratch, 1);
                 sep.matvec(&v, &mut b, &mut scratch, 1);
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                     assert!(
@@ -390,15 +370,14 @@ mod tests {
     }
 
     #[test]
-    fn choices_resolve() {
+    fn dense_is_refused_by_the_shared_check() {
         assert_eq!(KernelChoice::default(), KernelChoice::Auto);
-        assert!(!KernelChoice::Dense.resolve(true));
-        assert!(!KernelChoice::Dense.resolve(false));
-        assert!(KernelChoice::Separable.resolve(true));
-        assert!(KernelChoice::Auto.resolve(true));
-        // An unavailable preference degrades to dense, never errors.
-        assert!(!KernelChoice::Separable.resolve(false));
-        assert!(!KernelChoice::Auto.resolve(false));
+        assert!(KernelChoice::Auto.validate().is_ok());
+        assert!(KernelChoice::Separable.validate().is_ok());
+        assert!(matches!(
+            KernelChoice::Dense.validate(),
+            Err(OtError::InvalidParameter { name: "kernel", .. })
+        ));
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //!   (absorption-stabilized fast path with a log-domain fallback, plus
 //!   an optional warm-started ε-scaling schedule, [`EpsSchedule`]), the
 //!   `O(nQ²/ε²)` alternative discussed in Section IV-A1.
-//! * [`kernel`] — the **Gibbs-kernel representation seam**:
-//!   [`KernelRep`] serves every entropic matvec either dense or — on
-//!   product-grid squared-Euclidean costs — factorized as `K₁ ⊗ … ⊗ K_d`
-//!   (`d` axis passes instead of one `O(nQ^{2d})` sweep), selected
-//!   by the config field [`KernelChoice`] (`Auto`, `Dense`, `Separable`).
+//! * [`kernel`] — the **factorized Gibbs kernel**: on product-grid
+//!   squared-Euclidean costs [`KernelRep`] applies `K₁ ⊗ … ⊗ K_d` as `d`
+//!   axis passes instead of one `O(nQ^{2d})` sweep, so product grids
+//!   always factorize. The config field [`KernelChoice`] no longer
+//!   changes a solve: `Auto` and `Separable` mean this kernel, and
+//!   `Dense`, the removed dense product-grid kernel, is refused.
 //! * [`solvers::backend`] — the **unified solver seam**: [`SolverBackend`]
 //!   and the [`Solver1d`] interface own backend selection, epsilon
 //!   validation, and the Sinkhorn→simplex fallback policy; every

@@ -137,16 +137,16 @@ pub const SIMPLEX_FALLBACK_MAX_CELLS: usize = 512 * 512;
 /// `None` duals.
 pub trait Solver1d {
     /// Solve OT between two mass vectors under an explicit cost matrix
-    /// (the joint/2-D setting, or any non-Euclidean geometry). `kernel`
-    /// is the Gibbs-kernel representation preference of entropic
-    /// backends on grid-separable costs (see [`KernelChoice`]); backends
-    /// without an entropic kernel ignore it, and an unavailable
-    /// preference degrades to dense, never errors.
+    /// (the joint/2-D setting, or any non-Euclidean geometry). An
+    /// entropic backend factorizes its Gibbs kernel whenever the cost
+    /// carries a product grid, whatever `kernel` says; a `Dense` choice
+    /// is refused before any work ([`KernelChoice::validate`]).
     ///
     /// # Errors
     /// Propagates validation failures, and
-    /// [`OtError::InvalidParameter`] for backends that require 1-D
-    /// structure ([`SolverBackend::ExactMonotone`]). Up to
+    /// [`OtError::InvalidParameter`] for a `Dense` kernel choice and for
+    /// backends that require 1-D structure
+    /// ([`SolverBackend::ExactMonotone`]). Up to
     /// [`SIMPLEX_FALLBACK_MAX_CELLS`] the entropic backend does not fail
     /// for non-convergence — it falls back to the exact simplex (which
     /// can itself report [`OtError::NoConvergence`] on pathologically
@@ -186,6 +186,7 @@ impl Solver1d for SolverBackend {
         kernel: KernelChoice,
         warm: Option<&SinkhornDuals>,
     ) -> Result<(OtPlan, Option<SinkhornDuals>)> {
+        kernel.validate()?;
         self.validate()?;
         match self {
             SolverBackend::ExactMonotone => Err(OtError::InvalidParameter {
@@ -207,7 +208,6 @@ impl Solver1d for SolverBackend {
                 let config = SinkhornConfig {
                     threads,
                     eps_scaling: if warm.is_some() { None } else { *eps_scaling },
-                    kernel,
                     ..SinkhornConfig::with_epsilon(*epsilon)
                 };
                 match sinkhorn_warm(mu, nu, cost, config, warm) {

@@ -46,7 +46,7 @@ use crate::cost::{fold_grid_row, CostMatrix};
 use crate::coupling::OtPlan;
 use crate::discrete::normalized_mass;
 use crate::error::{OtError, Result};
-use crate::kernel::{dense_matvec, KernelChoice, KernelRep, SCALING_FLOOR};
+use crate::kernel::{dense_matvec, KernelRep, SCALING_FLOOR};
 
 /// Iterations between convergence / absorption checks: the `O(n²)`
 /// residual amortizes to noise at this cadence.
@@ -181,20 +181,6 @@ pub struct SinkhornConfig {
     /// Runtime policy, not serialized.
     #[serde(skip)]
     pub parallel_min_cells: Option<usize>,
-    /// Gibbs-kernel representation on **grid-separable** costs (a
-    /// self-product-grid squared-Euclidean [`CostMatrix`] with no
-    /// zero-mass filtering): `Auto` (the default) factorizes the kernel
-    /// as `K₁ ⊗ … ⊗ K_d` — `d` axis passes per scaling update (two
-    /// `O(nQ³)` passes at `d = 2`) instead of the `O(nQ^{2d})` dense
-    /// sweep — and `Dense` keeps the
-    /// dense kernel; non-separable solves always run dense. Like
-    /// [`eps_scaling`](Self::eps_scaling) this is part of the solve's
-    /// definition (the representations group sums differently,
-    /// agreeing to ~1e-12 relative, not bitwise); unlike it the choice
-    /// is not serialized — a persisted plan stores the designed
-    /// coupling itself, never the representation that built it.
-    #[serde(skip)]
-    pub kernel: KernelChoice,
 }
 
 impl Default for SinkhornConfig {
@@ -206,7 +192,6 @@ impl Default for SinkhornConfig {
             eps_scaling: None,
             threads: 0,
             parallel_min_cells: None,
-            kernel: KernelChoice::Auto,
         }
     }
 }
@@ -337,17 +322,13 @@ pub fn sinkhorn_warm(
         |cells| otr_par::kernel_threads(config.threads, cells, config.parallel_min_cells);
     let threads = kernel_threads(np * mp);
 
-    // The separable (Kronecker) standard domain engages only when the
-    // cost is grid-separable AND no zero-mass filtering narrowed the
-    // support (filtering breaks the product structure); the kernel
-    // choice then still gets the last word. Its per-matvec work is
-    // `n·Σnᵢ` cells, so it resolves its own threshold.
-    let separable = cost
-        .grid_nd()
-        .filter(|axes| {
-            np == n && mp == m && n == m && axes.iter().map(|g| g.len()).product::<usize>() == n
-        })
-        .filter(|_| config.kernel.resolve(true));
+    // The factored (Kronecker) standard domain engages whenever the
+    // cost is grid-separable and no zero-mass filtering narrowed the
+    // support (filtering breaks the product structure). Its per-matvec
+    // work is `n·Σnᵢ` cells, so it resolves its own threshold.
+    let separable = cost.grid_nd().filter(|axes| {
+        np == n && mp == m && n == m && axes.iter().map(|g| g.len()).product::<usize>() == n
+    });
     let sep_threads = separable.map_or(1, |axes| {
         kernel_threads(np * axes.iter().map(|g| g.len()).sum::<usize>())
     });
@@ -695,8 +676,8 @@ struct SubProblem<'a> {
     /// sequential; the size threshold has already been applied).
     threads: usize,
     /// Axis grids when the standard domain runs against the factorized
-    /// kernel `K₁ ⊗ … ⊗ K_d` (grid-separable cost, unfiltered support,
-    /// kernel choice resolved to separable); `None` = dense.
+    /// kernel `K₁ ⊗ … ⊗ K_d` (grid-separable cost, unfiltered support);
+    /// `None` = dense.
     separable: Option<&'a [Vec<f64>]>,
     /// Effective worker threads of the separable matvecs (thresholded
     /// on their own `n·Σnᵢ` work measure; 1 when `separable` is `None`).
@@ -887,44 +868,28 @@ impl SubProblem<'_> {
         let mut f: Vec<f64> = phi.iter().map(|x| x / eps).collect();
         let mut g: Vec<f64> = psi.iter().map(|x| x / eps).collect();
 
-        let log_sum_exp = |row: &[f64]| -> f64 {
-            let mx = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            if mx == f64::NEG_INFINITY {
-                return f64::NEG_INFINITY;
-            }
-            let s: f64 = row.iter().map(|&x| (x - mx).exp()).sum();
-            mx + s.ln()
-        };
-
         let mut iterations = 0;
         let mut residual = f64::INFINITY;
         let mut row_res = vec![0.0f64; np];
         while iterations < max_iters {
             iterations += 1;
             // f update: f_i = log a_i - LSE_j(-C_ij/eps + g_j). Each
-            // chunk owns its rows and a private scratch buffer.
+            // chunk owns its rows.
             par_chunks_mut(&mut f, self.threads, |start, chunk| {
-                let mut scratch = vec![0.0f64; mp];
                 for (off, fi) in chunk.iter_mut().enumerate() {
                     let pi = start + off;
-                    for pj in 0..mp {
-                        scratch[pj] = neg_c_eps[pi * mp + pj] + g[pj];
-                    }
-                    *fi = log_a[pi] - log_sum_exp(&scratch);
+                    let row = &neg_c_eps[pi * mp..(pi + 1) * mp];
+                    *fi = log_a[pi] - log_sum_exp(row.iter().zip(&g).map(|(nc, gj)| nc + gj));
                 }
             });
             // g update (column-parallel; contiguous reads off the
             // transposed exponents).
             let f_ref = &f;
             par_chunks_mut(&mut g, self.threads, |start, chunk| {
-                let mut scratch = vec![0.0f64; np];
                 for (off, gj) in chunk.iter_mut().enumerate() {
                     let pj = start + off;
                     let col = &neg_c_eps_t[pj * np..(pj + 1) * np];
-                    for (slot, (nc, fi)) in scratch.iter_mut().zip(col.iter().zip(f_ref)) {
-                        *slot = nc + fi;
-                    }
-                    *gj = log_b[pj] - log_sum_exp(&scratch);
+                    *gj = log_b[pj] - log_sum_exp(col.iter().zip(f_ref).map(|(nc, fi)| nc + fi));
                 }
             });
 
@@ -977,6 +942,19 @@ impl SubProblem<'_> {
     }
 }
 
+/// `log Σ exp(x)` over `terms`, shifted by their maximum. The second
+/// pass recomputes each term rather than reading it back from a buffer,
+/// so the log-domain updates allocate nothing; the operands and their
+/// order are the same either way, so are the bits.
+fn log_sum_exp(terms: impl Iterator<Item = f64> + Clone) -> f64 {
+    let mx = terms.clone().fold(f64::NEG_INFINITY, f64::max);
+    if mx == f64::NEG_INFINITY {
+        return f64::NEG_INFINITY;
+    }
+    let s: f64 = terms.map(|x| (x - mx).exp()).sum();
+    mx + s.ln()
+}
+
 /// Materialize `π_rc = ((U_r · K₁[r₁, c₁]) · … · K_d[r_d, c_d]) · V_c`
 /// from the factorized kernel (the plan itself is dense — `O(n²)` cells
 /// once, vs the per-iteration savings of the axis-pass matvecs). Rows are
@@ -984,11 +962,12 @@ impl SubProblem<'_> {
 /// chunked over `threads`; every cell multiplies left to right, so the
 /// bits do not depend on the row walk or the thread count.
 fn materialize_separable(kernel: &KernelRep, u: &[f64], v: &[f64], threads: usize) -> Vec<f64> {
-    let KernelRep::SeparableNd { axes } = kernel else {
-        unreachable!("separable materialization needs a factorized kernel")
-    };
     let n = u.len();
-    let tables: Vec<(&[f64], usize)> = axes.iter().map(|ax| (ax.k.as_slice(), ax.n)).collect();
+    let tables: Vec<(&[f64], usize)> = kernel
+        .axes
+        .iter()
+        .map(|ax| (ax.k.as_slice(), ax.n))
+        .collect();
     let mut plan = vec![0.0f64; n * n];
     par_rows_mut(&mut plan, n, threads, |r, row| {
         fold_grid_row(&tables, r, u[r], |acc, k| acc * k, row);
@@ -1460,6 +1439,14 @@ mod tests {
         (gx, gy, a, b, cost)
     }
 
+    /// The same cost cells without the grid metadata, so a solve over
+    /// them takes the dense domain: the reference for the factored one.
+    fn without_grid(cost: &CostMatrix) -> CostMatrix {
+        let (rows, cols): (Vec<usize>, Vec<usize>) =
+            ((0..cost.rows()).collect(), (0..cost.cols()).collect());
+        CostMatrix::from_fn(&rows, &cols, |&i, &j| cost.get(i, j)).unwrap()
+    }
+
     #[test]
     fn separable_kernel_agrees_with_dense_on_product_grids() {
         // Same fixed point, different sum grouping: the factorized and
@@ -1473,26 +1460,8 @@ mod tests {
                 eps_scaling,
                 ..SinkhornConfig::default()
             };
-            let dense = sinkhorn(
-                &a,
-                &b,
-                &cost,
-                SinkhornConfig {
-                    kernel: KernelChoice::Dense,
-                    ..base
-                },
-            )
-            .unwrap();
-            let sep = sinkhorn(
-                &a,
-                &b,
-                &cost,
-                SinkhornConfig {
-                    kernel: KernelChoice::Separable,
-                    ..base
-                },
-            )
-            .unwrap();
+            let dense = sinkhorn(&a, &b, &without_grid(&cost), base).unwrap();
+            let sep = sinkhorn(&a, &b, &cost, base).unwrap();
             sep.validate_marginals(
                 &a.iter()
                     .map(|x| x / a.iter().sum::<f64>())
@@ -1529,7 +1498,6 @@ mod tests {
                     eps_scaling,
                     threads: 1,
                     parallel_min_cells: Some(1),
-                    kernel: KernelChoice::Separable,
                     ..SinkhornConfig::default()
                 },
             )
@@ -1544,7 +1512,6 @@ mod tests {
                         eps_scaling,
                         threads,
                         parallel_min_cells: Some(1),
-                        kernel: KernelChoice::Separable,
                         ..SinkhornConfig::default()
                     },
                 )
@@ -1585,26 +1552,8 @@ mod tests {
             eps_scaling: Some(EpsSchedule::default()),
             ..SinkhornConfig::default()
         };
-        let dense = sinkhorn(
-            &a,
-            &b,
-            &cost,
-            SinkhornConfig {
-                kernel: KernelChoice::Dense,
-                ..base
-            },
-        )
-        .unwrap();
-        let sep = sinkhorn(
-            &a,
-            &b,
-            &cost,
-            SinkhornConfig {
-                kernel: KernelChoice::Separable,
-                ..base
-            },
-        )
-        .unwrap();
+        let dense = sinkhorn(&a, &b, &without_grid(&cost), base).unwrap();
+        let sep = sinkhorn(&a, &b, &cost, base).unwrap();
         for i in 0..dense.rows() {
             for j in 0..dense.cols() {
                 assert!(
@@ -1625,7 +1574,6 @@ mod tests {
             eps_scaling: Some(EpsSchedule::default()),
             threads,
             parallel_min_cells: Some(1),
-            kernel: KernelChoice::Separable,
             ..SinkhornConfig::default()
         };
         let sequential = sinkhorn(&a, &b, &cost, cfg(1)).unwrap();
@@ -1654,9 +1602,7 @@ mod tests {
             let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
             let cost = CostMatrix::squared_euclidean_grid_nd(&axis_refs).unwrap();
             let kernel = KernelRep::separable_grid_nd(&axis_refs, 0.3);
-            let KernelRep::SeparableNd { axes: ks } = &kernel else {
-                unreachable!("separable_grid_nd builds SeparableNd")
-            };
+            let ks = &kernel.axes;
             let n = cost.rows();
             let u: Vec<f64> = (0..n).map(|i| 0.5 + ((i * 7) % 11) as f64 / 3.0).collect();
             let v: Vec<f64> = (0..n).map(|i| 0.2 + ((i * 5) % 13) as f64 / 7.0).collect();
@@ -1726,13 +1672,9 @@ mod tests {
             }
         }
         // A dense or log-domain plan leaves no scalings to rebuild it from.
-        let dense = SinkhornConfig {
-            epsilon: 0.08,
-            kernel: KernelChoice::Dense,
-            ..SinkhornConfig::default()
-        };
         let (_, _, a, b, cost) = product_grid_problem();
-        let (_, duals) = sinkhorn_warm(&a, &b, &cost, dense, None).unwrap();
+        let config = SinkhornConfig::with_epsilon(0.08);
+        let (_, duals) = sinkhorn_warm(&a, &b, &without_grid(&cost), config, None).unwrap();
         assert_eq!(duals.scalings, None);
     }
 
@@ -1926,25 +1868,16 @@ mod tests {
     }
 
     #[test]
-    fn separable_preference_degrades_to_dense_off_product_grids() {
-        // A non-separable cost under an explicit Separable preference
-        // must solve dense (and correctly), never error; and zero-mass
-        // filtering on a product-grid cost also falls back cleanly.
+    fn costs_off_product_grids_solve_dense() {
+        // A non-separable cost must solve dense (and correctly), never
+        // error; and zero-mass filtering on a product-grid cost also
+        // falls back cleanly.
         let support_a = [0.0, 1.0, 2.0];
         let support_b = [0.5, 1.5];
         let a = [0.3, 0.4, 0.3];
         let b = [0.5, 0.5];
         let cost = CostMatrix::squared_euclidean(&support_a, &support_b).unwrap();
-        let plan = sinkhorn(
-            &a,
-            &b,
-            &cost,
-            SinkhornConfig {
-                kernel: KernelChoice::Separable,
-                ..SinkhornConfig::default()
-            },
-        )
-        .unwrap();
+        let plan = sinkhorn(&a, &b, &cost, SinkhornConfig::default()).unwrap();
         plan.validate_marginals(&a, &b).unwrap();
 
         let (gx, gy, mut a2, b2, cost2) = product_grid_problem();
@@ -1956,7 +1889,6 @@ mod tests {
             &cost2,
             SinkhornConfig {
                 epsilon: 0.1,
-                kernel: KernelChoice::Separable,
                 ..SinkhornConfig::default()
             },
         )

@@ -54,6 +54,51 @@ fn output_within_20s(cmd: &mut Command) -> Output {
     child.wait_with_output().unwrap()
 }
 
+/// Boot `otrepaird` on an OS-assigned loopback port with `args`, and
+/// return it with the address it wrote to `port_file`.
+fn boot_daemon(port_file: &std::path::Path, args: &[&str]) -> (std::process::Child, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_otrepaird"))
+        .args([
+            "--bind",
+            "127.0.0.1:0",
+            "--port-file",
+            &port_file.to_string_lossy(),
+        ])
+        .args(args)
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let addr = loop {
+        match std::fs::read_to_string(port_file) {
+            Ok(addr) => break addr,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            Err(_) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("otrepaird never wrote its port file");
+            }
+        }
+    };
+    (child, addr)
+}
+
+/// Run `otrepair client <args[0]> --addr <addr> <args[1..]>`, requiring
+/// success, and return its stdout.
+fn client(addr: &str, args: &[&str]) -> String {
+    let out = Command::new(bin())
+        .args(["client", args[0], "--addr", addr])
+        .args(&args[1..])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "client {} failed: {}",
+        args[0],
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 fn read_csv(path: &str) -> Dataset {
     read_labelled_csv(std::io::BufReader::new(std::fs::File::open(path).unwrap())).unwrap()
 }
@@ -659,7 +704,6 @@ fn helpful_errors_for_bad_inputs() {
 /// serving determinism contract, end to end through real processes.
 #[test]
 fn served_repair_matches_offline_apply_byte_for_byte() {
-    let daemon = env!("CARGO_BIN_EXE_otrepaird");
     let dir = tmp_dir("serve");
     let (research, archive) = write_csvs(&dir, 7);
     let plan = dir.join("plan.json").to_string_lossy().into_owned();
@@ -687,45 +731,8 @@ fn served_repair_matches_offline_apply_byte_for_byte() {
         .success());
 
     // Port 0 + --port-file: the daemon picks a free port and tells us.
-    let mut child = Command::new(daemon)
-        .args([
-            "--bind",
-            "127.0.0.1:0",
-            "--shards",
-            "7",
-            "--port-file",
-            &port_file.to_string_lossy(),
-        ])
-        .spawn()
-        .unwrap();
-    let addr = {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                break addr;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "otrepaird never wrote its port file"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-    };
-
-    let run = |args: &[&str]| {
-        let out = Command::new(bin())
-            .args(["client", args[0], "--addr", &addr])
-            .args(&args[1..])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "client {} failed: {}",
-            args[0],
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
+    let (mut child, addr) = boot_daemon(&port_file, &["--shards", "7"]);
+    let run = |args: &[&str]| client(&addr, args);
 
     assert!(run(&["ping"]).contains("pong"));
     run(&[
@@ -824,6 +831,91 @@ fn served_repair_matches_offline_apply_byte_for_byte() {
         std::fs::read(&served).unwrap(),
         "served CSV must be byte-identical to offline apply"
     );
+}
+
+/// A joint plan's `"kernel"` key is never read when it loads: the
+/// dense-plan fixture, rewritten to name `Dense` and then `Separable`,
+/// loads through `otrepair apply`, through an `otrepaird --plans`
+/// preload and through `client load`, and every route repairs to the
+/// golden `apply_joint_dense.csv` bytes.
+#[test]
+fn joint_plan_kernel_spellings_all_load_and_repair_alike() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let dir = tmp_dir("kernel-spellings");
+    let plans = dir.join("plans");
+    std::fs::create_dir_all(&plans).unwrap();
+    let archive = format!("{root}/ci/fixtures/archive.csv");
+    let fixture = std::fs::read_to_string(format!("{root}/tests/fixtures/joint_plan_dense.json"));
+    let golden = std::fs::read_to_string(format!("{root}/tests/fixtures/golden_digests.txt"));
+    let want = golden
+        .unwrap()
+        .lines()
+        .find_map(|l| l.strip_prefix("apply_joint_dense.csv ").map(str::to_string));
+    // `length fnv1a64`, as the golden manifest writes it.
+    let digest = |path: &std::path::Path| {
+        let bytes = std::fs::read(path).unwrap();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        Some(format!("{} {hash:016x}", bytes.len()))
+    };
+    let fixture = fixture.unwrap();
+    let spellings = ["Dense", "Separable"];
+    for kernel in spellings {
+        let json = fixture.replacen(
+            "\"kernel\":\"Auto\"",
+            &format!("\"kernel\":\"{kernel}\""),
+            1,
+        );
+        assert!(json.contains(&format!("\"kernel\":\"{kernel}\"")));
+        let plan = plans.join(format!("{kernel}@1.json"));
+        std::fs::write(&plan, json).unwrap();
+        let out = dir.join(format!("apply-{kernel}.csv"));
+        let status = Command::new(bin())
+            .args([
+                "apply",
+                "--plan",
+                &plan.to_string_lossy(),
+                "--data",
+                &archive,
+            ])
+            .args(["--out", &out.to_string_lossy(), "--seed", "7"])
+            .status();
+        assert!(status.unwrap().success(), "apply, kernel {kernel}");
+        assert_eq!(digest(&out), want, "apply, kernel {kernel}");
+    }
+
+    let (mut child, addr) = boot_daemon(&dir.join("port"), &["--plans", &plans.to_string_lossy()]);
+    let served = dir.join("served.csv");
+    let served_path = served.to_string_lossy();
+    for kernel in spellings {
+        let plan = plans.join(format!("{kernel}@1.json"));
+        let wire = format!("{kernel}-wire");
+        assert!(client(
+            &addr,
+            &["load", "--plan", &plan.to_string_lossy(), "--name", &wire]
+        )
+        .contains("(joint)"));
+        for name in [kernel, &wire] {
+            client(
+                &addr,
+                &[
+                    "repair",
+                    "--name",
+                    name,
+                    "--data",
+                    &archive,
+                    "--out",
+                    &served_path,
+                    "--seed",
+                    "7",
+                ],
+            );
+            assert_eq!(digest(&served), want, "served {name}");
+        }
+    }
+    child.kill().unwrap();
+    child.wait().unwrap();
 }
 
 #[test]

@@ -1,22 +1,27 @@
-//! Cross-kernel equivalence: the separable (`K₁ ⊗ … ⊗ K_d`)
-//! Gibbs-kernel path must be a drop-in replacement for the dense path —
-//! same math, different sum grouping — and must honour the workspace's
+//! Cross-kernel equivalence: the factorized (`K₁ ⊗ … ⊗ K_d`) Gibbs
+//! kernel, the only one the library builds on a product grid, must agree
+//! with a dense reference written here in test code — same math,
+//! different sum grouping — and must honour the workspace's
 //! byte-identity-across-thread-counts determinism contract on its own.
 //!
-//! Three layers of pinning:
+//! Four layers of pinning:
 //!
-//! 1. **Matvec level** (proptest): separable-vs-dense agreement within
-//!    `1e-9` relative on random `d ∈ {2, 3, 4}` product grids and ε, and
-//!    separable self byte-identity across thread counts at the same `d`.
+//! 1. **Matvec level** (proptest): agreement with a plain dense matrix
+//!    and matvec within `1e-9` relative on random `d ∈ {2, 3, 4}` product
+//!    grids and ε, and byte identity across thread counts at the same
+//!    `d`.
 //! 2. **Barycentre level**: `entropic_barycentre_grid_nd` on a 2-axis
-//!    grid under `dense` vs `separable` agrees within `1e-9` (L1 over
+//!    grid agrees with a short dense Bregman loop within `1e-9` (L1 over
 //!    the whole pmf, which sums to 1).
-//! 3. **End to end**: an `nQ = 24` joint design + repair with the
-//!    separable kernel forced on is byte-identical across
-//!    `OTR_THREADS ∈ {1, 2, 7}`, and so is a 3-feature `nQ = 12`
-//!    (1 728 product states) joint design + repair (the same shape as
-//!    `tests/parallel_determinism.rs`, which pins the default `Auto`
-//!    path and the dense reference).
+//! 3. **Design level**: `d = 2` and `d = 3` joint designs place the
+//!    transport cost of the dense reference (the dense barycentre of the
+//!    plan's own marginals, then Sinkhorn on the same cost cells without
+//!    grid metadata, which takes the dense domain) on every `(u, s)`
+//!    plan; `Auto` and `Separable` write the same plan JSON and repair
+//!    the same bytes; and `Dense` is refused before any work.
+//! 4. **End to end**: an `nQ = 24` joint design + repair is
+//!    byte-identical across `OTR_THREADS ∈ {1, 2, 7}`, and so is a
+//!    3-feature `nQ = 12` (1 728 product states) joint design + repair.
 
 use std::sync::Mutex;
 
@@ -24,20 +29,23 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ot_fair_repair::ot::{entropic_barycentre_grid_nd, BarycentreConfig, KernelRep};
+use ot_fair_repair::ot::{
+    entropic_barycentre_grid_nd, BarycentreConfig, CostMatrix, KernelRep, OtError, Solver1d as _,
+    SolverBackend,
+};
 use ot_fair_repair::prelude::*;
+use ot_fair_repair::repair::RepairError;
 
 /// Serializes the tests that mutate the shared `OTR_THREADS` process
 /// environment (cf. `tests/parallel_determinism.rs`).
 static OTR_THREADS_ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Dense kernel over a flattened `d`-axis product grid (row-major, last
-/// axis fastest) — the reference the n-d separable representation is
-/// checked against.
-fn dense_of_grid_nd(axes: &[Vec<f64>], eps: f64) -> KernelRep {
+/// The points of a flattened `d`-axis product grid (row-major, last
+/// axis fastest).
+fn grid_points(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let d = axes.len();
     let n: usize = axes.iter().map(Vec::len).product();
-    let points: Vec<Vec<f64>> = (0..n)
+    (0..n)
         .map(|mut r| {
             let mut c = vec![0.0; d];
             for a in (0..d).rev() {
@@ -47,14 +55,68 @@ fn dense_of_grid_nd(axes: &[Vec<f64>], eps: f64) -> KernelRep {
             }
             c
         })
-        .collect();
-    KernelRep::dense_square(n, eps, 1, |i, j| {
-        points[i]
-            .iter()
-            .zip(&points[j])
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum()
+        .collect()
+}
+
+/// The squared-Euclidean cost of a product grid's points, built cell by
+/// cell with no grid metadata: an entropic solve over it takes the dense
+/// domain.
+fn dense_cost(axes: &[Vec<f64>]) -> CostMatrix {
+    let points = grid_points(axes);
+    CostMatrix::from_fn(&points, &points, |x, y| {
+        x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum()
     })
+    .unwrap()
+}
+
+/// The dense `n × n` Gibbs matrix `exp(−C/ε)` of `cost`, row-major.
+fn dense_gibbs(cost: &CostMatrix, eps: f64) -> Vec<f64> {
+    let n = cost.rows();
+    (0..n * n)
+        .map(|idx| (-cost.get(idx / n, idx % n) / eps).exp())
+        .collect()
+}
+
+/// `k x` for the row-major `n × n` matrix `k`.
+fn dense_matvec(k: &[f64], x: &[f64]) -> Vec<f64> {
+    k.chunks_exact(x.len())
+        .map(|row| row.iter().zip(x).map(|(kij, xj)| kij * xj).sum())
+        .collect()
+}
+
+/// The entropic barycentre of two pmfs with weights `lambda` against the
+/// dense Gibbs matrix `k`: the textbook iterative-Bregman loop (Benamou
+/// et al. 2015), run until the L1 change falls below `tol`.
+fn dense_barycentre(marginals: [&[f64]; 2], lambda: [f64; 2], k: &[f64], tol: f64) -> Vec<f64> {
+    let n = marginals[0].len();
+    let mut u = [vec![1.0; n], vec![1.0; n]];
+    let mut bary = vec![1.0 / n as f64; n];
+    for _ in 0..100_000 {
+        let kv: Vec<Vec<f64>> = (0..2)
+            .map(|s| {
+                let ktu = dense_matvec(k, &u[s]);
+                let v: Vec<f64> = marginals[s].iter().zip(&ktu).map(|(m, x)| m / x).collect();
+                dense_matvec(k, &v)
+            })
+            .collect();
+        let mut next: Vec<f64> = (0..n)
+            .map(|i| {
+                let log = |s: usize| lambda[s] * (u[s][i] * kv[s][i]).ln();
+                (log(0) + log(1)).exp()
+            })
+            .collect();
+        let total: f64 = next.iter().sum();
+        next.iter_mut().for_each(|b| *b /= total);
+        for s in 0..2 {
+            u[s] = next.iter().zip(&kv[s]).map(|(b, x)| b / x).collect();
+        }
+        let delta: f64 = next.iter().zip(&bary).map(|(a, b)| (a - b).abs()).sum();
+        bary = next;
+        if delta < tol {
+            return bary;
+        }
+    }
+    panic!("the dense reference barycentre did not converge");
 }
 
 /// Random strictly increasing axis grid of `n` points in a bounded
@@ -71,7 +133,7 @@ fn arb_grid(n: core::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// d-axis separable-vs-dense matvec agreement within 1e-9 relative
+    /// d-axis factorized-vs-dense matvec agreement within 1e-9 relative
     /// on random `d ∈ {2, 3, 4}` product grids, ε, and input vectors.
     #[test]
     fn separable_nd_matvec_matches_dense_within_1e9(
@@ -86,13 +148,11 @@ proptest! {
                 0.05 + (z % 1_000) as f64 / 1_000.0
             })
             .collect();
-        let dense = dense_of_grid_nd(&axes, eps);
+        let a = dense_matvec(&dense_gibbs(&dense_cost(&axes), eps), &v);
         let refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
         let sep = KernelRep::separable_grid_nd(&refs, eps);
-        let mut a = vec![0.0; n];
         let mut b = vec![0.0; n];
         let mut scratch = vec![0.0; n];
-        dense.matvec(&v, &mut a, &mut scratch, 1);
         sep.matvec(&v, &mut b, &mut scratch, 1);
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             prop_assert!(
@@ -136,7 +196,7 @@ fn otr_zig(base: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Separable-vs-dense **barycentre** agreement within 1e-9 (L1 over a
+/// Factorized-vs-dense **barycentre** agreement within 1e-9 (L1 over a
 /// pmf of total mass 1), through the full Bregman iteration.
 #[test]
 fn separable_vs_dense_barycentre_within_1e9() {
@@ -161,65 +221,151 @@ fn separable_vs_dense_barycentre_within_1e9() {
     let b = pmf(0.5, 0.8, 0.6);
     // A tight tolerance parks both iterate sequences well inside 1e-9
     // of the shared fixed point before they stop.
-    let base = BarycentreConfig {
+    let config = BarycentreConfig {
         tol: 1e-12,
         ..BarycentreConfig::new(0.12, 50_000)
     };
-    let (dense, _) = entropic_barycentre_grid_nd(
-        &[&a, &b],
-        &[0.5, 0.5],
-        &[&gx, &gy],
-        &BarycentreConfig {
-            kernel: KernelChoice::Dense,
-            ..base
-        },
-    )
-    .unwrap();
-    let (sep, _) = entropic_barycentre_grid_nd(
-        &[&a, &b],
-        &[0.5, 0.5],
-        &[&gx, &gy],
-        &BarycentreConfig {
-            kernel: KernelChoice::Separable,
-            ..base
-        },
-    )
-    .unwrap();
+    let k = dense_gibbs(&dense_cost(&[gx.clone(), gy.clone()]), config.eps);
+    let dense = dense_barycentre([&a, &b], [0.5, 0.5], &k, config.tol);
+    let (sep, _) =
+        entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&gx, &gy], &config).unwrap();
     let l1: f64 = dense.iter().zip(&sep).map(|(x, y)| (x - y).abs()).sum();
     assert!(l1 < 1e-9, "separable vs dense barycentre L1 = {l1:e}");
 }
 
-/// End-to-end joint dense-vs-separable agreement at design level: the
-/// two representations must place the same transport cost on every
-/// `(u, s)` plan to within solver tolerance.
+/// The rows of a JSON array of number arrays.
+fn rows(value: Option<&serde_json::Value>) -> Vec<Vec<f64>> {
+    let row = |v: &serde_json::Value| -> Vec<f64> {
+        let items = v.as_arr().expect("an array of numbers");
+        items
+            .iter()
+            .map(|x| x.as_f64().expect("a number"))
+            .collect()
+    };
+    let items = value.and_then(|v| v.as_arr()).expect("an array of rows");
+    items.iter().map(row).collect()
+}
+
+/// Design `research` under `cfg` with the default `Auto` kernel and with
+/// `Separable`: the two write the same plan JSON and repair the same
+/// bytes. Then, for each stratum, the dense reference — the dense
+/// barycentre of the stratum's own marginals, then the config's plan
+/// solver on the same cost cells without grid metadata (the dense
+/// domain) — must put the design's transport cost on every `(u, s)` plan
+/// to within solver tolerance.
+fn check_joint_design_against_dense_reference(research: &Dataset, cfg: JointRepairConfig) {
+    let auto = JointRepairPlan::design(research, cfg).unwrap();
+    let separable = JointRepairConfig {
+        kernel: KernelChoice::Separable,
+        ..cfg
+    };
+    let sep = JointRepairPlan::design(research, separable).unwrap();
+    let json = auto.to_json().unwrap();
+    assert!(
+        json == sep.to_json().unwrap(),
+        "Auto and Separable plan JSON differ"
+    );
+    assert!(repaired_bits(&auto, research) == repaired_bits(&sep, research));
+
+    let plan: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let strata = plan.get("strata").and_then(|s| s.as_arr()).unwrap();
+    for (u, stratum) in strata.iter().enumerate() {
+        let axes = rows(stratum.get("axes"));
+        let factored = stratum
+            .get("factored")
+            .expect("a stratum of factored solves");
+        let marginals = rows(factored.get("marginals"));
+        let cost = dense_cost(&axes);
+        let k = dense_gibbs(&cost, cfg.epsilon);
+        let bary = dense_barycentre(
+            [&marginals[0], &marginals[1]],
+            [1.0 - cfg.t, cfg.t],
+            &k,
+            1e-12,
+        );
+        for (s, marginal) in marginals.iter().enumerate() {
+            let (plan, duals) = cfg
+                .plan_solver()
+                .solve_with_cost_warm(marginal, &bary, &cost, 0, KernelChoice::Auto, None)
+                .unwrap();
+            assert!(
+                duals.unwrap().scalings.is_none(),
+                "the reference ran in the dense domain"
+            );
+            let cd = plan.transport_cost(&cost).unwrap();
+            let cs = auto.expected_transport_cost(u as u8, s as u8).unwrap();
+            assert!(
+                (cd - cs).abs() < 1e-6 * (1.0 + cd.abs()),
+                "(u={u}, s={s}): dense {cd} vs factorized {cs}"
+            );
+        }
+    }
+}
+
+/// End-to-end joint factorized-vs-dense agreement at design level, at
+/// `d = 2` (see [`check_joint_design_against_dense_reference`]).
 #[test]
 fn joint_design_transport_costs_agree_across_kernels() {
     let spec = SimulationSpec::paper_defaults();
     let mut rng = StdRng::seed_from_u64(23);
     let research = spec.sample_dataset(400, &mut rng).unwrap();
-    let mut dense_cfg = JointRepairConfig {
+    let cfg = JointRepairConfig {
         n_q: 8,
         epsilon: 0.25,
+        eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
+        ..JointRepairConfig::default()
+    };
+    check_joint_design_against_dense_reference(&research, cfg);
+}
+
+/// The removed dense product-grid kernel is refused, as
+/// `InvalidParameter` naming `kernel`, before any work: by a joint
+/// design whose research groups are too small to design (the refusal
+/// comes before the KDE), by a barycentre whose marginals are malformed,
+/// and by a solve through the exact monotone backend, which would
+/// otherwise refuse the cost matrix.
+#[test]
+fn dense_kernel_choice_is_refused_before_any_work() {
+    let spec = SimulationSpec::paper_defaults();
+    let mut rng = StdRng::seed_from_u64(23);
+    let tiny = spec.sample_dataset(12, &mut rng).unwrap();
+    let cfg = JointRepairConfig {
         kernel: KernelChoice::Dense,
         ..JointRepairConfig::default()
     };
-    dense_cfg.eps_scaling = Some(EpsSchedule::geometric(1.0, 0.5));
-    let sep_cfg = JointRepairConfig {
-        kernel: KernelChoice::Separable,
-        ..dense_cfg
+    let design = JointRepairPlan::design(&tiny, cfg);
+    assert!(
+        matches!(
+            design,
+            Err(RepairError::Ot(OtError::InvalidParameter {
+                name: "kernel",
+                ..
+            }))
+        ),
+        "{design:?}"
+    );
+    let config = BarycentreConfig {
+        kernel: KernelChoice::Dense,
+        ..BarycentreConfig::default()
     };
-    let dense = JointRepairPlan::design(&research, dense_cfg).unwrap();
-    let sep = JointRepairPlan::design(&research, sep_cfg).unwrap();
-    for u in 0..2u8 {
-        for s in 0..2u8 {
-            let cd = dense.expected_transport_cost(u, s).unwrap();
-            let cs = sep.expected_transport_cost(u, s).unwrap();
-            assert!(
-                (cd - cs).abs() < 1e-6 * (1.0 + cd.abs()),
-                "(u={u}, s={s}): dense {cd} vs separable {cs}"
-            );
-        }
-    }
+    let bary = entropic_barycentre_grid_nd(&[&[1.0]], &[1.0], &[&[0.0, 1.0]], &config);
+    assert!(
+        matches!(bary, Err(OtError::InvalidParameter { name: "kernel", .. })),
+        "{bary:?}"
+    );
+    let cost = dense_cost(&[vec![0.0, 1.0]]);
+    let solve = SolverBackend::ExactMonotone.solve_with_cost_warm(
+        &[0.5, 0.5],
+        &[0.5, 0.5],
+        &cost,
+        0,
+        KernelChoice::Dense,
+        None,
+    );
+    assert!(
+        matches!(solve, Err(OtError::InvalidParameter { name: "kernel", .. })),
+        "{solve:?}"
+    );
 }
 
 /// The bits of every coordinate `plan` repairs `archive` to, at seed 29.
@@ -231,9 +377,9 @@ fn repaired_bits(plan: &JointRepairPlan, archive: &Dataset) -> Vec<u64> {
         .collect()
 }
 
-/// The acceptance pin: an `nQ = 24` joint design + repair with the
-/// separable kernel forced on — `24⁴ = 331 776` logical kernel cells,
-/// every matvec running as two axis passes — is **byte-identical**
+/// The acceptance pin: an `nQ = 24` joint design + repair —
+/// `24⁴ = 331 776` logical kernel cells, every matvec running as two
+/// axis passes — is **byte-identical**
 /// across `OTR_THREADS ∈ {1, 2, 7}`, and so is the repair through the
 /// plan reloaded from its JSON under the same `OTR_THREADS`, whose
 /// factored strata rebuild their plans at that thread count.
@@ -251,7 +397,6 @@ fn separable_joint_repair_byte_identical_across_otr_threads_env() {
         // test-friendly; byte identity is eps-independent.
         epsilon: 0.25,
         eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
-        kernel: KernelChoice::Separable,
         threads: 0, // auto: defer to OTR_THREADS
         ..JointRepairConfig::default()
     };
@@ -296,9 +441,9 @@ fn spec_3features() -> SimulationSpec {
 
 /// The n-d acceptance pin: a **3-feature** `nQ = 12` joint design
 /// (1 728 product states — past the 32 768-cell in-kernel chunking
-/// threshold at `1 728 × 36` separable work cells) with the separable
-/// kernel forced on, plus the repair of the archive through it, is
-/// **byte-identical** across `OTR_THREADS ∈ {1, 2, 7}`.
+/// threshold at `1 728 × 36` factorized work cells), plus the repair of
+/// the archive through it, is **byte-identical** across
+/// `OTR_THREADS ∈ {1, 2, 7}`.
 #[test]
 fn separable_nd_3feature_joint_repair_byte_identical_across_otr_threads_env() {
     let _env = OTR_THREADS_ENV_LOCK
@@ -310,7 +455,6 @@ fn separable_nd_3feature_joint_repair_byte_identical_across_otr_threads_env() {
         n_q: 12,
         epsilon: 0.25,
         eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
-        kernel: KernelChoice::Separable,
         threads: 0, // auto: defer to OTR_THREADS
         ..JointRepairConfig::default()
     };
@@ -329,35 +473,17 @@ fn separable_nd_3feature_joint_repair_byte_identical_across_otr_threads_env() {
     std::env::remove_var("OTR_THREADS");
 }
 
-/// 3-feature dense-vs-separable design agreement: both representations
-/// must place the same transport cost on every `(u, s)` plan to within
-/// solver tolerance (the d = 3 analogue of the 2-feature test above,
-/// small enough — 216 states — for the dense kernel to stay cheap).
+/// The `d = 3` analogue of the 2-feature design test above, small
+/// enough — 216 states — for the dense reference to stay cheap.
 #[test]
 fn joint_3feature_design_transport_costs_agree_across_kernels() {
     let mut rng = StdRng::seed_from_u64(47);
     let research = spec_3features().sample_dataset(500, &mut rng).unwrap();
-    let mut dense_cfg = JointRepairConfig {
+    let cfg = JointRepairConfig {
         n_q: 6,
         epsilon: 0.25,
-        kernel: KernelChoice::Dense,
+        eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
         ..JointRepairConfig::default()
     };
-    dense_cfg.eps_scaling = Some(EpsSchedule::geometric(1.0, 0.5));
-    let sep_cfg = JointRepairConfig {
-        kernel: KernelChoice::Separable,
-        ..dense_cfg
-    };
-    let dense = JointRepairPlan::design(&research, dense_cfg).unwrap();
-    let sep = JointRepairPlan::design(&research, sep_cfg).unwrap();
-    for u in 0..2u8 {
-        for s in 0..2u8 {
-            let cd = dense.expected_transport_cost(u, s).unwrap();
-            let cs = sep.expected_transport_cost(u, s).unwrap();
-            assert!(
-                (cd - cs).abs() < 1e-6 * (1.0 + cd.abs()),
-                "(u={u}, s={s}): dense {cd} vs separable {cs}"
-            );
-        }
-    }
+    check_joint_design_against_dense_reference(&research, cfg);
 }

@@ -33,11 +33,8 @@ fn byte_image(data: &Dataset) -> Vec<u64> {
         .collect()
 }
 
-/// In-kernel determinism at joint scale, for both kernel
-/// representations: an `nQ = 24` joint design under the default
-/// (separable) kernel, and the dense reference at `nQ = 14`, the
-/// smallest grid whose dense kernel (`14⁴ = 38 416` cells) still
-/// crosses the in-kernel threshold of 32 768 cells. The
+/// In-kernel determinism at joint scale: an `nQ = 24` joint design,
+/// whose factorized kernel crosses the in-kernel threshold. The
 /// entropic-barycentre matvecs and the Sinkhorn scaling updates run
 /// chunked — with the **ε-scaling schedule on** (an explicit
 /// multi-stage geometric schedule, so every warm-started stage is
@@ -56,39 +53,33 @@ fn joint_repair_byte_identical_across_otr_threads_env() {
     let spec = SimulationSpec::paper_defaults();
     let mut rng = StdRng::seed_from_u64(17);
     let split = spec.generate(300, 400, &mut rng).unwrap();
-    for (kernel, n_q) in [(KernelChoice::Auto, 24), (KernelChoice::Dense, 14)] {
-        let cfg = JointRepairConfig {
-            n_q,
-            // Keeps max-cost/eps modest so the test converges at a
-            // debug-build-friendly iteration count (byte identity is
-            // eps-independent).
-            epsilon: 0.25,
-            // Three warm-started stages: 1.0 → 0.5 → 0.25.
-            eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
-            kernel,
-            threads: 0, // auto: defer to OTR_THREADS
-            ..JointRepairConfig::default()
-        };
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in ["1", "2", "7"] {
-            std::env::set_var("OTR_THREADS", threads);
-            let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
-            let out = byte_image(&plan.repair_dataset_par(&split.archive, 29).unwrap());
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "{kernel:?}, OTR_THREADS = {threads}"),
-            }
+    let cfg = JointRepairConfig {
+        n_q: 24,
+        // Keeps max-cost/eps modest so the test converges at a
+        // debug-build-friendly iteration count (byte identity is
+        // eps-independent).
+        epsilon: 0.25,
+        // Three warm-started stages: 1.0 → 0.5 → 0.25.
+        eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
+        threads: 0, // auto: defer to OTR_THREADS
+        ..JointRepairConfig::default()
+    };
+    let mut reference: Option<Vec<u64>> = None;
+    for threads in ["1", "2", "7"] {
+        std::env::set_var("OTR_THREADS", threads);
+        let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
+        let out = byte_image(&plan.repair_dataset_par(&split.archive, 29).unwrap());
+        match &reference {
+            None => reference = Some(out),
+            Some(r) => assert_eq!(&out, r, "OTR_THREADS = {threads}"),
         }
     }
     std::env::remove_var("OTR_THREADS");
 }
 
-/// The joint contract at `d = 3`, for both kernel representations: a
-/// 3-feature `nQ = 8` joint design (512 product states) under the
-/// default (separable) kernel, and the dense reference at `nQ = 6`
-/// (`6⁶ = 46 656` kernel cells, past the in-kernel threshold) — the
-/// repaired archive must be byte-identical across
-/// `OTR_THREADS ∈ {1, 2, 7}`. Env-mutating, so serialized on
+/// The joint contract at `d = 3`: a 3-feature `nQ = 8` joint design
+/// (512 product states) — the repaired archive must be byte-identical
+/// across `OTR_THREADS ∈ {1, 2, 7}`. Env-mutating, so serialized on
 /// [`OTR_THREADS_ENV_LOCK`].
 #[test]
 fn joint_3feature_repair_byte_identical_across_otr_threads_env() {
@@ -107,24 +98,21 @@ fn joint_3feature_repair_byte_identical_across_otr_threads_env() {
     };
     let mut rng = StdRng::seed_from_u64(19);
     let split = spec.generate(300, 400, &mut rng).unwrap();
-    for (kernel, n_q) in [(KernelChoice::Auto, 8), (KernelChoice::Dense, 6)] {
-        let cfg = JointRepairConfig {
-            n_q,
-            epsilon: 0.25,
-            eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
-            kernel,
-            threads: 0, // auto: defer to OTR_THREADS
-            ..JointRepairConfig::default()
-        };
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in ["1", "2", "7"] {
-            std::env::set_var("OTR_THREADS", threads);
-            let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
-            let out = byte_image(&plan.repair_dataset_par(&split.archive, 31).unwrap());
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "{kernel:?}, OTR_THREADS = {threads}"),
-            }
+    let cfg = JointRepairConfig {
+        n_q: 8,
+        epsilon: 0.25,
+        eps_scaling: Some(EpsSchedule::geometric(1.0, 0.5)),
+        threads: 0, // auto: defer to OTR_THREADS
+        ..JointRepairConfig::default()
+    };
+    let mut reference: Option<Vec<u64>> = None;
+    for threads in ["1", "2", "7"] {
+        std::env::set_var("OTR_THREADS", threads);
+        let plan = JointRepairPlan::design(&split.research, cfg).unwrap();
+        let out = byte_image(&plan.repair_dataset_par(&split.archive, 31).unwrap());
+        match &reference {
+            None => reference = Some(out),
+            Some(r) => assert_eq!(&out, r, "OTR_THREADS = {threads}"),
         }
     }
     std::env::remove_var("OTR_THREADS");
