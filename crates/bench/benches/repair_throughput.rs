@@ -1,4 +1,4 @@
-//! **Criterion bench A5** — archival repair throughput (Algorithm 2).
+//! **Perf-smoke gate** — the system's speed, checked against floors.
 //!
 //! The paper's requirement 3 (Section IV): "the method should be
 //! computationally efficient, so that large data sets can be repaired".
@@ -9,40 +9,35 @@
 //! while the per-row SplitMix64 streams keep the output bit-identical
 //! for any thread count.
 //!
-//! Two modes:
-//!
-//! * default (`cargo bench --bench repair_throughput`) — criterion
-//!   groups: throughput vs `nQ`, plan-design cost vs `nQ`, and the
-//!   columnar kernel per thread count on a 100k-row archive;
-//! * `--quick` — the CI perf-smoke gate. Six legs each assert their
-//!   determinism contract and return [`Metric`] rows (rates and ratios,
-//!   higher is better). All rows go to `BENCH_perf_smoke.json`; when
-//!   `OTR_BENCH_BASELINE` names a floors file (`ci/bench_baseline.json`,
-//!   keyed `leg.name`), [`otr_bench::gate`] checks each row against
-//!   its floor:
-//!   1. `throughput` — the columnar kernel over a 1M-row archive at auto
-//!      threads, its bytes equal to a one-thread run, and the in-memory
-//!      CSV → kernel → CSV chain over the same archive, its bytes equal
-//!      to a run under `OTR_THREADS=1`;
-//!   2. `plan_design` — the Algorithm-1 design rate at `nQ = 50`;
-//!   3. `joint_repair` — `nQ = 24` ε-scaled joint design + repair
-//!      through the factorized kernel under `OTR_THREADS=1` and `4`
-//!      (bytes identical) and the `1`-vs-`4` ratio; also writes the
-//!      design report `BENCH_joint_report.json`;
-//!   4. `serve` — rows/s through a live `otrepaird` on loopback under
-//!      four concurrent clients, for a scalar and a joint plan, served
-//!      bytes equal to offline repair;
-//!   5. `joint3` — `d = 3`, `nQ = 16`-per-axis joint design + repair
-//!      through the factorized kernel, bytes identical across
-//!      `OTR_THREADS ∈ {1, 2, 7}`;
-//!   6. `redesign` — cold entropic design on drifted research data vs a
-//!      warm re-design seeded from the stale plan's banked Sinkhorn
-//!      duals, two warm re-designs identical.
+//! `cargo bench -p otr-bench --bench repair_throughput` runs six legs;
+//! an argument other than the `--bench` that cargo appends is a usage
+//! error. Each leg asserts its determinism contract and returns
+//! [`Metric`] rows (rates and ratios, higher is better). All rows go to
+//! `BENCH_perf_smoke.json`; when `OTR_BENCH_BASELINE` names a floors
+//! file (`ci/bench_baseline.json`, keyed `leg.name`),
+//! [`otr_bench::gate`] checks each row against its floor:
+//! 1. `throughput` — the columnar kernel over a 1M-row archive at auto
+//!    threads, its bytes equal to a one-thread run, and the in-memory
+//!    CSV → kernel → CSV chain over the same archive, its bytes equal
+//!    to a run under `OTR_THREADS=1`;
+//! 2. `plan_design` — the Algorithm-1 design rate at `nQ = 50`;
+//! 3. `joint_repair` — `nQ = 24` ε-scaled joint design + repair
+//!    through the factorized kernel under `OTR_THREADS=1` and `4`
+//!    (bytes identical) and the `1`-vs-`4` ratio; also writes the
+//!    design report `BENCH_joint_report.json`;
+//! 4. `serve` — rows/s through a live `otrepaird` on loopback under
+//!    four concurrent clients, for a scalar and a joint plan, served
+//!    bytes equal to offline repair;
+//! 5. `joint3` — `d = 3`, `nQ = 16`-per-axis joint design + repair
+//!    through the factorized kernel, bytes identical across
+//!    `OTR_THREADS ∈ {1, 2, 7}`;
+//! 6. `redesign` — cold entropic design on drifted research data vs a
+//!    warm re-design seeded from the stale plan's banked Sinkhorn
+//!    duals, two warm re-designs identical.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,69 +49,6 @@ use otr_data::{
     read_labelled_csv_columnar, write_labelled_csv_columnar, ColumnarDataset, Dataset,
     SimulationSpec, SplitData,
 };
-
-fn bench_repair(c: &mut Criterion) {
-    let spec = SimulationSpec::paper_defaults();
-    let mut rng = StdRng::seed_from_u64(1);
-    let research = spec.sample_dataset(500, &mut rng).unwrap();
-    let archive = spec.sample_dataset(5_000, &mut rng).unwrap();
-
-    let mut group = c.benchmark_group("repair_throughput");
-    group.throughput(Throughput::Elements(archive.len() as u64));
-    for &n_q in &[25usize, 50, 100, 250] {
-        let plan = RepairPlanner::new(RepairConfig::with_n_q(n_q))
-            .design(&research)
-            .unwrap();
-        group.bench_with_input(BenchmarkId::new("archive_5000pts", n_q), &n_q, |b, _| {
-            let mut rng = StdRng::seed_from_u64(7);
-            b.iter(|| plan.repair_dataset(&archive, &mut rng).unwrap())
-        });
-    }
-    group.finish();
-
-    let mut design_group = c.benchmark_group("plan_design");
-    for &n_q in &[25usize, 50, 100, 250] {
-        design_group.bench_with_input(BenchmarkId::new("design", n_q), &n_q, |b, _| {
-            let planner = RepairPlanner::new(RepairConfig::with_n_q(n_q));
-            b.iter(|| planner.design(&research).unwrap())
-        });
-    }
-    design_group.finish();
-}
-
-fn bench_parallel(c: &mut Criterion) {
-    let spec = SimulationSpec::paper_defaults();
-    let mut rng = StdRng::seed_from_u64(2);
-    let research = spec.sample_dataset(500, &mut rng).unwrap();
-    let archive = spec.sample_dataset(100_000, &mut rng).unwrap();
-    let plan = RepairPlanner::new(RepairConfig::with_n_q(50))
-        .design(&research)
-        .unwrap();
-
-    let mut group = c.benchmark_group("parallel_repair_100k");
-    group.throughput(Throughput::Elements(archive.len() as u64));
-    let archive = ColumnarDataset::from_dataset(&archive);
-    let mut thread_counts = vec![1usize, 2, 4, otr_par::thread_count(0)];
-    thread_counts.sort_unstable();
-    thread_counts.dedup(); // auto may equal 1, 2 or 4 — don't bench twice
-    for threads in thread_counts {
-        let mut plan = plan.clone();
-        plan.config.threads = threads;
-        let archive = &archive;
-        group.bench_with_input(
-            BenchmarkId::new("columnar", threads),
-            &threads,
-            move |b, _| b.iter(|| plan.repair_columnar_par(archive, 7).unwrap()),
-        );
-    }
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_repair, bench_parallel
-}
 
 /// The workspace root (cargo runs bench binaries with the *package*
 /// directory as cwd; reports and baselines live at the repo root).
@@ -132,7 +64,7 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut first = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let out = criterion::black_box(f());
+        let out = std::hint::black_box(f());
         best = best.min(start.elapsed().as_secs_f64());
         first.get_or_insert(out);
     }
@@ -189,7 +121,7 @@ fn csv_apply(plan: &RepairPlan, input: &[u8]) -> Vec<u8> {
 /// Algorithm-2 columnar kernel at auto threads (~0.1 s per sequential
 /// pass: long enough that timer noise is small against the floor, short
 /// enough for a smoke job), and the whole CSV-to-CSV chain around it.
-fn quick_throughput() -> Vec<Metric> {
+fn leg_throughput() -> Vec<Metric> {
     let rows = 1_000_000;
     let spec = SimulationSpec::paper_defaults();
     let mut rng = StdRng::seed_from_u64(1);
@@ -231,7 +163,7 @@ fn quick_throughput() -> Vec<Metric> {
 
 /// Leg 2 — plan-design rate (Algorithm 1: KDE + barycentre + 4 OT
 /// solves per design) at `nQ = 50` on 500 research rows.
-fn quick_plan_design() -> Vec<Metric> {
+fn leg_plan_design() -> Vec<Metric> {
     let spec = SimulationSpec::paper_defaults();
     let mut rng = StdRng::seed_from_u64(2);
     let research = spec.sample_dataset(500, &mut rng).unwrap();
@@ -255,7 +187,7 @@ fn quick_plan_design() -> Vec<Metric> {
 /// scheduler noise. Also writes the design report
 /// (`BENCH_joint_report.json`): barycentre convergence per stratum plus
 /// per-stage ε-schedule stats.
-fn quick_joint(multicore: bool) -> Vec<Metric> {
+fn leg_joint(multicore: bool) -> Vec<Metric> {
     let cfg = JointRepairConfig {
         n_q: 24,
         threads: 0, // auto: driven through OTR_THREADS
@@ -301,7 +233,7 @@ fn quick_joint(multicore: bool) -> Vec<Metric> {
 /// (framing, socket copies, decode, in-place sharded repair, encode).
 /// One served response per plan is asserted byte-identical to the
 /// offline columnar path first.
-fn quick_serve() -> Vec<Metric> {
+fn leg_serve() -> Vec<Metric> {
     use otr_serve::{Client, PlanKind, ServeConfig, Server};
 
     let (rows, clients, rounds) = (100_000, 4, 3);
@@ -394,7 +326,7 @@ fn quick_serve() -> Vec<Metric> {
 /// would be a 16.8M-cell / 134 MB matrix per entropic solve. The
 /// `OTR_THREADS=1` run is timed, and its bytes are asserted equal to
 /// runs under `OTR_THREADS ∈ {2, 7}`.
-fn quick_joint3() -> Vec<Metric> {
+fn leg_joint3() -> Vec<Metric> {
     let cfg = JointRepairConfig {
         n_q: 16,
         threads: 0, // auto: driven through OTR_THREADS
@@ -436,7 +368,7 @@ fn quick_joint3() -> Vec<Metric> {
 /// solve at the final ε seeded from the stale plan's duals). Warm
 /// re-design is a deterministic function of (config, research,
 /// previous duals), so two warm runs must produce identical JSON.
-fn quick_redesign() -> Vec<Metric> {
+fn leg_redesign() -> Vec<Metric> {
     use otr_core::SolverBackend;
     use otr_data::Drift;
     use otr_ot::EpsSchedule;
@@ -463,19 +395,26 @@ fn quick_redesign() -> Vec<Metric> {
     ]
 }
 
-/// CI perf-smoke mode: run the six legs, write their rows to
-/// `BENCH_perf_smoke.json`, and — when `OTR_BENCH_BASELINE` names a
-/// floors file — fail unless every row meets its floor.
-fn quick_gate() {
+/// Run the six legs, write their rows to `BENCH_perf_smoke.json`, and —
+/// when `OTR_BENCH_BASELINE` names a floors file — fail unless every
+/// row meets its floor.
+fn main() {
+    if let Some(arg) = std::env::args().skip(1).find(|a| a != "--bench") {
+        eprintln!(
+            "repair_throughput: error: unknown argument `{arg}` \
+             (usage: cargo bench -p otr-bench --bench repair_throughput)"
+        );
+        std::process::exit(1);
+    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let multicore = cores > 1;
     let rows = [
-        quick_throughput(),
-        quick_plan_design(),
-        quick_joint(multicore),
-        quick_serve(),
-        quick_joint3(),
-        quick_redesign(),
+        leg_throughput(),
+        leg_plan_design(),
+        leg_joint(multicore),
+        leg_serve(),
+        leg_joint3(),
+        leg_redesign(),
     ]
     .concat();
     let out_path = workspace_root().join("BENCH_perf_smoke.json");
@@ -508,13 +447,5 @@ fn quick_gate() {
     if failures > 0 {
         eprintln!("perf-smoke: {failures} gate failure(s)");
         std::process::exit(1);
-    }
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--quick") {
-        quick_gate();
-    } else {
-        benches();
     }
 }

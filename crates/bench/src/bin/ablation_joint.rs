@@ -11,15 +11,15 @@
 //! Metrics: marginal `E` (the paper's measure) and joint 2-D `E`,
 //! before/after each repair, plus design wall time.
 //!
-//! Usage: `ablation_joint [runs]` (default 10).
+//! Usage: `ablation_joint [runs] [--threads <n>]`
+//! (default 10 runs, auto threads).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{JointRepairConfig, JointRepairPlan, RepairConfig, RepairPlanner};
 use otr_data::SimulationSpec;
 use otr_fairness::{ConditionalDependence, JointDependence};
@@ -45,14 +45,14 @@ fn correlation_spec() -> SimulationSpec {
 }
 
 fn main() {
-    let runs = runs_from_args(10);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(10);
     eprintln!("ablation_joint: {runs} replicates (nR={N_RESEARCH}, nA={N_ARCHIVE})");
 
     let spec = correlation_spec();
     let cd = ConditionalDependence::default();
     let jd = JointDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 12_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 12_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
         let mut metrics = Vec::new();
@@ -141,8 +141,5 @@ fn main() {
          joint repair — at roughly nQ²-fold design cost."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("ablation_joint", &stats, &extra);
+    write_results("ablation_joint", &stats, runs, &failures);
 }

@@ -9,14 +9,13 @@
 //! identity with the labelled research moments, assigns `ŝ` by MAP, and
 //! repairs with `ŝ` instead of the true `s`.
 //!
-//! Usage: `ablation_label_noise [runs]` (default 20).
-
-use std::collections::BTreeMap;
+//! Usage: `ablation_label_noise [runs] [--threads <n>]`
+//! (default 20 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{GroupBlindRepairer, RepairConfig, RepairPlanner};
 use otr_data::{ColumnarDataset, Dataset, GroupKey, LabelledPoint, SimulationSpec};
 use otr_fairness::ConditionalDependence;
@@ -76,7 +75,7 @@ fn estimate_labels(
 }
 
 fn main() {
-    let runs = runs_from_args(20);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(20);
     eprintln!(
         "ablation_label_noise: {runs} replicates (nR={N_RESEARCH}, nA={N_ARCHIVE}, nQ={N_Q})"
     );
@@ -84,7 +83,7 @@ fn main() {
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 10_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 10_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
         let plan = RepairPlanner::new(RepairConfig::with_n_q(N_Q)).design(&split.research)?;
@@ -157,8 +156,5 @@ fn main() {
          refs [37]-[39]."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("ablation_label_noise", &stats, &extra);
+    write_results("ablation_label_noise", &stats, runs, &failures);
 }

@@ -9,14 +9,13 @@
 //! each: the mean repaired-value gap for pairs of near-identical inputs
 //! (smaller = more individually fair).
 //!
-//! Usage: `ablation_monge [runs]` (default 20).
-
-use std::collections::BTreeMap;
+//! Usage: `ablation_monge [runs] [--threads <n>]`
+//! (default 20 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{MongeRepair, RepairConfig, RepairPlanner};
 use otr_data::{ColumnarDataset, SimulationSpec};
 use otr_fairness::ConditionalDependence;
@@ -26,13 +25,13 @@ const N_ARCHIVE: usize = 5_000;
 const N_Q_SWEEP: &[usize] = &[10, 25, 50, 100, 250];
 
 fn main() {
-    let runs = runs_from_args(20);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(20);
     eprintln!("ablation_monge: {runs} replicates (nR={N_RESEARCH}, nA={N_ARCHIVE})");
 
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 11_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 11_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
         let mut metrics = Vec::new();
@@ -108,8 +107,5 @@ fn main() {
          determinism buys individual fairness at no group-fairness cost."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("ablation_monge", &stats, &extra);
+    write_results("ablation_monge", &stats, runs, &failures);
 }

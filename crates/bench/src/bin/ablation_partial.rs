@@ -6,14 +6,13 @@
 //! repaired position. The paper defers this trade-off study to future
 //! work; this harness provides it.
 //!
-//! Usage: `ablation_partial [runs]` (default 20).
-
-use std::collections::BTreeMap;
+//! Usage: `ablation_partial [runs] [--threads <n>]`
+//! (default 20 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{dataset_damage, RepairConfig, RepairPlanner};
 use otr_data::SimulationSpec;
 use otr_fairness::ConditionalDependence;
@@ -24,13 +23,13 @@ const N_Q: usize = 50;
 const LAMBDAS: &[f64] = &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 
 fn main() {
-    let runs = runs_from_args(20);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(20);
     eprintln!("ablation_partial: {runs} replicates (nR={N_RESEARCH}, nA={N_ARCHIVE}, nQ={N_Q})");
 
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 7_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 7_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
         let plan = RepairPlanner::new(RepairConfig::with_n_q(N_Q)).design(&split.research)?;
@@ -73,8 +72,5 @@ fn main() {
          the practitioner picks an operating point on this frontier (Sec. VI)."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("ablation_partial", &stats, &extra);
+    write_results("ablation_partial", &stats, runs, &failures);
 }

@@ -8,14 +8,13 @@
 //! collapses each row's mass to a point, which distorts the repaired
 //! marginal — this harness quantifies how much fairness that costs.
 //!
-//! Usage: `ablation_randomization [runs]` (default 20).
-
-use std::collections::BTreeMap;
+//! Usage: `ablation_randomization [runs] [--threads <n>]`
+//! (default 20 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{dataset_damage, MassSplit, RepairConfig, RepairPlanner, SolverBackend};
 use otr_data::SimulationSpec;
 use otr_fairness::ConditionalDependence;
@@ -25,7 +24,7 @@ const N_ARCHIVE: usize = 5_000;
 const N_Q: usize = 50;
 
 fn main() {
-    let runs = runs_from_args(20);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(20);
     eprintln!(
         "ablation_randomization: {runs} replicates (nR={N_RESEARCH}, nA={N_ARCHIVE}, nQ={N_Q})"
     );
@@ -33,7 +32,7 @@ fn main() {
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 9_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 9_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
         let mut metrics = Vec::new();
@@ -100,8 +99,5 @@ fn main() {
          is what makes regularized plans usable."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("ablation_randomization", &stats, &extra);
+    write_results("ablation_randomization", &stats, runs, &failures);
 }

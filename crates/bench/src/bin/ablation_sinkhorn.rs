@@ -6,15 +6,15 @@
 //! inherits: larger `ε` should show higher residual `E` and more damage,
 //! converging to the exact solver as `ε → 0`.
 //!
-//! Usage: `ablation_sinkhorn [runs]` (default 10).
+//! Usage: `ablation_sinkhorn [runs] [--threads <n>]`
+//! (default 10 runs, auto threads).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{dataset_damage, RepairConfig, RepairPlanner, SolverBackend};
 use otr_data::SimulationSpec;
 use otr_fairness::ConditionalDependence;
@@ -25,13 +25,13 @@ const N_Q: usize = 50;
 const EPSILONS: &[f64] = &[1.0, 0.3, 0.1, 0.03];
 
 fn main() {
-    let runs = runs_from_args(10);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(10);
     eprintln!("ablation_sinkhorn: {runs} replicates (nR={N_RESEARCH}, nA={N_ARCHIVE}, nQ={N_Q})");
 
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 8_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 8_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
         let mut metrics = Vec::new();
@@ -94,8 +94,5 @@ fn main() {
          Design time grows as eps shrinks (more Sinkhorn iterations)."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("ablation_sinkhorn", &stats, &extra);
+    write_results("ablation_sinkhorn", &stats, runs, &failures);
 }

@@ -6,14 +6,12 @@
 //! plateauing above the research (on-sample) curve, both far below the
 //! unrepaired level.
 //!
-//! Usage: `fig3 [runs]` (default 50).
-
-use std::collections::BTreeMap;
+//! Usage: `fig3 [runs] [--threads <n>]` (default 50 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{RepairConfig, RepairPlanner};
 use otr_data::SimulationSpec;
 use otr_fairness::ConditionalDependence;
@@ -23,13 +21,13 @@ const N_Q: usize = 50;
 const N_R_SWEEP: &[usize] = &[25, 50, 100, 200, 300, 500, 750];
 
 fn main() {
-    let runs = runs_from_args(50);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(50);
     eprintln!("fig3: {runs} replicates per point (nA={N_ARCHIVE}, nQ={N_Q})");
 
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 3_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 3_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut metrics = Vec::new();
         for &n_r in N_R_SWEEP {
@@ -85,8 +83,5 @@ fn main() {
          archive stays above research; unrepaired stays an order of magnitude higher."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("fig3", &stats, &extra);
+    write_results("fig3", &stats, runs, &failures);
 }

@@ -6,14 +6,12 @@
 //! above `nQ ≈ 30`: the interpolated pmfs act as pseudo-sufficient
 //! statistics an order of magnitude smaller than `nR`.
 //!
-//! Usage: `fig4 [runs]` (default 50).
-
-use std::collections::BTreeMap;
+//! Usage: `fig4 [runs] [--threads <n>]` (default 50 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{RepairConfig, RepairPlanner};
 use otr_data::SimulationSpec;
 use otr_fairness::ConditionalDependence;
@@ -23,13 +21,13 @@ const N_ARCHIVE: usize = 5_000;
 const N_Q_SWEEP: &[usize] = &[5, 10, 15, 20, 25, 30, 40, 50];
 
 fn main() {
-    let runs = runs_from_args(50);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(50);
     eprintln!("fig4: {runs} replicates per point (nR={N_RESEARCH}, nA={N_ARCHIVE})");
 
     let spec = SimulationSpec::paper_defaults();
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 4_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 4_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         // One data draw per replicate, shared across the nQ sweep so the
         // curve reflects nQ alone.
@@ -74,8 +72,5 @@ fn main() {
         "\nExpected shape (paper): E decreases with nQ and is statistically flat above nQ≈30."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("fig4", &stats, &extra);
+    write_results("fig4", &stats, runs, &failures);
 }

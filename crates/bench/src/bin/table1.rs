@@ -7,14 +7,12 @@
 //! repair (Algorithms 1+2), and the geometric repair of \[10\] (research
 //! data only — it cannot repair off-sample points).
 //!
-//! Usage: `table1 [runs]` (default 200).
-
-use std::collections::BTreeMap;
+//! Usage: `table1 [runs] [--threads <n>]` (default 200 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{render_table, run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{render_table, run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{GeometricRepair, RepairConfig, RepairPlanner};
 use otr_data::SimulationSpec;
 use otr_fairness::ConditionalDependence;
@@ -24,14 +22,14 @@ const N_ARCHIVE: usize = 5_000;
 const N_Q: usize = 50;
 
 fn main() {
-    let runs = runs_from_args(200);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(200);
     eprintln!("table1: {runs} Monte-Carlo replicates (nR={N_RESEARCH}, nA={N_ARCHIVE}, nQ={N_Q})");
 
     let spec = SimulationSpec::paper_defaults();
     let planner = RepairPlanner::new(RepairConfig::with_n_q(N_Q));
     let cd = ConditionalDependence::default();
 
-    let (stats, failures) = run_mc_threaded(runs, 1_000, threads_from_args(), |seed| {
+    let (stats, failures) = run_mc_threaded(runs, 1_000, threads, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let split = spec.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
 
@@ -88,8 +86,5 @@ fn main() {
          Geometric: 0.0071/0.0073 (research only)."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("table1", &stats, &extra);
+    write_results("table1", &stats, runs, &failures);
 }

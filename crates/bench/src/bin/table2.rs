@@ -11,14 +11,12 @@
 //! variable `ADULT_CSV=/path/to/adult.data` to run on the real UCI file
 //! instead (single replicate, as in the paper).
 //!
-//! Usage: `table2 [runs]` (default 8).
-
-use std::collections::BTreeMap;
+//! Usage: `table2 [runs] [--threads <n>]` (default 8 runs, auto threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use otr_bench::{render_table, run_mc_threaded, runs_from_args, threads_from_args, write_results};
+use otr_bench::{render_table, run_mc_threaded, write_results, ExperimentArgs};
 use otr_core::{GeometricRepair, RepairConfig, RepairPlanner};
 use otr_data::adult::load_adult_csv;
 use otr_data::{AdultSynth, SplitData};
@@ -67,7 +65,7 @@ fn run_once(
 }
 
 fn main() {
-    let runs = runs_from_args(8);
+    let ExperimentArgs { runs, threads } = ExperimentArgs::from_env(8);
 
     let (stats, failures) = if let Ok(path) = std::env::var("ADULT_CSV") {
         eprintln!("table2: real Adult file {path} (single split, nQ={N_Q})");
@@ -90,7 +88,7 @@ fn main() {
              (nR={N_RESEARCH}, nA={N_ARCHIVE}, nQ={N_Q}); set ADULT_CSV= for the real file"
         );
         let generator = AdultSynth::default();
-        run_mc_threaded(runs, 5_000, threads_from_args(), move |seed| {
+        run_mc_threaded(runs, 5_000, threads, move |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let split = generator.generate(N_RESEARCH, N_ARCHIVE, &mut rng)?;
             run_once(&split, &mut rng)
@@ -117,8 +115,5 @@ fn main() {
          Geometric: 0.195/2.126 (research only)."
     );
 
-    let mut extra = BTreeMap::new();
-    extra.insert("runs".into(), runs as f64);
-    extra.insert("failures".into(), failures.count as f64);
-    write_results("table2", &stats, &extra);
+    write_results("table2", &stats, runs, &failures);
 }

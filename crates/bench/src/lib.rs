@@ -15,25 +15,27 @@
 //! | `ablation_monge` | randomized Kantorovich repair vs the Monge map across `nQ` (Sec. VI) |
 //! | `ablation_joint` | per-feature vs joint repair of correlation-borne dependence (Sec. VI) |
 //!
-//! Each binary accepts an optional first argument overriding the number of
-//! Monte-Carlo replicates and writes a JSON result file alongside the
-//! printed table (under `results/`).
+//! Each binary takes `[runs] [--threads <n>]` ([`ExperimentArgs`]): an
+//! optional number of Monte-Carlo replicates and a worker-thread count.
+//! Any other argument is a usage error before a replicate runs. Each
+//! writes a JSON result file alongside the printed table (under
+//! `results/`).
 //!
 //! This library crate hosts the shared machinery: a deterministic
 //! parallel Monte-Carlo runner (built on `otr-par`'s chunked executor)
 //! with per-run seeding, in-order Welford merging, and first-failure
 //! diagnostics, plus paper-style table formatting, and the perf-smoke
 //! gate ([`Metric`] rows checked against floors by [`gate`]) that the
-//! `repair_throughput --quick` bench runs in CI.
+//! `repair_throughput` bench runs in CI.
 //!
 //! ## Example
 //!
 //! Run a deterministic Monte-Carlo sweep: replicate `i` is always
 //! seeded `base_seed + i`, so the merged statistics are independent of
-//! the thread count:
+//! the thread count (`0` = auto):
 //!
 //! ```
-//! let (stats, failures) = otr_bench::run_mc(16, 42, |seed| {
+//! let (stats, failures) = otr_bench::run_mc_threaded(16, 42, 0, |seed| {
 //!     Ok(vec![("seed_mod_3".to_string(), (seed % 3) as f64)])
 //! });
 //! assert_eq!(failures.count, 0);
@@ -79,26 +81,16 @@ impl McFailures {
     }
 }
 
-/// Run `runs` Monte-Carlo replicates of `f` in parallel, seeding replicate
-/// `i` with `base_seed + i`, and merge the per-replicate named metrics
+/// Run `runs` Monte-Carlo replicates of `f` on `threads` workers (`0` =
+/// auto: `OTR_THREADS` or available parallelism), seeding replicate `i`
+/// with `base_seed + i`, and merge the per-replicate named metrics
 /// exactly (Welford parallel combine, in replicate order).
 ///
 /// `f` returns `(name, value)` pairs; replicates that return an error are
 /// counted and skipped (failure injection must not kill a 200-run sweep),
 /// with the first error message recorded in the returned [`McFailures`].
-///
-/// Thread count is auto (`OTR_THREADS` env or available parallelism);
-/// use [`run_mc_threaded`] for an explicit count. Replicate seeds — and
-/// therefore every per-replicate metric — do not depend on the thread
-/// count.
-pub fn run_mc<F>(runs: usize, base_seed: u64, f: F) -> (McStats, McFailures)
-where
-    F: Fn(u64) -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> + Sync,
-{
-    run_mc_threaded(runs, base_seed, 0, f)
-}
-
-/// [`run_mc`] with an explicit worker-thread count (`0` = auto).
+/// Replicate seeds — and therefore every per-replicate metric — do not
+/// depend on the thread count.
 pub fn run_mc_threaded<F>(
     runs: usize,
     base_seed: u64,
@@ -203,9 +195,10 @@ pub struct MetricSnapshot {
 }
 
 /// Write the full stats map as JSON under `results/<name>.json` (creating
-/// the directory), so the numbers are machine-readable
-/// (`ci/experiments_smoke.sh` checks `extra.failures` there).
-pub fn write_results(name: &str, stats: &McStats, extra: &BTreeMap<String, f64>) {
+/// the directory), with the replicate and failure counts under `extra`,
+/// so the numbers are machine-readable (`ci/experiments_smoke.sh` checks
+/// `extra.failures` there).
+pub fn write_results(name: &str, stats: &McStats, runs: usize, failures: &McFailures) {
     let snapshots: Vec<MetricSnapshot> = stats
         .iter()
         .map(|(k, w)| MetricSnapshot {
@@ -224,7 +217,10 @@ pub fn write_results(name: &str, stats: &McStats, extra: &BTreeMap<String, f64>)
     let out = FileOut {
         experiment: name.to_string(),
         metrics: snapshots,
-        extra: extra.clone(),
+        extra: BTreeMap::from([
+            ("failures".into(), failures.count as f64),
+            ("runs".into(), runs as f64),
+        ]),
     };
     let dir = Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
@@ -237,27 +233,72 @@ pub fn write_results(name: &str, stats: &McStats, extra: &BTreeMap<String, f64>)
     }
 }
 
-/// Parse the optional `runs` CLI argument with a default.
-pub fn runs_from_args(default: usize) -> usize {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default)
+/// The command line every experiment binary takes, `[runs] [--threads
+/// <n>]`, in either order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExperimentArgs {
+    /// Monte-Carlo replicates (at least 1).
+    pub runs: usize,
+    /// Worker threads for [`run_mc_threaded`] (`0` = auto).
+    pub threads: usize,
 }
 
-/// Parse the optional `--threads N` CLI flag shared by every experiment
-/// binary (`0` / absent = auto: `OTR_THREADS` env or available
-/// parallelism).
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+impl ExperimentArgs {
+    /// Parse `args` (without the program name), with `default_runs`
+    /// replicates and auto threads for what is absent.
+    ///
+    /// # Errors
+    /// A message naming the first argument outside the grammar: an
+    /// unknown flag, a replicate count that is not a positive integer, a
+    /// second count, a repeated `--threads`, or a `--threads` without a
+    /// non-negative integer after it.
+    pub fn parse(args: &[String], default_runs: usize) -> Result<Self, String> {
+        let (mut runs, mut threads) = (None, None);
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--threads" {
+                if threads.is_some() {
+                    return Err("`--threads` given twice".into());
+                }
+                let value = args.next().ok_or("`--threads` needs a value")?;
+                let n = value
+                    .parse()
+                    .map_err(|_| format!("`--threads {value}` is not a thread count"))?;
+                threads = Some(n);
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag `{arg}`"));
+            } else if runs.is_some() {
+                return Err(format!("unexpected argument `{arg}`"));
+            } else {
+                match arg.parse() {
+                    Ok(n) if n > 0 => runs = Some(n),
+                    _ => return Err(format!("`{arg}` is not a replicate count")),
+                }
+            }
+        }
+        Ok(Self {
+            runs: runs.unwrap_or(default_runs),
+            threads: threads.unwrap_or(0),
+        })
+    }
+
+    /// [`Self::parse`] the process's arguments; on an error, print one
+    /// usage line naming the bad argument and exit with status 1.
+    pub fn from_env(default_runs: usize) -> Self {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let program = Path::new(&program)
+            .file_name()
+            .map_or("experiment".into(), |n| n.to_string_lossy());
+        let args: Vec<String> = args.collect();
+        Self::parse(&args, default_runs).unwrap_or_else(|e| {
+            eprintln!("{program}: error: {e} (usage: {program} [runs] [--threads <n>])");
+            std::process::exit(1)
+        })
+    }
 }
 
-/// One measurement of the `repair_throughput --quick` perf-smoke gate:
+/// One measurement of the `repair_throughput` perf-smoke gate:
 /// a rate or ratio, higher is better, floored in the baseline file
 /// under [`Metric::key`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -343,7 +384,8 @@ mod tests {
 
     #[test]
     fn run_mc_aggregates_all_runs() {
-        let (stats, failures) = run_mc(100, 0, |seed| Ok(vec![("x".into(), seed as f64)]));
+        let (stats, failures) =
+            run_mc_threaded(100, 0, 0, |seed| Ok(vec![("x".into(), seed as f64)]));
         assert_eq!(failures.count, 0);
         assert!(failures.first_error.is_none());
         let w = &stats["x"];
@@ -353,7 +395,7 @@ mod tests {
 
     #[test]
     fn run_mc_counts_failures_without_dying() {
-        let (stats, failures) = run_mc(50, 0, |seed| {
+        let (stats, failures) = run_mc_threaded(50, 0, 0, |seed| {
             if seed % 5 == 0 {
                 Err(format!("injected at {seed}").into())
             } else {
@@ -427,6 +469,52 @@ mod tests {
         w.push(1.0);
         w.push(3.0);
         assert_eq!(fmt_pm(&w), "2.0000 ± 1.4142");
+    }
+
+    fn parse(args: &[&str]) -> Result<ExperimentArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        ExperimentArgs::parse(&args, 200)
+    }
+
+    #[test]
+    fn experiment_args_accept_an_optional_count_and_thread_flag() {
+        let cases: [(&[&str], usize, usize); 6] = [
+            (&[], 200, 0),
+            (&["3"], 3, 0),
+            (&["--threads", "2"], 200, 2),
+            (&["--threads", "0"], 200, 0),
+            (&["3", "--threads", "2"], 3, 2),
+            (&["--threads", "2", "3"], 3, 2),
+        ];
+        for (args, runs, threads) in cases {
+            assert_eq!(
+                parse(args),
+                Ok(ExperimentArgs { runs, threads }),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn experiment_args_name_the_argument_they_reject() {
+        let cases: [(&[&str], &str); 9] = [
+            (&["--runs", "3"], "`--runs`"),
+            (&["2O"], "`2O`"),
+            (&["3", "--thread", "1"], "`--thread`"),
+            (&["3", "--threads", "two"], "`--threads two`"),
+            (
+                &["--threads", "1", "--threads", "2"],
+                "`--threads` given twice",
+            ),
+            (&["3", "--threads"], "`--threads` needs a value"),
+            (&["0"], "`0`"),
+            (&["-3"], "`-3`"),
+            (&["3", "4"], "`4`"),
+        ];
+        for (args, named) in cases {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
     }
 
     /// Floors recorded the way `ci/bench_baseline.json` is: 75% of a

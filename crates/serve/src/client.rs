@@ -21,7 +21,7 @@ use otr_par::splitmix_seed;
 
 use crate::protocol::{
     decode_header, encode_repair, write_frame, AuditRecord, DriftReport, ErrorCode, PlanInfo,
-    PlanKind, ProtoError, Request, Response, ServerInfo, HEADER_LEN,
+    PlanKind, ProtoError, Request, Response, ServerInfo, HEADER_LEN, PAYLOAD_CHUNK,
 };
 
 use otr_core::DriftConfig;
@@ -139,14 +139,26 @@ impl Client {
 
     /// Send one encoded request `(message type, payload)` and read the
     /// matching response frame; error frames become
-    /// [`ClientError::Server`].
+    /// [`ClientError::Server`]. The payload buffer grows only as bytes
+    /// arrive (from at most [`PAYLOAD_CHUNK`] reserved), so a header
+    /// claiming a huge payload costs the server the bytes, not the
+    /// client the memory; a short payload is an `UnexpectedEof`
+    /// [`ClientError::Io`].
     fn expect(&mut self, (msg_type, payload): (u8, Vec<u8>)) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, msg_type, &payload)?;
         let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
         let (msg_type, payload_len) = decode_header(&header)?;
-        let mut payload = vec![0u8; payload_len];
-        self.stream.read_exact(&mut payload)?;
+        let mut payload = Vec::with_capacity(payload_len.min(PAYLOAD_CHUNK));
+        (&mut self.stream)
+            .take(payload_len as u64)
+            .read_to_end(&mut payload)?;
+        if payload.len() < payload_len {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-frame",
+            )));
+        }
         match Response::decode(msg_type, &payload)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             resp => Ok(resp),

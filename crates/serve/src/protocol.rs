@@ -36,6 +36,10 @@ pub const PROTOCOL_VERSION: u8 = 3;
 pub const HEADER_LEN: usize = 12;
 /// Maximum payload size (1 GiB): anything larger is a [`ErrorCode::BadFrame`].
 pub const MAX_PAYLOAD: usize = 1 << 30;
+/// Both ends read (and allocate) a payload in steps of at most this
+/// many bytes, so a header *claiming* a huge payload cannot balloon
+/// memory before any of it actually arrives.
+pub(crate) const PAYLOAD_CHUNK: usize = 1 << 20;
 /// Maximum plan/feature dimension accepted in an archive block.
 pub const MAX_DIM: usize = 4096;
 

@@ -64,17 +64,12 @@ use otr_par::{par_chunks_mut, split_cols, thread_count};
 
 use crate::protocol::{
     decode_header, write_frame, AuditRecord, AuditStratum, DriftReport, DriftStratum, ErrorCode,
-    Request, Response, ServerInfo, HEADER_LEN, PROTOCOL_VERSION,
+    Request, Response, ServerInfo, HEADER_LEN, PAYLOAD_CHUNK, PROTOCOL_VERSION,
 };
 use crate::registry::{persist_plan, unpersist_plan, PlanRegistry, RegisteredPlan};
 
 /// How often blocked reads wake to check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
-
-/// Payloads are read (and allocated) in steps of at most this many
-/// bytes, so a header *claiming* a huge payload cannot balloon memory
-/// before any of it actually arrives.
-const PAYLOAD_CHUNK: usize = 1 << 20;
 
 /// Frame-drain budget during shutdown when no deadline is configured:
 /// a frame caught mid-arrival gets this long to finish before the
@@ -188,14 +183,9 @@ struct WatchState {
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    registry: Arc<PlanRegistry>,
-    shared: Arc<Shared>,
-    threads: usize,
-    shards: usize,
-    max_conns: usize,
-    deadline_ms: u64,
-    chaos_panic_plan: Option<String>,
-    plans_dir: Option<PathBuf>,
+    /// The daemon's policy, registry and counters, shared by every
+    /// connection thread.
+    ctx: Arc<ConnCtx>,
 }
 
 /// A remote control for a running [`Server`]: stats and shutdown.
@@ -271,14 +261,16 @@ impl Server {
         }
         Ok(Self {
             listener,
-            registry,
-            shared: Arc::new(Shared::default()),
-            threads,
-            shards,
-            max_conns: config.max_conns,
-            deadline_ms: config.deadline_ms,
-            chaos_panic_plan: config.chaos_panic_plan.clone(),
-            plans_dir: config.plans_dir.clone(),
+            ctx: Arc::new(ConnCtx {
+                registry,
+                shared: Arc::new(Shared::default()),
+                threads,
+                shards,
+                max_conns: config.max_conns,
+                deadline_ms: config.deadline_ms,
+                chaos_panic_plan: config.chaos_panic_plan.clone(),
+                plans_dir: config.plans_dir.clone(),
+            }),
         })
     }
 
@@ -292,7 +284,7 @@ impl Server {
 
     /// The server's plan registry (shared with all connections).
     pub fn registry(&self) -> &Arc<PlanRegistry> {
-        &self.registry
+        &self.ctx.registry
     }
 
     /// A [`ServerHandle`] for stats and shutdown from other threads.
@@ -302,7 +294,7 @@ impl Server {
     pub fn handle(&self) -> std::io::Result<ServerHandle> {
         Ok(ServerHandle {
             addr: self.local_addr()?,
-            shared: Arc::clone(&self.shared),
+            shared: Arc::clone(&self.ctx.shared),
         })
     }
 
@@ -316,8 +308,9 @@ impl Server {
     /// server.
     pub fn run(self) -> std::io::Result<()> {
         let mut workers = Vec::new();
+        let (shared, max_conns) = (&self.ctx.shared, self.ctx.max_conns);
         for conn in self.listener.incoming() {
-            if self.shared.stop.load(Ordering::SeqCst) {
+            if shared.stop.load(Ordering::SeqCst) {
                 break;
             }
             let stream = match conn {
@@ -327,28 +320,17 @@ impl Server {
                     continue;
                 }
             };
-            self.shared.accepted.fetch_add(1, Ordering::Relaxed);
+            shared.accepted.fetch_add(1, Ordering::Relaxed);
             // The governor: the accept loop is the only thread that
             // increments `active`, so the load-then-increment below
             // cannot race past the cap.
-            if self.max_conns > 0 && self.shared.active.load(Ordering::SeqCst) >= self.max_conns {
-                self.shared
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
-                reject_overloaded(stream, self.max_conns);
+            if max_conns > 0 && shared.active.load(Ordering::SeqCst) >= max_conns {
+                shared.rejected_overload.fetch_add(1, Ordering::Relaxed);
+                reject_overloaded(stream, max_conns);
                 continue;
             }
-            self.shared.active.fetch_add(1, Ordering::SeqCst);
-            let ctx = ConnCtx {
-                registry: Arc::clone(&self.registry),
-                shared: Arc::clone(&self.shared),
-                threads: self.threads,
-                shards: self.shards,
-                max_conns: self.max_conns,
-                deadline_ms: self.deadline_ms,
-                chaos_panic_plan: self.chaos_panic_plan.clone(),
-                plans_dir: self.plans_dir.clone(),
-            };
+            shared.active.fetch_add(1, Ordering::SeqCst);
+            let ctx = Arc::clone(&self.ctx);
             workers.push(std::thread::spawn(move || {
                 // Release the governor slot when this thread exits —
                 // Drop runs even if handle_conn panics outside the
@@ -395,7 +377,9 @@ fn reject_overloaded(mut stream: TcpStream, max_conns: usize) {
     let _ = write_frame(&mut stream, t, &p);
 }
 
-/// Everything one connection thread needs.
+/// Everything a connection thread needs: built once by
+/// [`Server::bind`], shared by every connection.
+#[derive(Debug)]
 struct ConnCtx {
     registry: Arc<PlanRegistry>,
     shared: Arc<Shared>,
