@@ -50,7 +50,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use otr_par::{par_chunks_mut, par_rows_mut};
+use otr_par::par_rows_mut;
 
 use crate::error::{OtError, Result};
 
@@ -244,22 +244,6 @@ impl KernelRep {
             }
         }
     }
-}
-
-/// `out_i = Σ_j k[i·cols + j] · x_j` for the row-major `out.len() × cols`
-/// matrix `k`, chunked over rows. Each output is accumulated from zero in
-/// column order by one thread, so the bytes never depend on `threads`.
-pub(crate) fn dense_matvec(k: &[f64], cols: usize, x: &[f64], out: &mut [f64], threads: usize) {
-    par_chunks_mut(out, threads, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let row = &k[(start + off) * cols..(start + off + 1) * cols];
-            let mut acc = 0.0;
-            for (kij, xj) in row.iter().zip(x) {
-                acc += kij * xj;
-            }
-            *slot = acc;
-        }
-    });
 }
 
 #[cfg(test)]

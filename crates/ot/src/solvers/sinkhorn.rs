@@ -23,15 +23,18 @@
 //!   list is a pure function of the config, so scheduling never breaks
 //!   the determinism contract below.
 //!
-//! The hot loops chunk their row and column passes over
-//! [`otr_par::par_chunks_mut`] once the kernel crosses the
-//! [`otr_par::kernel_threads`] size threshold, and the **column phase
-//! reads a transposed kernel copy** ([`otr_par::par_transpose`]),
-//! contiguously, instead of striding the row-major kernel. Every output
-//! element is written by exactly one thread and accumulated in a fixed
-//! order, and all cross-row reductions (marginal residuals, absorption
-//! drift, rounding mass totals) are summed sequentially on the calling
-//! thread: the returned plan is **bit-identical for any thread count**.
+//! A dense domain holds **one `np × mp` buffer**, built from the cost —
+//! the absorbed kernel or the log domain's exponents `−C/ε` — and
+//! turns it into the plan in place. The hot loops chunk their row and
+//! column passes over [`otr_par::par_chunks_mut`] once the kernel
+//! crosses the [`otr_par::kernel_threads`] size threshold, and a
+//! **column pass walks the rows**: each thread owns a range of columns
+//! and adds every row's contiguous segment to them, rows ascending, so
+//! no transposed copy is needed. Every output element is written by
+//! exactly one thread and accumulated in a fixed order, and all
+//! cross-row reductions (marginal residuals, absorption drift, rounding
+//! mass totals) are summed sequentially on the calling thread: the
+//! returned plan is **bit-identical for any thread count**.
 //!
 //! Section IV-A1 of the paper contrasts unregularized OT's
 //! `O(nQ³ log nQ)` with Sinkhorn's `O(nQ²/ε²)`; the `ablation_sinkhorn`
@@ -40,13 +43,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use otr_par::{par_chunks_mut, par_rows_mut, par_transpose};
+use otr_par::{par_chunks_mut, par_cols_mut, par_rows_mut};
 
 use crate::cost::{fold_grid_row, CostMatrix};
 use crate::coupling::OtPlan;
 use crate::discrete::normalized_mass;
 use crate::error::{OtError, Result};
-use crate::kernel::{dense_matvec, KernelRep, SCALING_FLOOR};
+use crate::kernel::{KernelRep, SCALING_FLOOR};
 
 /// Iterations between convergence / absorption checks: the `O(n²)`
 /// residual amortizes to noise at this cadence.
@@ -353,7 +356,6 @@ pub fn sinkhorn_warm(
         b_pos: cols_pos.iter().map(|&j| b[j]).collect(),
         rows_pos,
         cols_pos,
-        neg_c: std::sync::OnceLock::new(),
         threads,
         separable,
         sep_threads,
@@ -503,8 +505,8 @@ enum StandardOutcome {
 /// two representations.
 enum ScalingKernel {
     /// The dense absorbed kernel `K̃_ij = exp((φ_i + ψ_j − C_ij)/ε)`,
-    /// row-major `np × mp`, and its transpose for the column phase.
-    Absorbed { k: Vec<f64>, kt: Vec<f64> },
+    /// row-major `np × mp`; the buffer becomes the stage's plan.
+    Absorbed { k: Vec<f64> },
     /// The factorized kernel `K₁ ⊗ … ⊗ K_d` of a grid-separable cost,
     /// `d` axis passes of `O(n·nᵢ)` per matvec. Rebuilding it around the
     /// duals would destroy the product structure, so the scalings
@@ -528,10 +530,10 @@ impl ScalingKernel {
         psi: &[f64],
     ) -> Option<(Self, Vec<f64>, Vec<f64>)> {
         let Some(axes) = sub.separable else {
-            let (mut k, mut kt) = (vec![0.0f64; sub.np * sub.mp], vec![0.0f64; sub.np * sub.mp]);
-            sub.build_absorbed_kernel(eps, phi, psi, &mut k, &mut kt);
+            let mut k = vec![0.0f64; sub.np * sub.mp];
+            sub.build_absorbed_kernel(eps, phi, psi, &mut k);
             let (u, v) = (vec![1.0; sub.np], vec![1.0; sub.mp]);
-            return Some((Self::Absorbed { k, kt }, u, v));
+            return Some((Self::Absorbed { k }, u, v));
         };
         let axis_refs: Vec<&[f64]> = axes.iter().map(Vec::as_slice).collect();
         let kernel = KernelRep::separable_grid_nd(&axis_refs, eps);
@@ -559,8 +561,8 @@ impl ScalingKernel {
     /// bytes never depend on the chunking.
     fn apply(&mut self, sub: &SubProblem, x: &[f64], out: &mut [f64], transpose: bool) {
         match self {
-            Self::Absorbed { k, .. } if !transpose => dense_matvec(k, sub.mp, x, out, sub.threads),
-            Self::Absorbed { kt, .. } => dense_matvec(kt, sub.np, x, out, sub.threads),
+            Self::Absorbed { k } if transpose => dense_matvec_t(k, sub.mp, x, out, sub.threads),
+            Self::Absorbed { k } => dense_matvec(k, sub.mp, x, out, sub.threads),
             // The kernel of a self-grid cost is symmetric, so the same
             // axis passes serve the transpose.
             Self::Factored {
@@ -591,11 +593,11 @@ impl ScalingKernel {
         u: &mut [f64],
         v: &mut [f64],
     ) -> bool {
-        let Self::Absorbed { k, kt } = self else {
+        let Self::Absorbed { k } = self else {
             return false;
         };
         absorb_scalings(eps, phi, psi, u, v);
-        sub.build_absorbed_kernel(eps, phi, psi, k, kt);
+        sub.build_absorbed_kernel(eps, phi, psi, k);
         u.fill(1.0);
         v.fill(1.0);
         true
@@ -617,25 +619,23 @@ impl ScalingKernel {
     }
 
     /// The stage's plan `π_ij = u_i K_ij v_j` on the positive
-    /// sub-support, keeping the scalings when they fix it.
-    fn materialize(&self, sub: &SubProblem, u: Vec<f64>, v: Vec<f64>) -> StagePlan {
+    /// sub-support, keeping the scalings when they fix it. The absorbed
+    /// kernel's buffer becomes the plan in place.
+    fn materialize(self, sub: &SubProblem, u: Vec<f64>, v: Vec<f64>) -> StagePlan {
         match self {
-            Self::Absorbed { k, .. } => {
-                let mp = sub.mp;
-                let mut plan = vec![0.0f64; sub.np * mp];
-                par_chunks_mut(&mut plan, sub.threads, |start, chunk| {
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        let idx = start + off;
-                        *slot = u[idx / mp] * k[idx] * v[idx % mp];
+            Self::Absorbed { mut k } => {
+                par_rows_mut(&mut k, sub.mp, sub.threads, |pi, row| {
+                    for (slot, vj) in row.iter_mut().zip(&v) {
+                        *slot = u[pi] * *slot * vj;
                     }
                 });
                 StagePlan {
-                    cells: plan,
+                    cells: k,
                     scalings: None,
                 }
             }
             Self::Factored { kernel, .. } => StagePlan {
-                cells: materialize_separable(kernel, &u, &v, sub.threads),
+                cells: materialize_separable(&kernel, &u, &v, sub.threads),
                 scalings: Some(FactoredScalings { u, v }),
             },
         }
@@ -665,11 +665,6 @@ struct SubProblem<'a> {
     /// of them).
     rows_pos: Vec<usize>,
     cols_pos: Vec<usize>,
-    /// Negated cost `-C` (ε-free), row-major `np × mp`, built on first
-    /// use: the dense domains need it, while a separable solve whose
-    /// every stage converges in the factorized domain never pays the
-    /// `O(n²)` build. Access through [`SubProblem::neg_c`].
-    neg_c: std::sync::OnceLock<Vec<f64>>,
     a_pos: Vec<f64>,
     b_pos: Vec<f64>,
     /// Effective worker threads of the `np × mp` passes (1 = stay
@@ -685,19 +680,15 @@ struct SubProblem<'a> {
 }
 
 impl SubProblem<'_> {
-    /// The negated cost `-C` on the positive sub-support, row-major
-    /// `np × mp`, built row-parallel on first use.
-    fn neg_c(&self) -> &[f64] {
-        self.neg_c.get_or_init(|| {
-            let mut dense = vec![0.0f64; self.np * self.mp];
-            par_rows_mut(&mut dense, self.mp, self.threads, |pi, row| {
-                let i = self.rows_pos[pi];
-                for (slot, &j) in row.iter_mut().zip(&self.cols_pos) {
-                    *slot = -self.cost.get(i, j);
-                }
-            });
-            dense
-        })
+    /// Fill the row-major `np × mp` buffer `out` with `cell(pi, pj, C_ij)`
+    /// over the positive sub-support, row-parallel.
+    fn fill_from_cost(&self, out: &mut [f64], cell: impl Fn(usize, usize, f64) -> f64 + Sync) {
+        par_rows_mut(out, self.mp, self.threads, |pi, row| {
+            let costs = self.cost.row(self.rows_pos[pi]);
+            for ((pj, slot), &j) in row.iter_mut().enumerate().zip(&self.cols_pos) {
+                *slot = cell(pi, pj, costs[j]);
+            }
+        });
     }
 
     /// One ε-stage: try the standard domain, fall back to the log domain
@@ -733,24 +724,9 @@ impl SubProblem<'_> {
     }
 
     /// Build the absorbed Gibbs kernel `K̃_ij = exp((φ_i + ψ_j − C_ij)/ε)`
-    /// and its transposed copy for the column phase, chunk-parallel.
-    fn build_absorbed_kernel(
-        &self,
-        eps: f64,
-        phi: &[f64],
-        psi: &[f64],
-        kernel: &mut [f64],
-        kernel_t: &mut [f64],
-    ) {
-        let mp = self.mp;
-        let neg_c = self.neg_c();
-        par_chunks_mut(kernel, self.threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let idx = start + off;
-                *slot = ((phi[idx / mp] + psi[idx % mp] + neg_c[idx]) / eps).exp();
-            }
-        });
-        par_transpose(kernel, self.np, mp, kernel_t, self.threads);
+    /// into `kernel`, row-parallel.
+    fn build_absorbed_kernel(&self, eps: f64, phi: &[f64], psi: &[f64], kernel: &mut [f64]) {
+        self.fill_from_cost(kernel, |pi, pj, c| ((phi[pi] + psi[pj] - c) / eps).exp());
     }
 
     /// Standard-domain Sinkhorn: scaling vectors `u, v` against a
@@ -851,17 +827,10 @@ impl SubProblem<'_> {
         let (np, mp) = (self.np, self.mp);
         let log_a: Vec<f64> = self.a_pos.iter().map(|x| x.ln()).collect();
         let log_b: Vec<f64> = self.b_pos.iter().map(|x| x.ln()).collect();
-        // Kernel exponents -C/ε for this stage, plus their transposed
-        // copy for the column phase.
+        // Kernel exponents -C/ε for this stage, row-major; the final
+        // stage turns them into the plan in place.
         let mut neg_c_eps = vec![0.0f64; np * mp];
-        let neg_c = self.neg_c();
-        par_chunks_mut(&mut neg_c_eps, self.threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = neg_c[start + off] / eps;
-            }
-        });
-        let mut neg_c_eps_t = vec![0.0f64; np * mp];
-        par_transpose(&neg_c_eps, np, mp, &mut neg_c_eps_t, self.threads);
+        self.fill_from_cost(&mut neg_c_eps, |_, _, c| -c / eps);
 
         // Log-domain dual potentials (stored as dual/ε so updates are
         // additive), warm-started from the cost-unit duals.
@@ -871,6 +840,7 @@ impl SubProblem<'_> {
         let mut iterations = 0;
         let mut residual = f64::INFINITY;
         let mut row_res = vec![0.0f64; np];
+        let mut col_sum = vec![0.0f64; mp];
         while iterations < max_iters {
             iterations += 1;
             // f update: f_i = log a_i - LSE_j(-C_ij/eps + g_j). Each
@@ -882,16 +852,12 @@ impl SubProblem<'_> {
                     *fi = log_a[pi] - log_sum_exp(row.iter().zip(&g).map(|(nc, gj)| nc + gj));
                 }
             });
-            // g update (column-parallel; contiguous reads off the
-            // transposed exponents).
-            let f_ref = &f;
-            par_chunks_mut(&mut g, self.threads, |start, chunk| {
-                for (off, gj) in chunk.iter_mut().enumerate() {
-                    let pj = start + off;
-                    let col = &neg_c_eps_t[pj * np..(pj + 1) * np];
-                    *gj = log_b[pj] - log_sum_exp(col.iter().zip(f_ref).map(|(nc, fi)| nc + fi));
-                }
-            });
+            // g update: g_j = log b_j - LSE_i(-C_ij/eps + f_i), a column
+            // pass that walks the rows.
+            col_log_sum_exp(&neg_c_eps, &f, &mut g, &mut col_sum, self.threads);
+            for (gj, lb) in g.iter_mut().zip(&log_b) {
+                *gj = lb - *gj;
+            }
 
             // Residual cadence as in the standard path; after the g
             // update column marginals are exact, so measure rows.
@@ -930,15 +896,13 @@ impl SubProblem<'_> {
         if !last {
             return Ok(None);
         }
-        // Materialize the plan on the positive sub-support.
-        let mut plan = vec![0.0f64; np * mp];
-        par_chunks_mut(&mut plan, self.threads, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let idx = start + off;
-                *slot = (neg_c_eps[idx] + f[idx / mp] + g[idx % mp]).exp();
+        // Materialize the plan on the positive sub-support, in place.
+        par_rows_mut(&mut neg_c_eps, mp, self.threads, |pi, row| {
+            for (slot, gj) in row.iter_mut().zip(&g) {
+                *slot = (*slot + f[pi] + gj).exp();
             }
         });
-        Ok(Some(plan))
+        Ok(Some(neg_c_eps))
     }
 }
 
@@ -953,6 +917,36 @@ fn log_sum_exp(terms: impl Iterator<Item = f64> + Clone) -> f64 {
     }
     let s: f64 = terms.map(|x| (x - mx).exp()).sum();
     mx + s.ln()
+}
+
+/// `out_j = LSE_i(x_ij + f_i)` over the columns of the row-major
+/// `f.len() × out.len()` matrix `x`, as [`log_sum_exp`] takes it: a max
+/// pass, then a sum of shifted exponentials. The columns are chunked over
+/// `threads`, and both passes walk the rows in ascending order over the
+/// chunk's columns, so each column sees `log_sum_exp`'s terms in its
+/// order whatever the chunking. `sums` is scratch of `out.len()` slots.
+fn col_log_sum_exp(x: &[f64], f: &[f64], out: &mut [f64], sums: &mut [f64], threads: usize) {
+    let cols = out.len();
+    par_cols_mut(&mut [out, sums], threads, |start, chunks| {
+        let [mx, sum] = chunks else { unreachable!() };
+        mx.fill(f64::NEG_INFINITY);
+        for (row, fi) in x.chunks_exact(cols).zip(f) {
+            for (m, xij) in mx.iter_mut().zip(&row[start..]) {
+                *m = m.max(xij + fi);
+            }
+        }
+        sum.fill(0.0);
+        for (row, fi) in x.chunks_exact(cols).zip(f) {
+            for ((s, m), xij) in sum.iter_mut().zip(mx.iter()).zip(&row[start..]) {
+                *s += (xij + fi - m).exp();
+            }
+        }
+        for (m, s) in mx.iter_mut().zip(sum.iter()) {
+            if *m != f64::NEG_INFINITY {
+                *m += s.ln();
+            }
+        }
+    });
 }
 
 /// Materialize `π_rc = ((U_r · K₁[r₁, c₁]) · … · K_d[r_d, c_d]) · V_c`
@@ -1001,8 +995,12 @@ fn round_to_feasible(mut sub: Vec<f64>, a_pos: &[f64], b_pos: &[f64], threads: u
             }
         }
     });
-    // Over-full columns.
-    let col_scale: Vec<f64> = col_sums(&sub, mp, threads)
+    // Over-full columns; a column sum is the transposed product with
+    // the ones vector.
+    let ones = vec![1.0f64; np];
+    let mut col_sum = vec![0.0f64; mp];
+    dense_matvec_t(&sub, mp, &ones, &mut col_sum, threads);
+    let col_scale: Vec<f64> = col_sum
         .iter()
         .zip(b_pos)
         .map(|(&c, &b)| if c > b && c > 0.0 { b / c } else { 1.0 })
@@ -1021,11 +1019,8 @@ fn round_to_feasible(mut sub: Vec<f64>, a_pos: &[f64], b_pos: &[f64], threads: u
             *slot = (a_pos[pi] - r).max(0.0);
         }
     });
-    let err_b: Vec<f64> = col_sums(&sub, mp, threads)
-        .iter()
-        .zip(b_pos)
-        .map(|(c, b)| b - c)
-        .collect();
+    dense_matvec_t(&sub, mp, &ones, &mut col_sum, threads);
+    let err_b: Vec<f64> = col_sum.iter().zip(b_pos).map(|(c, b)| b - c).collect();
     let err_total: f64 = err_a.iter().sum();
     if err_total > 0.0 {
         par_rows_mut(&mut sub, mp, threads, |pi, row| {
@@ -1040,20 +1035,37 @@ fn round_to_feasible(mut sub: Vec<f64>, a_pos: &[f64], b_pos: &[f64], threads: u
     sub
 }
 
-/// Column sums of the row-major `rows × cols` matrix `m`. The columns
-/// are chunked over `threads`; each chunk walks the rows in ascending
-/// order and adds the row's contiguous segment, so every column is
-/// summed from `0.0` over the rows ascending whatever the chunking.
-fn col_sums(m: &[f64], cols: usize, threads: usize) -> Vec<f64> {
-    let mut sums = vec![0.0f64; cols];
-    par_chunks_mut(&mut sums, threads, |start, chunk| {
-        for row in m.chunks_exact(cols) {
-            for (s, x) in chunk.iter_mut().zip(&row[start..]) {
-                *s += x;
+/// `out_i = Σ_j k[i·cols + j] · x_j` for the row-major `out.len() × cols`
+/// matrix `k`, chunked over rows. Each output is accumulated from zero in
+/// column order by one thread, so the bytes never depend on `threads`.
+fn dense_matvec(k: &[f64], cols: usize, x: &[f64], out: &mut [f64], threads: usize) {
+    par_chunks_mut(out, threads, |start, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            let row = &k[(start + off) * cols..(start + off + 1) * cols];
+            let mut acc = 0.0;
+            for (kij, xj) in row.iter().zip(x) {
+                acc += kij * xj;
+            }
+            *slot = acc;
+        }
+    });
+}
+
+/// `out_j = Σ_i k[i·cols + j] · x_i`, the transposed product of the
+/// row-major `x.len() × cols` matrix `k`. The columns are chunked over
+/// `threads`; each chunk walks the rows in ascending order and adds the
+/// row's contiguous segment, so every output is accumulated from zero
+/// over the rows ascending, as a row dot product over a transposed copy
+/// would be, whatever the chunking.
+fn dense_matvec_t(k: &[f64], cols: usize, x: &[f64], out: &mut [f64], threads: usize) {
+    par_chunks_mut(out, threads, |start, chunk| {
+        chunk.fill(0.0);
+        for (row, xi) in k.chunks_exact(cols).zip(x) {
+            for (slot, kij) in chunk.iter_mut().zip(&row[start..]) {
+                *slot += kij * xi;
             }
         }
     });
-    sums
 }
 
 #[cfg(test)]
@@ -1071,7 +1083,6 @@ mod tests {
             cost,
             rows_pos: (0..a.len()).collect(),
             cols_pos: (0..b.len()).collect(),
-            neg_c: std::sync::OnceLock::new(),
             a_pos: a.to_vec(),
             b_pos: b.to_vec(),
             threads,
@@ -1743,30 +1754,52 @@ mod tests {
         }
     }
 
+    /// The column passes walk the rows, and give the bits of a row pass
+    /// over an explicitly transposed copy at 1, 2, 3 and 7 threads:
+    /// [`dense_matvec_t`] those of [`dense_matvec`] (against weights,
+    /// and against ones, which is how the rounding sums columns), and
+    /// [`col_log_sum_exp`] those of [`log_sum_exp`].
     #[test]
-    fn col_sums_bitwise_match_strided_column_sums() {
-        // Mixed magnitudes make the summation order visible in the bits.
+    fn column_passes_bitwise_match_row_passes_over_a_transposed_copy() {
+        // Mixed magnitudes and signs make the summation order visible in
+        // the bits; one column of -inf exercises the empty LSE.
         let (rows, cols) = (13, 9);
-        let m: Vec<f64> = (0..rows * cols)
-            .map(|i| ((i * 37) % 101) as f64 * 10f64.powi((i % 7) as i32 - 3))
+        let mut k: Vec<f64> = (0..rows * cols)
+            .map(|i| ((i * 37) % 101) as f64 * 10f64.powi((i % 7) as i32 - 3) - 20.0)
             .collect();
-        let strided: Vec<f64> = (0..cols)
-            .map(|j| {
-                let mut sum = 0.0;
-                for i in 0..rows {
-                    sum += m[i * cols + j];
-                }
-                sum
-            })
+        let x: Vec<f64> = (0..rows)
+            .map(|i| 0.5 - ((i * 5) % 11) as f64 / 3.0)
             .collect();
-        for threads in [1usize, 2, 7] {
-            let got = col_sums(&m, cols, threads);
-            assert!(
-                got.iter()
-                    .map(|x| x.to_bits())
-                    .eq(strided.iter().map(|x| x.to_bits())),
-                "threads = {threads}"
-            );
+        let mut kt = vec![0.0f64; rows * cols];
+        for i in 0..rows {
+            for j in 0..cols {
+                kt[j * rows + i] = k[i * cols + j];
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for weights in [x.clone(), vec![1.0; rows]] {
+            let mut want = vec![0.0f64; cols];
+            dense_matvec(&kt, rows, &weights, &mut want, 1);
+            for threads in [1usize, 2, 3, 7] {
+                let mut got = vec![f64::NAN; cols];
+                dense_matvec_t(&k, cols, &weights, &mut got, threads);
+                assert_eq!(bits(&got), bits(&want), "matvec, threads = {threads}");
+            }
+        }
+
+        for i in 0..rows {
+            k[i * cols + 4] = f64::NEG_INFINITY;
+            kt[4 * rows + i] = f64::NEG_INFINITY;
+        }
+        let want: Vec<f64> = kt
+            .chunks_exact(rows)
+            .map(|col| log_sum_exp(col.iter().zip(&x).map(|(c, xi)| c + xi)))
+            .collect();
+        assert_eq!(want[4], f64::NEG_INFINITY);
+        for threads in [1usize, 2, 3, 7] {
+            let (mut got, mut sums) = (vec![f64::NAN; cols], vec![f64::NAN; cols]);
+            col_log_sum_exp(&k, &x, &mut got, &mut sums, threads);
+            assert_eq!(bits(&got), bits(&want), "log-sum-exp, threads = {threads}");
         }
     }
 

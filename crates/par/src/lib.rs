@@ -294,53 +294,6 @@ pub fn split_cols<T, C: AsMut<[T]>>(
         .collect()
 }
 
-/// Tile edge of the blocked [`par_transpose`] loops: 64 × 64 `f64` tiles
-/// keep one tile's worth of source cache lines (~4 KiB) resident in L1
-/// while its destination rows stream out contiguously.
-const TRANSPOSE_TILE: usize = 64;
-
-/// Transpose a row-major `rows × cols` matrix `src` into the row-major
-/// `cols × rows` buffer `dst`, chunking destination rows across at most
-/// `threads` scoped threads (`0` = auto) with an L1-sized blocked inner
-/// loop. Each destination element is written by exactly one thread and
-/// the operation is a pure permutation, so `dst` is bit-identical for
-/// every thread count.
-///
-/// This is the cache primitive behind the Sinkhorn **column phase**:
-/// the column sums of a row-major kernel read rows of its transposed
-/// copy, contiguously, instead of striding by `cols` through the
-/// original, which thrashes cache once kernels reach ~1M cells.
-///
-/// # Panics
-/// `src.len()` and `dst.len()` must both equal `rows * cols`.
-pub fn par_transpose<T>(src: &[T], rows: usize, cols: usize, dst: &mut [T], threads: usize)
-where
-    T: Copy + Send + Sync,
-{
-    assert_eq!(src.len(), rows * cols, "par_transpose: src shape");
-    assert_eq!(dst.len(), rows * cols, "par_transpose: dst shape");
-    // Chunk whole destination rows (length `rows` each) across threads;
-    // inside a chunk, walk source rows in TILE-sized blocks so the
-    // strided source reads of one tile stay cache-resident while the
-    // destination writes stream contiguously.
-    let bounds = chunk_bounds(cols, thread_count(threads));
-    let transpose_chunk = |range: Range<usize>, chunk: &mut [T]| {
-        let j0 = range.start;
-        for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
-            let i1 = (i0 + TRANSPOSE_TILE).min(rows);
-            for j in range.clone() {
-                let out = &mut chunk[(j - j0) * rows..][i0..i1];
-                for (off, slot) in out.iter_mut().enumerate() {
-                    *slot = src[(i0 + off) * cols + j];
-                }
-            }
-        }
-    };
-    run_jobs(split_at_bounds(dst, bounds, rows), |(range, chunk)| {
-        transpose_chunk(range, chunk)
-    });
-}
-
 /// Parallel in-place map over the **rows** of a row-major `rows × cols`
 /// matrix stored flat in `matrix`: apply `f(row_index, row)` to every
 /// row, chunking whole rows across at most `threads` scoped threads
@@ -486,42 +439,6 @@ mod tests {
         // Degenerate shapes are no-ops, not panics.
         par_rows_mut(&mut [] as &mut [usize], 4, 2, |_, _| unreachable!());
         par_rows_mut(&mut [1usize, 2], 0, 2, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn par_transpose_matches_naive_for_every_thread_count() {
-        // Shapes straddling the tile edge, including degenerate ones.
-        for (rows, cols) in [(1usize, 1usize), (3, 7), (64, 64), (65, 130), (200, 3)] {
-            let src: Vec<u64> = (0..rows * cols)
-                .map(|i| splitmix_seed(9, i as u64))
-                .collect();
-            let mut naive = vec![0u64; rows * cols];
-            for i in 0..rows {
-                for j in 0..cols {
-                    naive[j * rows + i] = src[i * cols + j];
-                }
-            }
-            for threads in [1usize, 2, 7, 64] {
-                let mut dst = vec![0u64; rows * cols];
-                par_transpose(&src, rows, cols, &mut dst, threads);
-                assert_eq!(dst, naive, "rows={rows}, cols={cols}, threads={threads}");
-            }
-        }
-        // Empty shapes are no-ops, not panics.
-        par_transpose(&[] as &[u64], 0, 5, &mut [], 4);
-    }
-
-    #[test]
-    fn par_transpose_round_trips() {
-        let (rows, cols) = (37usize, 91usize);
-        let src: Vec<u64> = (0..rows * cols)
-            .map(|i| splitmix_seed(3, i as u64))
-            .collect();
-        let mut once = vec![0u64; rows * cols];
-        par_transpose(&src, rows, cols, &mut once, 3);
-        let mut twice = vec![0u64; rows * cols];
-        par_transpose(&once, cols, rows, &mut twice, 5);
-        assert_eq!(twice, src);
     }
 
     #[test]

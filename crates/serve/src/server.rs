@@ -50,7 +50,7 @@
 //! [`ServerHandle::shutdown`] interrupts idle connections promptly;
 //! [`Server::run`]'s accept loop is woken by a self-connection.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -172,8 +172,9 @@ struct WatchState {
     monitor: DriftMonitor,
     /// Archive rows observed since the watch was (re)armed — the
     /// research snapshot for the next re-design. Oldest rows are shed
-    /// past [`MAX_WATCH_BUFFER_ROWS`].
-    buffer: Vec<LabelledPoint>,
+    /// from the front past [`MAX_WATCH_BUFFER_ROWS`], so a full buffer
+    /// costs a request its own rows, never a move of the rest.
+    buffer: VecDeque<LabelledPoint>,
     /// Hot swaps performed under this name, oldest first.
     audit: Vec<AuditRecord>,
     swaps: u64,
@@ -493,23 +494,44 @@ fn read_full(
     Ok(ReadOutcome::Done)
 }
 
-/// Read an `len`-byte payload in [`PAYLOAD_CHUNK`] steps, allocating
-/// only as bytes actually arrive — an adversarial length field costs
-/// the peer real bytes, not the server real memory.
+/// Read an `len`-byte payload into a buffer that reserves at most
+/// [`PAYLOAD_CHUNK`] bytes up front and grows only as bytes arrive (no
+/// zero fill): an adversarial length field costs the peer real bytes,
+/// not the server real memory. The stop flag and the frame deadline are
+/// checked before every read, as in [`read_full`]; EOF before `len`
+/// bytes is an `UnexpectedEof` error.
 fn read_payload(
     stream: &mut TcpStream,
     len: usize,
     ctx: &ConnCtx,
     clock: &mut FrameClock,
 ) -> std::io::Result<(Vec<u8>, ReadOutcome)> {
-    let mut payload = Vec::new();
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
     while payload.len() < len {
-        let start = payload.len();
-        let step = (len - start).min(PAYLOAD_CHUNK);
-        payload.resize(start + step, 0);
-        match read_full(stream, &mut payload[start..], ctx, clock)? {
-            ReadOutcome::Done => {}
-            other => return Ok((payload, other)),
+        if clock.expired(ctx.shared.stop.load(Ordering::SeqCst)) {
+            return Ok((payload, ReadOutcome::Deadline));
+        }
+        let before = payload.len();
+        let read = (&mut *stream)
+            .take((len - before) as u64)
+            .read_to_end(&mut payload);
+        if payload.len() > before {
+            clock.arm();
+        }
+        match read {
+            Ok(_) if payload.len() < len => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                ));
+            }
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) => return Err(e),
         }
     }
     Ok((payload, ReadOutcome::Done))
@@ -829,7 +851,7 @@ fn arm_watch(name: &str, config: DriftConfig, ctx: &ConnCtx) -> Response {
                 WatchState {
                     version,
                     monitor,
-                    buffer: Vec::new(),
+                    buffer: VecDeque::new(),
                     audit,
                     swaps,
                 },
@@ -863,7 +885,7 @@ fn observe_watch(name: &str, requested_version: u32, archive: &ColumnarDataset, 
         // before we got here; nothing to book.
         return;
     }
-    w.buffer.extend_from_slice(batch.points());
+    w.buffer.extend(batch.points().iter().cloned());
     if w.buffer.len() > MAX_WATCH_BUFFER_ROWS {
         let excess = w.buffer.len() - MAX_WATCH_BUFFER_ROWS;
         w.buffer.drain(..excess);
@@ -886,7 +908,7 @@ fn swap_plan(name: &str, w: &mut WatchState, ctx: &ConnCtx) {
     };
     let trigger = w.monitor.max_divergence();
     let rows_observed = w.monitor.rows_seen();
-    let research = match Dataset::from_points(std::mem::take(&mut w.buffer)) {
+    let research = match Dataset::from_points(std::mem::take(&mut w.buffer).into()) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("otrepaird: drift re-design for {name} has no usable buffer: {e}");
