@@ -37,8 +37,9 @@ pub const HEADER_LEN: usize = 12;
 /// Maximum payload size (1 GiB): anything larger is a [`ErrorCode::BadFrame`].
 pub const MAX_PAYLOAD: usize = 1 << 30;
 /// Both ends reserve at most this many payload bytes before any arrive,
-/// then grow the buffer only as bytes do, so a header *claiming* a huge
-/// payload cannot balloon memory before any of it actually arrives.
+/// and the server zero-fills at most this many ahead of those that have,
+/// so a header *claiming* a huge payload cannot balloon memory before
+/// any of it actually arrives.
 pub(crate) const PAYLOAD_CHUNK: usize = 1 << 20;
 /// Maximum plan/feature dimension accepted in an archive block.
 pub const MAX_DIM: usize = 4096;

@@ -71,6 +71,10 @@ use crate::registry::{persist_plan, unpersist_plan, PlanRegistry, RegisteredPlan
 /// How often blocked reads wake to check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
+/// The smallest window [`read_payload`] zero-fills ahead of the payload
+/// bytes that have arrived.
+const MIN_PAYLOAD_WINDOW: usize = 64 << 10;
+
 /// Frame-drain budget during shutdown when no deadline is configured:
 /// a frame caught mid-arrival gets this long to finish before the
 /// connection is dropped anyway.
@@ -494,12 +498,12 @@ fn read_full(
     Ok(ReadOutcome::Done)
 }
 
-/// Read an `len`-byte payload into a buffer that reserves at most
-/// [`PAYLOAD_CHUNK`] bytes up front and grows only as bytes arrive (no
-/// zero fill): an adversarial length field costs the peer real bytes,
-/// not the server real memory. The stop flag and the frame deadline are
-/// checked before every read, as in [`read_full`]; EOF before `len`
-/// bytes is an `UnexpectedEof` error.
+/// Read an `len`-byte payload through [`read_full`], one zero-filled
+/// window at a time. A window is as long as the bytes already received,
+/// but at least [`MIN_PAYLOAD_WINDOW`] and at most [`PAYLOAD_CHUNK`],
+/// so an adversarial length field costs the peer real bytes, not the
+/// server real memory: a claim backed by `b` bytes touches at most
+/// `2b + 64 KiB`. Only [`PAYLOAD_CHUNK`] is reserved up front.
 fn read_payload(
     stream: &mut TcpStream,
     len: usize,
@@ -508,30 +512,12 @@ fn read_payload(
 ) -> std::io::Result<(Vec<u8>, ReadOutcome)> {
     let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
     while payload.len() < len {
-        if clock.expired(ctx.shared.stop.load(Ordering::SeqCst)) {
-            return Ok((payload, ReadOutcome::Deadline));
-        }
-        let before = payload.len();
-        let read = (&mut *stream)
-            .take((len - before) as u64)
-            .read_to_end(&mut payload);
-        if payload.len() > before {
-            clock.arm();
-        }
-        match read {
-            Ok(_) if payload.len() < len => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
+        let start = payload.len();
+        let step = (len - start).min(start.clamp(MIN_PAYLOAD_WINDOW, PAYLOAD_CHUNK));
+        payload.resize(start + step, 0);
+        match read_full(stream, &mut payload[start..], ctx, clock)? {
+            ReadOutcome::Done => {}
+            other => return Ok((payload, other)),
         }
     }
     Ok((payload, ReadOutcome::Done))

@@ -13,14 +13,16 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ot_fair_repair::data::{ColumnarDataset, Dataset, SimulationSpec};
 use ot_fair_repair::repair::{RepairConfig, RepairPlan, RepairPlanner};
-use ot_fair_repair::serve::protocol::{self, Request};
+use ot_fair_repair::serve::protocol::{self, request_type, Request};
 use ot_fair_repair::serve::{
     Client, ClientError, ErrorCode, PlanKind, RetryPolicy, RetryingClient, ServeConfig, Server,
     ServerHandle,
@@ -234,6 +236,54 @@ fn slow_loris_stall_is_deadline_killed_not_pinned() {
         err.server_code(),
         Some(ErrorCode::DeadlineExceeded),
         "{err}"
+    );
+    assert!(server.handle.deadline_kills() >= 1);
+    server.assert_alive();
+}
+
+/// Scenario 3b: a payload trickle — one byte every 50 ms, so no read
+/// ever waits a whole poll interval — is killed at the frame deadline
+/// too: the deadline bounds the whole frame, not the gap between bytes.
+#[test]
+fn payload_trickle_is_deadline_killed_not_pinned() {
+    let server = TestServer::start(ServeConfig {
+        deadline_ms: 300,
+        ..ServeConfig::default()
+    });
+    let mut raw = TcpStream::connect(server.addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let started = Instant::now();
+    raw.write_all(&protocol::encode_header(request_type::PING, 1 << 20))
+        .unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let trickle = std::thread::spawn({
+        let mut raw = raw.try_clone().unwrap();
+        let done = Arc::clone(&done);
+        move || {
+            for _ in 0..200 {
+                if done.load(Ordering::SeqCst) || raw.write_all(&[0]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    });
+
+    let mut header = [0u8; protocol::HEADER_LEN];
+    raw.read_exact(&mut header).unwrap();
+    let elapsed = started.elapsed();
+    done.store(true, Ordering::SeqCst);
+    trickle.join().unwrap();
+    assert_eq!(header[5], protocol::response_type::ERROR);
+    let mut payload = vec![0u8; u32::from_be_bytes(header[8..].try_into().unwrap()) as usize];
+    raw.read_exact(&mut payload).unwrap();
+    assert_eq!(
+        ErrorCode::from_u16(u16::from_be_bytes([payload[0], payload[1]])),
+        Some(ErrorCode::DeadlineExceeded)
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a 300 ms frame deadline fired only after {elapsed:?} of trickle"
     );
     assert!(server.handle.deadline_kills() >= 1);
     server.assert_alive();

@@ -186,9 +186,9 @@ fn vm_rss_kib() -> usize {
 
 /// 32 connections each send a header claiming `MAX_PAYLOAD` and then
 /// 100 bytes, and stall inside the frame deadline. Their reads reserve
-/// buffer space but must write only the bytes that arrived, so the
-/// daemon's resident set grows by far less than the 32 MiB their first
-/// reservations span.
+/// buffer space but may zero-fill only a 64 KiB window past the bytes
+/// that arrived, so the daemon's resident set grows by far less than
+/// the 32 MiB their first reservations span.
 #[cfg(target_os = "linux")]
 #[test]
 fn server_resident_set_grows_only_by_the_request_bytes_it_received() {
